@@ -41,7 +41,7 @@ __all__ = [
     "evaluate",
     "extract_constants",
     "select_lyapunov_pair",
-    "lyapunov_offset",
+    "lyapunov_offsets",
     "dissipativity_rate",
     "lipschitz_constant",
     "lipschitz_from_model",
@@ -414,18 +414,83 @@ def _radial_grid(r_max: float, n: int = 2001, r_lin: float | None = None) -> np.
     return np.concatenate([lin, geo])
 
 
-def _refine_max(fun: Callable[[float], float], grid: np.ndarray, vals: np.ndarray) -> float:
-    """Golden-section polish around the best grid maxima."""
-    best = float(vals.max())
-    order = np.argsort(vals)[::-1][:3]
-    for i in order:
-        lo = grid[max(i - 1, 0)]
-        hi = grid[min(i + 1, len(grid) - 1)]
-        if hi <= lo:
-            continue
-        res = optimize.minimize_scalar(lambda r: -fun(r), bounds=(lo, hi), method="bounded")
-        best = max(best, float(-res.fun))
-    return best
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+# scipy's defaults for minimize_scalar(method="bounded"): xatol and maxiter
+_XATOL = 1e-5
+_MAXFUN = 500
+
+
+def _fminbound(
+    func: Callable[[np.ndarray], np.ndarray],
+    lo: np.ndarray,
+    hi: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise bounded Brent minimization, one independent problem per row.
+
+    A step-for-step copy of ``scipy.optimize.minimize_scalar(method="bounded")``
+    (golden-section steps with parabolic interpolation, Brent 1973): row i
+    minimizes ``func`` on ``[lo[i], hi[i]]`` and stops at the same evaluation
+    with the same ``(x, fun)``, bit for bit, as the scalar routine applied to
+    ``lambda t: float(func(np.asarray(t)))`` (element-wise numpy arithmetic
+    rounds a vector entry as it rounds a 0-d array).  ``func`` maps an array
+    of one abscissa per row to the objective values; rows that have stopped
+    keep their state and their evaluations are discarded.  Returns
+    ``(x, fun)``.
+    """
+    a = np.array(lo, dtype=float)
+    b = np.array(hi, dtype=float)
+    fulc = a + _GOLDEN * (b - a)
+    nfc, xf = fulc.copy(), fulc.copy()
+    rat = np.zeros_like(a)
+    e = np.zeros_like(a)
+    fx = np.asarray(func(xf), dtype=float)
+    ffulc, fnfc = fx.copy(), fx.copy()
+    num = 1
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * np.abs(xf) + _XATOL / 3.0
+    tol2 = 2.0 * tol1
+    active = np.abs(xf - xm) > (tol2 - 0.5 * (b - a))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while num < _MAXFUN and active.any():
+            # parabolic step where it falls well inside the bracket, else golden
+            step = active & (np.abs(e) > tol1)
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            p = np.where(q > 0.0, -p, p)
+            q = np.abs(q)
+            parab = step & (np.abs(p) < np.abs(0.5 * q * e)) & (p > q * (a - xf)) & (p < q * (b - xf))
+            golden = active & ~parab
+            rat_p = (p + 0.0) / q
+            x_p = xf + rat_p
+            si = np.sign(xm - xf) + ((xm - xf) == 0)
+            rat_p = np.where(((x_p - a) < tol2) | ((b - x_p) < tol2), tol1 * si, rat_p)
+            e = np.where(golden, np.where(xf >= xm, a - xf, b - xf), np.where(step, rat, e))
+            rat = np.where(parab, rat_p, np.where(golden, _GOLDEN * e, rat))
+            si = np.sign(rat) + (rat == 0)
+            x = xf + si * np.maximum(np.abs(rat), tol1)
+            fu = np.asarray(func(x), dtype=float)
+            num += 1
+
+            # bracket and point bookkeeping, on the rows still running
+            down = active & (fu <= fx)
+            up = active & ~(fu <= fx)
+            shift_nfc = up & ((fu <= fnfc) | (nfc == xf))
+            set_fulc = up & ~shift_nfc & ((fu <= ffulc) | (fulc == xf) | (fulc == nfc))
+            a = np.where(down & (x >= xf), xf, np.where(up & (x < xf), x, a))
+            b = np.where(down & (x < xf), xf, np.where(up & (x >= xf), x, b))
+            fulc, ffulc = (np.where(down | shift_nfc, nfc, np.where(set_fulc, x, fulc)),
+                           np.where(down | shift_nfc, fnfc, np.where(set_fulc, fu, ffulc)))
+            nfc, fnfc = (np.where(down, xf, np.where(shift_nfc, x, nfc)),
+                         np.where(down, fx, np.where(shift_nfc, fu, fnfc)))
+            xf, fx = np.where(down, x, xf), np.where(down, fu, fx)
+            xm = 0.5 * (a + b)
+            tol1 = _SQRT_EPS * np.abs(xf) + _XATOL / 3.0
+            tol2 = 2.0 * tol1
+            active &= np.abs(xf - xm) > (tol2 - 0.5 * (b - a))
+    return xf, fx
 
 
 def hess_op_radial(spec: PotentialSpec, r: np.ndarray) -> np.ndarray:
@@ -435,25 +500,38 @@ def hess_op_radial(spec: PotentialSpec, r: np.ndarray) -> np.ndarray:
     return np.maximum(np.abs(spec.d2profile(r)), np.abs(spec.psi(r)))
 
 
-def lyapunov_offset(spec: PotentialSpec, k1: float, r_box: float | None = None) -> float:
-    """Smallest K2 with |hess P|_op <= k1 |grad P| + K2 (radial search).
+def lyapunov_offsets(spec: PotentialSpec, k1s) -> list[float]:
+    """Smallest K2 with |hess P|_op <= k1 |grad P| + K2, for each K1 in ``k1s``.
 
+    Radial search: the defect's grid maximum per K1, then one bounded-Brent
+    polish of the cells around the three best grid nodes of every K1 at once.
     The box is enlarged to cover the stationary point of the defect for
     polynomially growing families; it sits near r ~ 1/k1 for the quartic.
     """
     char = spec.char_length()
-    if r_box is None:
+
+    def defect(k1, r):
+        return hess_op_radial(spec, r) - k1 * np.abs(spec.dprofile(r))
+
+    grid_max, lo, hi, counts = [], [], [], []
+    for k1 in k1s:
         r_box = 50.0 * char
         if k1 > 0:
             r_box = max(r_box, 8.0 / k1)
-    grid = _radial_grid(r_box, 2001, r_lin=50.0 * char)
-
-    def defect(r):
-        r = np.asarray(r, dtype=float)
-        return hess_op_radial(spec, r) - k1 * np.abs(spec.dprofile(r))
-
-    vals = defect(grid)
-    return max(_refine_max(lambda r: float(defect(r)), grid, vals), 0.0)
+        grid = _radial_grid(r_box, 2001, r_lin=50.0 * char)
+        vals = defect(k1, grid)
+        top = np.argsort(vals)[::-1][:3]
+        cell_lo = grid[np.maximum(top - 1, 0)]
+        cell_hi = grid[np.minimum(top + 1, grid.size - 1)]
+        ok = cell_hi > cell_lo
+        grid_max.append(float(vals.max()))
+        lo.append(cell_lo[ok])
+        hi.append(cell_hi[ok])
+        counts.append(int(ok.sum()))
+    row_k1 = np.repeat(np.asarray(k1s, dtype=float), counts)
+    _, neg = _fminbound(lambda r: -defect(row_k1, r), np.concatenate(lo), np.concatenate(hi))
+    polished = np.split(-neg, np.cumsum(counts)[:-1])
+    return [max(g, *p.tolist(), 0.0) for g, p in zip(grid_max, polished)]
 
 
 def select_lyapunov_pair(
@@ -479,8 +557,7 @@ def select_lyapunov_pair(
     if math.isfinite(spec.hess_op_sup()):
         candidates = [0.0] + candidates
     best = None
-    for k1 in candidates:
-        k2 = lyapunov_offset(spec, k1)
+    for k1, k2 in zip(candidates, lyapunov_offsets(spec, candidates)):
         score = objective(k1, k2)
         if not math.isfinite(score):
             continue
@@ -545,27 +622,51 @@ class B0Result:
     converged: bool
 
 
-def _section_sup(spec: PotentialSpec, r: float, span: float, n: int = 1601) -> float:
-    """sup over pairs x = y + r e of -<e, grad P(x) - grad P(y)>.
+# rows per block of the d = 1 section grid: keeps the (rows, n) work arrays
+# near 1 MB each at n = 1601, so peak memory does not grow with the node count
+_SECTION_BLOCK = 64 * 1601
+
+
+def section_sup_batch(spec: PotentialSpec, rs, spans, n: int = 1601) -> np.ndarray:
+    """sup over pairs x = y + r e of -<e, grad P(x) - grad P(y)>, one per radius.
 
     Rotational invariance reduces the pair to the plane spanned by e and one
     orthogonal direction:  y = alpha e + beta n, with the beta axis absent
-    for d = 1.  Dense grid plus Nelder-Mead polish from the best grid nodes;
-    the result is a lower bound of the true supremum up to refinement.
+    for d = 1.  Row i searches alpha in -r_i/2 +- spans[i] on an n-point grid.
+    In d = 1 the grid runs in blocks of rows and the best grid node of every
+    row is then polished at once by bounded Brent on its neighbouring cell;
+    in d >= 2 each row polishes its three best grid nodes with Nelder-Mead.
+    A polish only raises the grid maximum, so each entry is still a lower
+    estimate of the true supremum.
     """
+    rs = np.atleast_1d(np.asarray(rs, dtype=float))
+    spans = np.broadcast_to(np.asarray(spans, dtype=float), rs.shape)
+    if spec.dim > 1:
+        return np.array([_section_sup_2d(spec, float(r), float(sp), n) for r, sp in zip(rs, spans)])
+    grid_max, lo, hi = np.empty_like(rs), np.empty_like(rs), np.empty_like(rs)
+    step = max(_SECTION_BLOCK // n, 1)
+    for start in range(0, rs.size, step):
+        blk = slice(start, start + step)
+        r, span = rs[blk], spans[blk]
+        alpha = np.linspace(-r / 2 - span, -r / 2 + span, n, axis=1)
+        vals = _section_line(spec, alpha, r[:, None])
+        i = np.argmax(vals, axis=1)
+        rows = np.arange(r.size)
+        grid_max[blk] = vals.max(axis=1)
+        lo[blk] = alpha[rows, np.maximum(i - 1, 0)]
+        hi[blk] = alpha[rows, np.minimum(i + 1, n - 1)]
+    _, neg = _fminbound(lambda a: -_section_line(spec, a, rs), lo, hi)
+    return np.maximum(grid_max, -neg)
+
+
+def _section_line(spec: PotentialSpec, alpha: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The d = 1 section objective at y = alpha, x = alpha + r."""
+    x = alpha + r
+    return -(spec.psi(np.abs(x)) * x - spec.psi(np.abs(alpha)) * alpha)
+
+
+def _section_sup_2d(spec: PotentialSpec, r: float, span: float, n: int) -> float:
     alpha = np.linspace(-r / 2 - span, -r / 2 + span, n)
-
-    if spec.dim == 1:
-        def f(al):
-            al = np.asarray(al, dtype=float)
-            return -(spec.psi(np.abs(al + r)) * (al + r) - spec.psi(np.abs(al)) * al)
-
-        vals = f(alpha)
-        i = int(np.argmax(vals))
-        lo, hi = alpha[max(i - 1, 0)], alpha[min(i + 1, n - 1)]
-        res = optimize.minimize_scalar(lambda a: -float(f(a)), bounds=(lo, hi), method="bounded")
-        return max(float(vals.max()), float(-res.fun))
-
     nb = max(n // 8, 101)
     beta = np.linspace(0.0, span, nb)
     A, B = np.meshgrid(alpha, beta, indexing="ij")
@@ -616,9 +717,9 @@ def dissipativity_rate(
             total += -spec.params["coef"] * r
             continue
         span = max(8.0 * spec.char_length(), 2.0 * r)
-        part = _section_sup(spec, r, span)
+        part = float(section_sup_batch(spec, r, span)[0])
         if check_box:
-            wide = _section_sup(spec, r, 1.5 * span, n=801)
+            wide = float(section_sup_batch(spec, r, 1.5 * span, n=801)[0])
             if wide > part + 1e-9 * (1 + abs(part)):
                 part = wide
                 converged = False
@@ -671,8 +772,8 @@ def lipschitz_constant(
 
 
 def model_b0(U: PotentialSpec, W: Optional[PotentialSpec]) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorized b0 for a model; quadratic parts are exact, others use the
-    section search per sample point."""
+    """Vectorized b0 for a model; quadratic parts are exact, others use one
+    batched section search over all sample points."""
     specs = [s for s in (U, W) if s is not None and not s.is_zero()]
     linear = sum(s.params["coef"] for s in specs if s.family == "quadratic")
     nonlin = [s for s in specs if s.family != "quadratic"]
@@ -680,11 +781,9 @@ def model_b0(U: PotentialSpec, W: Optional[PotentialSpec]) -> Callable[[np.ndarr
     def b0_vec(rs):
         rs = np.atleast_1d(np.asarray(rs, dtype=float))
         out = -linear * rs
+        rr = np.maximum(rs, 1e-9)
         for spec in nonlin:
-            for i, r in enumerate(rs):
-                rr = max(float(r), 1e-9)
-                span = max(8.0 * spec.char_length(), 2.0 * rr)
-                out[i] += _section_sup(spec, rr, span)
+            out += section_sup_batch(spec, rr, np.maximum(8.0 * spec.char_length(), 2.0 * rr))
         return out
 
     return b0_vec
@@ -743,7 +842,7 @@ def convexity_at_infinity_fit(
     rs = np.linspace(r_max / n_r, r_max, n_r)
     span = 8.0 * char + r_max
     # separation modulus m(r): the section search returns -m(r) * r
-    m = np.array([-_section_sup(U, float(r), span, n=801) / r for r in rs])
+    m = -section_sup_batch(U, rs, span, n=801) / rs
 
     suffix_min = np.minimum.accumulate(m[::-1])[::-1]
     best = None

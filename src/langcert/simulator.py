@@ -368,9 +368,9 @@ def run(
     if stride < 1:
         raise InvalidSpecError("stride must be >= 1")
 
-    rec_steps = [0] + [k for k in range(1, n_steps + 1) if k % stride == 0]
-    times = np.array([k * integrator.dt for k in rec_steps])
-    n_rec = len(rec_steps)
+    rec_steps = np.arange(0, n_steps + 1, stride)
+    times = rec_steps * integrator.dt
+    n_rec = rec_steps.size
 
     sums = {name: np.zeros(n_rec) for name in observables}
     sqsums = {name: np.zeros(n_rec) for name in observables}

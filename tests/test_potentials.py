@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy import optimize
 
+from langcert import potentials
 from langcert.errors import InvalidSpecError
 from langcert.potentials import (
     ConstantsBundle,
@@ -13,8 +15,12 @@ from langcert.potentials import (
     extract_constants,
     lipschitz_constant,
     lipschitz_from_model,
-    lyapunov_offset,
+    lyapunov_offsets,
     model_b0,
+    section_sup_batch,
+    _fminbound,
+    _radial_grid,
+    hess_op_radial,
 )
 
 QUAD = PotentialSpec("quadratic", {"coef": 1.0}, dim=1)
@@ -205,10 +211,37 @@ def test_lyapunov_offset_covers_far_stationary_point():
     # for tiny K1 the binding radius of the quartic sits near 2/K1; the
     # search box must still catch it
     k1 = 2.0**-6
-    k2 = lyapunov_offset(DW, k1)
+    k2 = lyapunov_offsets(DW, [k1])[0]
     r = np.geomspace(1e-3, 1e4, 400001)
     brute = (np.abs(DW.d2profile(r)) - k1 * np.abs(DW.dprofile(r))).max()
     assert k2 >= brute - 1e-6 * max(1, abs(brute))
+
+
+def _lyapunov_offset_scalar(spec, k1):
+    """The per-K1 search that lyapunov_offsets replaced: grid maximum plus a
+    scalar bounded-Brent polish of the cells around the three best nodes."""
+    char = spec.char_length()
+    r_box = max(50.0 * char, 8.0 / k1) if k1 > 0 else 50.0 * char
+    grid = _radial_grid(r_box, 2001, r_lin=50.0 * char)
+
+    def defect(r):
+        r = np.asarray(r, dtype=float)
+        return hess_op_radial(spec, r) - k1 * np.abs(spec.dprofile(r))
+
+    vals = defect(grid)
+    best = float(vals.max())
+    for i in np.argsort(vals)[::-1][:3]:
+        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+        if hi > lo:
+            res = optimize.minimize_scalar(lambda r: -float(defect(r)), bounds=(lo, hi), method="bounded")
+            best = max(best, float(-res.fun))
+    return max(best, 0.0)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS[:6], ids=lambda s: f"{s.family}-d{s.dim}")
+def test_lyapunov_offsets_batch_matches_scalar_search(spec):
+    k1s = [0.0] + [2.0**e for e in range(-20, 11)]
+    assert lyapunov_offsets(spec, k1s) == [_lyapunov_offset_scalar(spec, k1) for k1 in k1s]
 
 
 def test_bundle_validation():
@@ -286,12 +319,82 @@ def test_clip_from_model_quadratic():
     assert res2.value == pytest.approx(1.0 / 1.5, abs=1e-8)
 
 
+def _section_sup_scalar(spec, r, span, n=1601):
+    """The per-radius d = 1 section search that section_sup_batch replaced:
+    grid maximum plus one scalar bounded-Brent polish of its cell."""
+    alpha = np.linspace(-r / 2 - span, -r / 2 + span, n)
+
+    def f(al):
+        al = np.asarray(al, dtype=float)
+        return -(spec.psi(np.abs(al + r)) * (al + r) - spec.psi(np.abs(al)) * al)
+
+    vals = f(alpha)
+    i = int(np.argmax(vals))
+    res = optimize.minimize_scalar(lambda a: -float(f(a)), bounds=(alpha[max(i - 1, 0)], alpha[min(i + 1, n - 1)]),
+                                   method="bounded")
+    return max(float(vals.max()), float(-res.fun))
+
+
 def test_model_b0_vectorized_matches_pointwise():
     b0 = model_b0(DW, BUMP)
-    rs = np.array([0.5, 1.0, 2.0])
+    # r = 0 is clamped to 1e-9; beyond 4 char_length = 4 the span is 2r
+    rs = np.array([0.0, 0.5, 1.0, 2.0, 6.0, 11.0])
     vec = b0(rs)
     for i, r in enumerate(rs):
-        assert vec[i] == pytest.approx(dissipativity_rate(DW, BUMP, float(r), check_box=False).value, rel=1e-9)
+        rr = max(float(r), 1e-9)
+        assert vec[i] == dissipativity_rate(DW, BUMP, rr, check_box=False).value
+        assert vec[i] == sum(_section_sup_scalar(s, rr, max(8.0 * s.char_length(), 2.0 * rr)) for s in (DW, BUMP))
+
+
+@pytest.mark.parametrize("spec", [DW, BUMP, COS], ids=["double_well", "bump", "cosine"])
+def test_section_sup_batch_matches_scalar_search(spec):
+    # 150 rows at n = 801 span two row blocks
+    rs = np.linspace(0.01, 12.0, 150)
+    spans = np.maximum(8.0 * spec.char_length(), 2.0 * rs)
+    got = section_sup_batch(spec, rs, spans, n=801)
+    assert got.tolist() == [_section_sup_scalar(spec, r, sp, n=801) for r, sp in zip(rs, spans)]
+
+
+def test_fminbound_matches_scipy_bounded_bit_for_bit(monkeypatch):
+    # each case has rows that stop at different iterations; the first row of
+    # every case takes a parabolic step that lands within tol2 of a bound
+    cases = [
+        (np.cos, [0.0, 2.0, -1.0, 3.0], [6.0, 4.0, 1.0, 3.5]),
+        (lambda x: (x - 0.3) ** 2, [0.0, 0.3, 1.0, -2.0], [1.0, 0.5, 2.0, 0.3]),
+        (lambda x: np.exp(x) - 2 * x, [0.0, -1.0, 0.9, 2.0], [3.0, 0.5, 1.0, 5.0]),
+        (lambda x: x**4 - x**2, [-2.0, 0.1, -0.01, 0.5], [2.0, 2.0, 0.01, 0.8]),
+    ]
+    for f, lo, hi in cases:
+        x, fx = _fminbound(f, np.array(lo), np.array(hi))
+        refs = [optimize.minimize_scalar(lambda t: float(f(np.asarray(t))), bounds=(a, b), method="bounded")
+                for a, b in zip(lo, hi)]
+        assert len({r.nfev for r in refs}) > 1
+        assert list(zip(x.tolist(), fx.tolist())) == [(r.x, r.fun) for r in refs]
+    # the evaluation cap stops a row where scipy's maxiter does
+    monkeypatch.setattr(potentials, "_MAXFUN", 4)
+    x, fx = _fminbound(np.cos, np.array([0.0]), np.array([6.0]))
+    ref = optimize.minimize_scalar(lambda t: float(np.cos(np.asarray(t))), bounds=(0.0, 6.0), method="bounded",
+                                   options={"maxiter": 4})
+    assert ref.nfev == 4 and (x[0], fx[0]) == (ref.x, ref.fun)
+
+
+@pytest.mark.parametrize(
+    "U, W, c_lip",
+    [
+        (DW, PotentialSpec("gaussian_bump", {"amplitude": 0.02, "width": 1.0, "sign": "attractive"}, dim=1,
+                           role="interaction"), 1.7384368093737297),
+        (QUAD, PotentialSpec("gaussian_bump", {"amplitude": 0.1, "width": 1.0, "sign": "repulsive"}, dim=1,
+                             role="interaction"), 1.052736289047171),
+        (DW, None, 1.730234433708212),
+        (DW, PotentialSpec("cosine", {"amplitude": 0.05, "frequency": 1.0}, dim=1, role="interaction"),
+         1.787962608773992),
+    ],
+    ids=["double_well_small_bump", "quadratic_repulsive_bump", "double_well", "double_well_cosine"],
+)
+def test_clip_pinned_for_nonlinear_models(U, W, c_lip):
+    res = lipschitz_from_model(U, W)
+    assert res.converged
+    assert res.value == pytest.approx(c_lip, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
