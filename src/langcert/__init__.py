@@ -10,14 +10,12 @@ numerical oracles at desk scale.
 from .potentials import (
     PotentialSpec,
     ConstantsBundle,
-    evaluate,
     extract_constants,
-    dissipativity_rate,
     lipschitz_constant,
     lipschitz_from_model,
     convexity_at_infinity_fit,
 )
-from .meanfield import ModelConfig, total_potential, force, hessian_blocks, hw_opnorm, upiw_h_estimate
+from .meanfield import ModelConfig, total_potential, force, hessian_blocks, hw_opnorm
 from .funcineq import (
     GridMeasure,
     kappa_bakry_emery,
@@ -47,7 +45,6 @@ from .simulator import (
     EnsembleState,
     DecayFit,
     initial_state,
-    step,
     run,
     fit_decay,
     n_sweep,

@@ -484,20 +484,16 @@ def assemble_constants(
     bundle = pot.extract_constants(U, W)
     prov = bundle.provenance
 
-    fit = None
-    if U.family in ("quadratic", "quartic_double_well"):
-        fit = pot.convexity_at_infinity_fit(U, W)
-        if fit is not None:
-            bundle.c_u, bundle.c, bundle.R_conv = fit.c_u, fit.c, fit.radius
-            # the non-quadratic triple is re-verified on 1e4 random pairs
-            grade = pot.ANALYTIC if U.family == "quadratic" else pot.VERIFIED
-            prov["c_u"] = prov["c"] = prov["R_conv"] = grade
+    fit = pot.convexity_at_infinity_fit(U, W)
+    if fit is not None:
+        bundle.c_u, bundle.c, bundle.R_conv = fit.c_u, fit.c, fit.radius
+        # a non-linear triple is re-verified on 1e4 random pairs
+        grade = pot.ANALYTIC if U.linear else pot.VERIFIED
+        prov["c_u"] = prov["c"] = prov["R_conv"] = grade
 
     clip = pot.lipschitz_from_model(U, W)
     bundle.c_lip, bundle.c_lip_converged = clip.value, clip.converged
-    linear_drift = U.family == "quadratic" and (
-        W is None or W.is_zero() or W.family == "quadratic"
-    )
+    linear_drift = U.linear and (W is None or W.is_zero() or W.linear)
     prov["c_lip"] = pot.ANALYTIC if linear_drift else pot.NUMERIC
 
     be = funcineq.kappa_bakry_emery(U, W)

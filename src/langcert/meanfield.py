@@ -12,7 +12,6 @@ batched helpers accept (R, N, d).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,7 +28,6 @@ __all__ = [
     "force_batch",
     "hessian_blocks",
     "hw_opnorm",
-    "upiw_h_estimate",
     "DENSE_CAP",
 ]
 
@@ -160,80 +158,10 @@ def hessian_blocks(model: ModelConfig, x) -> HessianBlocks:
     return HessianBlocks(H_U=H_U, H_W=H_W)
 
 
-def _hw_action(model: ModelConfig, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Matrix-free H_W z using (H_W z)_i = (1/N) sum_{j != i} hess W(x_i - x_j)(z_i - z_j)."""
-    N = model.N
-    diff = x[:, None, :] - x[None, :, :]
-    hw = model.W.hessian(diff)  # (N, N, d, d)
-    dz = z[:, None, :] - z[None, :, :]  # (N, N, d)
-    contrib = np.einsum("ijab,ijb->ija", hw, dz)
-    contrib[np.arange(N), np.arange(N)] = 0.0
-    return contrib.sum(axis=1) / N
-
-
-def hw_opnorm(model: ModelConfig, x, tol: float = 1e-8, max_iter: int = 5000) -> float:
-    """Operator norm of H_W(x) via power iteration on the pair-block action.
-
-    Stops on the Rayleigh residual |H z - nu z| <= tol |nu|, which certifies
-    |nu| as an eigenvalue estimate; a near-degenerate +-|lambda| pair keeps
-    the residual large, in which case the dense symmetric eigensolver takes
-    over (always available at desk scale, N*d <= DENSE_CAP).
-    """
+def hw_opnorm(model: ModelConfig, x) -> float:
+    """Operator norm of H_W(x) from the dense symmetric eigensolver
+    (``hessian_blocks`` raises ResourceCapError beyond DENSE_CAP)."""
     x = _check_config(model, x)
     if model.W is None or model.W.is_zero():
         return 0.0
-    N, d = model.N, model.d
-    rng = np.random.default_rng(12345)
-    z = rng.standard_normal((N, d))
-    z /= np.sqrt((z**2).sum())
-    for _ in range(max_iter):
-        y = _hw_action(model, x, z)
-        nu = float((z * y).sum())
-        resid = float(np.sqrt(((y - nu * z) ** 2).sum()))
-        norm = float(np.sqrt((y**2).sum()))
-        if norm == 0.0:
-            return 0.0
-        if resid <= tol * max(abs(nu), 1e-300):
-            return abs(nu)
-        z = y / norm
-    if N * d <= DENSE_CAP:
-        blocks = hessian_blocks(model, x)
-        return float(np.abs(np.linalg.eigvalsh(blocks.H_W)).max())
-    return norm  # flagged estimate: iteration did not certify
-
-
-def upiw_h_estimate(
-    model: ModelConfig,
-    n_samples: int,
-    seed: int = 0,
-    scales: tuple[float, ...] = (0.5, 1.0, 2.0, 4.0),
-) -> float:
-    """Sampled lower spectral bound h for the pure off-diagonal interaction matrix.
-
-    Minimum over sampled configurations of the smallest eigenvalue of
-    (1/N)(-1_{i != j} hess W(x_i - x_j))_{i,j}.  This is an upper bound on
-    the true infimum over all configurations, so the result is an estimate
-    (provenance numeric-estimate), never a certified constant.
-    """
-    if n_samples < 1:
-        raise InvalidSpecError("n_samples must be >= 1")
-    if model.W is None or model.W.is_zero():
-        return 0.0
-    N, d = model.N, model.d
-    if N * d > DENSE_CAP:
-        raise ResourceCapError(f"eigen solve needs N*d <= {DENSE_CAP}")
-    rng = np.random.default_rng(seed)
-    char = model.W.char_length()
-    h = math.inf
-    for k in range(n_samples):
-        scale = scales[k % len(scales)] * char
-        x = rng.standard_normal((N, d)) * scale
-        diff = x[:, None, :] - x[None, :, :]
-        hw = model.W.hessian(diff)
-        A = np.zeros((N * d, N * d))
-        for i in range(N):
-            for j in range(N):
-                if i != j:
-                    A[i * d:(i + 1) * d, j * d:(j + 1) * d] = -hw[i, j] / N
-        h = min(h, float(np.linalg.eigvalsh(A).min()))
-    return h
+    return float(np.abs(np.linalg.eigvalsh(hessian_blocks(model, x).H_W)).max())

@@ -1,8 +1,11 @@
 """Parametric radial potential families and the scalar constants they induce.
 
-Every built-in family is rotationally symmetric, P(x) = g(|x|), with closed
-forms for the radial profile g and its first two derivatives.  Gradients and
-Hessians follow from
+Every built-in family is rotationally symmetric, P(x) = g(|x|), and is one
+record in ``_FAMILIES``: its parameter schema, closed forms for the radial
+profile g, its first two derivatives and psi, chi below, the closed-form
+Hessian and gradient bounds, a length scale, and two traits (``linear``:
+grad P is linear, so b0, c_u and K2 are exact; ``bounded``: P is bounded and
+cannot confine).  Gradients and Hessians follow from
 
     grad P(x) = psi(r) x,                 psi(r) = g'(r)/r,
     hess P(x) = psi(r) I + chi(r) x x^T,  chi(r) = (g''(r) - psi(r)) / r^2,
@@ -33,16 +36,12 @@ from .errors import InvalidSpecError
 
 __all__ = [
     "PotentialSpec",
-    "PotentialEval",
     "ConstantsBundle",
-    "B0Result",
     "LipschitzResult",
     "ConvexityFit",
-    "evaluate",
     "extract_constants",
     "select_lyapunov_pair",
     "lyapunov_offsets",
-    "dissipativity_rate",
     "lipschitz_constant",
     "lipschitz_from_model",
     "model_b0",
@@ -53,26 +52,141 @@ __all__ = [
     "CRITERION",
 ]
 
-FAMILIES = ("quadratic", "quartic_double_well", "gaussian_bump", "cosine")
 ROLES = ("confinement", "interaction")
-
-# Parameter names accepted per family, with validation predicates.
-_PARAM_SCHEMA = {
-    "quadratic": {"coef": lambda v: v >= 0.0},
-    "quartic_double_well": {"quartic": lambda v: v > 0.0, "well": lambda v: v >= 0.0},
-    "gaussian_bump": {
-        "amplitude": lambda v: v >= 0.0,
-        "width": lambda v: v > 0.0,
-        "sign": lambda v: v in ("attractive", "repulsive"),
-    },
-    "cosine": {"amplitude": lambda v: True, "frequency": lambda v: v != 0.0},
-}
 
 ANALYTIC = "analytic"
 NUMERIC = "numeric-estimate"
 USER = "user-supplied"
 CRITERION = "criterion-derived"
 VERIFIED = "verified-numeric"  # sup/inf search with margin, re-verified on samples
+
+
+# ---------------------------------------------------------------------------
+# family table
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Family:
+    """One radial family.  The radial functions map ``(params, r)`` to arrays,
+    the bounds map ``params`` to the closed forms that the ``PotentialSpec``
+    methods of the same name document."""
+
+    schema: dict  # parameter name -> validity predicate
+    g: Callable
+    dg: Callable
+    d2g: Callable
+    psi: Callable
+    chi: Callable
+    hess_op_sup: Callable
+    grad_sup: Callable
+    hess_eig_bounds: Callable
+    char_length: Callable
+    is_zero: Callable
+    linear: bool = False  # grad P = a x: b0, c_u and K2 are exact
+    bounded: bool = False  # non-integrable Gibbs measure: cannot confine
+
+
+def _quartic_char_length(p) -> float:
+    q, w = p["quartic"], p["well"]
+    well = math.sqrt(w / (2 * q)) if w > 0 else 0.0
+    return max(1.0, well, (1.0 / (4 * q)) ** 0.25)
+
+
+def _bump_amp(p) -> float:
+    """Signed amplitude: an attractive bump is a well, -amplitude at the origin."""
+    return (-1.0 if p["sign"] == "attractive" else 1.0) * p["amplitude"]
+
+
+def _bump_exp(p, r):
+    return np.exp(-(r**2) / (2 * p["width"] ** 2))
+
+
+def _bump_eig_bounds(p) -> tuple[float, float]:
+    a = p["amplitude"] / p["width"] ** 2
+    if p["sign"] == "attractive":
+        # radial a(1-u^2)e^{-u^2/2} in [-2a e^{-3/2}, a], tangential in (0, a]
+        return -2 * a * math.exp(-1.5), a
+    # radial a(u^2-1)e^{-u^2/2} in [-a, 2a e^{-3/2}], tangential in [-a, 0)
+    return -a, 2 * a * math.exp(-1.5)
+
+
+def _cosine_chi(p, r):
+    om = p["frequency"]
+    t = om * r
+    # h(t) = (cos t - sin t / t) / t^2 -> -1/3 + t^2/30 near 0
+    small = np.abs(t) < 1e-4
+    denom = np.where(small, 1.0, t**2)
+    h = np.where(small, -1.0 / 3.0 + t**2 / 30.0, (np.cos(t) - np.sinc(t / np.pi)) / denom)
+    return -p["amplitude"] * om**4 * h
+
+
+_FAMILIES = {
+    # coef/2 |x|^2
+    "quadratic": _Family(
+        schema={"coef": lambda v: v >= 0.0},
+        g=lambda p, r: 0.5 * p["coef"] * r**2,
+        dg=lambda p, r: p["coef"] * r,
+        d2g=lambda p, r: np.full_like(r, p["coef"]),
+        psi=lambda p, r: np.full_like(r, p["coef"]),
+        chi=lambda p, r: np.zeros_like(r),
+        hess_op_sup=lambda p: p["coef"],
+        grad_sup=lambda p: 0.0 if p["coef"] == 0.0 else math.inf,
+        hess_eig_bounds=lambda p: (p["coef"], p["coef"]),
+        char_length=lambda p: 1.0 / math.sqrt(p["coef"]) if p["coef"] > 0 else 1.0,
+        is_zero=lambda p: p["coef"] == 0.0,
+        linear=True,
+    ),
+    # quartic |x|^4 - well |x|^2
+    "quartic_double_well": _Family(
+        schema={"quartic": lambda v: v > 0.0, "well": lambda v: v >= 0.0},
+        g=lambda p, r: p["quartic"] * r**4 - p["well"] * r**2,
+        dg=lambda p, r: 4 * p["quartic"] * r**3 - 2 * p["well"] * r,
+        d2g=lambda p, r: 12 * p["quartic"] * r**2 - 2 * p["well"],
+        psi=lambda p, r: 4 * p["quartic"] * r**2 - 2 * p["well"],
+        chi=lambda p, r: np.full_like(r, 8 * p["quartic"]),
+        hess_op_sup=lambda p: math.inf,
+        grad_sup=lambda p: math.inf,
+        hess_eig_bounds=lambda p: (-2 * p["well"], math.inf),
+        char_length=_quartic_char_length,
+        is_zero=lambda p: False,
+    ),
+    # -+ amplitude exp(-|x|^2 / 2 width^2), minus sign for an attractive bump
+    "gaussian_bump": _Family(
+        schema={
+            "amplitude": lambda v: v >= 0.0,
+            "width": lambda v: v > 0.0,
+            "sign": lambda v: v in ("attractive", "repulsive"),
+        },
+        g=lambda p, r: _bump_amp(p) * _bump_exp(p, r),
+        dg=lambda p, r: -_bump_amp(p) * r / p["width"] ** 2 * _bump_exp(p, r),
+        d2g=lambda p, r: -_bump_amp(p) / p["width"] ** 2 * (1 - r**2 / p["width"] ** 2) * _bump_exp(p, r),
+        psi=lambda p, r: -_bump_amp(p) / p["width"] ** 2 * _bump_exp(p, r),
+        chi=lambda p, r: _bump_amp(p) / (p["width"] ** 2) ** 2 * _bump_exp(p, r),
+        hess_op_sup=lambda p: p["amplitude"] / p["width"] ** 2,
+        grad_sup=lambda p: p["amplitude"] / p["width"] * math.exp(-0.5),
+        hess_eig_bounds=_bump_eig_bounds,
+        char_length=lambda p: p["width"],
+        is_zero=lambda p: p["amplitude"] == 0.0,
+        bounded=True,
+    ),
+    # amplitude cos(frequency |x|)
+    "cosine": _Family(
+        schema={"amplitude": lambda v: True, "frequency": lambda v: v != 0.0},
+        g=lambda p, r: p["amplitude"] * np.cos(p["frequency"] * r),
+        dg=lambda p, r: -p["amplitude"] * p["frequency"] * np.sin(p["frequency"] * r),
+        d2g=lambda p, r: -p["amplitude"] * p["frequency"] ** 2 * np.cos(p["frequency"] * r),
+        psi=lambda p, r: -p["amplitude"] * p["frequency"] ** 2 * np.sinc(p["frequency"] * r / np.pi),
+        chi=_cosine_chi,
+        hess_op_sup=lambda p: abs(p["amplitude"]) * p["frequency"] ** 2,
+        grad_sup=lambda p: abs(p["amplitude"]) * abs(p["frequency"]),
+        hess_eig_bounds=lambda p: (-abs(p["amplitude"]) * p["frequency"] ** 2,
+                                   abs(p["amplitude"]) * p["frequency"] ** 2),
+        char_length=lambda p: 2 * math.pi / abs(p["frequency"]),
+        is_zero=lambda p: p["amplitude"] == 0.0,
+        bounded=True,
+    ),
+}
+FAMILIES = tuple(_FAMILIES)
 
 
 @dataclass(frozen=True)
@@ -82,12 +196,11 @@ class PotentialSpec:
     Parameters
     ----------
     family : str
-        One of ``quadratic`` (coef/2 |x|^2), ``quartic_double_well``
-        (quartic |x|^4 - well |x|^2), ``gaussian_bump``
-        (-+ amplitude exp(-|x|^2 / 2 width^2)) or ``cosine``
-        (amplitude cos(frequency |x|)).
+        A key of ``_FAMILIES``: ``quadratic``, ``quartic_double_well``,
+        ``gaussian_bump`` or ``cosine``.
     params : dict
-        Family parameters, see module source for names and ranges.
+        Family parameters, named and range-checked by the family's
+        ``_FAMILIES`` schema.
     dim : int
         Dimension d >= 1 of the space the potential acts on.
     role : str
@@ -100,13 +213,13 @@ class PotentialSpec:
     role: str = "confinement"
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if self.family not in _FAMILIES:
             raise InvalidSpecError(f"unknown family {self.family!r}")
         if self.role not in ROLES:
             raise InvalidSpecError(f"unknown role {self.role!r}")
         if self.dim < 1:
             raise InvalidSpecError("dim must be >= 1")
-        schema = _PARAM_SCHEMA[self.family]
+        schema = _FAMILIES[self.family].schema
         unknown = set(self.params) - set(schema)
         if unknown:
             raise InvalidSpecError(f"unknown params for {self.family}: {sorted(unknown)}")
@@ -115,88 +228,42 @@ class PotentialSpec:
                 raise InvalidSpecError(f"{self.family} requires param {name!r}")
             if not ok(self.params[name]):
                 raise InvalidSpecError(f"param {name}={self.params[name]!r} out of range")
-        if self.role == "confinement" and self.family in ("gaussian_bump", "cosine"):
+        if self.role == "confinement" and self.bounded:
             raise InvalidSpecError(
                 f"{self.family} is bounded and cannot confine (non-integrable Gibbs measure)"
             )
+
+    @property
+    def linear(self) -> bool:
+        """grad P(x) = a x with a constant a = hess_eig_bounds()[0]."""
+        return _FAMILIES[self.family].linear
+
+    @property
+    def bounded(self) -> bool:
+        """P is bounded, so it cannot serve as the confinement."""
+        return _FAMILIES[self.family].bounded
 
     # -- radial profile -------------------------------------------------
 
     def profile(self, r):
         """g(r) with r = |x| (vectorized)."""
-        r = np.asarray(r, dtype=float)
-        p = self.params
-        if self.family == "quadratic":
-            return 0.5 * p["coef"] * r**2
-        if self.family == "quartic_double_well":
-            return p["quartic"] * r**4 - p["well"] * r**2
-        if self.family == "gaussian_bump":
-            s = -1.0 if p["sign"] == "attractive" else 1.0
-            return s * p["amplitude"] * np.exp(-(r**2) / (2 * p["width"] ** 2))
-        return p["amplitude"] * np.cos(p["frequency"] * r)
+        return _FAMILIES[self.family].g(self.params, np.asarray(r, dtype=float))
 
     def dprofile(self, r):
         """g'(r)."""
-        r = np.asarray(r, dtype=float)
-        p = self.params
-        if self.family == "quadratic":
-            return p["coef"] * r
-        if self.family == "quartic_double_well":
-            return 4 * p["quartic"] * r**3 - 2 * p["well"] * r
-        if self.family == "gaussian_bump":
-            s = -1.0 if p["sign"] == "attractive" else 1.0
-            w2 = p["width"] ** 2
-            return -s * p["amplitude"] * r / w2 * np.exp(-(r**2) / (2 * w2))
-        return -p["amplitude"] * p["frequency"] * np.sin(p["frequency"] * r)
+        return _FAMILIES[self.family].dg(self.params, np.asarray(r, dtype=float))
 
     def d2profile(self, r):
         """g''(r)."""
-        r = np.asarray(r, dtype=float)
-        p = self.params
-        if self.family == "quadratic":
-            return np.full_like(r, p["coef"])
-        if self.family == "quartic_double_well":
-            return 12 * p["quartic"] * r**2 - 2 * p["well"]
-        if self.family == "gaussian_bump":
-            s = -1.0 if p["sign"] == "attractive" else 1.0
-            w2 = p["width"] ** 2
-            return -s * p["amplitude"] / w2 * (1 - r**2 / w2) * np.exp(-(r**2) / (2 * w2))
-        return -p["amplitude"] * p["frequency"] ** 2 * np.cos(p["frequency"] * r)
+        return _FAMILIES[self.family].d2g(self.params, np.asarray(r, dtype=float))
 
     def psi(self, r):
         """g'(r)/r, finite at r = 0."""
-        r = np.asarray(r, dtype=float)
-        p = self.params
-        if self.family == "quadratic":
-            return np.full_like(r, p["coef"])
-        if self.family == "quartic_double_well":
-            return 4 * p["quartic"] * r**2 - 2 * p["well"]
-        if self.family == "gaussian_bump":
-            s = -1.0 if p["sign"] == "attractive" else 1.0
-            w2 = p["width"] ** 2
-            return -s * p["amplitude"] / w2 * np.exp(-(r**2) / (2 * w2))
-        om = p["frequency"]
-        return -p["amplitude"] * om**2 * np.sinc(om * r / np.pi)
+        return _FAMILIES[self.family].psi(self.params, np.asarray(r, dtype=float))
 
     def chi(self, r):
         """(g''(r) - psi(r)) / r^2, finite at r = 0."""
-        r = np.asarray(r, dtype=float)
-        p = self.params
-        if self.family == "quadratic":
-            return np.zeros_like(r)
-        if self.family == "quartic_double_well":
-            return np.full_like(r, 8 * p["quartic"])
-        if self.family == "gaussian_bump":
-            s = -1.0 if p["sign"] == "attractive" else 1.0
-            w2 = p["width"] ** 2
-            return s * p["amplitude"] / w2**2 * np.exp(-(r**2) / (2 * w2))
-        om = p["frequency"]
-        t = om * r
-        # h(t) = (cos t - sin t / t) / t^2 -> -1/3 + t^2/30 near 0
-        small = np.abs(t) < 1e-4
-        denom = np.where(small, 1.0, t**2)
-        h = np.where(small, -1.0 / 3.0 + t**2 / 30.0, (np.cos(t) - np.sinc(t / np.pi)) / denom)
-        return -p["amplitude"] * om**4 * h
+        return _FAMILIES[self.family].chi(self.params, np.asarray(r, dtype=float))
 
     # -- point evaluation -------------------------------------------------
 
@@ -231,25 +298,11 @@ class PotentialSpec:
 
     def hess_op_sup(self) -> float:
         """sup_x |hess P(x)|_op, closed form per family."""
-        p = self.params
-        if self.family == "quadratic":
-            return p["coef"]
-        if self.family == "quartic_double_well":
-            return math.inf
-        if self.family == "gaussian_bump":
-            return p["amplitude"] / p["width"] ** 2
-        return abs(p["amplitude"]) * p["frequency"] ** 2
+        return _FAMILIES[self.family].hess_op_sup(self.params)
 
     def grad_sup(self) -> float:
         """sup_x |grad P(x)|, closed form per family (may be +inf)."""
-        p = self.params
-        if self.family == "quadratic":
-            return 0.0 if p["coef"] == 0.0 else math.inf
-        if self.family == "quartic_double_well":
-            return math.inf
-        if self.family == "gaussian_bump":
-            return p["amplitude"] / p["width"] * math.exp(-0.5)
-        return abs(p["amplitude"]) * abs(p["frequency"])
+        return _FAMILIES[self.family].grad_sup(self.params)
 
     def hess_eig_bounds(self) -> tuple[float, float]:
         """(inf, sup) over x of the Hessian eigenvalues, closed form.
@@ -258,41 +311,15 @@ class PotentialSpec:
         exists for d >= 2 but always lies inside the radial branch's hull
         for the built-in families, so the bounds are dimension-free.
         """
-        p = self.params
-        if self.family == "quadratic":
-            return p["coef"], p["coef"]
-        if self.family == "quartic_double_well":
-            return -2 * p["well"], math.inf
-        if self.family == "gaussian_bump":
-            a = p["amplitude"] / p["width"] ** 2
-            if p["sign"] == "attractive":
-                # radial a(1-u^2)e^{-u^2/2} in [-2a e^{-3/2}, a], tangential in (0, a]
-                return -2 * a * math.exp(-1.5), a
-            # radial a(u^2-1)e^{-u^2/2} in [-a, 2a e^{-3/2}], tangential in [-a, 0)
-            return -a, 2 * a * math.exp(-1.5)
-        amp = abs(p["amplitude"]) * p["frequency"] ** 2
-        return -amp, amp
+        return _FAMILIES[self.family].hess_eig_bounds(self.params)
 
     def char_length(self) -> float:
         """Length scale used to size search boxes and grids."""
-        p = self.params
-        if self.family == "quadratic":
-            return 1.0 / math.sqrt(p["coef"]) if p["coef"] > 0 else 1.0
-        if self.family == "quartic_double_well":
-            q, w = p["quartic"], p["well"]
-            well = math.sqrt(w / (2 * q)) if w > 0 else 0.0
-            return max(1.0, well, (1.0 / (4 * q)) ** 0.25)
-        if self.family == "gaussian_bump":
-            return p["width"]
-        return 2 * math.pi / abs(p["frequency"])
+        return _FAMILIES[self.family].char_length(self.params)
 
     def is_zero(self) -> bool:
-        p = self.params
-        if self.family == "quadratic":
-            return p["coef"] == 0.0
-        if self.family in ("gaussian_bump", "cosine"):
-            return p["amplitude"] == 0.0
-        return False
+        """P vanishes identically (zero coefficient or amplitude)."""
+        return _FAMILIES[self.family].is_zero(self.params)
 
     # -- serialization ------------------------------------------------------
 
@@ -312,29 +339,6 @@ class PotentialSpec:
             dim=int(obj.get("dim", 1)),
             role=role,
         )
-
-
-@dataclass(frozen=True)
-class PotentialEval:
-    value: float
-    gradient: np.ndarray
-    hessian: np.ndarray
-
-
-def evaluate(spec: PotentialSpec, x) -> PotentialEval:
-    """Evaluate (value, gradient, hessian) at a single point.
-
-    Rejects non-finite input; derivatives are exact analytic expressions and
-    the Hessian is symmetric by construction.
-    """
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise InvalidSpecError(f"non-finite evaluation point {x!r}")
-    return PotentialEval(
-        value=float(spec.value(x)),
-        gradient=np.asarray(spec.gradient(x), dtype=float),
-        hessian=np.asarray(spec.hessian(x), dtype=float),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +600,7 @@ def extract_constants(U: PotentialSpec, W: Optional[PotentialSpec]) -> Constants
 
     k1, k2 = select_lyapunov_pair(U, objective)
     prov = {"K": ANALYTIC, "K_prime": ANALYTIC, "K1": ANALYTIC, "K2": VERIFIED}
-    if U.family == "quadratic":
+    if U.linear:
         prov["K2"] = ANALYTIC  # constant Hessian, offset exact
     else:
         # safety margin on the refined supremum, then a dense random check
@@ -615,12 +619,6 @@ def extract_constants(U: PotentialSpec, W: Optional[PotentialSpec]) -> Constants
 # ---------------------------------------------------------------------------
 # dissipativity rate b0 and the Lipschitz constant it induces
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class B0Result:
-    value: float
-    converged: bool
-
 
 # rows per block of the d = 1 section grid: keeps the (rows, n) work arrays
 # near 1 MB each at n = 1601, so peak memory does not grow with the node count
@@ -689,44 +687,6 @@ def _section_sup_2d(spec: PotentialSpec, r: float, span: float, n: int) -> float
     return best
 
 
-def dissipativity_rate(
-    U: PotentialSpec,
-    W: Optional[PotentialSpec],
-    r: float,
-    check_box: bool = True,
-) -> B0Result:
-    """Worst-case radial contraction of the drift at separation r:
-
-        b0(r) = sup_{|x-y| = r, z} -< (x-y)/r, grad U(x) - grad U(y)
-                                         + grad W(x-z) - grad W(y-z) >.
-
-    The supremum splits into independent confinement and interaction parts
-    because z is unconstrained.  Quadratic parts are exact; other families
-    use the section search.  An under-estimate would poison the certificates
-    built on c_lip, so a widened search box is re-checked and the result is
-    flagged non-converged if the wider box wins.
-    """
-    if r <= 0:
-        raise InvalidSpecError("separation r must be positive")
-    total = 0.0
-    converged = True
-    for spec in (U, W):
-        if spec is None or spec.is_zero():
-            continue
-        if spec.family == "quadratic":
-            total += -spec.params["coef"] * r
-            continue
-        span = max(8.0 * spec.char_length(), 2.0 * r)
-        part = float(section_sup_batch(spec, r, span)[0])
-        if check_box:
-            wide = float(section_sup_batch(spec, r, 1.5 * span, n=801)[0])
-            if wide > part + 1e-9 * (1 + abs(part)):
-                part = wide
-                converged = False
-        total += part
-    return B0Result(value=total, converged=converged)
-
-
 @dataclass(frozen=True)
 class LipschitzResult:
     value: float
@@ -772,11 +732,22 @@ def lipschitz_constant(
 
 
 def model_b0(U: PotentialSpec, W: Optional[PotentialSpec]) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorized b0 for a model; quadratic parts are exact, others use one
-    batched section search over all sample points."""
+    """Worst-case radial contraction of the drift, vectorized over separations r:
+
+        b0(r) = sup_{|x-y| = r, z} -< (x-y)/r, grad U(x) - grad U(y)
+                                         + grad W(x-z) - grad W(y-z) >.
+
+    The supremum splits into independent confinement and interaction parts
+    because z is unconstrained.  A part with a linear gradient a x is exactly
+    -a r; every other part is one batched section search over all r on the
+    box -r/2 +- max(8 char_length, 2r), with r clamped to >= 1e-9.  That
+    search is a lower estimate, and an under-estimate would poison c_lip:
+    test_b0_widened_box_never_wins pins that a 1.5x wider box does not
+    raise it at the first-pass c_lip nodes of the certify models.
+    """
     specs = [s for s in (U, W) if s is not None and not s.is_zero()]
-    linear = sum(s.params["coef"] for s in specs if s.family == "quadratic")
-    nonlin = [s for s in specs if s.family != "quadratic"]
+    linear = sum(s.hess_eig_bounds()[0] for s in specs if s.linear)
+    nonlin = [s for s in specs if not s.linear]
 
     def b0_vec(rs):
         rs = np.atleast_1d(np.asarray(rs, dtype=float))
@@ -830,10 +801,10 @@ def convexity_at_infinity_fit(
     the largest downstream criterion slack (c_u - K) e^{-cR/4} - 2K is kept
     and re-verified on random pairs before being returned.
     """
-    if U.family in ("gaussian_bump", "cosine"):
+    if U.bounded:
         raise InvalidSpecError("convexity at infinity needs quadratic-or-faster growth")
-    if U.family == "quadratic":
-        return ConvexityFit(c_u=U.params["coef"], c=0.0, radius=0.0)
+    if U.linear:
+        return ConvexityFit(c_u=U.hess_eig_bounds()[0], c=0.0, radius=0.0)
 
     K = 0.0 if W is None or W.is_zero() else W.hess_op_sup()
     char = U.char_length()

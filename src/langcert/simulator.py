@@ -38,7 +38,6 @@ __all__ = [
     "NoiseStreams",
     "OBSERVABLES",
     "initial_state",
-    "step",
     "run",
     "fit_decay",
     "n_sweep",
@@ -57,17 +56,12 @@ class IntegratorConfig:
 
     scheme: str = "baoab"
     dt: float = 1e-2
-    friction: float = 1.0
-    noise_coef: float = math.sqrt(2.0)
-    debug_disable_noise: bool = False
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise InvalidSpecError(f"unknown scheme {self.scheme!r}")
         if not 0.0 < self.dt <= 0.1:
             raise InvalidSpecError("dt must be in (0, 0.1]")
-        if self.friction != 1.0 or abs(self.noise_coef - math.sqrt(2.0)) > 1e-15:
-            raise InvalidSpecError("friction and noise coefficient are fixed by the model")
 
     def to_json(self) -> dict:
         return {"scheme": self.scheme, "dt": self.dt}
@@ -96,11 +90,6 @@ class EnsembleState:
     velocities: np.ndarray  # (R, N, d)
     time: float
     master_seed: int
-    step_count: int = 0
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return self.positions.shape
 
 
 @dataclass(frozen=True)
@@ -156,11 +145,6 @@ class NoiseStreams:
             [Philox(key=_stream_key(master_seed, _DOMAIN_DYNAMICS, r, lab)) for lab in labels]
             for r in replicas
         ]
-
-    def skip(self, n_steps: int) -> None:
-        for row in self._gens:
-            for g in row:
-                g.random_raw(n_steps * self.d)
 
     def normals(self, n_steps: int) -> np.ndarray:
         R, N = len(self._gens), len(self._gens[0])
@@ -218,20 +202,15 @@ def _advance_block(
     v: np.ndarray,
     noise: np.ndarray,
     callback: Optional[Callable[[int, np.ndarray, np.ndarray], None]] = None,
-    check_finite: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance (x, v) through noise.shape[1] steps, calling back after each."""
     dt = integrator.dt
-    if integrator.debug_disable_noise:
-        noise = np.zeros_like(noise)
     if integrator.scheme == "euler_maruyama":
         amp = math.sqrt(2.0 * dt)
         for k in range(noise.shape[1]):
             f = force_batch(model, x)
             x = x + v * dt
             v = v + (f - v) * dt + amp * noise[:, k]
-            if check_finite and not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
-                raise ResourceCapError(f"non-finite state at block step {k}")
             if callback is not None:
                 callback(k, x, v)
         return x, v
@@ -246,39 +225,9 @@ def _advance_block(
         x = x + 0.5 * dt * v
         f = force_batch(model, x)
         v = v + 0.5 * dt * f
-        if check_finite and not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
-            raise ResourceCapError(f"non-finite state at block step {k}")
         if callback is not None:
             callback(k, x, v)
     return x, v
-
-
-def step(
-    state: EnsembleState,
-    model: ModelConfig,
-    integrator: IntegratorConfig,
-    labels: Optional[Sequence[int]] = None,
-) -> EnsembleState:
-    """One step of the configured scheme, deterministic in
-    (master_seed, replica, particle label, step_count).
-
-    Convenience path for tests and tooling: it fast-forwards fresh noise
-    streams to the state's step count, so it is O(step_count) per call.
-    ``run`` keeps streams alive instead.
-    """
-    R, N, d = state.shape
-    labels = list(range(N)) if labels is None else list(labels)
-    streams = NoiseStreams(state.master_seed, range(R), labels, d)
-    streams.skip(state.step_count)
-    noise = streams.normals(1)
-    x, v = _advance_block(model, integrator, state.positions, state.velocities, noise, check_finite=True)
-    return EnsembleState(
-        positions=x,
-        velocities=v,
-        time=state.time + integrator.dt,
-        master_seed=state.master_seed,
-        step_count=state.step_count + 1,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +371,7 @@ def run(
     }
     final_state = EnsembleState(
         positions=final_x, velocities=final_v, time=n_steps * integrator.dt,
-        master_seed=master_seed, step_count=n_steps,
+        master_seed=master_seed,
     )
     return RunResult(
         times=times,

@@ -102,6 +102,14 @@ def test_simulate_rejects_unknown_keys(tmp_path):
         "bogus_knob": 1,
     })
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    # friction is fixed by the model, so the integrator block has no such key
+    cfg = write_config(tmp_path, "f.json", {
+        "model": {"N": 2, "d": 1, "U": QUAD_U},
+        "integrator": {"scheme": "baoab", "dt": 0.01, "friction": 2.0},
+        "replicas": 4,
+        "horizon": 0.1,
+    })
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
 
 
 def test_simulate_rejects_empty_observables(tmp_path):

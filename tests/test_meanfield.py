@@ -9,7 +9,6 @@ from langcert.meanfield import (
     hessian_blocks,
     hw_opnorm,
     total_potential,
-    upiw_h_estimate,
 )
 from langcert.potentials import PotentialSpec
 
@@ -223,27 +222,3 @@ def test_hw_eigenvalue_bounds_sharpened():
                 eigs = np.linalg.eigvalsh(hessian_blocks(model, x).H_W)
                 assert eigs.max() <= max(hi, 0.0) + 1e-9
                 assert eigs.min() >= -max(-lo, 0.0) - 1e-9
-
-
-# ---------------------------------------------------------------------------
-# upiw h estimate
-# ---------------------------------------------------------------------------
-
-def test_upiw_quadratic_closed_form():
-    # N=2, d=1, W quad(lam): matrix [[0, -lam/2], [-lam/2, 0]], min eig -lam/2
-    model = ModelConfig(N=2, d=1, U=quad(1.0), W=quad(0.9, role="interaction"))
-    h = upiw_h_estimate(model, n_samples=4)
-    assert h == pytest.approx(-0.45, abs=1e-12)
-
-
-def test_upiw_zero_interaction():
-    model = ModelConfig(N=3, d=1, U=quad(1.0))
-    assert upiw_h_estimate(model, n_samples=2) == 0.0
-
-
-def test_upiw_gershgorin_bound():
-    w = bump(1.7)
-    for N in (2, 4, 8):
-        model = ModelConfig(N=N, d=1, U=quad(1.0), W=w)
-        h = upiw_h_estimate(model, n_samples=16)
-        assert h >= -w.hess_op_sup() - 1e-9

@@ -10,8 +10,6 @@ from langcert.potentials import (
     ConstantsBundle,
     PotentialSpec,
     convexity_at_infinity_fit,
-    dissipativity_rate,
-    evaluate,
     extract_constants,
     lipschitz_constant,
     lipschitz_from_model,
@@ -62,38 +60,37 @@ def fd_hessian(spec, x, h):
 # eval
 # ---------------------------------------------------------------------------
 
+def test_all_specs_cover_every_family():
+    # a new family table entry must join the FD and bound tests below
+    assert {s.family for s in ALL_SPECS} == set(potentials.FAMILIES)
+
+
 def test_eval_quadratic_at_origin():
-    ev = evaluate(QUAD, np.zeros(1))
-    assert ev.value == 0.0
-    assert np.all(ev.gradient == 0.0)
-    assert np.allclose(ev.hessian, np.eye(1))
+    x = np.zeros(1)
+    assert QUAD.value(x) == 0.0
+    assert np.all(QUAD.gradient(x) == 0.0)
+    assert np.allclose(QUAD.hessian(x), np.eye(1))
 
 
 def test_eval_quadratic_identity_hessian_3d():
     spec = PotentialSpec("quadratic", {"coef": 1.0}, dim=3)
-    ev = evaluate(spec, np.array([0.3, -1.2, 0.5]))
-    assert np.allclose(ev.hessian, np.eye(3), atol=1e-14)
+    assert np.allclose(spec.hessian(np.array([0.3, -1.2, 0.5])), np.eye(3), atol=1e-14)
 
 
 def test_eval_attractive_bump_origin():
     # W(x) = -exp(-x^2/2): value -1, gradient 0, second derivative +1
-    ev = evaluate(BUMP, np.zeros(1))
-    assert ev.value == pytest.approx(-1.0, abs=1e-15)
-    assert ev.gradient == pytest.approx(0.0, abs=1e-15)
-    assert ev.hessian[0, 0] == pytest.approx(1.0, abs=1e-15)
+    x = np.zeros(1)
+    assert BUMP.value(x) == pytest.approx(-1.0, abs=1e-15)
+    assert BUMP.gradient(x) == pytest.approx(0.0, abs=1e-15)
+    assert BUMP.hessian(x)[0, 0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_eval_double_well_minimum():
     # U = x^4/4 - x^2/2 at x = 1: (-1/4, 0, 2)
-    ev = evaluate(DW, np.ones(1))
-    assert ev.value == pytest.approx(-0.25, abs=1e-15)
-    assert ev.gradient[0] == pytest.approx(0.0, abs=1e-14)
-    assert ev.hessian[0, 0] == pytest.approx(2.0, abs=1e-13)
-
-
-def test_eval_rejects_nonfinite():
-    with pytest.raises(InvalidSpecError):
-        evaluate(QUAD, np.array([np.nan]))
+    x = np.ones(1)
+    assert DW.value(x) == pytest.approx(-0.25, abs=1e-15)
+    assert DW.gradient(x)[0] == pytest.approx(0.0, abs=1e-14)
+    assert DW.hessian(x)[0, 0] == pytest.approx(2.0, abs=1e-13)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: f"{s.family}_d{s.dim}")
@@ -256,26 +253,24 @@ def test_bundle_validation():
 # ---------------------------------------------------------------------------
 
 def test_b0_quadratic_exact():
-    for r in (0.1, 1.0, 4.0):
-        res = dissipativity_rate(QUAD, None, r)
-        assert res.converged
-        assert res.value == pytest.approx(-r, abs=1e-12)
+    rs = np.array([0.1, 1.0, 4.0])
+    assert model_b0(QUAD, None)(rs) == pytest.approx(-rs, abs=1e-12)
 
 
 def test_b0_mean_value_bound_with_bump():
     # U quadratic(k1), |hess W| <= K  =>  b0(r) <= -(k1 - K) r
     w = PotentialSpec("gaussian_bump", {"amplitude": 0.3, "width": 1.0, "sign": "attractive"}, dim=1, role="interaction")
-    for r in (0.25, 1.0, 3.0):
-        res = dissipativity_rate(QUAD, w, r)
-        assert res.value <= -(1.0 - 0.3) * r + 1e-9
-        # and the multi-start optimizer is consistent with a brute pair scan
+    rs = np.array([0.25, 1.0, 3.0])
+    for r, b0 in zip(rs, model_b0(QUAD, w)(rs)):
+        assert b0 <= -(1.0 - 0.3) * r + 1e-9
+        # and the section search is consistent with a brute pair scan
         t = np.linspace(-12, 12, 40001)
         brute = (-(w.psi(np.abs(t + r)) * (t + r) - w.psi(np.abs(t)) * t)).max()
-        assert res.value == pytest.approx(-r + brute, rel=1e-6, abs=1e-9)
+        assert b0 == pytest.approx(-r + brute, rel=1e-6, abs=1e-9)
 
 
 def test_b0_small_r_continuity():
-    vals = [dissipativity_rate(DW, BUMP, r).value for r in (1e-3, 1e-5)]
+    vals = model_b0(DW, BUMP)(np.array([1e-3, 1e-5]))
     assert abs(vals[0]) < 5e-3
     assert abs(vals[1]) < 5e-5
 
@@ -283,15 +278,15 @@ def test_b0_small_r_continuity():
 def test_b0_2d_section_matches_random_pair_scan():
     spec = PotentialSpec("quartic_double_well", {"quartic": 0.25, "well": 0.5}, dim=2)
     r = 1.5
-    res = dissipativity_rate(spec, None, r)
+    b0 = model_b0(spec, None)(r)[0]
     rng = np.random.default_rng(23)
     y = rng.uniform(-6, 6, size=(200000, 2))
     e = rng.standard_normal((200000, 2))
     e /= np.linalg.norm(e, axis=1, keepdims=True)
     x = y + r * e
     vals = -((spec.gradient(x) - spec.gradient(y)) * e).sum(axis=1)
-    assert res.value >= vals.max() - 1e-6
-    assert res.value <= vals.max() + 0.05  # section optimum is attainable
+    assert b0 >= vals.max() - 1e-6
+    assert b0 <= vals.max() + 0.05  # section optimum is attainable
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +337,26 @@ def test_model_b0_vectorized_matches_pointwise():
     vec = b0(rs)
     for i, r in enumerate(rs):
         rr = max(float(r), 1e-9)
-        assert vec[i] == dissipativity_rate(DW, BUMP, rr, check_box=False).value
+        assert vec[i] == b0(r)[0]
         assert vec[i] == sum(_section_sup_scalar(s, rr, max(8.0 * s.char_length(), 2.0 * rr)) for s in (DW, BUMP))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [DW,
+     PotentialSpec("gaussian_bump", {"amplitude": 0.02, "width": 1.0, "sign": "attractive"}, dim=1, role="interaction"),
+     PotentialSpec("gaussian_bump", {"amplitude": 0.1, "width": 1.0, "sign": "repulsive"}, dim=1, role="interaction"),
+     PotentialSpec("cosine", {"amplitude": 0.05, "frequency": 1.0}, dim=1, role="interaction")],
+    ids=["double_well", "attractive_bump", "repulsive_bump", "cosine"],
+)
+def test_b0_widened_box_never_wins(spec):
+    # model_b0 searches -r/2 +- max(8 char_length, 2r) only; at the first-pass
+    # c_lip nodes of the certify models a 1.5x wider box must not beat it
+    rs = np.linspace(0.0, 16.0, 4097)
+    part = model_b0(spec, None)(rs)
+    rr = np.maximum(rs, 1e-9)
+    wide = section_sup_batch(spec, rr, 1.5 * np.maximum(8.0 * spec.char_length(), 2.0 * rr), n=801)
+    assert np.all(wide <= part + 1e-9 * (1 + np.abs(part)))
 
 
 @pytest.mark.parametrize("spec", [DW, BUMP, COS], ids=["double_well", "bump", "cosine"])
