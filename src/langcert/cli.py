@@ -182,19 +182,17 @@ def cmd_simulate(config: dict, out_dir: Path, seed: int) -> int:
         init=_load_init(config.get("init")),
         observables=observables,
         stride=int(config.get("stride", 1)),
-        keep_replica_series=(fit_obs,) if fit_obs in observables else (),
+        keep_replica_series=(fit_obs,),
     )
     if report_format == "csv-bundle":
         _write_timeseries_csv(out_dir / "timeseries.csv", res.times, res.means, res.variances, res.n_replicas)
-    fits = {}
-    if fit_obs in res.per_replica:
-        fit = simulator.fit_decay(
-            res.times,
-            res.per_replica[fit_obs],
-            float(fit_cfg.get("equilibrium", 0.0)),
-            observable_id=fit_obs,
-        )
-        fits[fit_obs] = fit.to_json() if fit is not None else None
+    fit = simulator.fit_decay(
+        res.times,
+        res.per_replica[fit_obs],
+        float(fit_cfg.get("equilibrium", 0.0)),
+        observable_id=fit_obs,
+    )
+    fits = {fit_obs: fit.to_json() if fit is not None else None}
     report = {
         "schema_version": SCHEMA_VERSION,
         "kind": "simulation",

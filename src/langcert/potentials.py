@@ -50,6 +50,7 @@ __all__ = [
     "NUMERIC",
     "USER",
     "CRITERION",
+    "VERIFIED",
 ]
 
 ROLES = ("confinement", "interaction")
@@ -353,7 +354,10 @@ class ConstantsBundle:
     ``kappa``, ``C_LS`` and the convexity triple stay ``None`` until some
     criterion produces them.  ``provenance`` maps field names to one of
     ``analytic``, ``numeric-estimate``, ``user-supplied``,
-    ``criterion-derived``.
+    ``criterion-derived`` and ``verified-numeric`` (a sup/inf search with a
+    margin, re-verified on samples; ``extract_constants`` and
+    ``assemble_constants`` give it to ``K2`` and the convexity triple).
+    Every grade except ``numeric-estimate`` certifies.
     """
 
     K: float

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.random import Philox
 from scipy.special import ndtri
 
@@ -48,6 +49,7 @@ MAX_STEPS = 10**8
 _DOMAIN_DYNAMICS = 0
 _DOMAIN_INIT_POS = 1
 _DOMAIN_INIT_VEL = 2
+_SLAB_WORDS = 2**14  # raw Philox words converted to normals per pass
 
 
 @dataclass(frozen=True)
@@ -125,10 +127,17 @@ def _stream_key(master_seed: int, domain: int, replica: int, label: int) -> np.n
     return np.array([np.uint64(master_seed & (2**64 - 1)), k1], dtype=np.uint64)
 
 
-def _words_to_normals(words: np.ndarray) -> np.ndarray:
-    # one uint64 word -> one uniform in (0,1) -> one normal, no state involved
-    u = (words >> np.uint64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54
-    return ndtri(u)
+def _words_to_normals(words: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """One uint64 word -> one uniform in (0,1) -> one normal, no state involved.
+
+    With ``out`` (float64, the shape of ``words``) the conversion runs in
+    place: ``words`` is overwritten by its shifted value and the normals are
+    written to ``out``.
+    """
+    top = np.right_shift(words, np.uint64(11), out=None if out is None else words)
+    u = np.multiply(top, 2.0**-53, out=out)
+    np.add(u, 2.0**-54, out=u)
+    return ndtri(u, out=u)
 
 
 class NoiseStreams:
@@ -148,10 +157,20 @@ class NoiseStreams:
 
     def normals(self, n_steps: int) -> np.ndarray:
         R, N = len(self._gens), len(self._gens[0])
+        words = n_steps * self.d
         out = np.empty((R, n_steps, N, self.d))
-        for i, row in enumerate(self._gens):
-            for j, g in enumerate(row):
-                out[i, :, j, :] = _words_to_normals(g.random_raw(n_steps * self.d)).reshape(n_steps, self.d)
+        # the raw words of a slab of replicas go to one reused buffer, stream
+        # by stream, and are converted into out[lo:hi] in one pass
+        slab = max(1, _SLAB_WORDS // (N * words))
+        buf = np.empty(min(slab, R) * N * words, dtype=np.uint64)
+        for lo in range(0, R, slab):
+            hi = min(lo + slab, R)
+            raw = buf[:(hi - lo) * N * words].reshape(hi - lo, N, words)
+            for i, row in enumerate(self._gens[lo:hi]):
+                for j, g in enumerate(row):
+                    raw[i, j] = g.random_raw(words)
+            raw = raw.reshape(hi - lo, N, n_steps, self.d).transpose(0, 2, 1, 3)
+            _words_to_normals(raw, out=out[lo:hi])
         return out
 
 
@@ -298,11 +317,12 @@ def run(
 
     Replicas are independent: per-replica noise and trajectories are exact
     functions of (master_seed, replica, label) and do not depend on the
-    chunking; ensemble reductions run in a fixed order determined by the
-    run parameters, so repeated runs are bit-identical for any thread count
-    (chunk sizes only regroup floating-point sums).  Per-replica series are
-    retained only for the observables named in ``keep_replica_series``
-    (needed for bootstrap decay fits).
+    chunking.  Ensemble reductions run in a fixed order determined by the
+    run parameters and involve no BLAS reduction, so repeated runs are
+    bit-identical (chunk sizes only regroup floating-point sums).
+    Per-replica series are retained for the observables named in
+    ``keep_replica_series``, recorded or not in ``observables`` (needed for
+    bootstrap decay fits).
     """
     if replicas < 1:
         raise InvalidSpecError("replicas must be >= 1")
@@ -418,13 +438,17 @@ def _oscillation_spacing(t: np.ndarray, s: np.ndarray, sigma: np.ndarray) -> Opt
 
 
 def _running_env(s: np.ndarray, halfwidth_pts: int) -> np.ndarray:
-    n = s.size
-    return np.array([np.abs(s[max(0, k - halfwidth_pts):min(n, k + halfwidth_pts + 1)]).max() for k in range(n)])
+    """max |s| over [k - halfwidth, k + halfwidth], clipped to the series."""
+    h = min(halfwidth_pts, s.size)  # a wider window already spans the series
+    padded = np.pad(np.abs(s), h, mode="edge")
+    return sliding_window_view(padded, 2 * h + 1).max(axis=1)
 
 
 def _forward_env(s: np.ndarray, width_pts: int) -> np.ndarray:
-    n = s.size
-    return np.array([np.abs(s[k:min(n, k + width_pts + 1)]).max() for k in range(n)])
+    """max |s| over [k, k + width], clipped to the series."""
+    w = min(width_pts, s.size)
+    padded = np.pad(np.abs(s), (0, w), mode="edge")
+    return sliding_window_view(padded, w + 1).max(axis=1)
 
 
 def _fit_lambda(
@@ -491,10 +515,11 @@ def fit_decay(
     noise floor (or is supplied explicitly via ``window``).  Points are used
     when they sit within a factor of the local envelope (handles underdamped
     oscillation) and above the noise floor.  Bootstrap resamples refit inside
-    the point-estimate window.  Returns None with no fit when the signal
-    starts below noise, never decays, or leaves fewer than 5 usable points;
-    callers requiring the documented precondition should supply >= 20 window
-    points.
+    the point-estimate window; their moments use the same arithmetic as
+    ``ndarray.mean``/``var``, so they match those calls bit for bit.  Returns
+    None with no fit when the signal starts below noise, never decays, or
+    leaves fewer than 5 usable points; callers requiring the documented
+    precondition should supply >= 20 window points.
     """
     times = np.asarray(times, dtype=float)
     per_replica = np.asarray(per_replica, dtype=float)
@@ -511,9 +536,12 @@ def fit_decay(
     rng = np.random.default_rng(boot_seed)
     boots = []
     for _ in range(n_boot):
-        pick = rng.integers(0, R, size=R)
-        bmean = per_replica[pick].mean(axis=0)
-        bvar = per_replica[pick].var(axis=0)
+        # one gather, then ndarray.var's own ufunc sequence, in place
+        b = per_replica[rng.integers(0, R, size=R)]
+        bmean = b.mean(axis=0)
+        b -= bmean
+        np.square(b, out=b)
+        bvar = b.sum(axis=0) / R
         bs = bmean - equilibrium_value
         bfit = _fit_lambda(times, bs, np.sqrt(bvar / R) + 1e-300, window=window)
         if bfit is not None:

@@ -93,6 +93,39 @@ def test_simulate_writes_csv_and_summary(tmp_path):
     assert summary["n_steps"] == 200
 
 
+def test_simulate_fits_observable_not_in_observables(tmp_path):
+    # per-replica series are kept for the fit observable whether or not it is
+    # recorded, so the fit is the one a run recording it would give
+    base = {
+        "model": {"N": 2, "d": 1, "U": QUAD_U, "W": None},
+        "integrator": {"scheme": "baoab", "dt": 0.01},
+        "replicas": 64,
+        "horizon": 2.0,
+        "stride": 10,
+        "fit": {"observable": "mean_position", "equilibrium": 0.0},
+    }
+    fits = []
+    for name, observables in (("a", ["kinetic_energy"]), ("b", ["mean_position", "kinetic_energy"])):
+        cfg = write_config(tmp_path, f"{name}.json", {**base, "observables": observables})
+        out = tmp_path / name
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), "--seed", "9"]) == 0
+        fits.append(json.loads((out / "summary.json").read_text())["decay_fits"])
+    assert list(fits[0]) == ["mean_position"]
+    assert fits[0] == fits[1]
+
+
+def test_simulate_unknown_fit_observable_exit_one(tmp_path, capsys):
+    cfg = write_config(tmp_path, "s.json", {
+        "model": {"N": 2, "d": 1, "U": QUAD_U},
+        "integrator": {"scheme": "baoab", "dt": 0.01},
+        "replicas": 4,
+        "horizon": 0.1,
+        "fit": {"observable": "bogus"},
+    })
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "unknown observable 'bogus'" in capsys.readouterr().err
+
+
 def test_simulate_rejects_unknown_keys(tmp_path):
     cfg = write_config(tmp_path, "s.json", {
         "model": {"N": 2, "d": 1, "U": QUAD_U},

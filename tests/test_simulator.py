@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from numpy.random import Philox
+from scipy.special import ndtri
 
+from langcert import simulator
 from langcert.errors import InvalidSpecError, ResourceCapError
 from langcert.meanfield import ModelConfig
 from langcert.potentials import PotentialSpec
@@ -15,7 +18,14 @@ from langcert.simulator import (
     initial_state,
     n_sweep,
     run,
+    _DOMAIN_DYNAMICS,
+    _SLAB_WORDS,
     _advance_block,
+    _fit_lambda,
+    _forward_env,
+    _oscillation_spacing,
+    _running_env,
+    _stream_key,
 )
 
 QUAD = PotentialSpec("quadratic", {"coef": 1.0}, dim=1)
@@ -66,6 +76,31 @@ def test_streams_chunked_consumption_is_exact():
     b = NoiseStreams(4, [0, 1], [0], 1)
     parts = np.concatenate([b.normals(3), b.normals(7)], axis=1)
     assert np.array_equal(whole, parts)
+
+
+@pytest.mark.parametrize("R, N, d, n_steps, per_slab", [
+    (5, 2, 1, 7, 5),        # every replica in one slab
+    (7, 3, 2, 1000, 2),     # the last slab is short
+    (2, 3, 2, 3000, 1),     # N * n_steps * d > _SLAB_WORDS
+])
+def test_streams_slab_conversion_matches_per_stream(R, N, d, n_steps, per_slab):
+    assert min(R, max(1, _SLAB_WORDS // (N * n_steps * d))) == per_slab
+    def reference_block(gens):
+        # the per-stream conversion: one uint64 word -> one normal
+        out = np.empty((R, n_steps, N, d))
+        for i, row in enumerate(gens):
+            for j, g in enumerate(row):
+                words = g.random_raw(n_steps * d)
+                u = (words >> np.uint64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54
+                out[i, :, j, :] = ndtri(u).reshape(n_steps, d)
+        return out
+
+    seed, replicas, labels = 13, list(range(3, 3 + R)), [0, 5, 2][:N]
+    gens = [[Philox(key=_stream_key(seed, _DOMAIN_DYNAMICS, r, lab)) for lab in labels] for r in replicas]
+    streams = NoiseStreams(seed, replicas, labels, d)
+    for _ in range(2):  # the second block continues every stream
+        got = streams.normals(n_steps)
+        assert got.tobytes() == reference_block(gens).tobytes()
 
 
 def test_initial_state_reproducible_and_offset():
@@ -239,6 +274,74 @@ def test_confinement_energy_observable():
 # ---------------------------------------------------------------------------
 # decay fitting
 # ---------------------------------------------------------------------------
+
+def test_envelopes_match_reference_loops():
+    def running(s, h):
+        n = s.size
+        return np.array([np.abs(s[max(0, k - h):min(n, k + h + 1)]).max() for k in range(n)])
+
+    def forward(s, w):
+        n = s.size
+        return np.array([np.abs(s[k:min(n, k + w + 1)]).max() for k in range(n)])
+
+    rng = np.random.default_rng(8)
+    for n in range(1, 11):
+        s = rng.normal(size=n) * np.exp(-np.arange(n))
+        for w in (1, 2, 7, 50, n, n + 3):
+            assert running(s, w).tobytes() == _running_env(s, w).tobytes()
+            assert forward(s, w).tobytes() == _forward_env(s, w).tobytes()
+    s = rng.normal(size=400)
+    for w in (1, 2, 7, 50):
+        assert running(s, w).tobytes() == _running_env(s, w).tobytes()
+        assert forward(s, w).tobytes() == _forward_env(s, w).tobytes()
+
+
+def _two_gather_fit(t, per, equilibrium, window, fit_lambda):
+    # fit_decay with the bootstrap that gathers each resample twice
+    R = per.shape[0]
+    sigma = np.sqrt(per.var(axis=0) / R) + 1e-300
+    lam, r2, n_pts, window = fit_lambda(t, per.mean(axis=0) - equilibrium, sigma, window=window)
+    rng = np.random.default_rng(777)
+    boots = []
+    for _ in range(200):
+        pick = rng.integers(0, R, size=R)
+        bmean = per[pick].mean(axis=0)
+        bvar = per[pick].var(axis=0)
+        bfit = fit_lambda(t, bmean - equilibrium, np.sqrt(bvar / R) + 1e-300, window=window)
+        if bfit is not None:
+            boots.append(bfit[0])
+    lo, hi = np.percentile(boots, [2.5, 97.5]) if len(boots) >= 20 else (lam, lam)
+    return {"lambda_hat": lam, "ci_low": float(min(lo, lam)), "ci_high": float(max(hi, lam)),
+            "r_squared": r2, "window": [window[0], window[1]], "observable_id": "x",
+            "n_points": n_pts}
+
+
+@pytest.mark.parametrize("kind, window", [("osc", None), ("mono", None), ("mono", (1.0, 4.0))])
+def test_fit_decay_bootstrap_matches_two_gather_reference(kind, window, monkeypatch):
+    def recording(calls):
+        def fit_lambda(t, s, sigma, **kwargs):
+            calls.append(s.tobytes() + sigma.tobytes())
+            return _fit_lambda(t, s, sigma, **kwargs)
+        return fit_lambda
+
+    rng = np.random.default_rng(11)
+    t = np.arange(0, 10.0, 0.02)
+    if kind == "osc":
+        base = (4 / math.sqrt(3)) * np.exp(-t / 2) * np.cos(OMEGA * t - math.pi / 6)
+    else:
+        base = 2 * np.exp(-0.7 * t)
+    per = base[None, :] + rng.normal(0, 0.2, size=(300, t.size))
+    sigma = np.sqrt(per.var(axis=0) / 300) + 1e-300
+    # the oscillating series takes the running envelope, the monotone one the forward one
+    assert (_oscillation_spacing(t, per.mean(axis=0), sigma) is not None) == (kind == "osc")
+    got, want = [], []
+    monkeypatch.setattr(simulator, "_fit_lambda", recording(got))
+    fit = fit_decay(t, per, 0.0, "x", window=window)
+    reference = _two_gather_fit(t, per, 0.0, window, recording(want))
+    assert fit is not None
+    assert len(got) == 201 and got == want  # every resample's signal and noise floor
+    assert repr(fit.to_json()) == repr(reference)
+
 
 def test_fit_decay_synthetic_exponential():
     rng = np.random.default_rng(0)
