@@ -8,6 +8,10 @@ with the double sum running over all pairs including i = j exactly as
 written (the diagonal contributes the constant N W(0) / 2, which drops out
 of every derivative because W is even).  Configurations are (N, d) arrays;
 batched helpers accept (R, N, d).
+
+The pair force runs over cache-sized slabs of whole replicas and takes psi
+from r^2 (``PotentialSpec.psi_sq``), so each replica's force is bit for bit
+the same whatever batch it comes in.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ __all__ = [
 ]
 
 DENSE_CAP = 4096  # largest N*d for dense Hessian assembly
+_PAIR_SLAB = 2**15  # (replica, i, j) pair entries per slab of the pair force
 
 
 @dataclass(frozen=True)
@@ -92,22 +97,33 @@ def total_potential(model: ModelConfig, x) -> float:
     return v
 
 
-def _pair_radii(diff: np.ndarray) -> np.ndarray:
-    return np.sqrt((diff**2).sum(axis=-1))
-
-
 def force_batch(model: ModelConfig, x: np.ndarray) -> np.ndarray:
     """-grad V for a batch of configurations, shape (..., N, d).
 
     Per particle i:  -grad U(x_i) - (1/N) sum_j grad W(x_i - x_j), with the
-    j = i term vanishing identically (grad W(0) = 0 for even W).
+    j = i term vanishing identically (grad W(0) = 0 for even W).  The pair
+    sum runs in slabs of at most ``_PAIR_SLAB`` pair entries (at least one
+    replica each), with psi taken from r^2 = sum_k (x_i - x_j)_k^2 summed
+    in coordinate order.  Row k of the result equals
+    ``force_batch(model, x[k:k+1])[0]`` bit for bit.  In d = 1 it also
+    equals psi(|x_i - x_j|) bit for bit, because sqrt(fl(y^2)) = |y|.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.ascontiguousarray(x, dtype=float)
     f = -model.U.gradient(x)
-    if model.W is not None and not model.W.is_zero():
-        diff = x[..., :, None, :] - x[..., None, :, :]
-        psi = model.W.psi(_pair_radii(diff))
-        f -= (psi[..., None] * diff).sum(axis=-2) / model.N
+    W = model.W
+    if W is None or W.is_zero():
+        return f
+    N, d = x.shape[-2:]
+    xs, fs = x.reshape(-1, N, d), f.reshape(-1, N, d)  # views: both contiguous
+    slab = max(1, _PAIR_SLAB // (N * N))
+    for lo in range(0, xs.shape[0], slab):
+        xb = xs[lo:lo + slab]
+        diff = xb[:, :, None, :] - xb[:, None, :, :]
+        s = diff[..., 0] ** 2
+        for k in range(1, d):
+            s += diff[..., k] ** 2
+        diff *= W.psi_sq(s)[..., None]
+        fs[lo:lo + slab] -= diff.sum(axis=-2) / N
     return f
 
 
@@ -139,23 +155,22 @@ def hessian_blocks(model: ModelConfig, x) -> HessianBlocks:
     N, d = model.N, model.d
     if N * d > DENSE_CAP:
         raise ResourceCapError(f"dense Hessian needs N*d <= {DENSE_CAP}, got {N * d}")
-    H_U = np.zeros((N * d, N * d))
-    hu = model.U.hessian(x)  # (N, d, d)
-    for i in range(N):
-        H_U[i * d:(i + 1) * d, i * d:(i + 1) * d] = hu[i]
-    H_W = np.zeros((N * d, N * d))
+    idx = np.arange(N)
+    # blocks indexed (i, a, j, b) so that reshape gives rows i*d + a
+    H_U = np.zeros((N, d, N, d))
+    H_U[idx, :, idx, :] = model.U.hessian(x)
+    H_W = np.zeros((N, d, N, d))
     if model.W is not None and not model.W.is_zero():
         diff = x[:, None, :] - x[None, :, :]
         hw = model.W.hessian(diff)  # (N, N, d, d)
-        for i in range(N):
-            acc = np.zeros((d, d))
-            for j in range(N):
-                if i == j:
-                    continue
-                H_W[i * d:(i + 1) * d, j * d:(j + 1) * d] = -hw[i, j] / N
-                acc += hw[i, j]
-            H_W[i * d:(i + 1) * d, i * d:(i + 1) * d] = acc / N
-    return HessianBlocks(H_U=H_U, H_W=H_W)
+        hw[idx, idx] = 0.0
+        acc = np.zeros((N, d, d))
+        for j in range(N):  # sum_{k != i} hw[i, k] in k order; hw[i, i] adds an exact 0
+            acc += hw[:, j]
+        blocks = -hw / N
+        blocks[idx, idx] = acc / N
+        H_W = blocks.transpose(0, 2, 1, 3)
+    return HessianBlocks(H_U=H_U.reshape(N * d, N * d), H_W=H_W.reshape(N * d, N * d))
 
 
 def hw_opnorm(model: ModelConfig, x) -> float:

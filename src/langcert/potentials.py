@@ -11,9 +11,10 @@ cannot confine).  Gradients and Hessians follow from
     hess P(x) = psi(r) I + chi(r) x x^T,  chi(r) = (g''(r) - psi(r)) / r^2,
 
 where psi and chi are implemented with stable closed forms (no 0/0 at the
-origin).  The Hessian eigenvalues are g''(r) in the radial direction and
-psi(r) with multiplicity d-1 tangentially, which is what makes all the
-supremum searches below effectively low-dimensional.
+origin); psi is also available in s = r^2 (``psi_sq``), which the pair
+force uses to skip the square root.  The Hessian eigenvalues are g''(r) in
+the radial direction and psi(r) with multiplicity d-1 tangentially, which is
+what makes all the supremum searches below effectively low-dimensional.
 
 On top of the families, this module extracts everything the certification
 pipeline consumes: the interaction Hessian bound K and gradient bound K', a
@@ -70,13 +71,20 @@ VERIFIED = "verified-numeric"  # sup/inf search with margin, re-verified on samp
 class _Family:
     """One radial family.  The radial functions map ``(params, r)`` to arrays,
     the bounds map ``params`` to the closed forms that the ``PotentialSpec``
-    methods of the same name document."""
+    methods of the same name document.
+
+    The radial derivative psi is written once, as ``psi_sq(params, s)`` with
+    s = r^2, so the pair force never takes a square root; ``psi`` in r is
+    ``psi_sq(params, r**2)``.  A family whose psi has no closed form in r^2
+    (cosine: a sinc in r) supplies ``psi_r`` instead and sets ``psi_sq`` to
+    ``psi_r(params, sqrt(s))``.
+    """
 
     schema: dict  # parameter name -> validity predicate
     g: Callable
     dg: Callable
     d2g: Callable
-    psi: Callable
+    psi_sq: Callable
     chi: Callable
     hess_op_sup: Callable
     grad_sup: Callable
@@ -85,6 +93,10 @@ class _Family:
     is_zero: Callable
     linear: bool = False  # grad P = a x: b0, c_u and K2 are exact
     bounded: bool = False  # non-integrable Gibbs measure: cannot confine
+    psi_r: Optional[Callable] = None  # psi in r, where it has no closed form in r^2
+
+    def psi(self, p, r):
+        return self.psi_sq(p, r**2) if self.psi_r is None else self.psi_r(p, r)
 
 
 def _quartic_char_length(p) -> float:
@@ -98,8 +110,9 @@ def _bump_amp(p) -> float:
     return (-1.0 if p["sign"] == "attractive" else 1.0) * p["amplitude"]
 
 
-def _bump_exp(p, r):
-    return np.exp(-(r**2) / (2 * p["width"] ** 2))
+def _bump_exp(p, s):
+    """exp(-r^2 / 2 width^2) from s = r^2."""
+    return np.exp(-s / (2 * p["width"] ** 2))
 
 
 def _bump_eig_bounds(p) -> tuple[float, float]:
@@ -109,6 +122,10 @@ def _bump_eig_bounds(p) -> tuple[float, float]:
         return -2 * a * math.exp(-1.5), a
     # radial a(u^2-1)e^{-u^2/2} in [-a, 2a e^{-3/2}], tangential in [-a, 0)
     return -a, 2 * a * math.exp(-1.5)
+
+
+def _cosine_psi(p, r):
+    return -p["amplitude"] * p["frequency"] ** 2 * np.sinc(p["frequency"] * r / np.pi)
 
 
 def _cosine_chi(p, r):
@@ -128,7 +145,7 @@ _FAMILIES = {
         g=lambda p, r: 0.5 * p["coef"] * r**2,
         dg=lambda p, r: p["coef"] * r,
         d2g=lambda p, r: np.full_like(r, p["coef"]),
-        psi=lambda p, r: np.full_like(r, p["coef"]),
+        psi_sq=lambda p, s: np.full_like(s, p["coef"]),
         chi=lambda p, r: np.zeros_like(r),
         hess_op_sup=lambda p: p["coef"],
         grad_sup=lambda p: 0.0 if p["coef"] == 0.0 else math.inf,
@@ -143,7 +160,7 @@ _FAMILIES = {
         g=lambda p, r: p["quartic"] * r**4 - p["well"] * r**2,
         dg=lambda p, r: 4 * p["quartic"] * r**3 - 2 * p["well"] * r,
         d2g=lambda p, r: 12 * p["quartic"] * r**2 - 2 * p["well"],
-        psi=lambda p, r: 4 * p["quartic"] * r**2 - 2 * p["well"],
+        psi_sq=lambda p, s: 4 * p["quartic"] * s - 2 * p["well"],
         chi=lambda p, r: np.full_like(r, 8 * p["quartic"]),
         hess_op_sup=lambda p: math.inf,
         grad_sup=lambda p: math.inf,
@@ -158,11 +175,11 @@ _FAMILIES = {
             "width": lambda v: v > 0.0,
             "sign": lambda v: v in ("attractive", "repulsive"),
         },
-        g=lambda p, r: _bump_amp(p) * _bump_exp(p, r),
-        dg=lambda p, r: -_bump_amp(p) * r / p["width"] ** 2 * _bump_exp(p, r),
-        d2g=lambda p, r: -_bump_amp(p) / p["width"] ** 2 * (1 - r**2 / p["width"] ** 2) * _bump_exp(p, r),
-        psi=lambda p, r: -_bump_amp(p) / p["width"] ** 2 * _bump_exp(p, r),
-        chi=lambda p, r: _bump_amp(p) / (p["width"] ** 2) ** 2 * _bump_exp(p, r),
+        g=lambda p, r: _bump_amp(p) * _bump_exp(p, r**2),
+        dg=lambda p, r: -_bump_amp(p) * r / p["width"] ** 2 * _bump_exp(p, r**2),
+        d2g=lambda p, r: -_bump_amp(p) / p["width"] ** 2 * (1 - r**2 / p["width"] ** 2) * _bump_exp(p, r**2),
+        psi_sq=lambda p, s: -_bump_amp(p) / p["width"] ** 2 * _bump_exp(p, s),
+        chi=lambda p, r: _bump_amp(p) / (p["width"] ** 2) ** 2 * _bump_exp(p, r**2),
         hess_op_sup=lambda p: p["amplitude"] / p["width"] ** 2,
         grad_sup=lambda p: p["amplitude"] / p["width"] * math.exp(-0.5),
         hess_eig_bounds=_bump_eig_bounds,
@@ -176,7 +193,7 @@ _FAMILIES = {
         g=lambda p, r: p["amplitude"] * np.cos(p["frequency"] * r),
         dg=lambda p, r: -p["amplitude"] * p["frequency"] * np.sin(p["frequency"] * r),
         d2g=lambda p, r: -p["amplitude"] * p["frequency"] ** 2 * np.cos(p["frequency"] * r),
-        psi=lambda p, r: -p["amplitude"] * p["frequency"] ** 2 * np.sinc(p["frequency"] * r / np.pi),
+        psi_sq=lambda p, s: _cosine_psi(p, np.sqrt(s)),
         chi=_cosine_chi,
         hess_op_sup=lambda p: abs(p["amplitude"]) * p["frequency"] ** 2,
         grad_sup=lambda p: abs(p["amplitude"]) * abs(p["frequency"]),
@@ -185,6 +202,7 @@ _FAMILIES = {
         char_length=lambda p: 2 * math.pi / abs(p["frequency"]),
         is_zero=lambda p: p["amplitude"] == 0.0,
         bounded=True,
+        psi_r=_cosine_psi,
     ),
 }
 FAMILIES = tuple(_FAMILIES)
@@ -261,6 +279,11 @@ class PotentialSpec:
     def psi(self, r):
         """g'(r)/r, finite at r = 0."""
         return _FAMILIES[self.family].psi(self.params, np.asarray(r, dtype=float))
+
+    def psi_sq(self, s):
+        """psi(sqrt(s)) for s = r^2 >= 0, without a square root where the
+        family has a closed form in r^2."""
+        return _FAMILIES[self.family].psi_sq(self.params, np.asarray(s, dtype=float))
 
     def chi(self, r):
         """(g''(r) - psi(r)) / r^2, finite at r = 0."""

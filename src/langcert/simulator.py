@@ -120,11 +120,15 @@ class DecayFit:
 # counter-based noise streams
 # ---------------------------------------------------------------------------
 
-def _stream_key(master_seed: int, domain: int, replica: int, label: int) -> np.ndarray:
-    if not (0 <= replica < 2**31 and 0 <= label < 2**31):
+def _stream_keys(master_seed: int, domain: int, replicas: Sequence[int], labels: Sequence[int]) -> np.ndarray:
+    """Philox keys of every (replica, label) stream, shape (R, N, 2) uint64."""
+    if not all(0 <= v < 2**31 for v in (*replicas, *labels)):
         raise InvalidSpecError("replica and particle label must fit in 31 bits")
-    k1 = (np.uint64(domain) << np.uint64(62)) | (np.uint64(replica) << np.uint64(31)) | np.uint64(label)
-    return np.array([np.uint64(master_seed & (2**64 - 1)), k1], dtype=np.uint64)
+    keys = np.empty((len(replicas), len(labels), 2), dtype=np.uint64)
+    keys[..., 0] = np.uint64(master_seed & (2**64 - 1))
+    rep = np.array(replicas, dtype=np.uint64)[:, None] << np.uint64(31)
+    keys[..., 1] = (np.uint64(domain) << np.uint64(62)) | rep | np.array(labels, dtype=np.uint64)
+    return keys
 
 
 def _words_to_normals(words: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -150,10 +154,8 @@ class NoiseStreams:
 
     def __init__(self, master_seed: int, replicas: Sequence[int], labels: Sequence[int], d: int):
         self.d = d
-        self._gens = [
-            [Philox(key=_stream_key(master_seed, _DOMAIN_DYNAMICS, r, lab)) for lab in labels]
-            for r in replicas
-        ]
+        keys = _stream_keys(master_seed, _DOMAIN_DYNAMICS, replicas, labels)
+        self._gens = [[Philox(key=k) for k in row] for row in keys]
 
     def normals(self, n_steps: int) -> np.ndarray:
         R, N = len(self._gens), len(self._gens[0])
@@ -175,12 +177,14 @@ class NoiseStreams:
 
 
 def _init_normals(master_seed: int, domain: int, replicas: Sequence[int], labels: Sequence[int], d: int) -> np.ndarray:
-    out = np.empty((len(replicas), len(labels), d))
-    for i, r in enumerate(replicas):
-        for j, lab in enumerate(labels):
-            g = Philox(key=_stream_key(master_seed, domain, r, lab))
-            out[i, j, :] = _words_to_normals(g.random_raw(d))
-    return out
+    """The first d normals of every (replica, label) stream of ``domain``,
+    shape (R, N, d), converted in one pass."""
+    keys = _stream_keys(master_seed, domain, replicas, labels)
+    raw = np.empty((len(replicas), len(labels), d), dtype=np.uint64)
+    for i, row in enumerate(keys):
+        for j, k in enumerate(row):
+            raw[i, j] = Philox(key=k).random_raw(d)
+    return _words_to_normals(raw, out=np.empty(raw.shape))
 
 
 def _draw_init(

@@ -3,6 +3,7 @@ import pytest
 
 from langcert.errors import InvalidSpecError, ResourceCapError
 from langcert.meanfield import (
+    _PAIR_SLAB,
     ModelConfig,
     force,
     force_batch,
@@ -98,12 +99,69 @@ def test_force_zero_at_minimizer():
 
 
 def test_force_batch_matches_single():
-    model = ModelConfig(N=3, d=2, U=quad(1.0, d=2), W=bump(0.5, d=2))
     rng = np.random.default_rng(3)
-    xs = rng.standard_normal((7, 3, 2))
-    fb = force_batch(model, xs)
-    for k in range(7):
-        assert np.allclose(fb[k], force(model, xs[k]), atol=1e-14)
+    for N, R in ((3, 7), (33, 3 * (_PAIR_SLAB // 33**2) + 1)):  # N = 33: four slabs
+        model = ModelConfig(N=N, d=2, U=quad(1.0, d=2), W=bump(0.5, d=2))
+        xs = rng.standard_normal((R, N, 2))
+        fb = force_batch(model, xs)
+        for k in range(R):
+            assert fb[k].tobytes() == force(model, xs[k]).tobytes()
+
+
+def pre_slab_force(model, x):
+    # the pair force as written before slabs: psi of the radius, on the
+    # whole (R, N, N, d) batch at once
+    f = -model.U.gradient(x)
+    diff = x[..., :, None, :] - x[..., None, :, :]
+    psi = model.W.psi(np.sqrt((diff**2).sum(axis=-1)))
+    f -= (psi[..., None] * diff).sum(axis=-2) / model.N
+    return f
+
+
+def interactions(d):
+    return [
+        quad(0.7, d=d, role="interaction"),
+        PotentialSpec("quartic_double_well", {"quartic": 0.2, "well": 0.6}, dim=d, role="interaction"),
+        bump(0.8, w=1.1, d=d),
+        bump(0.8, w=1.1, d=d, sign="repulsive"),
+        PotentialSpec("cosine", {"amplitude": 0.3, "frequency": 1.3}, dim=d, role="interaction"),
+    ]
+
+
+def slab_spanning_batch(N, d, seed):
+    # three full slabs and a short fourth one
+    R = 3 * max(1, _PAIR_SLAB // N**2) + 2
+    return np.random.default_rng(seed).standard_normal((R, N, d)) * 1.5
+
+
+@pytest.mark.parametrize("N", [2, 5, 33])
+@pytest.mark.parametrize("W", interactions(1), ids=lambda w: f"{w.family}{w.params.get('sign', '')}")
+def test_force_batch_d1_matches_pre_slab_formula(W, N):
+    model = ModelConfig(N=N, d=1, U=PotentialSpec("quartic_double_well", {"quartic": 0.25, "well": 0.5}, dim=1), W=W)
+    x = slab_spanning_batch(N, 1, 11)
+    assert force_batch(model, x).tobytes() == pre_slab_force(model, x).tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("N", [2, 5, 33])
+def test_force_batch_near_pre_slab_formula_in_higher_d(d, N):
+    # in d >= 2, sqrt then square rounds: only psi's argument moves
+    for W in interactions(d):
+        model = ModelConfig(N=N, d=d, U=quad(1.0, d=d), W=W)
+        x = slab_spanning_batch(N, d, 12)
+        f, ref = force_batch(model, x), pre_slab_force(model, x)
+        assert np.abs(f - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("N", [2, 5, 33])
+def test_force_batch_rows_do_not_depend_on_batch(d, N):
+    W = PotentialSpec("quartic_double_well", {"quartic": 0.2, "well": 0.6}, dim=d, role="interaction")
+    model = ModelConfig(N=N, d=d, U=quad(1.0, d=d), W=W)
+    x = slab_spanning_batch(N, d, 13)
+    f = force_batch(model, x)
+    for k in range(x.shape[0]):
+        assert f[k].tobytes() == force_batch(model, x[k:k + 1])[0].tobytes()
 
 
 def test_force_permutation_equivariance():
@@ -176,6 +234,41 @@ def test_hessian_cap():
     model = ModelConfig(N=5000, d=1, U=quad(1.0), W=quad(1.0, role="interaction"))
     with pytest.raises(ResourceCapError):
         hessian_blocks(model, np.zeros((5000, 1)))
+
+
+def test_hessian_blocks_match_block_loops():
+    def block_loops(model, x):
+        # the block-by-block assembly that the reshape replaced
+        N, d = model.N, model.d
+        H_U = np.zeros((N * d, N * d))
+        hu = model.U.hessian(x)
+        for i in range(N):
+            H_U[i * d:(i + 1) * d, i * d:(i + 1) * d] = hu[i]
+        H_W = np.zeros((N * d, N * d))
+        if model.W is not None:
+            diff = x[:, None, :] - x[None, :, :]
+            hw = model.W.hessian(diff)
+            for i in range(N):
+                acc = np.zeros((d, d))
+                for j in range(N):
+                    if i == j:
+                        continue
+                    H_W[i * d:(i + 1) * d, j * d:(j + 1) * d] = -hw[i, j] / N
+                    acc += hw[i, j]
+                H_W[i * d:(i + 1) * d, i * d:(i + 1) * d] = acc / N
+        return H_U, H_W
+
+    rng = np.random.default_rng(14)
+    for d in (1, 2, 3):
+        U = PotentialSpec("quartic_double_well", {"quartic": 0.25, "well": 0.5}, dim=d)
+        for W in (None, *interactions(d)):
+            for N in (2, 9, 40):
+                model = ModelConfig(N=N, d=d, U=U, W=W)
+                x = rng.standard_normal((N, d)) * 1.5
+                blocks = hessian_blocks(model, x)
+                H_U, H_W = block_loops(model, x)
+                assert blocks.H_U.tobytes() == H_U.tobytes()
+                assert blocks.H_W.tobytes() == H_W.tobytes()
 
 
 # ---------------------------------------------------------------------------

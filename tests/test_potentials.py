@@ -93,6 +93,29 @@ def test_eval_double_well_minimum():
     assert DW.hessian(x)[0, 0] == pytest.approx(2.0, abs=1e-13)
 
 
+# psi in r, each family's closed form written out independently of the table
+PSI_IN_R = {
+    "quadratic": lambda p, r: np.full_like(r, p["coef"]),
+    "quartic_double_well": lambda p, r: 4 * p["quartic"] * r**2 - 2 * p["well"],
+    "gaussian_bump": lambda p, r: (-(-1.0 if p["sign"] == "attractive" else 1.0) * p["amplitude"]
+                                   / p["width"] ** 2 * np.exp(-(r**2) / (2 * p["width"] ** 2))),
+    "cosine": lambda p, r: -p["amplitude"] * p["frequency"] ** 2 * np.sinc(p["frequency"] * r / np.pi),
+}
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS + [
+    PotentialSpec("gaussian_bump", {"amplitude": 0.3, "width": 1.7, "sign": "attractive"}, dim=2, role="interaction"),
+], ids=lambda s: f"{s.family}_d{s.dim}_{s.params.get('sign', '')}")
+def test_psi_sq_and_psi_agree_bit_for_bit(spec):
+    r = np.concatenate([[0.0], np.geomspace(1e-8, 1e3, 4001), np.linspace(0.0, 1e3, 4001)])
+    s = r**2
+    assert spec.psi(r).tobytes() == PSI_IN_R[spec.family](spec.params, r).tobytes()
+    if spec.family == "cosine":  # a sinc in r: psi_sq goes through sqrt
+        assert spec.psi_sq(s).tobytes() == spec.psi(np.sqrt(s)).tobytes()
+    else:  # written in s: psi in r derives from it
+        assert spec.psi(r).tobytes() == spec.psi_sq(s).tobytes()
+
+
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: f"{s.family}_d{s.dim}")
 def test_fd_gradient_hessian_match(spec):
     rng = np.random.default_rng(7)

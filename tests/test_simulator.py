@@ -19,13 +19,16 @@ from langcert.simulator import (
     n_sweep,
     run,
     _DOMAIN_DYNAMICS,
+    _DOMAIN_INIT_POS,
+    _DOMAIN_INIT_VEL,
     _SLAB_WORDS,
     _advance_block,
     _fit_lambda,
     _forward_env,
     _oscillation_spacing,
+    _init_normals,
     _running_env,
-    _stream_key,
+    _stream_keys,
 )
 
 QUAD = PotentialSpec("quadratic", {"coef": 1.0}, dim=1)
@@ -96,11 +99,40 @@ def test_streams_slab_conversion_matches_per_stream(R, N, d, n_steps, per_slab):
         return out
 
     seed, replicas, labels = 13, list(range(3, 3 + R)), [0, 5, 2][:N]
-    gens = [[Philox(key=_stream_key(seed, _DOMAIN_DYNAMICS, r, lab)) for lab in labels] for r in replicas]
+    gens = [[Philox(key=k) for k in row] for row in _stream_keys(seed, _DOMAIN_DYNAMICS, replicas, labels)]
     streams = NoiseStreams(seed, replicas, labels, d)
     for _ in range(2):  # the second block continues every stream
         got = streams.normals(n_steps)
         assert got.tobytes() == reference_block(gens).tobytes()
+
+
+def test_stream_keys_match_scalar_layout():
+    seed, replicas, labels = 2**64 + 17, [0, 9, 2**31 - 1], [4, 2**31 - 1]
+    keys = _stream_keys(seed, _DOMAIN_INIT_VEL, replicas, labels)
+    assert keys.shape == (3, 2, 2) and keys.dtype == np.uint64
+    for i, r in enumerate(replicas):
+        for j, lab in enumerate(labels):
+            assert keys[i, j].tolist() == [17, (_DOMAIN_INIT_VEL << 62) | (r << 31) | lab]
+
+
+@pytest.mark.parametrize("replicas, labels", [([2**31], [0]), ([0], [-1]), ([0, 1], [0, 2**31])])
+def test_stream_keys_reject_more_than_31_bits(replicas, labels):
+    with pytest.raises(InvalidSpecError, match="31 bits"):
+        _stream_keys(1, _DOMAIN_DYNAMICS, replicas, labels)
+
+
+@pytest.mark.parametrize("R, N, d", [(7, 3, 2), (250, 32, 1)])
+@pytest.mark.parametrize("domain", [_DOMAIN_INIT_POS, _DOMAIN_INIT_VEL])
+def test_init_normals_match_per_stream(R, N, d, domain):
+    # the per-stream draw: a fresh Philox per (replica, label) and d words
+    seed, replicas, labels = 21, list(range(4, 4 + R)), list(range(N))[::-1]
+    ref = np.empty((R, N, d))
+    for i, r in enumerate(replicas):
+        for j, lab in enumerate(labels):
+            key = np.array([seed, (domain << 62) | (r << 31) | lab], dtype=np.uint64)
+            words = Philox(key=key).random_raw(d)
+            ref[i, j] = ndtri((words >> np.uint64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54)
+    assert _init_normals(seed, domain, replicas, labels, d).tobytes() == ref.tobytes()
 
 
 def test_initial_state_reproducible_and_offset():
