@@ -71,7 +71,7 @@ def _write_timeseries_csv(path: Path, times, means, variances, replicas: int) ->
     for name in sorted(means):
         m, v = means[name], variances[name]
         for k in range(len(times)):
-            lines.append(f"{times[k]!r},{name},{m[k]!r},{v[k]!r},{replicas}")
+            lines.append(f"{float(times[k])!r},{name},{float(m[k])!r},{float(v[k])!r},{replicas}")
     path.write_text("\n".join(lines) + "\n")
 
 

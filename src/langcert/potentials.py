@@ -3,9 +3,9 @@
 Every built-in family is rotationally symmetric, P(x) = g(|x|), and is one
 record in ``_FAMILIES``: its parameter schema, closed forms for the radial
 profile g, its first two derivatives and psi, chi below, the closed-form
-Hessian and gradient bounds, a length scale, and two traits (``linear``:
-grad P is linear, so b0, c_u and K2 are exact; ``bounded``: P is bounded and
-cannot confine).  Gradients and Hessians follow from
+Hessian and gradient bounds, a length scale, and ``poly``: the coefficients
+(a2, a4) of g = a2 r^2 + a4 r^4 for the two polynomial families, absent for
+the bounded ones (which cannot confine).  Gradients and Hessians follow from
 
     grad P(x) = psi(r) x,                 psi(r) = g'(r)/r,
     hess P(x) = psi(r) I + chi(r) x x^T,  chi(r) = (g''(r) - psi(r)) / r^2,
@@ -13,8 +13,10 @@ cannot confine).  Gradients and Hessians follow from
 where psi and chi are implemented with stable closed forms (no 0/0 at the
 origin); psi is also available in s = r^2 (``psi_sq``), which the pair
 force uses to skip the square root.  The Hessian eigenvalues are g''(r) in
-the radial direction and psi(r) with multiplicity d-1 tangentially, which is
-what makes all the supremum searches below effectively low-dimensional.
+the radial direction and psi(r) with multiplicity d-1 tangentially.  For a
+polynomial g the Lyapunov offset K2, the b0 part and the separation modulus
+have closed forms; only a bounded interaction's b0 part is searched, on the
+section line (d = 1) or plane (d >= 2) of a pair.
 
 On top of the families, this module extracts everything the certification
 pipeline consumes: the interaction Hessian bound K and gradient bound K', a
@@ -31,6 +33,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy import optimize
+from scipy.optimize import elementwise
 from scipy.integrate import cumulative_simpson
 
 from .errors import InvalidSpecError
@@ -60,7 +63,7 @@ ANALYTIC = "analytic"
 NUMERIC = "numeric-estimate"
 USER = "user-supplied"
 CRITERION = "criterion-derived"
-VERIFIED = "verified-numeric"  # sup/inf search with margin, re-verified on samples
+VERIFIED = "verified-numeric"  # grid search re-verified on random samples
 
 
 # ---------------------------------------------------------------------------
@@ -91,8 +94,7 @@ class _Family:
     hess_eig_bounds: Callable
     char_length: Callable
     is_zero: Callable
-    linear: bool = False  # grad P = a x: b0, c_u and K2 are exact
-    bounded: bool = False  # non-integrable Gibbs measure: cannot confine
+    poly: Optional[Callable] = None  # (a2, a4) with g = a2 r^2 + a4 r^4; None: bounded
     psi_r: Optional[Callable] = None  # psi in r, where it has no closed form in r^2
 
     def psi(self, p, r):
@@ -152,7 +154,7 @@ _FAMILIES = {
         hess_eig_bounds=lambda p: (p["coef"], p["coef"]),
         char_length=lambda p: 1.0 / math.sqrt(p["coef"]) if p["coef"] > 0 else 1.0,
         is_zero=lambda p: p["coef"] == 0.0,
-        linear=True,
+        poly=lambda p: (0.5 * p["coef"], 0.0),
     ),
     # quartic |x|^4 - well |x|^2
     "quartic_double_well": _Family(
@@ -167,6 +169,7 @@ _FAMILIES = {
         hess_eig_bounds=lambda p: (-2 * p["well"], math.inf),
         char_length=_quartic_char_length,
         is_zero=lambda p: False,
+        poly=lambda p: (-p["well"], p["quartic"]),
     ),
     # -+ amplitude exp(-|x|^2 / 2 width^2), minus sign for an attractive bump
     "gaussian_bump": _Family(
@@ -185,7 +188,6 @@ _FAMILIES = {
         hess_eig_bounds=_bump_eig_bounds,
         char_length=lambda p: p["width"],
         is_zero=lambda p: p["amplitude"] == 0.0,
-        bounded=True,
     ),
     # amplitude cos(frequency |x|)
     "cosine": _Family(
@@ -201,7 +203,6 @@ _FAMILIES = {
                                    abs(p["amplitude"]) * p["frequency"] ** 2),
         char_length=lambda p: 2 * math.pi / abs(p["frequency"]),
         is_zero=lambda p: p["amplitude"] == 0.0,
-        bounded=True,
         psi_r=_cosine_psi,
     ),
 }
@@ -255,12 +256,12 @@ class PotentialSpec:
     @property
     def linear(self) -> bool:
         """grad P(x) = a x with a constant a = hess_eig_bounds()[0]."""
-        return _FAMILIES[self.family].linear
+        return not self.bounded and self.poly()[1] == 0.0
 
     @property
     def bounded(self) -> bool:
         """P is bounded, so it cannot serve as the confinement."""
-        return _FAMILIES[self.family].bounded
+        return _FAMILIES[self.family].poly is None
 
     # -- radial profile -------------------------------------------------
 
@@ -345,6 +346,10 @@ class PotentialSpec:
         """P vanishes identically (zero coefficient or amplitude)."""
         return _FAMILIES[self.family].is_zero(self.params)
 
+    def poly(self) -> tuple[float, float]:
+        """(a2, a4) with g(r) = a2 r^2 + a4 r^4; only for unbounded families."""
+        return _FAMILIES[self.family].poly(self.params)
+
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -377,10 +382,10 @@ class ConstantsBundle:
     ``kappa``, ``C_LS`` and the convexity triple stay ``None`` until some
     criterion produces them.  ``provenance`` maps field names to one of
     ``analytic``, ``numeric-estimate``, ``user-supplied``,
-    ``criterion-derived`` and ``verified-numeric`` (a sup/inf search with a
-    margin, re-verified on samples; ``extract_constants`` and
-    ``assemble_constants`` give it to ``K2`` and the convexity triple).
-    Every grade except ``numeric-estimate`` certifies.
+    ``criterion-derived`` and ``verified-numeric`` (a grid search
+    re-verified on random pairs; only ``assemble_constants`` gives it, to
+    the convexity triple of a non-quadratic U).  Every grade except
+    ``numeric-estimate`` certifies.
     """
 
     K: float
@@ -433,157 +438,38 @@ class ConstantsBundle:
 
 
 # ---------------------------------------------------------------------------
-# radial supremum machinery
+# Lyapunov pair
 # ---------------------------------------------------------------------------
-
-def _radial_grid(r_max: float, n: int = 2001, r_lin: float | None = None) -> np.ndarray:
-    """Uniform grid on [0, r_lin] extended geometrically out to r_max."""
-    if r_lin is None or r_max <= r_lin:
-        return np.linspace(0.0, r_max, n)
-    lin = np.linspace(0.0, r_lin, n)
-    geo = np.geomspace(r_lin, r_max, max(n // 4, 64))[1:]
-    return np.concatenate([lin, geo])
-
-
-_SQRT_EPS = math.sqrt(2.2e-16)
-_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
-# scipy's defaults for minimize_scalar(method="bounded"): xatol and maxiter
-_XATOL = 1e-5
-_MAXFUN = 500
-
-
-def _fminbound(
-    func: Callable[[np.ndarray], np.ndarray],
-    lo: np.ndarray,
-    hi: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise bounded Brent minimization, one independent problem per row.
-
-    A step-for-step copy of ``scipy.optimize.minimize_scalar(method="bounded")``
-    (golden-section steps with parabolic interpolation, Brent 1973): row i
-    minimizes ``func`` on ``[lo[i], hi[i]]`` and stops at the same evaluation
-    with the same ``(x, fun)``, bit for bit, as the scalar routine applied to
-    ``lambda t: float(func(np.asarray(t)))`` (element-wise numpy arithmetic
-    rounds a vector entry as it rounds a 0-d array).  ``func`` maps an array
-    of one abscissa per row to the objective values; rows that have stopped
-    keep their state and their evaluations are discarded.  Returns
-    ``(x, fun)``.
-    """
-    a = np.array(lo, dtype=float)
-    b = np.array(hi, dtype=float)
-    fulc = a + _GOLDEN * (b - a)
-    nfc, xf = fulc.copy(), fulc.copy()
-    rat = np.zeros_like(a)
-    e = np.zeros_like(a)
-    fx = np.asarray(func(xf), dtype=float)
-    ffulc, fnfc = fx.copy(), fx.copy()
-    num = 1
-    xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * np.abs(xf) + _XATOL / 3.0
-    tol2 = 2.0 * tol1
-    active = np.abs(xf - xm) > (tol2 - 0.5 * (b - a))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        while num < _MAXFUN and active.any():
-            # parabolic step where it falls well inside the bracket, else golden
-            step = active & (np.abs(e) > tol1)
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            p = np.where(q > 0.0, -p, p)
-            q = np.abs(q)
-            parab = step & (np.abs(p) < np.abs(0.5 * q * e)) & (p > q * (a - xf)) & (p < q * (b - xf))
-            golden = active & ~parab
-            rat_p = (p + 0.0) / q
-            x_p = xf + rat_p
-            si = np.sign(xm - xf) + ((xm - xf) == 0)
-            rat_p = np.where(((x_p - a) < tol2) | ((b - x_p) < tol2), tol1 * si, rat_p)
-            e = np.where(golden, np.where(xf >= xm, a - xf, b - xf), np.where(step, rat, e))
-            rat = np.where(parab, rat_p, np.where(golden, _GOLDEN * e, rat))
-            si = np.sign(rat) + (rat == 0)
-            x = xf + si * np.maximum(np.abs(rat), tol1)
-            fu = np.asarray(func(x), dtype=float)
-            num += 1
-
-            # bracket and point bookkeeping, on the rows still running
-            down = active & (fu <= fx)
-            up = active & ~(fu <= fx)
-            shift_nfc = up & ((fu <= fnfc) | (nfc == xf))
-            set_fulc = up & ~shift_nfc & ((fu <= ffulc) | (fulc == xf) | (fulc == nfc))
-            a = np.where(down & (x >= xf), xf, np.where(up & (x < xf), x, a))
-            b = np.where(down & (x < xf), xf, np.where(up & (x >= xf), x, b))
-            fulc, ffulc = (np.where(down | shift_nfc, nfc, np.where(set_fulc, x, fulc)),
-                           np.where(down | shift_nfc, fnfc, np.where(set_fulc, fu, ffulc)))
-            nfc, fnfc = (np.where(down, xf, np.where(shift_nfc, x, nfc)),
-                         np.where(down, fx, np.where(shift_nfc, fu, fnfc)))
-            xf, fx = np.where(down, x, xf), np.where(down, fu, fx)
-            xm = 0.5 * (a + b)
-            tol1 = _SQRT_EPS * np.abs(xf) + _XATOL / 3.0
-            tol2 = 2.0 * tol1
-            active &= np.abs(xf - xm) > (tol2 - 0.5 * (b - a))
-    return xf, fx
-
-
-def hess_op_radial(spec: PotentialSpec, r: np.ndarray) -> np.ndarray:
-    """|hess P|_op as a function of the radius."""
-    if spec.dim == 1:
-        return np.abs(spec.d2profile(r))
-    return np.maximum(np.abs(spec.d2profile(r)), np.abs(spec.psi(r)))
-
 
 def lyapunov_offsets(spec: PotentialSpec, k1s) -> list[float]:
     """Smallest K2 with |hess P|_op <= k1 |grad P| + K2, for each K1 in ``k1s``.
 
-    Radial search: the defect's grid maximum per K1, then one bounded-Brent
-    polish of the cells around the three best grid nodes of every K1 at once.
-    The box is enlarged to cover the stationary point of the defect for
-    polynomially growing families; it sits near r ~ 1/k1 for the quartic.
+    For g = a2 r^2 + a4 r^4 the defect is D(r) = max(|g''|, |psi| if d >= 2)
+    - k1 |g'|.  On [0, r0], r0 = sqrt(-a2 / 2 a4) if a2 < 0 else 0, g'' and
+    psi are monotone with |psi| <= |g''(0)| and g' vanishes at both ends, so
+    D peaks at an end.  On [r0, inf), 0 <= psi <= g'' and g' >= 0, so D is
+    the cubic g'' - k1 g', whose maximum is at r* = (1 + sqrt(1 - k1^2 a2 /
+    6 a4)) / k1.  Hence sup D = max(D(0), D(r0), D(r*)) in every d, and +inf
+    for k1 = 0 when a4 > 0.
     """
-    char = spec.char_length()
-
-    def defect(k1, r):
-        return hess_op_radial(spec, r) - k1 * np.abs(spec.dprofile(r))
-
-    grid_max, lo, hi, counts = [], [], [], []
-    for k1 in k1s:
-        r_box = 50.0 * char
-        if k1 > 0:
-            r_box = max(r_box, 8.0 / k1)
-        grid = _radial_grid(r_box, 2001, r_lin=50.0 * char)
-        vals = defect(k1, grid)
-        top = np.argsort(vals)[::-1][:3]
-        cell_lo = grid[np.maximum(top - 1, 0)]
-        cell_hi = grid[np.minimum(top + 1, grid.size - 1)]
-        ok = cell_hi > cell_lo
-        grid_max.append(float(vals.max()))
-        lo.append(cell_lo[ok])
-        hi.append(cell_hi[ok])
-        counts.append(int(ok.sum()))
-    row_k1 = np.repeat(np.asarray(k1s, dtype=float), counts)
-    _, neg = _fminbound(lambda r: -defect(row_k1, r), np.concatenate(lo), np.concatenate(hi))
-    polished = np.split(-neg, np.cumsum(counts)[:-1])
-    return [max(g, *p.tolist(), 0.0) for g, p in zip(grid_max, polished)]
+    if spec.bounded:
+        raise InvalidSpecError(f"{spec.family} is bounded: no Lyapunov pair")
+    a2, a4 = spec.poly()
+    k1 = np.asarray(k1s, dtype=float)[:, None]
+    r0 = math.sqrt(-a2 / (2 * a4)) if a2 < 0 else 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r_star = (1 + np.sqrt(1 - k1**2 * a2 / (6 * a4))) / k1
+    r = np.concatenate([np.zeros_like(k1), np.full_like(k1, r0), r_star], axis=1)
+    r = np.where(np.isfinite(r), r, 0.0)  # no r* for k1 = 0 or a4 = 0
+    sup = (np.abs(spec.d2profile(r)) - k1 * np.abs(spec.dprofile(r))).max(axis=1)
+    return np.where((k1[:, 0] == 0) & (a4 > 0), math.inf, np.maximum(sup, 0.0)).tolist()
 
 
 def select_lyapunov_pair(
     spec: PotentialSpec,
-    objective: Callable[[float, float], float] | None = None,
+    objective: Callable[[float, float], float],
 ) -> tuple[float, float]:
-    """Pick (K1, K2) over a log grid of K1 minimizing ``objective(K1, K2)``.
-
-    The default objective is the single boundedness constant
-    M = max(2 C1, 2 C2), with C1 = 50 K1^2 and C2 = 4 K2^2 + 25 K1^4 d^2 / 4,
-    the dominant terms on both certification routes; callers with the full
-    constant formula in hand (known K, K', C_LS) pass it in instead.
-    """
-    if objective is None:
-        d = spec.dim
-
-        def objective(k1, k2):
-            c1 = 50 * k1**2
-            c2 = 4 * k2**2 + 25 * k1**4 * d**2 / 4
-            return max(2 * c1, 2 * c2, 1.0)
-
+    """Pick (K1, K2) over a log grid of K1 minimizing ``objective(K1, K2)``."""
     candidates = [2.0**e for e in range(-20, 11)]
     if math.isfinite(spec.hess_op_sup()):
         candidates = [0.0] + candidates
@@ -626,20 +512,11 @@ def extract_constants(U: PotentialSpec, W: Optional[PotentialSpec]) -> Constants
         return max(2 * c1, 2 * c2 + 2 * K**2, 1.0)
 
     k1, k2 = select_lyapunov_pair(U, objective)
-    prov = {"K": ANALYTIC, "K_prime": ANALYTIC, "K1": ANALYTIC, "K2": VERIFIED}
-    if U.linear:
-        prov["K2"] = ANALYTIC  # constant Hessian, offset exact
-    else:
-        # safety margin on the refined supremum, then a dense random check
-        # (an over-estimate of K2 only weakens the certified rate, never
-        # its validity; an under-estimate would invalidate it)
+    if not U.linear:
+        # outward margin for the rounding of the candidate evaluations (an
+        # over-estimate of K2 only weakens the certified rate, never its validity)
         k2 = k2 * (1 + 1e-9) + 1e-12
-        rng = np.random.default_rng(20240)
-        pts = rng.uniform(-1.0, 1.0, size=(10**4, d)) * 40.0 * U.char_length()
-        op = np.abs(np.linalg.eigvalsh(U.hessian(pts))).max(axis=-1)
-        gn = np.sqrt((U.gradient(pts) ** 2).sum(axis=-1))
-        if np.any(op > k1 * gn + k2 + 1e-9):
-            prov["K2"] = NUMERIC  # verification failed: degrade, do not certify
+    prov = {"K": ANALYTIC, "K_prime": ANALYTIC, "K1": ANALYTIC, "K2": ANALYTIC}
     return ConstantsBundle(K=K, K_prime=K_prime, K1=k1, K2=k2, d=d, provenance=prov)
 
 
@@ -653,35 +530,36 @@ _SECTION_BLOCK = 64 * 1601
 
 
 def section_sup_batch(spec: PotentialSpec, rs, spans, n: int = 1601) -> np.ndarray:
-    """sup over pairs x = y + r e of -<e, grad P(x) - grad P(y)>, one per radius.
+    """sup over pairs x = y + r e of -<e, grad P(x) - grad P(y)>, one per radius,
+    for a bounded interaction P (polynomial parts of b0 have a closed form).
 
     Rotational invariance reduces the pair to the plane spanned by e and one
     orthogonal direction:  y = alpha e + beta n, with the beta axis absent
     for d = 1.  Row i searches alpha in -r_i/2 +- spans[i] on an n-point grid.
-    In d = 1 the grid runs in blocks of rows and the best grid node of every
-    row is then polished at once by bounded Brent on its neighbouring cell;
-    in d >= 2 each row polishes its three best grid nodes with Nelder-Mead.
-    A polish only raises the grid maximum, so each entry is still a lower
-    estimate of the true supremum.
+    In d = 1 the grid runs in blocks of rows, then one Chandrupatla
+    minimization (``elementwise.find_minimum``) polishes every row's best grid
+    node inside its bracket of grid neighbours; a row whose best node does not
+    bracket a maximum keeps its grid maximum.  In d >= 2 each row polishes its
+    three best grid nodes with Nelder-Mead.  A polish only raises the grid
+    maximum, so each entry is still a lower estimate of the true supremum.
     """
     rs = np.atleast_1d(np.asarray(rs, dtype=float))
     spans = np.broadcast_to(np.asarray(spans, dtype=float), rs.shape)
     if spec.dim > 1:
         return np.array([_section_sup_2d(spec, float(r), float(sp), n) for r, sp in zip(rs, spans)])
-    grid_max, lo, hi = np.empty_like(rs), np.empty_like(rs), np.empty_like(rs)
+    grid_max, bracket = np.empty_like(rs), np.empty((3, rs.size))
     step = max(_SECTION_BLOCK // n, 1)
     for start in range(0, rs.size, step):
         blk = slice(start, start + step)
         r, span = rs[blk], spans[blk]
         alpha = np.linspace(-r / 2 - span, -r / 2 + span, n, axis=1)
         vals = _section_line(spec, alpha, r[:, None])
-        i = np.argmax(vals, axis=1)
+        i = np.clip(np.argmax(vals, axis=1), 1, n - 2)
         rows = np.arange(r.size)
         grid_max[blk] = vals.max(axis=1)
-        lo[blk] = alpha[rows, np.maximum(i - 1, 0)]
-        hi[blk] = alpha[rows, np.minimum(i + 1, n - 1)]
-    _, neg = _fminbound(lambda a: -_section_line(spec, a, rs), lo, hi)
-    return np.maximum(grid_max, -neg)
+        bracket[:, blk] = alpha[rows, i - 1], alpha[rows, i], alpha[rows, i + 1]
+    res = elementwise.find_minimum(lambda a, r: -_section_line(spec, a, r), tuple(bracket), args=(rs,))
+    return np.fmax(grid_max, -res.f_x)  # f_x is NaN where the bracket is invalid
 
 
 def _section_line(spec: PotentialSpec, alpha: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -765,22 +643,24 @@ def model_b0(U: PotentialSpec, W: Optional[PotentialSpec]) -> Callable[[np.ndarr
                                          + grad W(x-z) - grad W(y-z) >.
 
     The supremum splits into independent confinement and interaction parts
-    because z is unconstrained.  A part with a linear gradient a x is exactly
-    -a r; every other part is one batched section search over all r on the
-    box -r/2 +- max(8 char_length, 2r), with r clamped to >= 1e-9.  That
-    search is a lower estimate, and an under-estimate would poison c_lip:
-    test_b0_widened_box_never_wins pins that a 1.5x wider box does not
-    raise it at the first-pass c_lip nodes of the certify models.
+    because z is unconstrained.  A polynomial part g = a2 r^2 + a4 r^4 is
+    exactly -(2 a2 r + a4 r^3), attained at y = -x = -r e / 2, since
+    <|x|^2 x - |y|^2 y, x - y> >= |x - y|^4 / 4; every bounded part is one
+    batched section search over all r on the box -r/2 +- max(8 char_length, 2r).
+    All parts clamp r to >= 1e-9.  The search is a lower estimate, and an
+    under-estimate would poison c_lip: test_b0_widened_box_never_wins pins
+    that a 1.5x wider box does not raise it at the first-pass c_lip nodes of
+    the certify models.
     """
     specs = [s for s in (U, W) if s is not None and not s.is_zero()]
-    linear = sum(s.hess_eig_bounds()[0] for s in specs if s.linear)
-    nonlin = [s for s in specs if not s.linear]
+    a2 = sum(s.poly()[0] for s in specs if not s.bounded)
+    a4 = sum(s.poly()[1] for s in specs if not s.bounded)
+    bounded = [s for s in specs if s.bounded]
 
     def b0_vec(rs):
-        rs = np.atleast_1d(np.asarray(rs, dtype=float))
-        out = -linear * rs
-        rr = np.maximum(rs, 1e-9)
-        for spec in nonlin:
+        rr = np.maximum(np.atleast_1d(np.asarray(rs, dtype=float)), 1e-9)
+        out = -(2 * a2 * rr + a4 * rr**3)
+        for spec in bounded:
             out += section_sup_batch(spec, rr, np.maximum(8.0 * spec.char_length(), 2.0 * rr))
         return out
 
@@ -810,23 +690,26 @@ class ConvexityFit:
     radius: float
 
 
-def convexity_at_infinity_fit(
-    U: PotentialSpec,
-    W: Optional[PotentialSpec] = None,
-    r_max: float | None = None,
-    n_r: int = 400,
-    verify_pairs: int = 10**4,
-    seed: int = 2024,
-) -> Optional[ConvexityFit]:
+# the separation modulus grid covers (0, 12 char_length] in 400 steps; the
+# chosen triple is then re-verified on 1e4 random pairs
+_CONV_SPAN = 12.0
+_CONV_NODES = 400
+_CONV_PAIRS = 10**4
+_CONV_SEED = 2024
+
+
+def convexity_at_infinity_fit(U: PotentialSpec, W: Optional[PotentialSpec] = None) -> Optional[ConvexityFit]:
     """Feasible (c_u, c, R) with
        <grad U(x) - grad U(y), x - y> >= c_u |x-y|^2 - c |x-y| 1_{|x-y| <= R}.
 
     Works off the separation modulus m(r) = inf over pairs at distance r of
-    <e, grad U(x) - grad U(y)> / r: for a candidate R the best asymptotic
-    constant is c_u = inf_{r >= R} m(r) and the compensation is
-    c = max_{r <= R} (c_u - m(r))^+ r.  Among feasible triples the one with
-    the largest downstream criterion slack (c_u - K) e^{-cR/4} - 2K is kept
-    and re-verified on random pairs before being returned.
+    <e, grad U(x) - grad U(y)> / r, which is 2 a2 + a4 r^2 for g = a2 r^2 +
+    a4 r^4 (the b0 closed form over r).  On a grid of r, for a candidate R
+    the best asymptotic constant is c_u = inf_{r >= R} m(r) and the
+    compensation is c = max_{r <= R} (c_u - m(r))^+ r.  Among feasible
+    triples the one with the largest downstream criterion slack
+    (c_u - K) e^{-cR/4} - 2K is kept and re-verified on random pairs before
+    being returned.
     """
     if U.bounded:
         raise InvalidSpecError("convexity at infinity needs quadratic-or-faster growth")
@@ -835,16 +718,14 @@ def convexity_at_infinity_fit(
 
     K = 0.0 if W is None or W.is_zero() else W.hess_op_sup()
     char = U.char_length()
-    if r_max is None:
-        r_max = 12.0 * char
-    rs = np.linspace(r_max / n_r, r_max, n_r)
-    span = 8.0 * char + r_max
-    # separation modulus m(r): the section search returns -m(r) * r
-    m = -section_sup_batch(U, rs, span, n=801) / rs
+    r_max = _CONV_SPAN * char
+    rs = np.linspace(r_max / _CONV_NODES, r_max, _CONV_NODES)
+    a2, a4 = U.poly()
+    m = 2 * a2 + a4 * rs**2
 
     suffix_min = np.minimum.accumulate(m[::-1])[::-1]
     best = None
-    for i in range(n_r):
+    for i in range(_CONV_NODES):
         c_u = float(suffix_min[i])
         if c_u <= 0:
             continue
@@ -858,10 +739,10 @@ def convexity_at_infinity_fit(
         return None
     _, c_u, c_val, R = best
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_CONV_SEED)
     scale = 2.0 * (r_max + char)
-    x = rng.uniform(-scale, scale, size=(verify_pairs, U.dim))
-    y = rng.uniform(-scale, scale, size=(verify_pairs, U.dim))
+    x = rng.uniform(-scale, scale, size=(_CONV_PAIRS, U.dim))
+    y = rng.uniform(-scale, scale, size=(_CONV_PAIRS, U.dim))
     diff = x - y
     sep = np.sqrt((diff**2).sum(axis=1))
     keep = sep > 1e-9

@@ -88,6 +88,11 @@ def test_simulate_writes_csv_and_summary(tmp_path):
     csv = (out / "timeseries.csv").read_text().splitlines()
     assert csv[0] == "time,observable_id,mean,variance,replicas"
     assert any("kinetic_energy" in line for line in csv[1:])
+    for line in csv[1:]:  # numbers, not numpy scalar reprs
+        t, name, mean, var, replicas = line.split(",")
+        assert name in ("mean_position", "kinetic_energy")
+        float(t), float(mean), float(var)
+        assert int(replicas) == 64
     summary = json.loads((out / "summary.json").read_text())
     assert summary["kind"] == "simulation"
     assert summary["n_steps"] == 200
