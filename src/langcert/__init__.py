@@ -33,7 +33,6 @@ from .certifier import (
     constants_lsi,
     default_coefficients,
     improved_coefficients,
-    build_T,
     build_Tprime,
     verify_coercivity,
     rate_lambda,

@@ -37,7 +37,6 @@ __all__ = [
     "constants_lsi",
     "default_coefficients",
     "improved_coefficients",
-    "build_T",
     "build_Tprime",
     "verify_coercivity",
     "rate_lambda",
@@ -112,25 +111,11 @@ def default_coefficients(M: float) -> Coefficients:
     )
 
 
-def build_T(a: float, b: float, c: float, M: float) -> np.ndarray:
-    """Symmetric 4x4 coercivity matrix for the single boundedness constant.
+def build_Tprime(a: float, b: float, c: float, M1: float, M2: float) -> np.ndarray:
+    """Symmetric 4x4 coercivity matrix for the split pair (M1, M2); the
+    single-constant matrix T is build_Tprime(a, b, c, M, M).
 
     Quadratic-form order: (|grad_v h|, |grad_v^2 h|, |grad_x h|, |grad_xv^2 h|).
-    """
-    s = math.sqrt(M)
-    return np.array(
-        [
-            [1.0 + a - b * s, 0.0, -(a + b + c * s) / 2.0, -b * s / 2.0],
-            [0.0, a, 0.0, -b],
-            [-(a + b + c * s) / 2.0, 0.0, b, -c * s / 2.0],
-            [-b * s / 2.0, -b, -c * s / 2.0, c],
-        ]
-    )
-
-
-def build_Tprime(a: float, b: float, c: float, M1: float, M2: float) -> np.ndarray:
-    """Symmetric 4x4 coercivity matrix for the split pair (M1, M2).
-
     The sqrt(M2) terms come from bounding the |grad_v h| factor and sit in
     the first row/column; the mixed-Hessian factors carry sqrt(M1), so the
     (1,4) and (3,4) couplings are -b sqrt(M1)/2 and -c sqrt(M1)/2.  The
@@ -230,48 +215,37 @@ def improved_coefficients(M1: float, M2: float) -> tuple[Coefficients, list[str]
             lambda0=CASE1_BETA / (4.0 * M**0.5),
             variant="split_case1",
         )
-        candidates = [cand]
     else:
         denom = 16.0 * M1**2 / 3.0 + 1.0 + 3.0 * math.sqrt(M2) / (8.0 * M1)
         b = 1.0 / denom**2
-        candidates = [
-            Coefficients(a=16.0 * M1**2 * b / 3.0, b=b, c=3.0 * b / (8.0 * M1),
-                         lambda0=b / 4.0, variant="split_case2")
-        ]
-    for cand in candidates:
-        ok = _split_conditions_hold(cand.a, cand.b, cand.c, cand.lambda0, M1, M2)
-        if not ok:
-            notes.append(f"{cand.variant}: sufficient conditions violated")
-            continue
+        cand = Coefficients(a=16.0 * M1**2 * b / 3.0, b=b, c=3.0 * b / (8.0 * M1),
+                            lambda0=b / 4.0, variant="split_case2")
+    if not _split_conditions_hold(cand.a, cand.b, cand.c, cand.lambda0, M1, M2):
+        notes.append(f"{cand.variant}: sufficient conditions violated")
+    else:
         witness = verify_coercivity(build_Tprime(cand.a, cand.b, cand.c, M1, M2), cand.lambda0)
-        if witness < PSD_TOL:
-            notes.append(f"{cand.variant}: PSD witness {witness:.3e} below tolerance")
-            continue
-        return cand, notes
+        if witness >= PSD_TOL:
+            return cand, notes
+        notes.append(f"{cand.variant}: PSD witness {witness:.3e} below tolerance")
     fallback = default_coefficients(max(1.0, M1, M2))
     notes.append("split construction failed; falling back to single-constant defaults")
     return fallback, notes
 
 
-def refine_coefficients(
-    coeffs: Coefficients,
-    M: float,
-    M1: Optional[float],
-    M2: Optional[float],
-    kappa: float,
-    n_rounds: int = 3,
-) -> Coefficients:
+_REFINE_ROUNDS = 3
+
+
+def refine_coefficients(coeffs: Coefficients, M1: float, M2: float, kappa: float) -> Coefficients:
     """Coordinate search around a valid coefficient set, maximizing lambda
-    subject to the PSD witness and b^2 < ac.  Never replaces the literal
+    subject to the PSD witness of build_Tprime(a, b, c, M1, M2) and
+    b^2 < ac, in at most _REFINE_ROUNDS rounds.  Never replaces the literal
     choice in reports; callers store it alongside.
     """
-    split = M1 is not None and M2 is not None
 
     def valid_lambda(a, b, c, lam0):
         if min(a, b, c, lam0) <= 0 or b * b >= a * c:
             return None
-        T = build_Tprime(a, b, c, M1, M2) if split else build_T(a, b, c, M)
-        if verify_coercivity(T, lam0) < PSD_TOL:
+        if verify_coercivity(build_Tprime(a, b, c, M1, M2), lam0) < PSD_TOL:
             return None
         return rate_lambda(lam0, a, c, kappa)
 
@@ -280,7 +254,7 @@ def refine_coefficients(
     if best_lam is None:
         return coeffs
     factors = (0.5, 0.8, 1.0, 1.25, 2.0, 4.0)
-    for _ in range(n_rounds):
+    for _ in range(_REFINE_ROUNDS):
         improved = False
         for k in range(4):
             for f in factors:
@@ -399,13 +373,15 @@ def certify(
     if use_split:
         coeffs, split_notes = improved_coefficients(bc.M1, bc.M2)
         notes.extend(split_notes)
-        if coeffs.variant == "single":
-            T = build_T(coeffs.a, coeffs.b, coeffs.c, max(1.0, bc.M1, bc.M2))
-        else:
-            T = build_Tprime(coeffs.a, coeffs.b, coeffs.c, bc.M1, bc.M2)
     else:
         coeffs = default_coefficients(bc.M)
-        T = build_T(coeffs.a, coeffs.b, coeffs.c, max(1.0, bc.M))
+    # the split variants use T' at (M1, M2); the single-constant choice uses
+    # T = T' at M = M1 = M2, clamped to 1 as in default_coefficients
+    if coeffs.variant == "single":
+        M1 = M2 = max(1.0, bc.M)
+    else:
+        M1, M2 = bc.M1, bc.M2
+    T = build_Tprime(coeffs.a, coeffs.b, coeffs.c, M1, M2)
 
     witness = verify_coercivity(T, coeffs.lambda0)
     c1, c2, C0 = norm_equivalence(coeffs.a, coeffs.b, coeffs.c)
@@ -445,13 +421,7 @@ def certify(
         notes=notes,
     )
     if refine:
-        ref = refine_coefficients(
-            coeffs,
-            M=max(1.0, bc.M),
-            M1=bc.M1 if coeffs.variant.startswith("split") else None,
-            M2=bc.M2 if coeffs.variant.startswith("split") else None,
-            kappa=kappa,
-        )
+        ref = refine_coefficients(coeffs, M1, M2, kappa)
         rc1, rc2, rC0 = norm_equivalence(ref.a, ref.b, ref.c)
         cert.refined = {
             "a": ref.a, "b": ref.b, "c": ref.c, "lambda0": ref.lambda0,
@@ -468,7 +438,6 @@ def certify(
 def assemble_constants(
     U: PotentialSpec,
     W: Optional[PotentialSpec],
-    mode: str = "auto",
     kappa_user: Optional[float] = None,
     cls_user: Optional[float] = None,
     rho_marginal: Optional[float] = None,

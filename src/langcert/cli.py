@@ -6,8 +6,8 @@ a JSON summary carrying the config echo plus its SHA-256 hash, and CSV time
 series for the simulation commands.  Outputs are bit-identical across runs
 with the same config and seed.
 
-Exit codes: 0 success / certified, 1 internal error, 2 missing constant or
-failed certification, 3 resource cap exceeded.
+Exit codes: 0 success / certified, 1 internal error or usage error, 2
+missing constant or failed certification, 3 resource cap exceeded.
 """
 
 from __future__ import annotations
@@ -84,10 +84,6 @@ def _require_keys(config: dict, allowed: set, required: set, where: str) -> None
         raise InvalidSpecError(f"missing keys in {where}: {sorted(missing)}")
 
 
-def _load_model(obj: dict) -> ModelConfig:
-    return ModelConfig.from_json(obj)
-
-
 def _load_integrator(obj: dict) -> IntegratorConfig:
     _require_keys(obj, {"scheme", "dt"}, set(), "integrator")
     return IntegratorConfig(scheme=obj.get("scheme", "baoab"), dt=float(obj.get("dt", 1e-2)))
@@ -107,18 +103,12 @@ def _load_init(obj: dict | None) -> InitSpec:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_certify(config: dict, out_dir: Path, seed: int, mode: str, paper_literal: bool) -> int:
-    _require_keys(
-        config,
-        {"model", "mode", "kappa", "cls", "rho_marginal", "use_split", "refine"},
-        {"model"},
-        "certify config",
-    )
-    model = _load_model(config["model"])
-    mode = config.get("mode", mode)
-    use_split = bool(config.get("use_split", mode == "split"))
-    if mode == "split":
-        mode = "auto"
+def cmd_certify(config: dict, out_dir: Path, seed: int, mode: str | None, paper_literal: bool) -> int:
+    """``mode`` is the --mode flag; it overrides the config's ``mode``."""
+    _require_keys(config, {"model", "mode", "kappa", "cls", "rho_marginal"}, {"model"}, "certify config")
+    model = ModelConfig.from_json(config["model"])
+    mode = mode or config.get("mode", "auto")
+    use_split = mode == "split"
     bundle = certifier.assemble_constants(
         model.U,
         model.W,
@@ -128,9 +118,9 @@ def cmd_certify(config: dict, out_dir: Path, seed: int, mode: str, paper_literal
     )
     cert = certifier.certify(
         bundle,
-        mode=mode,
+        mode="auto" if use_split else mode,
         use_split=use_split,
-        refine=bool(config.get("refine", not paper_literal)),
+        refine=not paper_literal,
     )
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -157,15 +147,11 @@ def cmd_certify(config: dict, out_dir: Path, seed: int, mode: str, paper_literal
 def cmd_simulate(config: dict, out_dir: Path, seed: int) -> int:
     _require_keys(
         config,
-        {"model", "integrator", "replicas", "horizon", "stride", "observables", "init", "fit",
-         "report_format"},
+        {"model", "integrator", "replicas", "horizon", "stride", "observables", "init", "fit"},
         {"model", "integrator", "replicas", "horizon"},
         "simulate config",
     )
-    report_format = config.get("report_format", "csv-bundle")
-    if report_format not in ("json", "csv-bundle"):
-        raise InvalidSpecError(f"unknown report_format {report_format!r}")
-    model = _load_model(config["model"])
+    model = ModelConfig.from_json(config["model"])
     integrator = _load_integrator(config["integrator"])
     observables = tuple(config.get("observables", ["mean_position"]))
     if not observables:
@@ -184,8 +170,7 @@ def cmd_simulate(config: dict, out_dir: Path, seed: int) -> int:
         stride=int(config.get("stride", 1)),
         keep_replica_series=(fit_obs,),
     )
-    if report_format == "csv-bundle":
-        _write_timeseries_csv(out_dir / "timeseries.csv", res.times, res.means, res.variances, res.n_replicas)
+    _write_timeseries_csv(out_dir / "timeseries.csv", res.times, res.means, res.variances, res.n_replicas)
     fit = simulator.fit_decay(
         res.times,
         res.per_replica[fit_obs],
@@ -293,22 +278,25 @@ def build_parser() -> argparse.ArgumentParser:
                         help="JSON config file")
         sp.add_argument("--seed", type=int, default=0, help="master seed (u64)")
         sp.add_argument("--out", type=Path, default=Path("."), help="output directory")
-        sp.add_argument("--mode", choices=("thm3", "thm4", "split"), default=None,
-                        help="certification route")
-        sp.add_argument("--paper-literal", action="store_true",
-                        help="disable coefficient refinement channels")
+        if name == "certify":
+            sp.add_argument("--mode", choices=("thm3", "thm4", "split"), default=None,
+                            help="certification route (overrides the config's mode)")
+            sp.add_argument("--paper-literal", action="store_true",
+                            help="disable coefficient refinement channels")
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_INTERNAL
     try:
         config = json.loads(args.config.read_text()) if args.config else {}
         out_dir = args.out
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "certify":
-            mode = args.mode or config.get("mode", "auto")
-            return cmd_certify(config, out_dir, args.seed, mode, args.paper_literal)
+            return cmd_certify(config, out_dir, args.seed, args.mode, args.paper_literal)
         if args.command == "simulate":
             return cmd_simulate(config, out_dir, args.seed)
         if args.command == "sweep":

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,7 +24,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import InvalidSpecError, TailCoverageError
-from .meanfield import ModelConfig, force_batch, total_potential
+from .meanfield import ModelConfig, force_batch
 from .potentials import PotentialSpec
 
 __all__ = [
@@ -73,36 +73,14 @@ class GridMeasure:
     def expectation(self, values: np.ndarray) -> float:
         return float((self.weights * values).sum())
 
-    @staticmethod
-    def _auto_halfwidth(v_on_axis: Callable[[np.ndarray], np.ndarray], start: float) -> float:
-        half = start
-        for _ in range(40):
-            edges = np.array([half, -half])
-            probe = np.linspace(-half, half, 257)
-            vp = v_on_axis(probe)
-            if float(v_on_axis(edges).min()) - float(vp.min()) >= 34.0:
-                return half
-            half *= 1.5
-        raise TailCoverageError("could not find a box covering the tails", required_halfwidth=half)
-
     @classmethod
-    def from_potential(
-        cls,
-        U: PotentialSpec,
-        halfwidth: float | None = None,
-        n: int = 2001,
-    ) -> "GridMeasure":
-        """Single-particle measure e^{-U} / Z on a 1D grid (U.dim must be 1)."""
+    def from_potential(cls, U: PotentialSpec, halfwidth: float, n: int) -> "GridMeasure":
+        """Single-particle measure e^{-U} / Z on n nodes of [-halfwidth,
+        halfwidth] (U.dim must be 1)."""
         if U.dim != 1:
             raise InvalidSpecError("grid measures need per-particle dimension 1")
-
-        def v(xs):
-            return U.profile(np.abs(np.asarray(xs, dtype=float)))
-
-        if halfwidth is None:
-            halfwidth = cls._auto_halfwidth(v, 4.0 * U.char_length())
         x = np.linspace(-halfwidth, halfwidth, n)
-        logd = -v(x)
+        logd = -U.profile(np.abs(x))
         _check_tails(logd, halfwidth)
         w = np.exp(logd - logd.max())
         Z = float(np.trapezoid(w, x))
@@ -110,22 +88,11 @@ class GridMeasure:
         return cls(axes=(x,), log_density=logd, Z=Z, spacing=float(x[1] - x[0]), grad_log_density=grad)
 
     @classmethod
-    def from_pair_model(
-        cls,
-        model: ModelConfig,
-        halfwidth: float | None = None,
-        n: int = 241,
-    ) -> "GridMeasure":
-        """Mean-field measure of the N = 2, d = 1 model on a 2D tensor grid."""
+    def from_pair_model(cls, model: ModelConfig, halfwidth: float, n: int) -> "GridMeasure":
+        """Mean-field measure of the N = 2, d = 1 model on the tensor grid of
+        n nodes of [-halfwidth, halfwidth] per axis."""
         if model.N != 2 or model.d != 1:
             raise InvalidSpecError("pair grids are restricted to N = 2, d = 1")
-
-        def v_axis(xs):
-            xs = np.asarray(xs, dtype=float)
-            return np.array([total_potential(model, np.array([[x], [0.0]])) for x in xs])
-
-        if halfwidth is None:
-            halfwidth = cls._auto_halfwidth(v_axis, 4.0 * model.U.char_length())
         x = np.linspace(-halfwidth, halfwidth, n)
         X1, X2 = np.meshgrid(x, x, indexing="ij")
         conf = np.stack([X1.ravel(), X2.ravel()], axis=-1)[..., None]  # (n*n, 2, 1)

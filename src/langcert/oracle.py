@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,6 +37,11 @@ __all__ = [
 ]
 
 FN_FAMILIES = ("gaussian_bump_fn", "polynomial_fn", "logistic_fn")
+_PASS_TOL = 1e-8  # relative slack of the quadrature verifiers
+# fd_derivative_suite: random points per spec, their seed, and the pass bound
+_FD_POINTS = 1000
+_FD_SEED = 99
+_FD_REL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -54,13 +59,10 @@ class TestFunctionSpec:
 
     family: str
     params: dict
-    purpose: str = "g_generic"
 
     def __post_init__(self):
         if self.family not in FN_FAMILIES:
             raise InvalidSpecError(f"unknown test function family {self.family!r}")
-        if self.purpose not in ("S_positive", "g_generic"):
-            raise InvalidSpecError(f"unknown purpose {self.purpose!r}")
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -75,6 +77,8 @@ class TestFunctionSpec:
 
 def random_test_function(rng: np.random.Generator, purpose: str = "g_generic") -> TestFunctionSpec:
     """Draw a random test function; positive families only for S weights."""
+    if purpose not in ("S_positive", "g_generic"):
+        raise InvalidSpecError(f"unknown purpose {purpose!r}")
     fams = ("gaussian_bump_fn", "logistic_fn") if purpose == "S_positive" else FN_FAMILIES
     fam = fams[int(rng.integers(len(fams)))]
     if fam == "gaussian_bump_fn":
@@ -87,7 +91,7 @@ def random_test_function(rng: np.random.Generator, purpose: str = "g_generic") -
         params = {"coefficients": [float(c) for c in rng.uniform(-1, 1, size=3)]}
     else:
         params = {"center": float(rng.uniform(-2, 2)), "scale": float(rng.uniform(0.5, 2.0))}
-    return TestFunctionSpec(family=fam, params=params, purpose=purpose)
+    return TestFunctionSpec(family=fam, params=params)
 
 
 @dataclass(frozen=True)
@@ -124,7 +128,6 @@ def verify_lyapunov_lemma(
     measure: GridMeasure,
     S: TestFunctionSpec,
     g: TestFunctionSpec,
-    tol: float = 1e-8,
 ) -> InequalityCheck:
     """Check  Int -(H S / S) g^2 dm <= Int |g'|^2 dm  on a 1D grid,
     with H = Lap - V' d/dx the generator of the measure.
@@ -150,7 +153,7 @@ def verify_lyapunov_lemma(
         name="lyapunov_lemma",
         lhs=lhs,
         rhs=rhs,
-        passed=bool(lhs <= rhs + tol * (1 + abs(rhs))),
+        passed=bool(lhs <= rhs + _PASS_TOL * (1 + abs(rhs))),
         detail={"spacing": dx},
     )
 
@@ -160,8 +163,7 @@ def verify_moment_bound(
     C_LS: float,
     tau: float,
     g_pair: tuple[TestFunctionSpec, TestFunctionSpec],
-    measure: Optional[GridMeasure] = None,
-    tol: float = 1e-8,
+    measure: GridMeasure,
 ) -> InequalityCheck:
     """Pair-distance moment bound on the N = 2, d = 1 mean-field measure:
 
@@ -174,8 +176,6 @@ def verify_moment_bound(
     """
     if not 0.0 < tau < 1.0 / (4.0 * C_LS):
         raise InvalidSpecError("tau must lie in (0, 1/(4 C_LS))")
-    if measure is None:
-        measure = GridMeasure.from_pair_model(model)
     x = measure.axes[0]
     dx = measure.spacing
     g1, g2 = g_pair
@@ -192,7 +192,7 @@ def verify_moment_bound(
         name="moment_bound",
         lhs=lhs,
         rhs=rhs,
-        passed=bool(lhs <= rhs + tol * (1 + abs(rhs))),
+        passed=bool(lhs <= rhs + _PASS_TOL * (1 + abs(rhs))),
         detail={"tau": tau, "C_LS": C_LS, "spacing": dx},
     )
 
@@ -203,8 +203,7 @@ def verify_boundedness_condition(
     M2: float,
     phi: TestFunctionSpec,
     psi_vec: Sequence[float],
-    measure: Optional[GridMeasure] = None,
-    tol: float = 1e-8,
+    measure: GridMeasure,
 ) -> InequalityCheck:
     """Mixed-derivative boundedness condition on separable h(x, v) = phi(x) (psi . v):
 
@@ -222,8 +221,6 @@ def verify_boundedness_condition(
     psi = np.asarray(psi_vec, dtype=float)
     if psi.shape != (2,):
         raise InvalidSpecError("psi must be a vector in R^(N d) = R^2")
-    if measure is None:
-        measure = GridMeasure.from_pair_model(model)
     x = measure.axes[0]
     dx = measure.spacing
     n = x.size
@@ -250,27 +247,22 @@ def verify_boundedness_condition(
         name="boundedness_condition",
         lhs=lhs,
         rhs=rhs,
-        passed=bool(lhs <= rhs * (1 + tol)),
+        passed=bool(lhs <= rhs * (1 + _PASS_TOL)),
         detail={"M1": M1, "M2": M2, "spacing": dx},
     )
 
 
-def fd_derivative_suite(
-    specs: Sequence[PotentialSpec],
-    n_points: int = 1000,
-    seed: int = 99,
-    rel_tol: float = 1e-6,
-) -> list[InequalityCheck]:
+def fd_derivative_suite(specs: Sequence[PotentialSpec]) -> list[InequalityCheck]:
     """Central finite differences vs analytic gradient and Hessian.
 
     Step h = 1e-5 (1 + |x|) per coordinate; the reported lhs is the worst
     relative error over the random points, rhs the tolerance.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_FD_SEED)
     out = []
     for spec in specs:
         d = spec.dim
-        pts = rng.uniform(-4, 4, size=(n_points, d)) * spec.char_length()
+        pts = rng.uniform(-4, 4, size=(_FD_POINTS, d)) * spec.char_length()
         worst_g = worst_h = 0.0
         for x in pts:
             h = 1e-5 * (1 + np.abs(x))
@@ -291,8 +283,8 @@ def fd_derivative_suite(
             InequalityCheck(
                 name=f"fd_{spec.family}",
                 lhs=max(worst_g, worst_h),
-                rhs=rel_tol,
-                passed=bool(max(worst_g, worst_h) < rel_tol),
+                rhs=_FD_REL_TOL,
+                passed=bool(max(worst_g, worst_h) < _FD_REL_TOL),
                 detail={"grad_err": worst_g, "hess_err": worst_h, "dim": spec.dim},
             )
         )

@@ -603,21 +603,24 @@ class LipschitzResult:
         return math.isfinite(self.value)
 
 
-def lipschitz_constant(
-    b0: Callable[[np.ndarray], np.ndarray],
-    s_init: float = 16.0,
-    rel_tail: float = 1e-10,
-    max_doublings: int = 12,
-) -> LipschitzResult:
+# the c_lip domain [0, 16] doubles at most 12 times, until the tail bound
+# falls below 1e-10 of the running value
+_CLIP_S0 = 16.0
+_CLIP_REL_TAIL = 1e-10
+_CLIP_DOUBLINGS = 12
+
+
+def lipschitz_constant(b0: Callable[[np.ndarray], np.ndarray]) -> LipschitzResult:
     """c_lip = (1/4) Int_0^inf exp{(1/4) Int_0^s b0(u) du} s ds.
 
     Cumulative Simpson rule on a uniform grid for both nested integrals; the
     domain doubles until the analytic tail bound (built from the largest b0
-    sample over the last quarter of the domain) falls below ``rel_tail`` of
-    the running value.  A non-integrable tail comes back as the +inf flag.
+    sample over the last quarter of the domain) falls below
+    ``_CLIP_REL_TAIL`` of the running value.  A non-integrable tail comes
+    back as the +inf flag.
     """
-    s_max = float(s_init)
-    for _ in range(max_doublings):
+    s_max = _CLIP_S0
+    for _ in range(_CLIP_DOUBLINGS):
         n = max(4097, min(int(s_max * 256) + 1, 2_000_001))
         s = np.linspace(0.0, s_max, n)
         b = np.asarray(b0(s), dtype=float)
@@ -630,7 +633,7 @@ def lipschitz_constant(
         if b_tail < 0.0:
             beta = -b_tail / 4.0
             tail = 0.25 * math.exp(inner[-1]) * (s_max / beta + 1.0 / beta**2)
-            if value > 0 and tail < rel_tail * value:
+            if value > 0 and tail < _CLIP_REL_TAIL * value:
                 return LipschitzResult(value, True, s_max)
         s_max *= 2.0
     return LipschitzResult(math.inf, False, s_max)

@@ -50,6 +50,11 @@ _DOMAIN_DYNAMICS = 0
 _DOMAIN_INIT_POS = 1
 _DOMAIN_INIT_VEL = 2
 _SLAB_WORDS = 2**14  # raw Philox words converted to normals per pass
+_REPLICA_CHUNK = 4096  # replicas integrated together by run
+_TIME_BLOCK = 256  # steps of noise drawn per block
+_BOOT_RESAMPLES = 200  # bootstrap refits of fit_decay
+_BOOT_SEED = 777
+_ENV_FRACTION = 0.5  # fit points keep |s| >= this fraction of the envelope
 
 
 @dataclass(frozen=True)
@@ -90,8 +95,6 @@ class InitSpec:
 class EnsembleState:
     positions: np.ndarray  # (R, N, d)
     velocities: np.ndarray  # (R, N, d)
-    time: float
-    master_seed: int
 
 
 @dataclass(frozen=True)
@@ -131,14 +134,14 @@ def _stream_keys(master_seed: int, domain: int, replicas: Sequence[int], labels:
     return keys
 
 
-def _words_to_normals(words: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+def _words_to_normals(words: np.ndarray, out: np.ndarray) -> np.ndarray:
     """One uint64 word -> one uniform in (0,1) -> one normal, no state involved.
 
-    With ``out`` (float64, the shape of ``words``) the conversion runs in
-    place: ``words`` is overwritten by its shifted value and the normals are
-    written to ``out``.
+    The conversion runs in place: ``words`` is overwritten by its shifted
+    value and the normals are written to ``out`` (float64, the shape of
+    ``words``).
     """
-    top = np.right_shift(words, np.uint64(11), out=None if out is None else words)
+    top = np.right_shift(words, np.uint64(11), out=words)
     u = np.multiply(top, 2.0**-53, out=out)
     np.add(u, 2.0**-54, out=u)
     return ndtri(u, out=u)
@@ -211,7 +214,7 @@ def initial_state(
     streams start at word zero regardless of initialization)."""
     labels = list(range(model.N)) if labels is None else list(labels)
     pos, vel = _draw_init(master_seed, list(range(replicas)), labels, model.d, init or InitSpec())
-    return EnsembleState(positions=pos, velocities=vel, time=0.0, master_seed=master_seed)
+    return EnsembleState(positions=pos, velocities=vel)
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +316,6 @@ def run(
     stride: int = 1,
     keep_replica_series: Sequence[str] = (),
     labels: Optional[Sequence[int]] = None,
-    replica_chunk: int = 4096,
-    time_block: int = 256,
 ) -> RunResult:
     """Integrate an ensemble and record observable statistics every ``stride``
     steps (plus the initial point).
@@ -323,7 +324,9 @@ def run(
     functions of (master_seed, replica, label) and do not depend on the
     chunking.  Ensemble reductions run in a fixed order determined by the
     run parameters and involve no BLAS reduction, so repeated runs are
-    bit-identical (chunk sizes only regroup floating-point sums).
+    bit-identical (chunk sizes only regroup floating-point sums).  The
+    state is checked after every block of steps, and the first non-finite
+    block raises ResourceCapError naming its steps and replicas.
     Per-replica series are retained for the observables named in
     ``keep_replica_series``, recorded or not in ``observables`` (needed for
     bootstrap decay fits).
@@ -353,8 +356,8 @@ def run(
     final_v = np.empty_like(final_x)
 
     lab = list(range(model.N)) if labels is None else list(labels)
-    for lo in range(0, replicas, replica_chunk):
-        hi = min(lo + replica_chunk, replicas)
+    for lo in range(0, replicas, _REPLICA_CHUNK):
+        hi = min(lo + _REPLICA_CHUNK, replicas)
         chunk_reps = list(range(lo, hi))
         x, v = _draw_init(master_seed, chunk_reps, lab, model.d, init or InitSpec())
         streams = NoiseStreams(master_seed, chunk_reps, lab, model.d)
@@ -374,7 +377,7 @@ def run(
         record(x, v)
         done = 0
         while done < n_steps:
-            nb = min(time_block, n_steps - done)
+            nb = min(_TIME_BLOCK, n_steps - done)
             noise = streams.normals(nb)
             base = done
 
@@ -383,9 +386,11 @@ def run(
                     record(x_now, v_now)
 
             x, v = _advance_block(model, integrator, x, v, noise, callback=cb)
+            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
+                raise ResourceCapError(
+                    f"non-finite state in steps {done + 1}-{done + nb} of replicas "
+                    f"{lo}-{hi - 1} (reduce dt)")
             done += nb
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
-            raise ResourceCapError("non-finite state at end of run (reduce dt)")
         final_x[lo:hi] = x
         final_v[lo:hi] = v
 
@@ -393,16 +398,12 @@ def run(
     variances = {
         name: np.maximum(sqsums[name] / replicas - means[name] ** 2, 0.0) for name in observables
     }
-    final_state = EnsembleState(
-        positions=final_x, velocities=final_v, time=n_steps * integrator.dt,
-        master_seed=master_seed,
-    )
     return RunResult(
         times=times,
         means=means,
         variances=variances,
         n_replicas=replicas,
-        final_state=final_state,
+        final_state=EnsembleState(positions=final_x, velocities=final_v),
         per_replica=per_rep,
     )
 
@@ -459,7 +460,6 @@ def _fit_lambda(
     t: np.ndarray,
     s: np.ndarray,
     sigma: np.ndarray,
-    theta: float = 0.5,
     window: Optional[tuple[float, float]] = None,
 ) -> Optional[tuple[float, float, int, tuple[float, float]]]:
     """Envelope-aware log-linear fit; returns (lambda, r^2, n_points, window).
@@ -491,7 +491,7 @@ def _fit_lambda(
         below = np.nonzero(env[i0:] < 3 * sigma[i0:])[0]
         i1 = i0 + int(below[0]) if below.size else n
     tt, ss, ee, gg = t[i0:i1], s[i0:i1], env[i0:i1], sigma[i0:i1]
-    mask = (np.abs(ss) >= theta * ee) & (np.abs(ss) > 3 * gg)
+    mask = (np.abs(ss) >= _ENV_FRACTION * ee) & (np.abs(ss) > 3 * gg)
     if int(mask.sum()) < 5:
         return None
     ty, ly = tt[mask], np.log(np.abs(ss[mask]))
@@ -508,8 +508,6 @@ def fit_decay(
     per_replica: np.ndarray,
     equilibrium_value: float,
     observable_id: str = "",
-    n_boot: int = 200,
-    boot_seed: int = 777,
     window: Optional[tuple[float, float]] = None,
 ) -> Optional[DecayFit]:
     """Exponential decay rate of |ensemble mean - equilibrium| with bootstrap CI.
@@ -537,9 +535,9 @@ def fit_decay(
         return None
     lam, r2, n_pts, window = fit
 
-    rng = np.random.default_rng(boot_seed)
+    rng = np.random.default_rng(_BOOT_SEED)
     boots = []
-    for _ in range(n_boot):
+    for _ in range(_BOOT_RESAMPLES):
         # one gather, then ndarray.var's own ufunc sequence, in place
         b = per_replica[rng.integers(0, R, size=R)]
         bmean = b.mean(axis=0)

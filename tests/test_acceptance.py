@@ -11,7 +11,6 @@ import math
 import numpy as np
 
 from langcert.certifier import (
-    build_T,
     build_Tprime,
     certify,
     default_coefficients,
@@ -40,7 +39,7 @@ def report(k, detail):
 def test_criterion_01_paper_literal_coefficients():
     c = default_coefficients(1.0)
     assert (c.a, c.b, c.c, c.lambda0) == (1 / 25, 1 / 200, 1 / 800, 1 / 440)
-    witness = verify_coercivity(build_T(c.a, c.b, c.c, 1.0), c.lambda0)
+    witness = verify_coercivity(build_Tprime(c.a, c.b, c.c, 1.0, 1.0), c.lambda0)
     assert witness >= -1e-12
     report(1, f"(a,b,c,lambda0) exact at M=1; min eig S = {witness:.3e} >= -1e-12")
 

@@ -8,7 +8,6 @@ from langcert.certifier import (
     CASE1_BETA,
     CASE1_GAMMA,
     assemble_constants,
-    build_T,
     build_Tprime,
     certify,
     constants_bounded_grad,
@@ -103,29 +102,34 @@ def test_default_coefficients_clamped_below_one():
 
 def test_T_entry_value():
     c = default_coefficients(1.0)
-    T = build_T(c.a, c.b, c.c, 1.0)
+    T = build_Tprime(c.a, c.b, c.c, 1.0, 1.0)
     assert T[0, 0] == pytest.approx(1 + 1 / 25 - 1 / 200)
     assert np.allclose(T, T.T)
 
 
 def test_T_no_mixed_term_loses_coercivity():
     # b = c = 0: no dissipation in the position direction
-    T = build_T(1.0, 0.0, 0.0, 1.0)
+    T = build_Tprime(1.0, 0.0, 0.0, 1.0, 1.0)
     assert verify_coercivity(T, 1e-3) < -1e-12
 
 
 def test_paper_default_choice_is_coercive():
     c = default_coefficients(1.0)
-    T = build_T(c.a, c.b, c.c, 1.0)
+    T = build_Tprime(c.a, c.b, c.c, 1.0, 1.0)
     assert verify_coercivity(T, c.lambda0) >= -1e-12
 
 
 def test_Tprime_equals_T_when_M1_eq_M2():
+    # at M1 = M2 = M, T' is the paper's single-constant matrix T, byte for byte
     c = default_coefficients(4.0)
-    M = 4.0
-    Tp = build_Tprime(c.a, c.b, c.c, M, M)
-    T = build_T(c.a, c.b, c.c, M)
-    assert np.allclose(Tp, T, atol=1e-15)
+    a, b, cc, s = c.a, c.b, c.c, math.sqrt(4.0)
+    T = np.array([
+        [1.0 + a - b * s, 0.0, -(a + b + cc * s) / 2.0, -b * s / 2.0],
+        [0.0, a, 0.0, -b],
+        [-(a + b + cc * s) / 2.0, 0.0, b, -cc * s / 2.0],
+        [-b * s / 2.0, -b, -cc * s / 2.0, cc],
+    ])
+    assert build_Tprime(a, b, cc, 4.0, 4.0).tobytes() == T.tobytes()
 
 
 def test_coercivity_rejects_nonsymmetric():
@@ -290,7 +294,7 @@ def test_certificate_independent_of_N():
     assert cert_a.to_json() == cert_b.to_json()
     import inspect
     for fn in (certify, constants_bounded_grad, constants_lsi, default_coefficients,
-               improved_coefficients, build_T, build_Tprime, rate_lambda, norm_equivalence):
+               improved_coefficients, build_Tprime, rate_lambda, norm_equivalence):
         assert "N" not in inspect.signature(fn).parameters
 
 
@@ -337,7 +341,8 @@ def test_refine_keeps_validity():
     bundle = assemble_constants(QUAD, small_bump(0.1))
     bc = constants_bounded_grad(bundle.K, bundle.K_prime, bundle.K1, bundle.K2, bundle.d)
     coeffs = default_coefficients(bc.M)
-    better = refine_coefficients(coeffs, max(1.0, bc.M), None, None, kappa=bundle.kappa)
-    w = verify_coercivity(build_T(better.a, better.b, better.c, max(1.0, bc.M)), better.lambda0)
+    M = max(1.0, bc.M)
+    better = refine_coefficients(coeffs, M, M, kappa=bundle.kappa)
+    w = verify_coercivity(build_Tprime(better.a, better.b, better.c, M, M), better.lambda0)
     assert w >= -1e-12
     assert better.b**2 < better.a * better.c

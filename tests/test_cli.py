@@ -1,7 +1,8 @@
+import argparse
 import json
 from pathlib import Path
 
-from langcert.cli import main
+from langcert.cli import build_parser, main
 
 QUAD_U = {"family": "quadratic", "params": {"coef": 1.0}, "dim": 1}
 SMALL_BUMP = {"family": "gaussian_bump", "params": {"amplitude": 0.1, "width": 1.0, "sign": "attractive"}, "dim": 1}
@@ -257,3 +258,66 @@ def test_certificate_identical_across_N(tmp_path):
         assert main(["certify", "--config", str(cfg), "--out", str(out), "--seed", "1"]) == 0
         certs.append(json.loads((out / "certificate.json").read_text())["certificate"])
     assert certs[0] == certs[1]
+
+
+def test_certify_mode_flag_overrides_config_mode(tmp_path):
+    # the config's mode applies only when --mode is absent
+    model = {"N": 4, "d": 1, "U": DW_U, "W": SMALL_BUMP}
+    cfg = write_config(tmp_path, "c.json", {"model": model, "mode": "thm3"})
+    out = tmp_path / "split"
+    assert main(["certify", "--config", str(cfg), "--out", str(out), "--mode", "split"]) == 0
+    report = json.loads((out / "certificate.json").read_text())
+    assert report["certificate"]["variant"].startswith("split")
+    assert "certificate_single" in report
+
+    cfg = write_config(tmp_path, "q.json", {"model": {**model, "U": QUAD_U}, "mode": "thm3"})
+    for flag, want in ((["--mode", "thm4"], "thm4"), ([], "thm3")):
+        out = tmp_path / f"q{want}"
+        assert main(["certify", "--config", str(cfg), "--out", str(out), *flag]) == 0
+        assert json.loads((out / "certificate.json").read_text())["certificate"]["mode"] == want
+
+
+def test_usage_errors_exit_one(tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.json", {"model": {"N": 4, "d": 1, "U": QUAD_U}})
+    for argv in (
+        [],
+        ["certify"],  # --config is required
+        ["certify", "--config", str(cfg), "--bogus"],
+        ["certify", "--config", str(cfg), "--mode", "thm5"],
+        ["simulate", "--config", str(cfg), "--mode", "split"],  # certify-only flags
+        ["sweep", "--config", str(cfg), "--paper-literal"],
+        ["oracle", "--mode", "thm3"],
+    ):
+        assert main(argv) == 1, argv
+        assert "usage:" in capsys.readouterr().err
+    assert main(["--help"]) == 0
+    assert main(["certify", "--help"]) == 0
+    assert "--paper-literal" in capsys.readouterr().out
+
+
+def _readme_usage() -> dict:
+    """The README's ``langcert <command> ...`` lines: command -> {flag: choices or None}."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    usage = {}
+    for line in readme.splitlines():
+        words = line.replace("[", " ").replace("]", " ").split()
+        if len(words) < 2 or words[0] != "langcert":
+            continue
+        flags = {}
+        for k, word in enumerate(words):
+            if word.startswith("--"):
+                value = words[k + 1] if k + 1 < len(words) else ""
+                flags[word] = set(value.split("|")) if "|" in value else None
+        usage[words[1]] = flags
+    return usage
+
+
+def test_readme_usage_matches_parser():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    usage = _readme_usage()
+    assert set(usage) == set(sub.choices) == {"certify", "simulate", "sweep", "oracle"}
+    for name, parser in sub.choices.items():
+        actual = {opt: set(a.choices) if a.choices else None
+                  for a in parser._actions for opt in a.option_strings if opt.startswith("--")}
+        actual.pop("--help")
+        assert usage[name] == actual, name

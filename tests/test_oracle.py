@@ -67,6 +67,8 @@ def test_lyapunov_lemma_random_battery(measure_1d):
         g = random_test_function(rng, "g_generic")
         chk = verify_lyapunov_lemma(measure_1d, S, g)
         assert chk.passed
+    with pytest.raises(InvalidSpecError):
+        random_test_function(rng, "S_generic")
 
 
 def test_lyapunov_lemma_rejects_nonpositive_S(measure_1d):
@@ -180,7 +182,7 @@ def test_fd_suite_all_families():
         PotentialSpec("gaussian_bump", {"amplitude": 1.0, "width": 1.0, "sign": "attractive"},
                       dim=1, role="interaction"),
         PotentialSpec("cosine", {"amplitude": 0.7, "frequency": 1.3}, dim=1, role="interaction"),
-    ], n_points=200)
+    ])
     assert all(c.passed for c in checks)
 
 

@@ -61,6 +61,45 @@ def test_run_caps_and_validation():
         run(MODEL, IntegratorConfig("baoab", 1e-2), 1, 1.0, 0, observables=("bogus",))
 
 
+def test_run_stops_at_first_nonfinite_block(monkeypatch):
+    # a quartic started at offset 20 with dt = 0.1 overflows within ten steps;
+    # run stops after the first block of 256 instead of integrating to 1000
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return _advance_block(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "_advance_block", counting)
+    model = ModelConfig(N=2, d=1, U=PotentialSpec("quartic_double_well",
+                                                  {"quartic": 0.25, "well": 0.5}, dim=1))
+    with np.errstate(all="ignore"), pytest.raises(ResourceCapError) as exc:
+        run(model, IntegratorConfig("baoab", 0.1), 4, 100.0, 0, init=InitSpec(position_offset=20.0))
+    assert str(exc.value) == "non-finite state in steps 1-256 of replicas 0-3 (reduce dt)"
+    assert len(calls) == 1
+
+
+def test_run_names_nonfinite_steps_and_replicas(monkeypatch):
+    # chunks of 3 replicas, blocks of 7 steps: the third block of the second
+    # chunk turns non-finite, so the error names steps 15-21 of replicas 3-5
+    calls = []
+
+    def poisoned(model, integrator, x, v, noise, callback=None):
+        calls.append(x.shape[0])
+        x, v = _advance_block(model, integrator, x, v, noise, callback)
+        if len(calls) == 3 + 3:  # three blocks of chunk 0, then the third of chunk 1
+            x = x.copy()
+            x[1, 0, 0] = np.nan
+        return x, v
+
+    monkeypatch.setattr(simulator, "_REPLICA_CHUNK", 3)
+    monkeypatch.setattr(simulator, "_TIME_BLOCK", 7)
+    monkeypatch.setattr(simulator, "_advance_block", poisoned)
+    with pytest.raises(ResourceCapError, match=r"^non-finite state in steps 15-21 of replicas 3-5 "):
+        run(MODEL, IntegratorConfig("baoab", 0.01), 8, 0.21, 0)
+    assert calls == [3, 3, 3, 3, 3, 3]
+
+
 # ---------------------------------------------------------------------------
 # noise streams
 # ---------------------------------------------------------------------------
@@ -173,10 +212,12 @@ def test_determinism_same_seed_bit_identical():
     assert np.array_equal(r1.final_state.positions, r2.final_state.positions)
 
 
-def test_trajectories_chunk_invariant():
+def test_trajectories_chunk_invariant(monkeypatch):
     kw = dict(observables=("mean_position",), stride=10)
     r1 = run(MODEL, IntegratorConfig("baoab", 0.01), 10, 0.5, 42, **kw)
-    r2 = run(MODEL, IntegratorConfig("baoab", 0.01), 10, 0.5, 42, replica_chunk=3, time_block=7, **kw)
+    monkeypatch.setattr(simulator, "_REPLICA_CHUNK", 3)
+    monkeypatch.setattr(simulator, "_TIME_BLOCK", 7)
+    r2 = run(MODEL, IntegratorConfig("baoab", 0.01), 10, 0.5, 42, **kw)
     assert np.array_equal(r1.final_state.positions, r2.final_state.positions)
     assert np.array_equal(r1.final_state.velocities, r2.final_state.velocities)
 
