@@ -269,6 +269,15 @@ def cmd_oracle(config: dict, out_dir: Path, seed: int) -> int:
     return EXIT_OK if report["all_passed"] else EXIT_INTERNAL
 
 
+def _seed(text: str) -> int:
+    """--seed: an integer in [0, 2**64), the key word every Philox stream
+    shares (numpy's generators take no negative seed, and a wider one would
+    alias a seed in range)."""
+    if not (text.isascii() and text.isdigit() and int(text) < 2**64):
+        raise argparse.ArgumentTypeError(f"seed must be an integer in [0, 2**64), got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="langcert", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -276,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         sp.add_argument("--config", type=Path, required=(name != "oracle"),
                         help="JSON config file")
-        sp.add_argument("--seed", type=int, default=0, help="master seed (u64)")
+        sp.add_argument("--seed", type=_seed, default=0, help="master seed, in [0, 2**64)")
         sp.add_argument("--out", type=Path, default=Path("."), help="output directory")
         if name == "certify":
             sp.add_argument("--mode", choices=("thm3", "thm4", "split"), default=None,

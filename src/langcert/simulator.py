@@ -14,12 +14,25 @@ N-sweeps seed-comparable and particle relabeling an exact symmetry (carry
 the labels along).  Uniform words map to normals through the inverse CDF,
 one word per normal, so the k-th step of a stream is a pure function of the
 key regardless of chunking.
+
+Replicas advance in chunks.  A chunk with enough pair-force work is split
+into contiguous replica slabs, one per usable core, that advance on a thread
+pool block by block (numpy releases the interpreter lock inside its loops).
+Each slab owns its streams, and each replica's force does not depend on the
+batch it comes in, so a slab computes exactly what the whole chunk would;
+the main thread reduces the per-replica observable values in replica order.
+Every output is therefore byte-identical at any thread count.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -28,7 +41,7 @@ from numpy.random import Philox
 from scipy.special import ndtri
 
 from .errors import InvalidSpecError, ResourceCapError
-from .meanfield import ModelConfig, force_batch
+from .meanfield import _PAIR_SLAB, ModelConfig, force_batch
 
 __all__ = [
     "IntegratorConfig",
@@ -52,6 +65,8 @@ _DOMAIN_INIT_VEL = 2
 _SLAB_WORDS = 2**14  # raw Philox words converted to normals per pass
 _REPLICA_CHUNK = 4096  # replicas integrated together by run
 _TIME_BLOCK = 256  # steps of noise drawn per block
+# usable cores, the most replica slabs run advances at once
+_THREADS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _BOOT_RESAMPLES = 200  # bootstrap refits of fit_decay
 _BOOT_SEED = 777
 _ENV_FRACTION = 0.5  # fit points keep |s| >= this fraction of the envelope
@@ -305,6 +320,48 @@ class RunResult:
     per_replica: dict = field(default_factory=dict)
 
 
+def _slab_count(model: ModelConfig, chunk: int) -> int:
+    """Replica slabs a chunk is split into: one per usable core, but only
+    where each slab holds at least one ``_PAIR_SLAB`` of pair-force work
+    (threads cost more than they save on a light chunk)."""
+    if model.W is None or model.W.is_zero():
+        return 1
+    return max(1, min(_THREADS, chunk * model.N**2 // _PAIR_SLAB))
+
+
+def _observe(model: ModelConfig, x: np.ndarray, v: np.ndarray, bufs: dict, row: int, cols: slice) -> None:
+    for name, buf in bufs.items():
+        buf[row, cols] = OBSERVABLES[name](model, x, v)
+
+
+def _advance_slab(
+    model: ModelConfig,
+    integrator: IntegratorConfig,
+    x: np.ndarray,
+    v: np.ndarray,
+    streams: NoiseStreams,
+    cols: slice,
+    first: int,
+    n_steps: int,
+    stride: int,
+    bufs: dict,
+) -> None:
+    """Advance the chunk's replicas ``cols`` (with their ``streams``) in place
+    through steps first+1 .. first+n_steps, writing their observable values
+    at the k-th record step of the block into row k, columns ``cols``, of
+    ``bufs``."""
+    noise = streams.normals(n_steps)
+    row = 0
+
+    def record(k, x_now, v_now):
+        nonlocal row
+        if (first + k + 1) % stride == 0:
+            _observe(model, x_now, v_now, bufs, row, cols)
+            row += 1
+
+    x[cols], v[cols] = _advance_block(model, integrator, x[cols], v[cols], noise, callback=record)
+
+
 def run(
     model: ModelConfig,
     integrator: IntegratorConfig,
@@ -322,14 +379,15 @@ def run(
 
     Replicas are independent: per-replica noise and trajectories are exact
     functions of (master_seed, replica, label) and do not depend on the
-    chunking.  Ensemble reductions run in a fixed order determined by the
-    run parameters and involve no BLAS reduction, so repeated runs are
-    bit-identical (chunk sizes only regroup floating-point sums).  The
-    state is checked after every block of steps, and the first non-finite
-    block raises ResourceCapError naming its steps and replicas.
-    Per-replica series are retained for the observables named in
-    ``keep_replica_series``, recorded or not in ``observables`` (needed for
-    bootstrap decay fits).
+    chunking or on the replica slabs a chunk advances in on threads.
+    Ensemble reductions run on the calling thread in a fixed order
+    determined by the run parameters and involve no BLAS reduction, so
+    repeated runs are bit-identical at any thread count (chunk sizes only
+    regroup floating-point sums).  The state is checked after every block
+    of steps, and the first non-finite block raises ResourceCapError naming
+    its steps and replicas.  Per-replica series are retained for the
+    observables named in ``keep_replica_series``, recorded or not in
+    ``observables`` (needed for bootstrap decay fits).
     """
     if replicas < 1:
         raise InvalidSpecError("replicas must be >= 1")
@@ -351,6 +409,7 @@ def run(
     sums = {name: np.zeros(n_rec) for name in observables}
     sqsums = {name: np.zeros(n_rec) for name in observables}
     per_rep = {name: np.empty((replicas, n_rec)) for name in keep_replica_series}
+    names = list(dict.fromkeys([*observables, *keep_replica_series]))
 
     final_x = np.empty((replicas, model.N, model.d))
     final_v = np.empty_like(final_x)
@@ -358,41 +417,46 @@ def run(
     lab = list(range(model.N)) if labels is None else list(labels)
     for lo in range(0, replicas, _REPLICA_CHUNK):
         hi = min(lo + _REPLICA_CHUNK, replicas)
-        chunk_reps = list(range(lo, hi))
-        x, v = _draw_init(master_seed, chunk_reps, lab, model.d, init or InitSpec())
-        streams = NoiseStreams(master_seed, chunk_reps, lab, model.d)
+        x, v = final_x[lo:hi], final_v[lo:hi]
+        x[...], v[...] = _draw_init(master_seed, list(range(lo, hi)), lab, model.d, init or InitSpec())
+        n_slabs = _slab_count(model, hi - lo)
+        edges = [(hi - lo) * s // n_slabs for s in range(n_slabs + 1)]
+        slabs = [(NoiseStreams(master_seed, range(lo + a, lo + b), lab, model.d), slice(a, b))
+                 for a, b in zip(edges, edges[1:])]
 
-        rec_idx = 0
-
-        def record(x_now, v_now):
-            nonlocal rec_idx
+        def reduce(bufs, first):
+            # records first, first + 1, ... of the chunk, each row in replica order
             for name in observables:
-                vals = OBSERVABLES[name](model, x_now, v_now)
-                sums[name][rec_idx] += vals.sum()
-                sqsums[name][rec_idx] += (vals**2).sum()
+                for r, row in enumerate(bufs[name], first):
+                    sums[name][r] += row.sum()
+                    sqsums[name][r] += (row**2).sum()
             for name in per_rep:
-                per_rep[name][lo:hi, rec_idx] = OBSERVABLES[name](model, x_now, v_now)
-            rec_idx += 1
+                per_rep[name][lo:hi, first:first + len(bufs[name])] = bufs[name].T
 
-        record(x, v)
-        done = 0
-        while done < n_steps:
-            nb = min(_TIME_BLOCK, n_steps - done)
-            noise = streams.normals(nb)
-            base = done
-
-            def cb(k, x_now, v_now):
-                if (base + k + 1) % stride == 0:
-                    record(x_now, v_now)
-
-            x, v = _advance_block(model, integrator, x, v, noise, callback=cb)
-            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
-                raise ResourceCapError(
-                    f"non-finite state in steps {done + 1}-{done + nb} of replicas "
-                    f"{lo}-{hi - 1} (reduce dt)")
-            done += nb
-        final_x[lo:hi] = x
-        final_v[lo:hi] = v
+        bufs = {name: np.empty((1, hi - lo)) for name in names}
+        _observe(model, x, v, bufs, 0, slice(None))
+        reduce(bufs, 0)
+        with ThreadPoolExecutor(n_slabs) if n_slabs > 1 else nullcontext() as pool:
+            done = 0
+            while done < n_steps:
+                nb = min(_TIME_BLOCK, n_steps - done)
+                bufs = {name: np.empty(((done + nb) // stride - done // stride, hi - lo)) for name in names}
+                work = partial(_advance_slab, model, integrator, x, v,
+                               first=done, n_steps=nb, stride=stride, bufs=bufs)
+                if pool is None:
+                    work(*slabs[0])
+                else:
+                    # each worker runs in a copy of the caller's context, so
+                    # np.errstate applies to every slab as it does inline
+                    futures = [pool.submit(contextvars.copy_context().run, work, *s) for s in slabs]
+                    for f in futures:
+                        f.result()
+                if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
+                    raise ResourceCapError(
+                        f"non-finite state in steps {done + 1}-{done + nb} of replicas "
+                        f"{lo}-{hi - 1} (reduce dt)")
+                reduce(bufs, done // stride + 1)
+                done += nb
 
     means = {name: sums[name] / replicas for name in observables}
     variances = {

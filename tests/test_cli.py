@@ -295,6 +295,26 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert "--paper-literal" in capsys.readouterr().out
 
 
+def test_seed_outside_u64_exit_one(tmp_path, capsys):
+    # a negative seed used to crash the oracle and alias seed 2**64 - 1 in
+    # simulate; 2**64 aliased seed 0
+    cfg = write_config(tmp_path, "s.json", {
+        "model": {"N": 2, "d": 1, "U": QUAD_U},
+        "integrator": {"scheme": "baoab", "dt": 0.01},
+        "replicas": 4, "horizon": 0.1,
+    })
+    for command in (["oracle"], ["simulate", "--config", str(cfg)]):
+        for seed in ("-1", str(2**64), "1.5", "seven"):
+            out = tmp_path / "o"
+            assert main([*command, "--out", str(out), "--seed", seed]) == 1, (command, seed)
+            err = capsys.readouterr().err
+            assert f"argument --seed: seed must be an integer in [0, 2**64), got '{seed}'" in err
+            assert not out.exists() or not any(out.iterdir())
+    out = tmp_path / "top"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out), "--seed", str(2**64 - 1)]) == 0
+    assert json.loads((out / "summary.json").read_text())["seed"] == 2**64 - 1
+
+
 def _readme_usage() -> dict:
     """The README's ``langcert <command> ...`` lines: command -> {flag: choices or None}."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

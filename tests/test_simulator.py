@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -220,6 +222,119 @@ def test_trajectories_chunk_invariant(monkeypatch):
     r2 = run(MODEL, IntegratorConfig("baoab", 0.01), 10, 0.5, 42, **kw)
     assert np.array_equal(r1.final_state.positions, r2.final_state.positions)
     assert np.array_equal(r1.final_state.velocities, r2.final_state.velocities)
+
+
+# ---------------------------------------------------------------------------
+# replica slabs on threads
+# ---------------------------------------------------------------------------
+
+def _bump(d, amplitude=0.5):
+    return PotentialSpec("gaussian_bump", {"amplitude": amplitude, "width": 1.0, "sign": "attractive"},
+                         dim=d, role="interaction")
+
+
+def _double_well(d):
+    return PotentialSpec("quartic_double_well", {"quartic": 0.25, "well": 0.5}, dim=d)
+
+
+def _record_pools(monkeypatch) -> list:
+    """Swap the simulator's thread pool for one that records its worker count."""
+    sizes = []
+
+    class Pool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(simulator, "ThreadPoolExecutor", Pool)
+    return sizes
+
+
+@pytest.mark.parametrize("model, scheme", [
+    (ModelConfig(N=5, d=1, U=_double_well(1), W=_bump(1)), "baoab"),
+    (ModelConfig(N=4, d=2, U=_double_well(2), W=_bump(2)), "euler_maruyama"),
+])
+def test_outputs_do_not_depend_on_thread_count(model, scheme, monkeypatch):
+    # a grain of one pair entry splits every chunk into one slab per thread:
+    # chunks of 7, 7 and 3 replicas, slabs of 3+4 or 2+2+3 (and 1+1+1)
+    sizes = _record_pools(monkeypatch)
+    monkeypatch.setattr(simulator, "_PAIR_SLAB", 1)
+    monkeypatch.setattr(simulator, "_REPLICA_CHUNK", 7)
+    monkeypatch.setattr(simulator, "_TIME_BLOCK", 10)
+    names = tuple(OBSERVABLES)
+    got = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the slab threads as finely as possible
+    try:
+        for threads in (1, 2, 3):
+            monkeypatch.setattr(simulator, "_THREADS", threads)
+            res = run(model, IntegratorConfig(scheme, 0.01), 17, 0.5, 3,
+                      observables=names, stride=3, keep_replica_series=names)
+            got[threads] = [res.times.tobytes(), res.final_state.positions.tobytes(),
+                            res.final_state.velocities.tobytes()]
+            for name in names:
+                got[threads] += [res.means[name].tobytes(), res.variances[name].tobytes(),
+                                 res.per_replica[name].tobytes()]
+    finally:
+        sys.setswitchinterval(interval)
+    assert sizes == [2, 2, 2, 3, 3, 3]
+    assert got[2] == got[1] and got[3] == got[1]
+
+
+def test_split_names_the_same_nonfinite_block(monkeypatch):
+    # NaN noise for replica 4 in its third block of 7 steps: every thread
+    # count names steps 15-21 of chunk 3-5, and the last chunk never starts
+    created = []
+
+    class Poisoned(NoiseStreams):
+        def __init__(self, seed, replicas, labels, d):
+            super().__init__(seed, replicas, labels, d)
+            self.replicas, self.blocks = list(replicas), 0
+            created.extend(self.replicas)
+
+        def normals(self, n_steps):
+            out = super().normals(n_steps)
+            self.blocks += 1
+            if self.blocks == 3 and 4 in self.replicas:
+                out[self.replicas.index(4), 0, 0, 0] = np.nan
+            return out
+
+    sizes = _record_pools(monkeypatch)
+    monkeypatch.setattr(simulator, "NoiseStreams", Poisoned)
+    monkeypatch.setattr(simulator, "_PAIR_SLAB", 1)
+    monkeypatch.setattr(simulator, "_REPLICA_CHUNK", 3)
+    monkeypatch.setattr(simulator, "_TIME_BLOCK", 7)
+    model = ModelConfig(N=3, d=1, U=QUAD, W=_bump(1))
+    for threads in (1, 2, 3):
+        monkeypatch.setattr(simulator, "_THREADS", threads)
+        created.clear()
+        with pytest.raises(ResourceCapError, match=r"^non-finite state in steps 15-21 of replicas 3-5 "):
+            run(model, IntegratorConfig("baoab", 0.01), 8, 0.21, 0)
+        assert sorted(created) == list(range(6))
+    assert sizes == [2, 2, 3, 3]
+
+
+def test_split_keeps_the_callers_errstate(monkeypatch):
+    # the slabs run in copies of the caller's context, so an overflow raises
+    # under np.errstate(over="raise") on any thread as it does inline
+    monkeypatch.setattr(simulator, "_PAIR_SLAB", 1)
+    model = ModelConfig(N=2, d=1, U=_double_well(1), W=_bump(1))
+    for threads in (1, 2):
+        monkeypatch.setattr(simulator, "_THREADS", threads)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            run(model, IntegratorConfig("baoab", 0.1), 4, 100.0, 0, init=InitSpec(position_offset=20.0))
+
+
+def test_no_pair_force_never_uses_a_pool(monkeypatch):
+    sizes = _record_pools(monkeypatch)
+    monkeypatch.setattr(simulator, "_PAIR_SLAB", 1)
+    monkeypatch.setattr(simulator, "_THREADS", 4)
+    for W in (None, _bump(1, amplitude=0.0)):
+        run(ModelConfig(N=3, d=1, U=QUAD, W=W), IntegratorConfig("baoab", 0.01), 8, 0.1, 0)
+    assert sizes == []
+    # the same settings split a model with a pair force
+    run(ModelConfig(N=3, d=1, U=QUAD, W=_bump(1)), IntegratorConfig("baoab", 0.01), 8, 0.1, 0)
+    assert sizes == [4]
 
 
 def test_exchangeability_label_permutation():
