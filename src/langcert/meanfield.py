@@ -30,6 +30,7 @@ __all__ = [
     "total_potential",
     "force",
     "force_batch",
+    "pair_slabs",
     "hessian_blocks",
     "hw_opnorm",
     "DENSE_CAP",
@@ -125,6 +126,15 @@ def force_batch(model: ModelConfig, x: np.ndarray) -> np.ndarray:
         diff *= W.psi_sq(s)[..., None]
         fs[lo:lo + slab] -= diff.sum(axis=-2) / N
     return f
+
+
+def pair_slabs(model: ModelConfig, replicas: int) -> int:
+    """Whole slabs of pair-force work in a batch of ``replicas``
+    configurations: replicas * N^2 // ``_PAIR_SLAB``, and 0 when the model
+    has no (or a zero) interaction."""
+    if model.W is None or model.W.is_zero():
+        return 0
+    return replicas * model.N**2 // _PAIR_SLAB
 
 
 def force(model: ModelConfig, x) -> np.ndarray:

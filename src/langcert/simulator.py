@@ -16,8 +16,9 @@ one word per normal, so the k-th step of a stream is a pure function of the
 key regardless of chunking.
 
 Replicas advance in chunks.  A chunk with enough pair-force work is split
-into contiguous replica slabs, one per usable core, that advance on a thread
-pool block by block (numpy releases the interpreter lock inside its loops).
+into contiguous replica slabs, up to one per usable core, that advance on a
+thread pool block by block (numpy releases the interpreter lock inside its
+loops).
 Each slab owns its streams, and each replica's force does not depend on the
 batch it comes in, so a slab computes exactly what the whole chunk would;
 the main thread reduces the per-replica observable values in replica order.
@@ -41,7 +42,7 @@ from numpy.random import Philox
 from scipy.special import ndtri
 
 from .errors import InvalidSpecError, ResourceCapError
-from .meanfield import _PAIR_SLAB, ModelConfig, force_batch
+from .meanfield import ModelConfig, force_batch, pair_slabs
 
 __all__ = [
     "IntegratorConfig",
@@ -321,12 +322,10 @@ class RunResult:
 
 
 def _slab_count(model: ModelConfig, chunk: int) -> int:
-    """Replica slabs a chunk is split into: one per usable core, but only
-    where each slab holds at least one ``_PAIR_SLAB`` of pair-force work
-    (threads cost more than they save on a light chunk)."""
-    if model.W is None or model.W.is_zero():
-        return 1
-    return max(1, min(_THREADS, chunk * model.N**2 // _PAIR_SLAB))
+    """Replica slabs a chunk is split into: at most one per usable core, one
+    per replica and one per whole slab of pair-force work (threads cost more
+    than they save on a light chunk)."""
+    return max(1, min(_THREADS, chunk, pair_slabs(model, chunk)))
 
 
 def _observe(model: ModelConfig, x: np.ndarray, v: np.ndarray, bufs: dict, row: int, cols: slice) -> None:

@@ -7,7 +7,7 @@ import pytest
 from numpy.random import Philox
 from scipy.special import ndtri
 
-from langcert import simulator
+from langcert import meanfield, simulator
 from langcert.errors import InvalidSpecError, ResourceCapError
 from langcert.meanfield import ModelConfig
 from langcert.potentials import PotentialSpec
@@ -255,10 +255,11 @@ def _record_pools(monkeypatch) -> list:
     (ModelConfig(N=4, d=2, U=_double_well(2), W=_bump(2)), "euler_maruyama"),
 ])
 def test_outputs_do_not_depend_on_thread_count(model, scheme, monkeypatch):
-    # a grain of one pair entry splits every chunk into one slab per thread:
-    # chunks of 7, 7 and 3 replicas, slabs of 3+4 or 2+2+3 (and 1+1+1)
+    # a grain of one pair entry splits every chunk into one slab per thread,
+    # but never into more slabs than replicas: chunks of 7, 7 and 3
+    # replicas, slabs of 3+4, 2+2+3 (and 1+1+1) or 1+2+2+2 (and 1+1+1)
     sizes = _record_pools(monkeypatch)
-    monkeypatch.setattr(simulator, "_PAIR_SLAB", 1)
+    monkeypatch.setattr(meanfield, "_PAIR_SLAB", 1)
     monkeypatch.setattr(simulator, "_REPLICA_CHUNK", 7)
     monkeypatch.setattr(simulator, "_TIME_BLOCK", 10)
     names = tuple(OBSERVABLES)
@@ -266,7 +267,7 @@ def test_outputs_do_not_depend_on_thread_count(model, scheme, monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # interleave the slab threads as finely as possible
     try:
-        for threads in (1, 2, 3):
+        for threads in (1, 2, 3, 4):
             monkeypatch.setattr(simulator, "_THREADS", threads)
             res = run(model, IntegratorConfig(scheme, 0.01), 17, 0.5, 3,
                       observables=names, stride=3, keep_replica_series=names)
@@ -277,8 +278,22 @@ def test_outputs_do_not_depend_on_thread_count(model, scheme, monkeypatch):
                                  res.per_replica[name].tobytes()]
     finally:
         sys.setswitchinterval(interval)
-    assert sizes == [2, 2, 2, 3, 3, 3]
-    assert got[2] == got[1] and got[3] == got[1]
+    assert sizes == [2, 2, 2, 3, 3, 3, 4, 4, 3]
+    assert got[2] == got[1] and got[3] == got[1] and got[4] == got[1]
+
+
+def test_slab_count_never_exceeds_the_chunk(monkeypatch):
+    # at the real grain one replica of N = 256 holds two slabs of pair work,
+    # and a lone replica (here the last chunk of 3) still runs unsplit
+    model = ModelConfig(N=256, d=1, U=QUAD, W=_bump(1))
+    monkeypatch.setattr(simulator, "_REPLICA_CHUNK", 2)
+    got = []
+    for threads in (1, 16):
+        monkeypatch.setattr(simulator, "_THREADS", threads)
+        assert simulator._slab_count(model, 1) == 1
+        res = run(model, IntegratorConfig("baoab", 0.01), 3, 0.02, 0)
+        got.append([res.means["mean_position"].tobytes(), res.final_state.positions.tobytes()])
+    assert got[1] == got[0]
 
 
 def test_split_names_the_same_nonfinite_block(monkeypatch):
@@ -301,7 +316,7 @@ def test_split_names_the_same_nonfinite_block(monkeypatch):
 
     sizes = _record_pools(monkeypatch)
     monkeypatch.setattr(simulator, "NoiseStreams", Poisoned)
-    monkeypatch.setattr(simulator, "_PAIR_SLAB", 1)
+    monkeypatch.setattr(meanfield, "_PAIR_SLAB", 1)
     monkeypatch.setattr(simulator, "_REPLICA_CHUNK", 3)
     monkeypatch.setattr(simulator, "_TIME_BLOCK", 7)
     model = ModelConfig(N=3, d=1, U=QUAD, W=_bump(1))
@@ -317,7 +332,7 @@ def test_split_names_the_same_nonfinite_block(monkeypatch):
 def test_split_keeps_the_callers_errstate(monkeypatch):
     # the slabs run in copies of the caller's context, so an overflow raises
     # under np.errstate(over="raise") on any thread as it does inline
-    monkeypatch.setattr(simulator, "_PAIR_SLAB", 1)
+    monkeypatch.setattr(meanfield, "_PAIR_SLAB", 1)
     model = ModelConfig(N=2, d=1, U=_double_well(1), W=_bump(1))
     for threads in (1, 2):
         monkeypatch.setattr(simulator, "_THREADS", threads)
@@ -327,7 +342,7 @@ def test_split_keeps_the_callers_errstate(monkeypatch):
 
 def test_no_pair_force_never_uses_a_pool(monkeypatch):
     sizes = _record_pools(monkeypatch)
-    monkeypatch.setattr(simulator, "_PAIR_SLAB", 1)
+    monkeypatch.setattr(meanfield, "_PAIR_SLAB", 1)
     monkeypatch.setattr(simulator, "_THREADS", 4)
     for W in (None, _bump(1, amplitude=0.0)):
         run(ModelConfig(N=3, d=1, U=QUAD, W=W), IntegratorConfig("baoab", 0.01), 8, 0.1, 0)
