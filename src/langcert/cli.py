@@ -269,6 +269,12 @@ def cmd_oracle(config: dict, out_dir: Path, seed: int) -> int:
     return EXIT_OK if report["all_passed"] else EXIT_INTERNAL
 
 
+def _reject_constant(name: str):
+    """json.loads reads NaN, Infinity and -Infinity, which are not JSON and
+    which no config value may take."""
+    raise InvalidSpecError(f"config holds {name}, which is not valid JSON")
+
+
 def _seed(text: str) -> int:
     """--seed: an integer in [0, 2**64), the key word every Philox stream
     shares (numpy's generators take no negative seed, and a wider one would
@@ -301,7 +307,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
         return EXIT_OK if exc.code == 0 else EXIT_INTERNAL
     try:
-        config = json.loads(args.config.read_text()) if args.config else {}
+        config = json.loads(args.config.read_text(), parse_constant=_reject_constant) if args.config else {}
         out_dir = args.out
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "certify":

@@ -22,7 +22,11 @@ loops).
 Each slab owns its streams, and each replica's force does not depend on the
 batch it comes in, so a slab computes exactly what the whole chunk would;
 the main thread reduces the per-replica observable values in replica order.
-Every output is therefore byte-identical at any thread count.
+A lighter chunk advances on the calling thread, and only the conversion of
+its noise words runs on the pool, in contiguous replica ranges.  The
+bootstrap refits of ``fit_decay`` run on the pool too, on index vectors the
+calling thread draws in resample order.  Every output is therefore
+byte-identical at any thread count.
 """
 
 from __future__ import annotations
@@ -70,6 +74,7 @@ _TIME_BLOCK = 256  # steps of noise drawn per block
 _THREADS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _BOOT_RESAMPLES = 200  # bootstrap refits of fit_decay
 _BOOT_SEED = 777
+_BOOT_ROWS = 128  # rows of a resample gathered at once
 _ENV_FRACTION = 0.5  # fit points keep |s| >= this fraction of the envelope
 
 
@@ -163,12 +168,24 @@ def _words_to_normals(words: np.ndarray, out: np.ndarray) -> np.ndarray:
     return ndtri(u, out=u)
 
 
+def _in_order(pool: Optional[ThreadPoolExecutor], fn: Callable, args: Sequence[tuple]) -> list:
+    """``[fn(*a) for a in args]``, inline without a pool.  On a pool each call
+    runs in a copy of the caller's context, so np.errstate applies on every
+    thread as it does inline, and results come back in the order of ``args``."""
+    if pool is None:
+        return [fn(*a) for a in args]
+    futures = [pool.submit(contextvars.copy_context().run, fn, *a) for a in args]
+    return [f.result() for f in futures]
+
+
 class NoiseStreams:
     """Per-(replica, particle) Philox streams consumed in step order.
 
     ``normals(n_steps)`` returns a block of shape (R, n_steps, N, d) and
     advances every stream by n_steps * d words; successive calls continue
-    where the previous block ended, so chunked generation is exact.
+    where the previous block ended, so chunked generation is exact.  Each
+    stream's words go to its own entries of the block, so how the replicas
+    are shared among threads does not change a byte.
     """
 
     def __init__(self, master_seed: int, replicas: Sequence[int], labels: Sequence[int], d: int):
@@ -176,22 +193,30 @@ class NoiseStreams:
         keys = _stream_keys(master_seed, _DOMAIN_DYNAMICS, replicas, labels)
         self._gens = [[Philox(key=k) for k in row] for row in keys]
 
-    def normals(self, n_steps: int) -> np.ndarray:
+    def normals(self, n_steps: int, pool: Optional[ThreadPoolExecutor] = None) -> np.ndarray:
+        """With a ``pool``, contiguous replica ranges, one per worker, convert
+        on its threads into their own rows of the block."""
         R, N = len(self._gens), len(self._gens[0])
         words = n_steps * self.d
         out = np.empty((R, n_steps, N, self.d))
-        # the raw words of a slab of replicas go to one reused buffer, stream
-        # by stream, and are converted into out[lo:hi] in one pass
         slab = max(1, _SLAB_WORDS // (N * words))
-        buf = np.empty(min(slab, R) * N * words, dtype=np.uint64)
-        for lo in range(0, R, slab):
-            hi = min(lo + slab, R)
-            raw = buf[:(hi - lo) * N * words].reshape(hi - lo, N, words)
-            for i, row in enumerate(self._gens[lo:hi]):
-                for j, g in enumerate(row):
-                    raw[i, j] = g.random_raw(words)
-            raw = raw.reshape(hi - lo, N, n_steps, self.d).transpose(0, 2, 1, 3)
-            _words_to_normals(raw, out=out[lo:hi])
+
+        def convert(lo, hi):
+            # the raw words of a slab of replicas go to one reused buffer,
+            # stream by stream, and are converted into out[a:b] in one pass
+            buf = np.empty(min(slab, hi - lo) * N * words, dtype=np.uint64)
+            for a in range(lo, hi, slab):
+                b = min(a + slab, hi)
+                raw = buf[:(b - a) * N * words].reshape(b - a, N, words)
+                for i, row in enumerate(self._gens[a:b]):
+                    for j, g in enumerate(row):
+                        raw[i, j] = g.random_raw(words)
+                raw = raw.reshape(b - a, N, n_steps, self.d).transpose(0, 2, 1, 3)
+                _words_to_normals(raw, out=out[a:b])
+
+        parts = 1 if pool is None else min(pool._max_workers, R)
+        edges = [R * p // parts for p in range(parts + 1)]
+        _in_order(pool, convert, list(zip(edges, edges[1:])))
         return out
 
 
@@ -344,12 +369,13 @@ def _advance_slab(
     n_steps: int,
     stride: int,
     bufs: dict,
+    noise_pool: Optional[ThreadPoolExecutor] = None,
 ) -> None:
     """Advance the chunk's replicas ``cols`` (with their ``streams``) in place
     through steps first+1 .. first+n_steps, writing their observable values
     at the k-th record step of the block into row k, columns ``cols``, of
-    ``bufs``."""
-    noise = streams.normals(n_steps)
+    ``bufs``.  The block's noise converts on ``noise_pool`` when given."""
+    noise = streams.normals(n_steps, noise_pool)
     row = 0
 
     def record(k, x_now, v_now):
@@ -395,6 +421,8 @@ def run(
     for name in list(observables) + list(keep_replica_series):
         if name not in OBSERVABLES:
             raise InvalidSpecError(f"unknown observable {name!r}")
+    if not (math.isfinite(horizon) and horizon >= 0):
+        raise InvalidSpecError(f"horizon must be finite and >= 0, got {horizon!r}")
     n_steps = int(round(horizon / integrator.dt))
     if n_steps > MAX_STEPS:
         raise ResourceCapError(f"horizon/dt = {n_steps} exceeds the {MAX_STEPS} step cap")
@@ -435,21 +463,20 @@ def run(
         bufs = {name: np.empty((1, hi - lo)) for name in names}
         _observe(model, x, v, bufs, 0, slice(None))
         reduce(bufs, 0)
-        with ThreadPoolExecutor(n_slabs) if n_slabs > 1 else nullcontext() as pool:
+        # a split chunk advances its slabs on the pool; an unsplit one
+        # advances on this thread and converts its noise on the pool
+        workers = n_slabs if n_slabs > 1 else _THREADS
+        with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
             done = 0
             while done < n_steps:
                 nb = min(_TIME_BLOCK, n_steps - done)
                 bufs = {name: np.empty(((done + nb) // stride - done // stride, hi - lo)) for name in names}
                 work = partial(_advance_slab, model, integrator, x, v,
                                first=done, n_steps=nb, stride=stride, bufs=bufs)
-                if pool is None:
-                    work(*slabs[0])
+                if n_slabs == 1:
+                    work(*slabs[0], noise_pool=pool)
                 else:
-                    # each worker runs in a copy of the caller's context, so
-                    # np.errstate applies to every slab as it does inline
-                    futures = [pool.submit(contextvars.copy_context().run, work, *s) for s in slabs]
-                    for f in futures:
-                        f.result()
+                    _in_order(pool, work, slabs)
                 if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
                     raise ResourceCapError(
                         f"non-finite state in steps {done + 1}-{done + nb} of replicas "
@@ -566,6 +593,33 @@ def _fit_lambda(
     return float(-coef[0]), r2, int(mask.sum()), (float(tt[0]), float(tt[-1]))
 
 
+def _resample_moments(per_replica: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``b.mean(axis=0)`` and ``b.var(axis=0)`` of the resample
+    ``b = per_replica[idx]``, bit for bit, gathered _BOOT_ROWS rows at a time.
+
+    A column sum over axis 0 adds the rows one by one, in order (for two or
+    more columns), so a block that takes the running sum into its first row
+    continues exactly the sum of the whole gather.
+    """
+    R = idx.size
+
+    def column_sum(step):
+        acc = None
+        for lo in range(0, R, _BOOT_ROWS):
+            blk = step(per_replica[idx[lo:lo + _BOOT_ROWS]])
+            if acc is not None:
+                blk[0] += acc
+            acc = blk.sum(axis=0)
+        return acc
+
+    def centred_square(blk):
+        blk -= bmean
+        return np.square(blk, out=blk)
+
+    bmean = column_sum(lambda blk: blk) / R
+    return bmean, column_sum(centred_square) / R
+
+
 def fit_decay(
     times: np.ndarray,
     per_replica: np.ndarray,
@@ -580,8 +634,12 @@ def fit_decay(
     noise floor (or is supplied explicitly via ``window``).  Points are used
     when they sit within a factor of the local envelope (handles underdamped
     oscillation) and above the noise floor.  Bootstrap resamples refit inside
-    the point-estimate window; their moments use the same arithmetic as
-    ``ndarray.mean``/``var``, so they match those calls bit for bit.  Returns
+    the point-estimate window; their moments are gathered in blocks of rows
+    but use the same arithmetic, in the same order, as ``ndarray.mean``/``var``
+    on the whole resample, so they match those calls bit for bit.  The calling
+    thread draws every resample's indices in order, and the refits run on up
+    to ``_THREADS`` threads, so the result does not depend on the thread
+    count.  Returns
     None with no fit when the signal starts below noise, never decays, or
     leaves fewer than 5 usable points; callers requiring the documented
     precondition should supply >= 20 window points.
@@ -598,19 +656,15 @@ def fit_decay(
         return None
     lam, r2, n_pts, window = fit
 
+    def refit(idx):
+        bmean, bvar = _resample_moments(per_replica, idx)
+        bfit = _fit_lambda(times, bmean - equilibrium_value, np.sqrt(bvar / R) + 1e-300, window=window)
+        return None if bfit is None else bfit[0]
+
     rng = np.random.default_rng(_BOOT_SEED)
-    boots = []
-    for _ in range(_BOOT_RESAMPLES):
-        # one gather, then ndarray.var's own ufunc sequence, in place
-        b = per_replica[rng.integers(0, R, size=R)]
-        bmean = b.mean(axis=0)
-        b -= bmean
-        np.square(b, out=b)
-        bvar = b.sum(axis=0) / R
-        bs = bmean - equilibrium_value
-        bfit = _fit_lambda(times, bs, np.sqrt(bvar / R) + 1e-300, window=window)
-        if bfit is not None:
-            boots.append(bfit[0])
+    idxs = [(rng.integers(0, R, size=R),) for _ in range(_BOOT_RESAMPLES)]
+    with ThreadPoolExecutor(_THREADS) if _THREADS > 1 else nullcontext() as pool:
+        boots = [b for b in _in_order(pool, refit, idxs) if b is not None]
     if len(boots) >= 20:
         lo, hi = np.percentile(boots, [2.5, 97.5])
         lo, hi = min(lo, lam), max(hi, lam)

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 from pathlib import Path
 
 from langcert.cli import build_parser, main
@@ -313,6 +314,43 @@ def test_seed_outside_u64_exit_one(tmp_path, capsys):
     out = tmp_path / "top"
     assert main(["simulate", "--config", str(cfg), "--out", str(out), "--seed", str(2**64 - 1)]) == 0
     assert json.loads((out / "summary.json").read_text())["seed"] == 2**64 - 1
+
+
+def test_simulate_negative_or_infinite_horizon_exit_one(tmp_path, capsys):
+    # -1.0 used to die with an IndexError, 1e400 (read as inf) with an OverflowError
+    for horizon, shown in (("-1.0", "-1.0"), ("1e400", "inf")):
+        cfg = write_config(tmp_path, "s.json", {
+            "model": {"N": 2, "d": 1, "U": QUAD_U},
+            "integrator": {"scheme": "baoab", "dt": 0.01},
+            "replicas": 4, "horizon": "HORIZON",
+        })
+        cfg.write_text(cfg.read_text().replace('"HORIZON"', horizon))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1, horizon
+        assert f"error: horizon must be finite and >= 0, got {shown}" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+
+def test_nan_and_infinity_in_config_exit_one(tmp_path, capsys):
+    # json reads NaN and +-Infinity; a config holding one is rejected on load
+    sim = {"model": {"N": 2, "d": 1, "U": QUAD_U}, "integrator": {"scheme": "baoab", "dt": 0.01},
+           "replicas": 4, "horizon": 0.1}
+    configs = {
+        "certify": ({"model": {"N": 4, "d": 1, "U": QUAD_U, "W": SMALL_BUMP}}, "kappa"),
+        "simulate": (sim, "horizon"),
+        "sweep": ({"model_template": {"d": 1, "U": QUAD_U}, "Ns": [2, 4],
+                   "integrator": {"scheme": "baoab", "dt": 0.01}, "replicas": 4, "horizon": 0.1},
+                  "horizon"),
+        "oracle": ({}, "n_lyapunov"),
+    }
+    for command, (config, key) in configs.items():
+        for value, name in ((math.nan, "NaN"), (math.inf, "Infinity"), (-math.inf, "-Infinity")):
+            cfg = write_config(tmp_path, f"{command}.json", {**config, key: value})
+            assert name in cfg.read_text()
+            out = tmp_path / f"{command}-{name}"
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 1, (command, name)
+            assert f"error: config holds {name}, which is not valid JSON" in capsys.readouterr().err
+            assert not out.exists()
 
 
 def _readme_usage() -> dict:

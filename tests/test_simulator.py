@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,6 +65,12 @@ def test_run_caps_and_validation():
         run(MODEL, IntegratorConfig("baoab", 1e-2), 1, 1.0, 0, observables=())
     with pytest.raises(InvalidSpecError):
         run(MODEL, IntegratorConfig("baoab", 1e-2), 1, 1.0, 0, observables=("bogus",))
+
+
+@pytest.mark.parametrize("horizon", [-1.0, -1e-9, math.inf, math.nan])
+def test_run_rejects_negative_or_nonfinite_horizon(horizon):
+    with pytest.raises(InvalidSpecError, match="^horizon must be finite and >= 0, got "):
+        run(MODEL, IntegratorConfig("baoab", 1e-2), 1, horizon, 0)
 
 
 def test_run_stops_at_first_nonfinite_block(monkeypatch):
@@ -307,8 +317,8 @@ def test_split_names_the_same_nonfinite_block(monkeypatch):
             self.replicas, self.blocks = list(replicas), 0
             created.extend(self.replicas)
 
-        def normals(self, n_steps):
-            out = super().normals(n_steps)
+        def normals(self, n_steps, pool=None):
+            out = super().normals(n_steps, pool)
             self.blocks += 1
             if self.blocks == 3 and 4 in self.replicas:
                 out[self.replicas.index(4), 0, 0, 0] = np.nan
@@ -340,16 +350,56 @@ def test_split_keeps_the_callers_errstate(monkeypatch):
             run(model, IntegratorConfig("baoab", 0.1), 4, 100.0, 0, init=InitSpec(position_offset=20.0))
 
 
-def test_no_pair_force_never_uses_a_pool(monkeypatch):
+def test_light_chunk_advances_on_the_calling_thread(monkeypatch):
+    # without a pair force the whole chunk of 8 replicas advances on this
+    # thread, and only its noise converts on the pool of 4
     sizes = _record_pools(monkeypatch)
+    blocks = []
+
+    def recording(model, integrator, x, v, noise, callback=None):
+        blocks.append((threading.get_ident(), x.shape[0]))
+        return _advance_block(model, integrator, x, v, noise, callback)
+
+    monkeypatch.setattr(simulator, "_advance_block", recording)
     monkeypatch.setattr(meanfield, "_PAIR_SLAB", 1)
     monkeypatch.setattr(simulator, "_THREADS", 4)
     for W in (None, _bump(1, amplitude=0.0)):
         run(ModelConfig(N=3, d=1, U=QUAD, W=W), IntegratorConfig("baoab", 0.01), 8, 0.1, 0)
-    assert sizes == []
-    # the same settings split a model with a pair force
+    assert sizes == [4, 4]
+    assert blocks == [(threading.get_ident(), 8)] * 2
+    # the same settings split a model with a pair force across the workers
+    blocks.clear()
     run(ModelConfig(N=3, d=1, U=QUAD, W=_bump(1)), IntegratorConfig("baoab", 0.01), 8, 0.1, 0)
-    assert sizes == [4]
+    assert sizes == [4, 4, 4]
+    assert sorted(n for _, n in blocks) == [2, 2, 2, 2]
+    assert threading.get_ident() not in {t for t, _ in blocks}
+
+
+@pytest.mark.parametrize("R", [1, 2, 3, 7])
+def test_pooled_normals_match_plain(R, monkeypatch):
+    # a pool splits the block into min(workers, R) replica ranges; a slab of
+    # two replicas per pass makes a range span several conversion slabs
+    monkeypatch.setattr(simulator, "_SLAB_WORDS", 2 * 3 * 5 * 2)
+    plain = NoiseStreams(5, range(R), [0, 4, 1], 2)
+    want = [plain.normals(5).tobytes(), plain.normals(5).tobytes()]
+    submits = []
+
+    class Pool(ThreadPoolExecutor):
+        def submit(self, fn, *args):
+            submits.append(1)
+            return super().submit(fn, *args)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the ranges as finely as possible
+    try:
+        for workers in (1, 2, 3, 4):
+            streams = NoiseStreams(5, range(R), [0, 4, 1], 2)
+            submits.clear()
+            with Pool(workers) as pool:
+                assert [streams.normals(5, pool).tobytes(), streams.normals(5, pool).tobytes()] == want
+            assert len(submits) == 2 * min(workers, R)  # one range per worker, none empty
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_exchangeability_label_permutation():
@@ -537,13 +587,75 @@ def test_fit_decay_bootstrap_matches_two_gather_reference(kind, window, monkeypa
     sigma = np.sqrt(per.var(axis=0) / 300) + 1e-300
     # the oscillating series takes the running envelope, the monotone one the forward one
     assert (_oscillation_spacing(t, per.mean(axis=0), sigma) is not None) == (kind == "osc")
-    got, want = [], []
-    monkeypatch.setattr(simulator, "_fit_lambda", recording(got))
-    fit = fit_decay(t, per, 0.0, "x", window=window)
+    want = []
     reference = _two_gather_fit(t, per, 0.0, window, recording(want))
-    assert fit is not None
-    assert len(got) == 201 and got == want  # every resample's signal and noise floor
-    assert repr(fit.to_json()) == repr(reference)
+    for threads in (1, 2, 3, 4):
+        # on threads the refits call _fit_lambda in any order
+        got = []
+        monkeypatch.setattr(simulator, "_THREADS", threads)
+        monkeypatch.setattr(simulator, "_fit_lambda", recording(got))
+        fit = fit_decay(t, per, 0.0, "x", window=window)
+        assert fit is not None
+        assert len(got) == 201  # every resample's signal and noise floor
+        assert (got if threads == 1 else sorted(got)) == (want if threads == 1 else sorted(want))
+        assert repr(fit.to_json()) == repr(reference)
+
+
+@pytest.mark.parametrize("R", [2, 127, 128, 129, 2000])
+def test_resample_moments_match_the_full_gather(R):
+    # values over many magnitudes, so every change of summation order shows
+    rng = np.random.default_rng(R)
+    for width in (2, 3, 8, 9, 17, 401, 1001):
+        per = rng.normal(size=(R, width)) * 10.0 ** rng.integers(-8, 9, size=(R, 1))
+        idx = rng.integers(0, R, size=R)
+        bmean, bvar = simulator._resample_moments(per, idx)
+        b = per[idx]
+        assert bmean.tobytes() == b.mean(axis=0).tobytes()
+        assert bvar.tobytes() == b.var(axis=0).tobytes()
+
+
+_FIT_BY_THREADS = """
+import numpy as np
+from langcert import simulator
+rng = np.random.default_rng(4)
+t = np.arange(0, 10.0, 0.02)
+per = 2 * np.exp(-0.7 * t)[None, :] + rng.normal(0, 0.2, size=(300, t.size))
+for threads in (1, 2, 3, 4):
+    simulator._THREADS = threads
+    print(repr(simulator.fit_decay(t, per, 0.0, "x").to_json()))
+"""
+
+
+def test_fit_decay_independent_of_threads_and_blas_threads():
+    # BLAS threads are fixed when numpy loads, so each setting gets its own process
+    outs = []
+    for blas in ("1", None):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if blas is not None:
+            env["OPENBLAS_NUM_THREADS"] = blas
+        env["PYTHONPATH"] = os.pathsep.join([str(Path(simulator.__file__).parents[1]),
+                                             env.get("PYTHONPATH", "")])
+        proc = subprocess.run([sys.executable, "-c", _FIT_BY_THREADS], env=env,
+                              capture_output=True, text=True, check=True)
+        outs += proc.stdout.splitlines()
+    assert len(outs) == 8 and len(set(outs)) == 1
+
+
+def test_refits_keep_the_callers_errstate(monkeypatch):
+    seen = []
+
+    def fit_lambda(t, s, sigma, **kwargs):
+        seen.append(np.geterr()["over"])
+        return _fit_lambda(t, s, sigma, **kwargs)
+
+    rng = np.random.default_rng(2)
+    t = np.arange(0, 10.0, 0.02)
+    per = 2 * np.exp(-0.7 * t)[None, :] + rng.normal(0, 0.2, size=(64, t.size))
+    monkeypatch.setattr(simulator, "_fit_lambda", fit_lambda)
+    monkeypatch.setattr(simulator, "_THREADS", 2)
+    with np.errstate(over="raise"):
+        fit_decay(t, per, 0.0, "x")
+    assert seen == ["raise"] * 201
 
 
 def test_fit_decay_synthetic_exponential():
