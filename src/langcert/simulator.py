@@ -24,14 +24,16 @@ batch it comes in, so a slab computes exactly what the whole chunk would;
 the main thread reduces the per-replica observable values in replica order.
 A lighter chunk advances on the calling thread, and only the conversion of
 its noise words runs on the pool, in contiguous replica ranges.  The
-bootstrap refits of ``fit_decay`` run on the pool too, on index vectors the
-calling thread draws in resample order.  Every output is therefore
+moments of ``fit_decay``'s bootstrap resamples build on the pool too, from
+index vectors the calling thread draws in resample order, and the refits
+then run in that order on the calling thread.  Every output is therefore
 byte-identical at any thread count.
 """
 
 from __future__ import annotations
 
 import contextvars
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -178,6 +180,14 @@ def _in_order(pool: Optional[ThreadPoolExecutor], fn: Callable, args: Sequence[t
     return [f.result() for f in futures]
 
 
+def _ranges(n: int, parts: int) -> list[tuple[int, int]]:
+    """``range(n)`` cut into at most ``parts`` contiguous, non-empty
+    ``(lo, hi)`` ranges of near-equal length."""
+    parts = max(1, min(parts, n))
+    edges = [n * p // parts for p in range(parts + 1)]
+    return list(zip(edges, edges[1:]))
+
+
 class NoiseStreams:
     """Per-(replica, particle) Philox streams consumed in step order.
 
@@ -214,9 +224,7 @@ class NoiseStreams:
                 raw = raw.reshape(b - a, N, n_steps, self.d).transpose(0, 2, 1, 3)
                 _words_to_normals(raw, out=out[a:b])
 
-        parts = 1 if pool is None else min(pool._max_workers, R)
-        edges = [R * p // parts for p in range(parts + 1)]
-        _in_order(pool, convert, list(zip(edges, edges[1:])))
+        _in_order(pool, convert, _ranges(R, 1 if pool is None else pool._max_workers))
         return out
 
 
@@ -447,9 +455,8 @@ def run(
         x, v = final_x[lo:hi], final_v[lo:hi]
         x[...], v[...] = _draw_init(master_seed, list(range(lo, hi)), lab, model.d, init or InitSpec())
         n_slabs = _slab_count(model, hi - lo)
-        edges = [(hi - lo) * s // n_slabs for s in range(n_slabs + 1)]
         slabs = [(NoiseStreams(master_seed, range(lo + a, lo + b), lab, model.d), slice(a, b))
-                 for a, b in zip(edges, edges[1:])]
+                 for a, b in _ranges(hi - lo, n_slabs)]
 
         def reduce(bufs, first):
             # records first, first + 1, ... of the chunk, each row in replica order
@@ -637,12 +644,12 @@ def fit_decay(
     the point-estimate window; their moments are gathered in blocks of rows
     but use the same arithmetic, in the same order, as ``ndarray.mean``/``var``
     on the whole resample, so they match those calls bit for bit.  The calling
-    thread draws every resample's indices in order, and the refits run on up
-    to ``_THREADS`` threads, so the result does not depend on the thread
-    count.  Returns
-    None with no fit when the signal starts below noise, never decays, or
-    leaves fewer than 5 usable points; callers requiring the documented
-    precondition should supply >= 20 window points.
+    thread draws every resample's indices in order, the moments build on up
+    to ``_THREADS`` threads, and the refits run on the calling thread in
+    resample order, so the result does not depend on the thread count.
+    Returns None with no fit when the signal starts below noise, never
+    decays, or leaves fewer than 5 usable points; callers requiring the
+    documented precondition should supply >= 20 window points.
     """
     times = np.asarray(times, dtype=float)
     per_replica = np.asarray(per_replica, dtype=float)
@@ -656,15 +663,22 @@ def fit_decay(
         return None
     lam, r2, n_pts, window = fit
 
-    def refit(idx):
-        bmean, bvar = _resample_moments(per_replica, idx)
-        bfit = _fit_lambda(times, bmean - equilibrium_value, np.sqrt(bvar / R) + 1e-300, window=window)
-        return None if bfit is None else bfit[0]
-
+    # the moments of contiguous groups of resamples build on the pool (their
+    # gathers release the interpreter lock); the refits, which mostly hold
+    # it, then run here in resample order
     rng = np.random.default_rng(_BOOT_SEED)
-    idxs = [(rng.integers(0, R, size=R),) for _ in range(_BOOT_RESAMPLES)]
+    idxs = [rng.integers(0, R, size=R) for _ in range(_BOOT_RESAMPLES)]
+
+    def moments(lo, hi):
+        return [_resample_moments(per_replica, idx) for idx in idxs[lo:hi]]
+
     with ThreadPoolExecutor(_THREADS) if _THREADS > 1 else nullcontext() as pool:
-        boots = [b for b in _in_order(pool, refit, idxs) if b is not None]
+        groups = _in_order(pool, moments, _ranges(_BOOT_RESAMPLES, _THREADS))
+    boots = []
+    for bmean, bvar in itertools.chain.from_iterable(groups):
+        bfit = _fit_lambda(times, bmean - equilibrium_value, np.sqrt(bvar / R) + 1e-300, window=window)
+        if bfit is not None:
+            boots.append(bfit[0])
     if len(boots) >= 20:
         lo, hi = np.percentile(boots, [2.5, 97.5])
         lo, hi = min(lo, lam), max(hi, lam)

@@ -590,14 +590,13 @@ def test_fit_decay_bootstrap_matches_two_gather_reference(kind, window, monkeypa
     want = []
     reference = _two_gather_fit(t, per, 0.0, window, recording(want))
     for threads in (1, 2, 3, 4):
-        # on threads the refits call _fit_lambda in any order
+        # the moments build on threads, the refits follow in resample order
         got = []
         monkeypatch.setattr(simulator, "_THREADS", threads)
         monkeypatch.setattr(simulator, "_fit_lambda", recording(got))
         fit = fit_decay(t, per, 0.0, "x", window=window)
         assert fit is not None
-        assert len(got) == 201  # every resample's signal and noise floor
-        assert (got if threads == 1 else sorted(got)) == (want if threads == 1 else sorted(want))
+        assert len(got) == 201 and got == want  # every resample's signal and noise floor
         assert repr(fit.to_json()) == repr(reference)
 
 
@@ -641,21 +640,25 @@ def test_fit_decay_independent_of_threads_and_blas_threads():
     assert len(outs) == 8 and len(set(outs)) == 1
 
 
-def test_refits_keep_the_callers_errstate(monkeypatch):
+def test_bootstrap_keeps_the_callers_errstate(monkeypatch):
+    # the resample moments build on worker threads in copies of the
+    # caller's context, so they see its np.errstate as they would inline
     seen = []
+    original = simulator._resample_moments
 
-    def fit_lambda(t, s, sigma, **kwargs):
-        seen.append(np.geterr()["over"])
-        return _fit_lambda(t, s, sigma, **kwargs)
+    def resample_moments(per_replica, idx):
+        seen.append((threading.get_ident(), np.geterr()["over"]))
+        return original(per_replica, idx)
 
     rng = np.random.default_rng(2)
     t = np.arange(0, 10.0, 0.02)
     per = 2 * np.exp(-0.7 * t)[None, :] + rng.normal(0, 0.2, size=(64, t.size))
-    monkeypatch.setattr(simulator, "_fit_lambda", fit_lambda)
+    monkeypatch.setattr(simulator, "_resample_moments", resample_moments)
     monkeypatch.setattr(simulator, "_THREADS", 2)
     with np.errstate(over="raise"):
         fit_decay(t, per, 0.0, "x")
-    assert seen == ["raise"] * 201
+    assert [over for _, over in seen] == ["raise"] * 200
+    assert threading.get_ident() not in {thread for thread, _ in seen}
 
 
 def test_fit_decay_synthetic_exponential():
