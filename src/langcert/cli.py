@@ -24,6 +24,7 @@ import numpy as np
 from . import certifier, oracle, simulator
 from .errors import InvalidSpecError, LangcertError, MissingConstantError, ResourceCapError
 from .meanfield import ModelConfig
+from .potentials import PotentialSpec
 from .simulator import IntegratorConfig, InitSpec
 
 EXIT_OK = 0
@@ -84,9 +85,50 @@ def _require_keys(config: dict, allowed: set, required: set, where: str) -> None
         raise InvalidSpecError(f"missing keys in {where}: {sorted(missing)}")
 
 
+def _int(value, name: str, minimum: int | None = None) -> int:
+    """A config integer: a JSON integer, or a float with an integral value
+    such as 2000.0.  A bool, a fraction or a string is an error, never
+    truncated; ``name`` is ``<where>.<key>``."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidSpecError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise InvalidSpecError(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
+def _real(value, name: str) -> float:
+    """A config real: a JSON number that is not a bool, as a float.  Its
+    range is checked where it is used."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise InvalidSpecError(f"{name} must be a number, got {value!r}")
+
+
+def _load_potential(obj, role: str, where: str) -> PotentialSpec:
+    if isinstance(obj, dict) and "dim" in obj:
+        obj = {**obj, "dim": _int(obj["dim"], f"{where}.dim")}
+    return PotentialSpec.from_json(obj, role=role)
+
+
+def _load_model(obj: dict) -> ModelConfig:
+    _require_keys(obj, {"N", "d", "U", "W"}, {"N", "d", "U"}, "model")
+    w = obj.get("W")
+    return ModelConfig(
+        N=_int(obj["N"], "model.N"),
+        d=_int(obj["d"], "model.d"),
+        U=_load_potential(obj["U"], "confinement", "model.U"),
+        W=_load_potential(w, "interaction", "model.W") if w is not None else None,
+    )
+
+
 def _load_integrator(obj: dict) -> IntegratorConfig:
     _require_keys(obj, {"scheme", "dt"}, set(), "integrator")
-    return IntegratorConfig(scheme=obj.get("scheme", "baoab"), dt=float(obj.get("dt", 1e-2)))
+    return IntegratorConfig(scheme=obj.get("scheme", "baoab"), dt=_real(obj.get("dt", 1e-2), "integrator.dt"))
 
 
 def _load_init(obj: dict | None) -> InitSpec:
@@ -94,8 +136,8 @@ def _load_init(obj: dict | None) -> InitSpec:
         return InitSpec()
     _require_keys(obj, {"position_offset", "position_spread"}, set(), "init")
     return InitSpec(
-        position_offset=float(obj.get("position_offset", 2.0)),
-        position_spread=float(obj.get("position_spread", 1.0)),
+        position_offset=_real(obj.get("position_offset", 2.0), "init.position_offset"),
+        position_spread=_real(obj.get("position_spread", 1.0), "init.position_spread"),
     )
 
 
@@ -106,15 +148,17 @@ def _load_init(obj: dict | None) -> InitSpec:
 def cmd_certify(config: dict, out_dir: Path, seed: int, mode: str | None, paper_literal: bool) -> int:
     """``mode`` is the --mode flag; it overrides the config's ``mode``."""
     _require_keys(config, {"model", "mode", "kappa", "cls", "rho_marginal"}, {"model"}, "certify config")
-    model = ModelConfig.from_json(config["model"])
+    model = _load_model(config["model"])
+    user = {key: _real(config[key], f"certify.{key}") for key in ("kappa", "cls", "rho_marginal")
+            if config.get(key) is not None}
     mode = mode or config.get("mode", "auto")
     use_split = mode == "split"
     bundle = certifier.assemble_constants(
         model.U,
         model.W,
-        kappa_user=config.get("kappa"),
-        cls_user=config.get("cls"),
-        rho_marginal=config.get("rho_marginal"),
+        kappa_user=user.get("kappa"),
+        cls_user=user.get("cls"),
+        rho_marginal=user.get("rho_marginal"),
     )
     cert = certifier.certify(
         bundle,
@@ -151,30 +195,34 @@ def cmd_simulate(config: dict, out_dir: Path, seed: int) -> int:
         {"model", "integrator", "replicas", "horizon"},
         "simulate config",
     )
-    model = ModelConfig.from_json(config["model"])
+    model = _load_model(config["model"])
     integrator = _load_integrator(config["integrator"])
+    replicas = _int(config["replicas"], "simulate.replicas")
+    horizon = _real(config["horizon"], "simulate.horizon")
+    stride = _int(config.get("stride", 1), "simulate.stride")
     observables = tuple(config.get("observables", ["mean_position"]))
     if not observables:
         raise InvalidSpecError("empty observable list")
     fit_cfg = config.get("fit") or {}
     _require_keys(fit_cfg, {"observable", "equilibrium"}, set(), "fit")
     fit_obs = fit_cfg.get("observable", observables[0])
+    equilibrium = _real(fit_cfg.get("equilibrium", 0.0), "fit.equilibrium")
     res = simulator.run(
         model,
         integrator,
-        replicas=int(config["replicas"]),
-        horizon=float(config["horizon"]),
+        replicas=replicas,
+        horizon=horizon,
         master_seed=seed,
         init=_load_init(config.get("init")),
         observables=observables,
-        stride=int(config.get("stride", 1)),
+        stride=stride,
         keep_replica_series=(fit_obs,),
     )
     _write_timeseries_csv(out_dir / "timeseries.csv", res.times, res.means, res.variances, res.n_replicas)
     fit = simulator.fit_decay(
         res.times,
         res.per_replica[fit_obs],
-        float(fit_cfg.get("equilibrium", 0.0)),
+        equilibrium,
         observable_id=fit_obs,
     )
     fits = {fit_obs: fit.to_json() if fit is not None else None}
@@ -185,10 +233,10 @@ def cmd_simulate(config: dict, out_dir: Path, seed: int) -> int:
         "config_hash": _config_hash(config),
         "seed": seed,
         "decay_fits": fits,
-        "n_steps": int(round(float(config["horizon"]) / integrator.dt)),
+        "n_steps": int(round(horizon / integrator.dt)),
     }
     _write_json(out_dir / "summary.json", report)
-    print(f"simulated {config['replicas']} replicas to T={config['horizon']}; fits: {list(fits)}")
+    print(f"simulated {replicas} replicas to T={config['horizon']}; fits: {list(fits)}")
     return EXIT_OK
 
 
@@ -202,24 +250,25 @@ def cmd_sweep(config: dict, out_dir: Path, seed: int) -> int:
     )
     tpl = config["model_template"]
     _require_keys(tpl, {"d", "U", "W"}, {"d", "U"}, "model_template")
-    from .potentials import PotentialSpec
-
-    U = PotentialSpec.from_json(tpl["U"], role="confinement")
-    W = PotentialSpec.from_json(tpl["W"], role="interaction") if tpl.get("W") else None
+    U = _load_potential(tpl["U"], "confinement", "model_template.U")
+    W = _load_potential(tpl["W"], "interaction", "model_template.W") if tpl.get("W") else None
+    Ns = config["Ns"]
+    if not isinstance(Ns, list):
+        raise InvalidSpecError(f"sweep.Ns must be a list of integers, got {Ns!r}")
     integrator = _load_integrator(config["integrator"])
     observable = config.get("observable", "mean_position")
     table = simulator.n_sweep(
         U,
         W,
-        d=int(tpl["d"]),
-        Ns=[int(n) for n in config["Ns"]],
+        d=_int(tpl["d"], "model_template.d"),
+        Ns=[_int(n, f"sweep.Ns[{k}]") for k, n in enumerate(Ns)],
         integrator=integrator,
-        replicas=int(config["replicas"]),
-        horizon=float(config["horizon"]),
+        replicas=_int(config["replicas"], "sweep.replicas"),
+        horizon=_real(config["horizon"], "sweep.horizon"),
         master_seed=seed,
         observable=observable,
-        equilibrium_value=float(config.get("equilibrium", 0.0)),
-        stride=int(config.get("stride", 5)),
+        equilibrium_value=_real(config.get("equilibrium", 0.0), "sweep.equilibrium"),
+        stride=_int(config.get("stride", 5), "sweep.stride"),
         init=_load_init(config.get("init")),
     )
     rows = [{"N": n, "fit": fit.to_json() if fit is not None else None} for n, fit in table]
@@ -249,9 +298,9 @@ def cmd_sweep(config: dict, out_dir: Path, seed: int) -> int:
 def cmd_oracle(config: dict, out_dir: Path, seed: int) -> int:
     _require_keys(config, {"n_lyapunov", "n_moment", "n_boundedness"}, set(), "oracle config")
     report = oracle.oracle_suite(
-        n_lyapunov=int(config.get("n_lyapunov", 20)),
-        n_moment=int(config.get("n_moment", 10)),
-        n_boundedness=int(config.get("n_boundedness", 10)),
+        n_lyapunov=_int(config.get("n_lyapunov", 20), "oracle.n_lyapunov", minimum=0),
+        n_moment=_int(config.get("n_moment", 10), "oracle.n_moment", minimum=0),
+        n_boundedness=_int(config.get("n_boundedness", 10), "oracle.n_boundedness", minimum=0),
         seed=seed,
     )
     report.update(

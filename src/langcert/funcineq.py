@@ -70,8 +70,11 @@ class GridMeasure:
                 w[tuple(edge)] *= 0.5
         return w / w.sum()
 
-    def expectation(self, values: np.ndarray) -> float:
-        return float((self.weights * values).sum())
+    def expectation(self, values: np.ndarray, weights: Optional[np.ndarray] = None) -> float:
+        """E[values]. A caller taking several passes ``weights``, read once:
+        each read rebuilds them, and the measure does not keep them."""
+        w = self.weights if weights is None else weights
+        return float((w * values).sum())
 
     @classmethod
     def from_potential(cls, U: PotentialSpec, halfwidth: float, n: int) -> "GridMeasure":
@@ -107,10 +110,7 @@ class GridMeasure:
         w = np.exp(logd - logd.max())
         dx = float(x[1] - x[0])
         Z = float(np.trapezoid(np.trapezoid(w, dx=dx, axis=1), dx=dx))
-        grad = np.empty((n, n, 2))
-        for i, xi in enumerate(x):
-            cfg = np.stack([np.full(n, xi), x], axis=-1)[:, :, None]  # (n, 2, 1)
-            grad[i] = force_batch(model, cfg)[..., 0]
+        grad = force_batch(model, conf)[..., 0].reshape(n, n, 2)
         return cls(axes=(x, x), log_density=logd, Z=Z, spacing=dx, grad_log_density=grad)
 
 

@@ -65,19 +65,6 @@ class ModelConfig:
         out["W"] = self.W.to_json() if self.W is not None else None
         return out
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "ModelConfig":
-        extra = set(obj) - {"N", "d", "U", "W"}
-        if extra:
-            raise InvalidSpecError(f"unknown keys in model config: {sorted(extra)}")
-        w = obj.get("W")
-        return cls(
-            N=int(obj["N"]),
-            d=int(obj["d"]),
-            U=PotentialSpec.from_json(obj["U"], role="confinement"),
-            W=PotentialSpec.from_json(w, role="interaction") if w is not None else None,
-        )
-
 
 def _check_config(model: ModelConfig, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)

@@ -353,6 +353,83 @@ def test_nan_and_infinity_in_config_exit_one(tmp_path, capsys):
             assert not out.exists()
 
 
+SIM = {"model": {"N": 2, "d": 1, "U": QUAD_U}, "integrator": {"scheme": "baoab", "dt": 0.01},
+       "replicas": 4, "horizon": 0.1}
+SWEEP = {"model_template": {"d": 1, "U": QUAD_U}, "Ns": [2, 4],
+         "integrator": {"scheme": "baoab", "dt": 0.01}, "replicas": 4, "horizon": 0.1}
+
+
+def _assert_rejected(tmp_path, capsys, command, cases):
+    # each (config, message) exits 1 naming the key and writes no output file
+    for k, (config, message) in enumerate(cases):
+        cfg = write_config(tmp_path, f"{command}{k}.json", config)
+        out = tmp_path / f"{command}{k}"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1, message
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not any(out.iterdir()), message
+
+
+def test_certify_bad_numeric_values_exit_one(tmp_path, capsys):
+    # "8" used to escape main as a ValueError, 8.5 was truncated to 8, and
+    # true read as N = 1; a string kappa died in a TypeError
+    model = {"N": 8, "d": 1, "U": QUAD_U, "W": SMALL_BUMP}
+    _assert_rejected(tmp_path, capsys, "certify", [
+        ({"model": {**model, "N": "8"}}, "model.N must be an integer, got '8'"),
+        ({"model": {**model, "N": 8.5}}, "model.N must be an integer, got 8.5"),
+        ({"model": {**model, "N": True}}, "model.N must be an integer, got True"),
+        ({"model": {**model, "d": "1"}}, "model.d must be an integer, got '1'"),
+        ({"model": {**model, "U": {**QUAD_U, "dim": 1.5}}}, "model.U.dim must be an integer, got 1.5"),
+        ({"model": model, "kappa": "0.5"}, "certify.kappa must be a number, got '0.5'"),
+    ])
+
+
+def test_simulate_bad_numeric_values_exit_one(tmp_path, capsys):
+    # strings used to escape main as ValueError tracebacks; 2.7 replicas ran 2
+    # and true ran 1, while summary.json echoed the config value
+    _assert_rejected(tmp_path, capsys, "simulate", [
+        ({**SIM, "horizon": "ten"}, "simulate.horizon must be a number, got 'ten'"),
+        ({**SIM, "horizon": 10**400}, "simulate.horizon must be a number, got 1000"),  # no float
+        ({**SIM, "integrator": {"dt": "0.01"}}, "integrator.dt must be a number, got '0.01'"),
+        ({**SIM, "init": {"position_spread": [1.0]}}, "init.position_spread must be a number, got [1.0]"),
+        ({**SIM, "fit": {"equilibrium": False}}, "fit.equilibrium must be a number, got False"),
+        ({**SIM, "replicas": 2.7}, "simulate.replicas must be an integer, got 2.7"),
+        ({**SIM, "replicas": True}, "simulate.replicas must be an integer, got True"),
+        ({**SIM, "stride": 1.5}, "simulate.stride must be an integer, got 1.5"),
+        ({**SIM, "model": {**SIM["model"], "N": "2"}}, "model.N must be an integer, got '2'"),
+    ])
+    # an integral float reads as that integer
+    outs = []
+    for k, (replicas, stride) in enumerate(((4, 2), (4.0, 2.0))):
+        cfg = write_config(tmp_path, f"int{k}.json", {**SIM, "replicas": replicas, "stride": stride})
+        out = tmp_path / f"int{k}"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        outs.append((out / "timeseries.csv").read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_sweep_bad_numeric_values_exit_one(tmp_path, capsys):
+    _assert_rejected(tmp_path, capsys, "sweep", [
+        ({**SWEEP, "Ns": ["2", 4]}, "sweep.Ns[0] must be an integer, got '2'"),
+        ({**SWEEP, "Ns": [2, 4.5]}, "sweep.Ns[1] must be an integer, got 4.5"),
+        ({**SWEEP, "Ns": 4}, "sweep.Ns must be a list of integers, got 4"),
+        ({**SWEEP, "model_template": {"d": True, "U": QUAD_U}}, "model_template.d must be an integer, got True"),
+        ({**SWEEP, "replicas": 4.5}, "sweep.replicas must be an integer, got 4.5"),
+        ({**SWEEP, "stride": False}, "sweep.stride must be an integer, got False"),
+        ({**SWEEP, "horizon": "ten"}, "sweep.horizon must be a number, got 'ten'"),
+        ({**SWEEP, "equilibrium": None}, "sweep.equilibrium must be a number, got None"),
+    ])
+
+
+def test_oracle_bad_battery_sizes_exit_one(tmp_path, capsys):
+    # -3 used to run no Lyapunov checks at all, 2.5 ran 2
+    _assert_rejected(tmp_path, capsys, "oracle", [
+        ({"n_lyapunov": -3}, "oracle.n_lyapunov must be >= 0, got -3"),
+        ({"n_moment": 2.5}, "oracle.n_moment must be an integer, got 2.5"),
+        ({"n_boundedness": True}, "oracle.n_boundedness must be an integer, got True"),
+        ({"n_lyapunov": "20"}, "oracle.n_lyapunov must be an integer, got '20'"),
+    ])
+
+
 def _readme_usage() -> dict:
     """The README's ``langcert <command> ...`` lines: command -> {flag: choices or None}."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

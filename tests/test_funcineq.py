@@ -13,7 +13,7 @@ from langcert.funcineq import (
     ulsi_criterion,
     upi_criterion,
 )
-from langcert.meanfield import ModelConfig
+from langcert.meanfield import ModelConfig, force_batch
 from langcert.potentials import PotentialSpec, lipschitz_from_model
 
 
@@ -118,6 +118,35 @@ def test_pair_measure_interaction_shifts_correlation():
     # V = (x1^2 + x2^2)/2 + (x1 - x2)^2/4: attractive coupling, corr > 0
     cov = m.expectation(X1 * X2)
     assert cov > 0.05
+
+
+def test_expectation_with_read_weights_is_bit_identical():
+    # verifiers read the weights once and pass them to every expectation;
+    # the measure must not keep them (each read rebuilds them)
+    rng = np.random.default_rng(5)
+    for m in (GridMeasure.from_potential(quad(1.0), halfwidth=9.0, n=4001),
+              GridMeasure.from_pair_model(ModelConfig(N=2, d=1, U=quad(1.0)), halfwidth=9.0, n=121)):
+        w = m.weights
+        for _ in range(3):
+            v = rng.standard_normal(m.log_density.shape)
+            assert repr(m.expectation(v, w)) == repr(m.expectation(v))
+        assert m.weights is not w
+        assert set(vars(m)) == {"axes", "log_density", "Z", "spacing", "grad_log_density"}
+
+
+@pytest.mark.parametrize("W", [None, bump(0.3), bump(0.3, sign="repulsive"), quad(0.5, role="interaction")])
+def test_pair_measure_gradient_matches_per_row_force_batch(W):
+    # from_pair_model takes -grad V from one force_batch call over the grid;
+    # it must equal the per-row calls it replaced byte for byte
+    model = ModelConfig(N=2, d=1, U=PotentialSpec("quartic_double_well", {"quartic": 0.25, "well": 0.5}), W=W)
+    n = 181
+    m = GridMeasure.from_pair_model(model, halfwidth=9.0, n=n)
+    x = m.axes[0]
+    ref = np.empty((n, n, 2))
+    for i, xi in enumerate(x):
+        cfg = np.stack([np.full(n, xi), x], axis=-1)[:, :, None]  # (n, 2, 1)
+        ref[i] = force_batch(model, cfg)[..., 0]
+    assert m.grad_log_density.tobytes() == ref.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -186,6 +186,53 @@ def test_fd_suite_all_families():
     assert all(c.passed for c in checks)
 
 
+def _fd_suite_per_point(specs):
+    """fd_derivative_suite as a loop over points, one-point calls each."""
+    rng = np.random.default_rng(99)
+    out = []
+    for spec in specs:
+        d = spec.dim
+        pts = rng.uniform(-4, 4, size=(1000, d)) * spec.char_length()
+        worst_g = worst_h = 0.0
+        for x in pts:
+            h = 1e-5 * (1 + np.abs(x))
+            grad_fd = np.empty(d)
+            hess_fd = np.empty((d, d))
+            for a in range(d):
+                e = np.zeros(d)
+                e[a] = h[a]
+                grad_fd[a] = (spec.value(x + e) - spec.value(x - e)) / (2 * h[a])
+                hess_fd[:, a] = (spec.gradient(x + e) - spec.gradient(x - e)) / (2 * h[a])
+            ref_g = spec.gradient(x)
+            ref_h = spec.hessian(x)
+            scale_g = max(1.0, float(np.abs(ref_g).max()))
+            scale_h = max(1.0, float(np.abs(ref_h).max()))
+            worst_g = max(worst_g, float(np.abs(grad_fd - ref_g).max()) / scale_g)
+            worst_h = max(worst_h, float(np.abs(hess_fd - ref_h).max()) / scale_h)
+        worst = max(worst_g, worst_h)
+        out.append({"name": f"fd_{spec.family}", "lhs": worst, "rhs": 1e-6, "passed": worst < 1e-6,
+                    "detail": {"dim": d, "grad_err": worst_g, "hess_err": worst_h}})
+    return out
+
+
+def test_fd_suite_array_pass_matches_per_point_loop():
+    # the suite evaluates each spec on the whole point array; every number
+    # must stay bit for bit that of the one-point loop it replaced
+    specs = []
+    for d in (1, 2, 3):
+        specs += [
+            PotentialSpec("quadratic", {"coef": 1.3}, dim=d),
+            PotentialSpec("quartic_double_well", {"quartic": 0.25, "well": 0.5}, dim=d),
+            PotentialSpec("gaussian_bump", {"amplitude": 1.1, "width": 0.9, "sign": "attractive"},
+                          dim=d, role="interaction"),
+            PotentialSpec("gaussian_bump", {"amplitude": 0.3, "width": 0.7, "sign": "repulsive"},
+                          dim=d, role="interaction"),
+            PotentialSpec("cosine", {"amplitude": 0.7, "frequency": 1.8}, dim=d, role="interaction"),
+        ]
+    got = [c.to_json() for c in fd_derivative_suite(specs)]
+    assert repr(got) == repr(_fd_suite_per_point(specs))
+
+
 def test_oracle_suite_all_pass():
     rep = oracle_suite(n_lyapunov=5, n_moment=3, n_boundedness=3, seed=12)
     assert rep["all_passed"]
