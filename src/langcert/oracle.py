@@ -245,9 +245,8 @@ def verify_boundedness_condition(
     psi_sq = float((psi**2).sum())
     weights = measure.weights
     lhs = measure.expectation(hv_psi_sq * phi1**2, weights)
-    rhs = psi_sq * (
-        M1 * measure.expectation(grad_phi_sq, weights) + M2 * measure.expectation(phi1**2, weights)
-    )
+    e_grad, e_phi2 = measure.expectation(grad_phi_sq, weights), measure.expectation(phi1**2, weights)
+    rhs = psi_sq * (M1 * e_grad + M2 * e_phi2)
     return InequalityCheck(
         name="boundedness_condition",
         lhs=lhs,
