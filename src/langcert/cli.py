@@ -24,7 +24,7 @@ import numpy as np
 from . import certifier, oracle, simulator
 from .errors import InvalidSpecError, LangcertError, MissingConstantError, ResourceCapError
 from .meanfield import ModelConfig
-from .potentials import PotentialSpec
+from .potentials import PotentialSpec, real_params
 from .simulator import IntegratorConfig, InitSpec
 
 EXIT_OK = 0
@@ -110,8 +110,16 @@ def _real(value, name: str) -> float:
 
 
 def _load_potential(obj, role: str, where: str) -> PotentialSpec:
-    if isinstance(obj, dict) and "dim" in obj:
-        obj = {**obj, "dim": _int(obj["dim"], f"{where}.dim")}
+    """A potential spec whose ``dim`` and real-valued ``params`` go through
+    the typed readers; string params (a bump's ``sign``) stay strings."""
+    if isinstance(obj, dict):
+        obj = dict(obj)
+        if "dim" in obj:
+            obj["dim"] = _int(obj["dim"], f"{where}.dim")
+        if isinstance(obj.get("params"), dict):
+            reals = real_params(obj.get("family"))
+            obj["params"] = {k: _real(v, f"{where}.params.{k}") if k in reals else v
+                             for k, v in obj["params"].items()}
     return PotentialSpec.from_json(obj, role=role)
 
 
@@ -200,9 +208,10 @@ def cmd_simulate(config: dict, out_dir: Path, seed: int) -> int:
     replicas = _int(config["replicas"], "simulate.replicas")
     horizon = _real(config["horizon"], "simulate.horizon")
     stride = _int(config.get("stride", 1), "simulate.stride")
-    observables = tuple(config.get("observables", ["mean_position"]))
-    if not observables:
-        raise InvalidSpecError("empty observable list")
+    observables = config.get("observables", ["mean_position"])
+    if not (isinstance(observables, list) and observables and all(isinstance(o, str) for o in observables)):
+        raise InvalidSpecError(f"simulate.observables must be a non-empty list of names, got {observables!r}")
+    observables = tuple(observables)
     fit_cfg = config.get("fit") or {}
     _require_keys(fit_cfg, {"observable", "equilibrium"}, set(), "fit")
     fit_obs = fit_cfg.get("observable", observables[0])
@@ -255,6 +264,8 @@ def cmd_sweep(config: dict, out_dir: Path, seed: int) -> int:
     Ns = config["Ns"]
     if not isinstance(Ns, list):
         raise InvalidSpecError(f"sweep.Ns must be a list of integers, got {Ns!r}")
+    if not Ns:
+        raise InvalidSpecError("sweep.Ns must name at least one N, got []")
     integrator = _load_integrator(config["integrator"])
     observable = config.get("observable", "mean_position")
     table = simulator.n_sweep(

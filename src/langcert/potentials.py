@@ -28,6 +28,9 @@ convexity-at-infinity triple (c_u, c, R).
 from __future__ import annotations
 
 import math
+import numbers
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -36,6 +39,7 @@ from scipy import optimize
 from scipy.optimize import elementwise
 from scipy.integrate import cumulative_simpson
 
+from ._pool import _THREADS, _in_order, _ranges
 from .errors import InvalidSpecError
 
 __all__ = [
@@ -49,6 +53,7 @@ __all__ = [
     "lipschitz_constant",
     "lipschitz_from_model",
     "model_b0",
+    "real_params",
     "convexity_at_infinity_fit",
     "ANALYTIC",
     "NUMERIC",
@@ -83,7 +88,7 @@ class _Family:
     ``psi_r(params, sqrt(s))``.
     """
 
-    schema: dict  # parameter name -> validity predicate
+    schema: dict  # parameter name -> predicate on a real value, or the tuple of allowed strings
     g: Callable
     dg: Callable
     d2g: Callable
@@ -176,7 +181,7 @@ _FAMILIES = {
         schema={
             "amplitude": lambda v: v >= 0.0,
             "width": lambda v: v > 0.0,
-            "sign": lambda v: v in ("attractive", "repulsive"),
+            "sign": ("attractive", "repulsive"),
         },
         g=lambda p, r: _bump_amp(p) * _bump_exp(p, r**2),
         dg=lambda p, r: -_bump_amp(p) * r / p["width"] ** 2 * _bump_exp(p, r**2),
@@ -209,6 +214,13 @@ _FAMILIES = {
 FAMILIES = tuple(_FAMILIES)
 
 
+def real_params(family) -> tuple[str, ...]:
+    """The real-valued parameters of a family (the others take a string);
+    none for an unknown family."""
+    fam = _FAMILIES.get(family) if isinstance(family, str) else None
+    return tuple(k for k, rule in fam.schema.items() if not isinstance(rule, tuple)) if fam else ()
+
+
 @dataclass(frozen=True)
 class PotentialSpec:
     """One potential from a built-in radial family.
@@ -233,7 +245,7 @@ class PotentialSpec:
     role: str = "confinement"
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        if not isinstance(self.family, str) or self.family not in _FAMILIES:
             raise InvalidSpecError(f"unknown family {self.family!r}")
         if self.role not in ROLES:
             raise InvalidSpecError(f"unknown role {self.role!r}")
@@ -243,11 +255,18 @@ class PotentialSpec:
         unknown = set(self.params) - set(schema)
         if unknown:
             raise InvalidSpecError(f"unknown params for {self.family}: {sorted(unknown)}")
-        for name, ok in schema.items():
+        for name, rule in schema.items():
             if name not in self.params:
                 raise InvalidSpecError(f"{self.family} requires param {name!r}")
-            if not ok(self.params[name]):
-                raise InvalidSpecError(f"param {name}={self.params[name]!r} out of range")
+            v = self.params[name]
+            if isinstance(rule, tuple):
+                ok = isinstance(v, str) and v in rule
+            elif isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise InvalidSpecError(f"param {name} must be a number, got {v!r}")
+            else:
+                ok = rule(v)
+            if not ok:
+                raise InvalidSpecError(f"param {name}={v!r} out of range")
         if self.role == "confinement" and self.bounded:
             raise InvalidSpecError(
                 f"{self.family} is bounded and cannot confine (non-integrable Gibbs measure)"
@@ -525,7 +544,8 @@ def extract_constants(U: PotentialSpec, W: Optional[PotentialSpec]) -> Constants
 # ---------------------------------------------------------------------------
 
 # rows per block of the d = 1 section grid: keeps the (rows, n) work arrays
-# near 1 MB each at n = 1601, so peak memory does not grow with the node count
+# near 1 MB each at n = 1601, so peak memory grows with the thread count, not
+# with the node count
 _SECTION_BLOCK = 64 * 1601
 
 
@@ -539,16 +559,28 @@ def section_sup_batch(spec: PotentialSpec, rs, spans, n: int = 1601) -> np.ndarr
     In d = 1 the grid runs in blocks of rows, then one Chandrupatla
     minimization (``elementwise.find_minimum``) polishes every row's best grid
     node inside its bracket of grid neighbours; a row whose best node does not
-    bracket a maximum keeps its grid maximum.  In d >= 2 each row polishes its
-    three best grid nodes with Nelder-Mead.  A polish only raises the grid
-    maximum, so each entry is still a lower estimate of the true supremum.
+    bracket a maximum keeps its grid maximum.  Every row is its own problem,
+    so the d = 1 rows are cut into contiguous radius ranges, at most one per
+    core and per row block; each range runs its blocks and its polish on a
+    thread pool, and the ranges join in row order, byte-identical at any
+    thread count.  In d >= 2 each row polishes its three best grid nodes with
+    Nelder-Mead, serially.  A polish only raises the grid maximum, so each
+    entry is still a lower estimate of the true supremum.
     """
     rs = np.atleast_1d(np.asarray(rs, dtype=float))
     spans = np.broadcast_to(np.asarray(spans, dtype=float), rs.shape)
     if spec.dim > 1:
         return np.array([_section_sup_2d(spec, float(r), float(sp), n) for r, sp in zip(rs, spans)])
-    grid_max, bracket = np.empty_like(rs), np.empty((3, rs.size))
     step = max(_SECTION_BLOCK // n, 1)
+    parts = _ranges(rs.size, min(_THREADS, math.ceil(rs.size / step)))
+    with ThreadPoolExecutor(len(parts)) if len(parts) > 1 else nullcontext() as pool:
+        out = _in_order(pool, lambda lo, hi: _section_sup_1d(spec, rs[lo:hi], spans[lo:hi], n, step), parts)
+    return np.concatenate(out)
+
+
+def _section_sup_1d(spec: PotentialSpec, rs: np.ndarray, spans: np.ndarray, n: int, step: int) -> np.ndarray:
+    """The d = 1 search of ``section_sup_batch`` on its rows, ``step`` at a time."""
+    grid_max, bracket = np.empty_like(rs), np.empty((3, rs.size))
     for start in range(0, rs.size, step):
         blk = slice(start, start + step)
         r, span = rs[blk], spans[blk]
@@ -649,7 +681,9 @@ def model_b0(U: PotentialSpec, W: Optional[PotentialSpec]) -> Callable[[np.ndarr
     because z is unconstrained.  A polynomial part g = a2 r^2 + a4 r^4 is
     exactly -(2 a2 r + a4 r^3), attained at y = -x = -r e / 2, since
     <|x|^2 x - |y|^2 y, x - y> >= |x - y|^4 / 4; every bounded part is one
-    batched section search over all r on the box -r/2 +- max(8 char_length, 2r).
+    batched section search over all r on the box -r/2 +- max(8 char_length, 2r),
+    which in d = 1 shares its radii out among the cores (byte-identical at
+    any thread count).
     All parts clamp r to >= 1e-9.  The search is a lower estimate, and an
     under-estimate would poison c_lip: test_b0_widened_box_never_wins pins
     that a 1.5x wider box does not raise it at the first-pass c_lip nodes of

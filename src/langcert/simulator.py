@@ -32,10 +32,8 @@ byte-identical at any thread count.
 
 from __future__ import annotations
 
-import contextvars
 import itertools
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -47,6 +45,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.random import Philox
 from scipy.special import ndtri
 
+from ._pool import _THREADS, _in_order, _ranges
 from .errors import InvalidSpecError, ResourceCapError
 from .meanfield import ModelConfig, force_batch, pair_slabs
 
@@ -72,8 +71,6 @@ _DOMAIN_INIT_VEL = 2
 _SLAB_WORDS = 2**14  # raw Philox words converted to normals per pass
 _REPLICA_CHUNK = 4096  # replicas integrated together by run
 _TIME_BLOCK = 256  # steps of noise drawn per block
-# usable cores, the most replica slabs run advances at once
-_THREADS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _BOOT_RESAMPLES = 200  # bootstrap refits of fit_decay
 _BOOT_SEED = 777
 _BOOT_ROWS = 128  # rows of a resample gathered at once
@@ -168,24 +165,6 @@ def _words_to_normals(words: np.ndarray, out: np.ndarray) -> np.ndarray:
     u = np.multiply(top, 2.0**-53, out=out)
     np.add(u, 2.0**-54, out=u)
     return ndtri(u, out=u)
-
-
-def _in_order(pool: Optional[ThreadPoolExecutor], fn: Callable, args: Sequence[tuple]) -> list:
-    """``[fn(*a) for a in args]``, inline without a pool.  On a pool each call
-    runs in a copy of the caller's context, so np.errstate applies on every
-    thread as it does inline, and results come back in the order of ``args``."""
-    if pool is None:
-        return [fn(*a) for a in args]
-    futures = [pool.submit(contextvars.copy_context().run, fn, *a) for a in args]
-    return [f.result() for f in futures]
-
-
-def _ranges(n: int, parts: int) -> list[tuple[int, int]]:
-    """``range(n)`` cut into at most ``parts`` contiguous, non-empty
-    ``(lo, hi)`` ranges of near-equal length."""
-    parts = max(1, min(parts, n))
-    edges = [n * p // parts for p in range(parts + 1)]
-    return list(zip(edges, edges[1:]))
 
 
 class NoiseStreams:

@@ -430,6 +430,48 @@ def test_oracle_bad_battery_sizes_exit_one(tmp_path, capsys):
     ])
 
 
+def test_potential_params_read_as_numbers(tmp_path, capsys):
+    # "x" used to escape main as a TypeError traceback and true certified as
+    # coef 1; a bump's sign stays a string
+    bump = {**SMALL_BUMP, "params": {**SMALL_BUMP["params"], "amplitude": "0.1"}}
+    _assert_rejected(tmp_path, capsys, "certify", [
+        ({"model": {"N": 8, "d": 1, "U": {**QUAD_U, "params": {"coef": "x"}}}},
+         "model.U.params.coef must be a number, got 'x'"),
+        ({"model": {"N": 8, "d": 1, "U": {**QUAD_U, "params": {"coef": True}}}},
+         "model.U.params.coef must be a number, got True"),
+        ({"model": {"N": 8, "d": 1, "U": QUAD_U, "W": bump}}, "model.W.params.amplitude must be a number, got '0.1'"),
+        ({"model": {"N": 8, "d": 1, "U": QUAD_U, "W": {**SMALL_BUMP, "params": {**SMALL_BUMP["params"], "sign": 1}}}},
+         "param sign=1 out of range"),
+    ])
+    _assert_rejected(tmp_path, capsys, "sweep", [
+        ({**SWEEP, "model_template": {"d": 1, "U": {**QUAD_U, "params": {"coef": [1.0]}}}},
+         "model_template.U.params.coef must be a number, got [1.0]"),
+    ])
+    # an integer param certifies as its float
+    certs = []
+    for k, coef in enumerate((1, 1.0)):
+        cfg = write_config(tmp_path, f"coef{k}.json", {"model": {"N": 8, "d": 1, "U": {**QUAD_U, "params": {"coef": coef}},
+                                                                 "W": SMALL_BUMP}})
+        assert main(["certify", "--config", str(cfg), "--out", str(tmp_path / f"coef{k}")]) == 0
+        certs.append(json.loads((tmp_path / f"coef{k}" / "certificate.json").read_text())["certificate"])
+    assert certs[0] == certs[1]
+
+
+def test_sweep_rejects_empty_Ns(tmp_path, capsys):
+    # [] used to print "relative spread None" and exit 0
+    _assert_rejected(tmp_path, capsys, "sweep", [({**SWEEP, "Ns": []}, "sweep.Ns must name at least one N, got []")])
+
+
+def test_simulate_observables_must_be_a_list_of_names(tmp_path, capsys):
+    # a bare string used to split into characters: "unknown observable 'm'"
+    message = "simulate.observables must be a non-empty list of names, got "
+    _assert_rejected(tmp_path, capsys, "simulate", [
+        ({**SIM, "observables": "mean_position"}, message + "'mean_position'"),
+        ({**SIM, "observables": []}, message + "[]"),
+        ({**SIM, "observables": [["mean_position"]]}, message + "[['mean_position']]"),
+    ])
+
+
 def _readme_usage() -> dict:
     """The README's ``langcert <command> ...`` lines: command -> {flag: choices or None}."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

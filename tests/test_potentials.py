@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -170,6 +171,12 @@ def test_invalid_specs_rejected():
         PotentialSpec("quadratic", {"coef": 1.0, "bogus": 2}, dim=1)
     with pytest.raises(InvalidSpecError):
         PotentialSpec("quadratic", {"coef": 1.0}, dim=0)
+    # a number param takes a real, never a bool or a string; sign takes a string
+    for params in ({"coef": True}, {"coef": "1.0"}):
+        with pytest.raises(InvalidSpecError, match="param coef must be a number"):
+            PotentialSpec("quadratic", params, dim=1)
+    with pytest.raises(InvalidSpecError, match="out of range"):
+        PotentialSpec("gaussian_bump", {"amplitude": 1.0, "width": 1.0, "sign": 1}, role="interaction")
 
 
 def test_json_round_trip():
@@ -384,22 +391,6 @@ def test_clip_from_model_quadratic():
     assert res2.value == pytest.approx(1.0 / 1.5, abs=1e-8)
 
 
-def _section_sup_scalar(spec, r, span, n=1601):
-    """The per-radius d = 1 section search that section_sup_batch replaced:
-    grid maximum plus one scalar bounded-Brent polish of its cell."""
-    alpha = np.linspace(-r / 2 - span, -r / 2 + span, n)
-
-    def f(al):
-        al = np.asarray(al, dtype=float)
-        return -(spec.psi(np.abs(al + r)) * (al + r) - spec.psi(np.abs(al)) * al)
-
-    vals = f(alpha)
-    i = int(np.argmax(vals))
-    res = optimize.minimize_scalar(lambda a: -float(f(a)), bounds=(alpha[max(i - 1, 0)], alpha[min(i + 1, n - 1)]),
-                                   method="bounded")
-    return max(float(vals.max()), float(-res.fun))
-
-
 def test_model_b0_vectorized_matches_pointwise():
     b0 = model_b0(DW, BUMP)
     a2, a4 = DW.poly()
@@ -457,6 +448,54 @@ def test_section_sup_batch_matches_scalar_search(spec):
     assert got.tolist() == [section_sup_batch(spec, [r], [sp], n=801)[0] for r, sp in zip(rs, spans)]
     old = np.array([_section_sup_scalar(spec, r, sp, n=801) for r, sp in zip(rs, spans)])
     assert np.all(np.abs(got - old) <= 1e-12 * (1 + np.abs(old)))
+
+
+def _record_pools(monkeypatch) -> list:
+    """Swap the section search's thread pool for one that records its worker count."""
+    sizes = []
+
+    class Pool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(potentials, "ThreadPoolExecutor", Pool)
+    return sizes
+
+
+def test_section_search_is_byte_identical_at_any_thread_count(monkeypatch):
+    # rows cut into at most one range per core and per 64-row block (n = 1601):
+    # 1, 63 and 64 rows stay on this thread, 65 rows use 2 workers, 150 up
+    # to 3 and 4097 (the first c_lip pass) one per thread
+    sizes = _record_pools(monkeypatch)
+    counts = (1, 63, 64, 65, 150, 4097)
+    got = {}
+    for threads in (1, 2, 3, 4):
+        monkeypatch.setattr(potentials, "_THREADS", threads)
+        for spec in (SMALL_BUMP, SMALL_COS):
+            for m in counts:
+                rs = np.linspace(1e-9, 16.0, m)
+                got[threads, spec.family, m] = section_sup_batch(spec, rs, np.maximum(8.0, 2.0 * rs)).tobytes()
+        res = lipschitz_from_model(DW, REPULSIVE_BUMP)
+        got[threads, "c_lip"] = (res.value, res.converged, res.s_max)
+    assert all(got[key] == got[(1,) + key[1:]] for key in got)
+    # per thread count: 65, 150 and 4097 rows of each spec, then the c_lip
+    # pass of 4097 nodes; one thread never starts a pool
+    assert sizes == [2, 2, 2, 2, 2, 2, 2,
+                     2, 3, 3, 2, 3, 3, 3,
+                     2, 3, 4, 2, 3, 4, 4]
+
+
+def test_section_search_keeps_the_callers_errstate(monkeypatch):
+    # the ranges run in copies of the caller's context: the bump's exp
+    # underflows far out on the section line, which raises under
+    # np.errstate(under="raise") on the workers as it does inline
+    rs = np.linspace(0.01, 16.0, 150)
+    for threads in (1, 2):
+        monkeypatch.setattr(potentials, "_THREADS", threads)
+        section_sup_batch(SMALL_BUMP, rs, 2.0 * rs + 8.0)
+        with np.errstate(under="raise"), pytest.raises(FloatingPointError):
+            section_sup_batch(SMALL_BUMP, rs, 2.0 * rs + 8.0)
 
 
 @pytest.mark.parametrize("spec", [BUMP, COS, REPULSIVE_BUMP], ids=["bump", "cosine", "repulsive_bump"])
