@@ -24,7 +24,7 @@ import numpy as np
 from . import certifier, oracle, simulator
 from .errors import InvalidSpecError, LangcertError, MissingConstantError, ResourceCapError
 from .meanfield import ModelConfig
-from .potentials import PotentialSpec, real_params
+from .potentials import PotentialSpec, param_types
 from .simulator import IntegratorConfig, InitSpec
 
 EXIT_OK = 0
@@ -109,17 +109,27 @@ def _real(value, name: str) -> float:
     raise InvalidSpecError(f"{name} must be a number, got {value!r}")
 
 
+def _name(value, name: str) -> str:
+    """A config string, such as an observable name or a bump's sign."""
+    if not isinstance(value, str):
+        raise InvalidSpecError(f"{name} must be a string, got {value!r}")
+    return value
+
+
 def _load_potential(obj, role: str, where: str) -> PotentialSpec:
-    """A potential spec whose ``dim`` and real-valued ``params`` go through
-    the typed readers; string params (a bump's ``sign``) stay strings."""
+    """A potential spec whose ``dim`` and ``params`` go through the typed
+    readers: a family's params are reals, except a bump's ``sign``."""
     if isinstance(obj, dict):
         obj = dict(obj)
         if "dim" in obj:
             obj["dim"] = _int(obj["dim"], f"{where}.dim")
-        if isinstance(obj.get("params"), dict):
-            reals = real_params(obj.get("family"))
-            obj["params"] = {k: _real(v, f"{where}.params.{k}") if k in reals else v
-                             for k, v in obj["params"].items()}
+        params = obj.get("params", {})
+        if not isinstance(params, dict):
+            raise InvalidSpecError(f"{where}.params must be a JSON object, got {params!r}")
+        readers = {float: _real, str: _name}
+        types = param_types(obj.get("family"))
+        obj["params"] = {k: readers[types[k]](v, f"{where}.params.{k}") if k in types else v
+                         for k, v in params.items()}
     return PotentialSpec.from_json(obj, role=role)
 
 
@@ -214,7 +224,7 @@ def cmd_simulate(config: dict, out_dir: Path, seed: int) -> int:
     observables = tuple(observables)
     fit_cfg = config.get("fit") or {}
     _require_keys(fit_cfg, {"observable", "equilibrium"}, set(), "fit")
-    fit_obs = fit_cfg.get("observable", observables[0])
+    fit_obs = _name(fit_cfg.get("observable", observables[0]), "fit.observable")
     equilibrium = _real(fit_cfg.get("equilibrium", 0.0), "fit.equilibrium")
     res = simulator.run(
         model,
@@ -267,7 +277,7 @@ def cmd_sweep(config: dict, out_dir: Path, seed: int) -> int:
     if not Ns:
         raise InvalidSpecError("sweep.Ns must name at least one N, got []")
     integrator = _load_integrator(config["integrator"])
-    observable = config.get("observable", "mean_position")
+    observable = _name(config.get("observable", "mean_position"), "sweep.observable")
     table = simulator.n_sweep(
         U,
         W,

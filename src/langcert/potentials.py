@@ -53,7 +53,7 @@ __all__ = [
     "lipschitz_constant",
     "lipschitz_from_model",
     "model_b0",
-    "real_params",
+    "param_types",
     "convexity_at_infinity_fit",
     "ANALYTIC",
     "NUMERIC",
@@ -214,11 +214,11 @@ _FAMILIES = {
 FAMILIES = tuple(_FAMILIES)
 
 
-def real_params(family) -> tuple[str, ...]:
-    """The real-valued parameters of a family (the others take a string);
-    none for an unknown family."""
+def param_types(family) -> dict:
+    """Parameter name -> ``float`` or ``str``, the type each parameter of the
+    family takes; empty for an unknown family."""
     fam = _FAMILIES.get(family) if isinstance(family, str) else None
-    return tuple(k for k, rule in fam.schema.items() if not isinstance(rule, tuple)) if fam else ()
+    return {k: str if isinstance(rule, tuple) else float for k, rule in fam.schema.items()} if fam else {}
 
 
 @dataclass(frozen=True)

@@ -432,7 +432,7 @@ def test_oracle_bad_battery_sizes_exit_one(tmp_path, capsys):
 
 def test_potential_params_read_as_numbers(tmp_path, capsys):
     # "x" used to escape main as a TypeError traceback and true certified as
-    # coef 1; a bump's sign stays a string
+    # coef 1; a bump's sign is a string
     bump = {**SMALL_BUMP, "params": {**SMALL_BUMP["params"], "amplitude": "0.1"}}
     _assert_rejected(tmp_path, capsys, "certify", [
         ({"model": {"N": 8, "d": 1, "U": {**QUAD_U, "params": {"coef": "x"}}}},
@@ -441,7 +441,9 @@ def test_potential_params_read_as_numbers(tmp_path, capsys):
          "model.U.params.coef must be a number, got True"),
         ({"model": {"N": 8, "d": 1, "U": QUAD_U, "W": bump}}, "model.W.params.amplitude must be a number, got '0.1'"),
         ({"model": {"N": 8, "d": 1, "U": QUAD_U, "W": {**SMALL_BUMP, "params": {**SMALL_BUMP["params"], "sign": 1}}}},
-         "param sign=1 out of range"),
+         "model.W.params.sign must be a string, got 1"),
+        ({"model": {"N": 8, "d": 1, "U": {**QUAD_U, "family": ["quadratic"]}}}, "unknown family ['quadratic']"),
+        ({"model": {"N": 8, "d": 1, "U": {**QUAD_U, "params": "ab"}}}, "model.U.params must be a JSON object, got 'ab'"),
     ])
     _assert_rejected(tmp_path, capsys, "sweep", [
         ({**SWEEP, "model_template": {"d": 1, "U": {**QUAD_U, "params": {"coef": [1.0]}}}},
@@ -463,12 +465,17 @@ def test_sweep_rejects_empty_Ns(tmp_path, capsys):
 
 
 def test_simulate_observables_must_be_a_list_of_names(tmp_path, capsys):
-    # a bare string used to split into characters: "unknown observable 'm'"
+    # a bare string used to split into characters: "unknown observable 'm'",
+    # and a list as the fitted observable escaped main as a TypeError
     message = "simulate.observables must be a non-empty list of names, got "
     _assert_rejected(tmp_path, capsys, "simulate", [
         ({**SIM, "observables": "mean_position"}, message + "'mean_position'"),
         ({**SIM, "observables": []}, message + "[]"),
         ({**SIM, "observables": [["mean_position"]]}, message + "[['mean_position']]"),
+        ({**SIM, "fit": {"observable": ["mean_position"]}}, "fit.observable must be a string, got ['mean_position']"),
+    ])
+    _assert_rejected(tmp_path, capsys, "sweep", [
+        ({**SWEEP, "observable": ["mean_position"]}, "sweep.observable must be a string, got ['mean_position']"),
     ])
 
 
