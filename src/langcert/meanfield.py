@@ -9,9 +9,10 @@ written (the diagonal contributes the constant N W(0) / 2, which drops out
 of every derivative because W is even).  Configurations are (N, d) arrays;
 batched helpers accept (R, N, d).
 
-The pair force runs over cache-sized slabs of whole replicas and takes psi
-from r^2 (``PotentialSpec.psi_sq``), so each replica's force is bit for bit
-the same whatever batch it comes in.
+The pair force runs over cache-sized slabs of whole replicas, in buffers
+reused from slab to slab, and takes psi from r^2 in place
+(``PotentialSpec.psi_sq`` with ``out``), so each replica's force is bit for
+bit the same whatever batch it comes in.
 """
 
 from __future__ import annotations
@@ -92,7 +93,9 @@ def force_batch(model: ModelConfig, x: np.ndarray) -> np.ndarray:
     j = i term vanishing identically (grad W(0) = 0 for even W).  The pair
     sum runs in slabs of at most ``_PAIR_SLAB`` pair entries (at least one
     replica each), with psi taken from r^2 = sum_k (x_i - x_j)_k^2 summed
-    in coordinate order.  Row k of the result equals
+    in coordinate order.  The differences, r^2 (overwritten by psi) and the
+    pair sums of a slab go to buffers allocated once per call and reused by
+    every slab.  Row k of the result equals
     ``force_batch(model, x[k:k+1])[0]`` bit for bit.  In d = 1 it also
     equals psi(|x_i - x_j|) bit for bit, because sqrt(fl(y^2)) = |y|.
     """
@@ -104,14 +107,21 @@ def force_batch(model: ModelConfig, x: np.ndarray) -> np.ndarray:
     N, d = x.shape[-2:]
     xs, fs = x.reshape(-1, N, d), f.reshape(-1, N, d)  # views: both contiguous
     slab = max(1, _PAIR_SLAB // (N * N))
+    rows = min(slab, xs.shape[0])
+    diff_buf, s_buf = np.empty((rows, N, N, d)), np.empty((rows, N, N))
+    sq_buf = np.empty((rows, N, N)) if d > 1 else None
+    sum_buf = np.empty((rows, N, d))
     for lo in range(0, xs.shape[0], slab):
         xb = xs[lo:lo + slab]
-        diff = xb[:, :, None, :] - xb[:, None, :, :]
-        s = diff[..., 0] ** 2
+        n = xb.shape[0]
+        diff = np.subtract(xb[:, :, None, :], xb[:, None, :, :], out=diff_buf[:n])
+        s = np.square(diff[..., 0], out=s_buf[:n])
         for k in range(1, d):
-            s += diff[..., k] ** 2
-        diff *= W.psi_sq(s)[..., None]
-        fs[lo:lo + slab] -= diff.sum(axis=-2) / N
+            s += np.square(diff[..., k], out=sq_buf[:n])
+        diff *= W.psi_sq(s, out=s)[..., None]
+        acc = np.sum(diff, axis=-2, out=sum_buf[:n])
+        acc /= N
+        fs[lo:lo + n] -= acc
     return f
 
 

@@ -81,11 +81,13 @@ class _Family:
     the bounds map ``params`` to the closed forms that the ``PotentialSpec``
     methods of the same name document.
 
-    The radial derivative psi is written once, as ``psi_sq(params, s)`` with
-    s = r^2, so the pair force never takes a square root; ``psi`` in r is
-    ``psi_sq(params, r**2)``.  A family whose psi has no closed form in r^2
-    (cosine: a sinc in r) supplies ``psi_r`` instead and sets ``psi_sq`` to
-    ``psi_r(params, sqrt(s))``.
+    The radial derivative psi is written once, as ``psi_sq(params, s, out)``
+    with s = r^2, so the pair force never takes a square root: it writes
+    psi into the array ``out``, which may be ``s`` itself, and returns it,
+    so the pair force's slab buffer is reused.  ``psi`` in r is
+    ``psi_sq(params, r**2, r**2)``.  A family whose psi has no closed form
+    in r^2 (cosine: a sinc in r) supplies ``psi_r`` instead, and its
+    ``psi_sq`` copies ``psi_r(params, sqrt(s))`` into ``out``.
     """
 
     schema: dict  # parameter name -> predicate on a real value, or the tuple of allowed strings
@@ -103,7 +105,10 @@ class _Family:
     psi_r: Optional[Callable] = None  # psi in r, where it has no closed form in r^2
 
     def psi(self, p, r):
-        return self.psi_sq(p, r**2) if self.psi_r is None else self.psi_r(p, r)
+        if self.psi_r is not None:
+            return self.psi_r(p, r)
+        s = np.asarray(r**2)
+        return self.psi_sq(p, s, s)
 
 
 def _quartic_char_length(p) -> float:
@@ -117,9 +122,15 @@ def _bump_amp(p) -> float:
     return (-1.0 if p["sign"] == "attractive" else 1.0) * p["amplitude"]
 
 
-def _bump_exp(p, s):
-    """exp(-r^2 / 2 width^2) from s = r^2."""
-    return np.exp(-s / (2 * p["width"] ** 2))
+def _bump_exp(p, s, out=None):
+    """exp(-r^2 / 2 width^2) from s = r^2, into ``out`` when given."""
+    return np.exp(np.divide(np.negative(s, out=out), 2 * p["width"] ** 2, out=out), out=out)
+
+
+def _into(out, values):
+    """``values`` written into ``out``, which is returned."""
+    out[...] = values
+    return out
 
 
 def _bump_eig_bounds(p) -> tuple[float, float]:
@@ -152,7 +163,7 @@ _FAMILIES = {
         g=lambda p, r: 0.5 * p["coef"] * r**2,
         dg=lambda p, r: p["coef"] * r,
         d2g=lambda p, r: np.full_like(r, p["coef"]),
-        psi_sq=lambda p, s: np.full_like(s, p["coef"]),
+        psi_sq=lambda p, s, out: _into(out, p["coef"]),
         chi=lambda p, r: np.zeros_like(r),
         hess_op_sup=lambda p: p["coef"],
         grad_sup=lambda p: 0.0 if p["coef"] == 0.0 else math.inf,
@@ -167,7 +178,8 @@ _FAMILIES = {
         g=lambda p, r: p["quartic"] * r**4 - p["well"] * r**2,
         dg=lambda p, r: 4 * p["quartic"] * r**3 - 2 * p["well"] * r,
         d2g=lambda p, r: 12 * p["quartic"] * r**2 - 2 * p["well"],
-        psi_sq=lambda p, s: 4 * p["quartic"] * s - 2 * p["well"],
+        psi_sq=lambda p, s, out: np.subtract(np.multiply(s, 4 * p["quartic"], out=out), 2 * p["well"],
+                                             out=out),
         chi=lambda p, r: np.full_like(r, 8 * p["quartic"]),
         hess_op_sup=lambda p: math.inf,
         grad_sup=lambda p: math.inf,
@@ -186,7 +198,7 @@ _FAMILIES = {
         g=lambda p, r: _bump_amp(p) * _bump_exp(p, r**2),
         dg=lambda p, r: -_bump_amp(p) * r / p["width"] ** 2 * _bump_exp(p, r**2),
         d2g=lambda p, r: -_bump_amp(p) / p["width"] ** 2 * (1 - r**2 / p["width"] ** 2) * _bump_exp(p, r**2),
-        psi_sq=lambda p, s: -_bump_amp(p) / p["width"] ** 2 * _bump_exp(p, s),
+        psi_sq=lambda p, s, out: np.multiply(_bump_exp(p, s, out), -_bump_amp(p) / p["width"] ** 2, out=out),
         chi=lambda p, r: _bump_amp(p) / (p["width"] ** 2) ** 2 * _bump_exp(p, r**2),
         hess_op_sup=lambda p: p["amplitude"] / p["width"] ** 2,
         grad_sup=lambda p: p["amplitude"] / p["width"] * math.exp(-0.5),
@@ -200,7 +212,7 @@ _FAMILIES = {
         g=lambda p, r: p["amplitude"] * np.cos(p["frequency"] * r),
         dg=lambda p, r: -p["amplitude"] * p["frequency"] * np.sin(p["frequency"] * r),
         d2g=lambda p, r: -p["amplitude"] * p["frequency"] ** 2 * np.cos(p["frequency"] * r),
-        psi_sq=lambda p, s: _cosine_psi(p, np.sqrt(s)),
+        psi_sq=lambda p, s, out: _into(out, _cosine_psi(p, np.sqrt(s))),
         chi=_cosine_chi,
         hess_op_sup=lambda p: abs(p["amplitude"]) * p["frequency"] ** 2,
         grad_sup=lambda p: abs(p["amplitude"]) * abs(p["frequency"]),
@@ -300,10 +312,12 @@ class PotentialSpec:
         """g'(r)/r, finite at r = 0."""
         return _FAMILIES[self.family].psi(self.params, np.asarray(r, dtype=float))
 
-    def psi_sq(self, s):
+    def psi_sq(self, s, out=None):
         """psi(sqrt(s)) for s = r^2 >= 0, without a square root where the
-        family has a closed form in r^2."""
-        return _FAMILIES[self.family].psi_sq(self.params, np.asarray(s, dtype=float))
+        family has a closed form in r^2.  Written into ``out`` when given (a
+        float array of the shape of ``s``, which may be ``s`` itself)."""
+        s = np.asarray(s, dtype=float)
+        return _FAMILIES[self.family].psi_sq(self.params, s, np.empty_like(s) if out is None else out)
 
     def chi(self, r):
         """(g''(r) - psi(r)) / r^2, finite at r = 0."""

@@ -13,7 +13,13 @@ depend on the number of replicas or particles in the run, which makes
 N-sweeps seed-comparable and particle relabeling an exact symmetry (carry
 the labels along).  Uniform words map to normals through the inverse CDF,
 one word per normal, so the k-th step of a stream is a pure function of the
-key regardless of chunking.
+key regardless of chunking.  A block of noise is stored step-major, so the
+normals of one step are one contiguous run for the integrator to read.  The
+initial draws take only the first few words of each stream, so they come
+from the Philox4x64-10 rounds run on all keys at once as uint64 array
+arithmetic (Salmon et al., SC'11), word for word what numpy's ``Philox``
+returns; the dynamics streams, which draw a block at a time, keep one
+``Philox`` each.
 
 Replicas advance in chunks.  A chunk with enough pair-force work is split
 into contiguous replica slabs, up to one per usable core, that advance on a
@@ -172,27 +178,35 @@ class NoiseStreams:
 
     ``normals(n_steps)`` returns a block of shape (R, n_steps, N, d) and
     advances every stream by n_steps * d words; successive calls continue
-    where the previous block ended, so chunked generation is exact.  Each
-    stream's words go to its own entries of the block, so how the replicas
-    are shared among threads does not change a byte.
+    where the previous block ended, so chunked generation is exact.  The
+    block is the transposed view of a step-major (n_steps, R, N, d) array,
+    so ``block[:, k]`` is C-contiguous.  Each stream's words go to its own
+    entries of the block, so how the replicas are shared among threads does
+    not change a byte.
     """
 
     def __init__(self, master_seed: int, replicas: Sequence[int], labels: Sequence[int], d: int):
+        if not len(replicas) or not len(labels):
+            raise InvalidSpecError("noise streams need at least one replica and one label")
         self.d = d
         keys = _stream_keys(master_seed, _DOMAIN_DYNAMICS, replicas, labels)
         self._gens = [[Philox(key=k) for k in row] for row in keys]
 
     def normals(self, n_steps: int, pool: Optional[ThreadPoolExecutor] = None) -> np.ndarray:
         """With a ``pool``, contiguous replica ranges, one per worker, convert
-        on its threads into their own rows of the block."""
+        on its threads into their own replicas' entries of the block."""
+        if n_steps < 0:
+            raise InvalidSpecError(f"n_steps must be >= 0, got {n_steps}")
         R, N = len(self._gens), len(self._gens[0])
         words = n_steps * self.d
-        out = np.empty((R, n_steps, N, self.d))
+        out = np.empty((n_steps, R, N, self.d))
+        if words == 0:
+            return out.transpose(1, 0, 2, 3)
         slab = max(1, _SLAB_WORDS // (N * words))
 
         def convert(lo, hi):
             # the raw words of a slab of replicas go to one reused buffer,
-            # stream by stream, and are converted into out[a:b] in one pass
+            # stream by stream, and are converted into out[:, a:b] in one pass
             buf = np.empty(min(slab, hi - lo) * N * words, dtype=np.uint64)
             for a in range(lo, hi, slab):
                 b = min(a + slab, hi)
@@ -200,21 +214,61 @@ class NoiseStreams:
                 for i, row in enumerate(self._gens[a:b]):
                     for j, g in enumerate(row):
                         raw[i, j] = g.random_raw(words)
-                raw = raw.reshape(b - a, N, n_steps, self.d).transpose(0, 2, 1, 3)
-                _words_to_normals(raw, out=out[a:b])
+                raw = raw.reshape(b - a, N, n_steps, self.d).transpose(2, 0, 1, 3)
+                _words_to_normals(raw, out=out[:, a:b])
 
         _in_order(pool, convert, _ranges(R, 1 if pool is None else pool._max_workers))
-        return out
+        return out.transpose(1, 0, 2, 3)
+
+
+# Philox4x64-10 (Salmon et al., SC'11) with numpy's constants: the two round
+# multipliers, the two key increments (Weyl constants) and the 32-bit mask
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_LO32 = np.uint64(0xFFFFFFFF)
+
+
+def _mulhilo(m: np.uint64, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products m * a, from 32-bit halves
+    (every partial product and partial sum fits in 64 bits)."""
+    s = np.uint64(32)
+    m_lo, m_hi = m & _LO32, m >> s
+    a_lo, a_hi = a & _LO32, a >> s
+    ll, lh, hl = a_lo * m_lo, a_lo * m_hi, a_hi * m_lo
+    mid = (ll >> s) + (lh & _LO32) + (hl & _LO32)
+    return a_hi * m_hi + (lh >> s) + (hl >> s) + (mid >> s), a * m
+
+
+def _philox_words(keys: np.ndarray, n_words: int) -> np.ndarray:
+    """``Philox(key=k).random_raw(n_words)`` for every row k of the (K, 2)
+    uint64 ``keys``, shape (K, n_words), from ceil(n_words / 4) blocks of
+    ten rounds run on all keys at once, in slabs of at most ``_SLAB_WORDS``
+    keys.  As in numpy, the first block has counter (1, 0, 0, 0) and the key
+    is bumped before rounds 1 to 9."""
+    blocks = -(-n_words // 4)
+    out = np.empty((keys.shape[0], n_words), dtype=np.uint64)
+    for lo in range(0, keys.shape[0], _SLAB_WORDS):
+        k = keys[lo:lo + _SLAB_WORDS]
+        n = k.shape[0]
+        k0, k1 = np.repeat(k[:, 0], blocks), np.repeat(k[:, 1], blocks)
+        c0 = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), n)
+        c1 = c2 = c3 = np.zeros_like(c0)
+        for r in range(10):
+            if r:
+                k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+            hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+            hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+            c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+        out[lo:lo + n] = np.stack([c0, c1, c2, c3], axis=-1).reshape(n, 4 * blocks)[:, :n_words]
+    return out
 
 
 def _init_normals(master_seed: int, domain: int, replicas: Sequence[int], labels: Sequence[int], d: int) -> np.ndarray:
     """The first d normals of every (replica, label) stream of ``domain``,
-    shape (R, N, d), converted in one pass."""
+    shape (R, N, d): the first d words of every key from ``_philox_words``,
+    converted in one pass."""
     keys = _stream_keys(master_seed, domain, replicas, labels)
-    raw = np.empty((len(replicas), len(labels), d), dtype=np.uint64)
-    for i, row in enumerate(keys):
-        for j, k in enumerate(row):
-            raw[i, j] = Philox(key=k).random_raw(d)
+    raw = _philox_words(keys.reshape(-1, 2), d).reshape(len(replicas), len(labels), d)
     return _words_to_normals(raw, out=np.empty(raw.shape))
 
 

@@ -153,6 +153,36 @@ def test_force_batch_near_pre_slab_formula_in_higher_d(d, N):
         assert np.abs(f - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
+def fresh_buffer_slab_force(model, x):
+    # the slab loop with new temporaries in every slab and psi_sq returning
+    # a new array, as written before the slab buffers were reused
+    f = -model.U.gradient(x)
+    N, d = x.shape[-2:]
+    slab = max(1, _PAIR_SLAB // (N * N))
+    for lo in range(0, x.shape[0], slab):
+        xb = x[lo:lo + slab]
+        diff = xb[:, :, None, :] - xb[:, None, :, :]
+        s = diff[..., 0] ** 2
+        for k in range(1, d):
+            s += diff[..., k] ** 2
+        diff *= model.W.psi_sq(s)[..., None]
+        f[lo:lo + slab] -= diff.sum(axis=-2) / N
+    return f
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("N", [2, 8, 32])
+def test_force_batch_matches_the_fresh_buffer_slab_loop(N, d):
+    # two full slabs and a short third one, and a batch shorter than a slab
+    slab = _PAIR_SLAB // N**2
+    rng = np.random.default_rng(N + d)
+    for W in interactions(d):
+        model = ModelConfig(N=N, d=d, U=quad(1.0, d=d), W=W)
+        for R in (2 * slab + 3, 3):
+            x = rng.standard_normal((R, N, d)) * 1.5
+            assert force_batch(model, x).tobytes() == fresh_buffer_slab_force(model, x).tobytes()
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("N", [2, 5, 33])
 def test_force_batch_rows_do_not_depend_on_batch(d, N):

@@ -120,6 +120,20 @@ def test_psi_sq_and_psi_agree_bit_for_bit(spec):
         assert spec.psi(r).tobytes() == spec.psi_sq(s).tobytes()
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("family", potentials.FAMILIES)
+def test_psi_sq_into_out_matches_a_fresh_array(family, d):
+    # the pair force passes its r^2 slab as out; any other buffer works too
+    params = next(s.params for s in ALL_SPECS if s.family == family)
+    spec = PotentialSpec(family, params, dim=d, role="interaction")
+    s = np.square(np.random.default_rng(d).standard_normal((7, 5, 5)) * 3.0)
+    s[0] = 0.0
+    want = spec.psi_sq(s)
+    buf = np.full_like(s, np.nan)
+    assert spec.psi_sq(s, out=buf) is buf and buf.tobytes() == want.tobytes()
+    assert spec.psi_sq(s, out=s) is s and s.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: f"{s.family}_d{s.dim}")
 def test_fd_gradient_hessian_match(spec):
     rng = np.random.default_rng(7)

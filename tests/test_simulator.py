@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from langcert.simulator import (
     _SLAB_WORDS,
     _advance_block,
     _fit_lambda,
+    _philox_words,
     _forward_env,
     _oscillation_spacing,
     _init_normals,
@@ -155,6 +157,59 @@ def test_streams_slab_conversion_matches_per_stream(R, N, d, n_steps, per_slab):
     for _ in range(2):  # the second block continues every stream
         got = streams.normals(n_steps)
         assert got.tobytes() == reference_block(gens).tobytes()
+
+
+def test_normals_of_zero_steps_are_empty_and_advance_nothing():
+    streams = NoiseStreams(4, [0, 1, 2], [0, 5], 2)
+    empty = streams.normals(0)
+    assert empty.shape == (3, 0, 2, 2)
+    assert streams.normals(3).tobytes() == NoiseStreams(4, [0, 1, 2], [0, 5], 2).normals(3).tobytes()
+
+
+def test_normals_reject_negative_steps():
+    streams = NoiseStreams(4, [0, 1], [0], 1)
+    with pytest.raises(InvalidSpecError, match="n_steps must be >= 0"):
+        streams.normals(-1)
+    assert streams.normals(2).tobytes() == NoiseStreams(4, [0, 1], [0], 1).normals(2).tobytes()
+
+
+@pytest.mark.parametrize("replicas, labels", [([], [0, 1]), ([0, 1], [])])
+def test_streams_reject_an_empty_replica_or_label_list(replicas, labels):
+    with pytest.raises(InvalidSpecError, match="at least one replica and one label"):
+        NoiseStreams(4, replicas, labels, 1)
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_normals_of_one_step_are_contiguous(workers):
+    # the block is stored step-major, so the integrator reads each step's
+    # normals as one contiguous run, with or without a pool
+    streams = NoiseStreams(5, range(7), [0, 3, 1], 2)
+    with ThreadPoolExecutor(workers) if workers else nullcontext() as pool:
+        for n_steps in (6, 1):
+            block = streams.normals(n_steps, pool)
+            assert block.shape == (7, n_steps, 3, 2)
+            assert all(block[:, k].flags.c_contiguous for k in range(n_steps))
+
+
+def philox_reference(keys, n_words):
+    return np.array([Philox(key=k).random_raw(n_words) for k in keys], dtype=np.uint64).reshape(-1, n_words)
+
+
+@pytest.mark.parametrize("n_words", range(1, 10))
+def test_philox_words_match_numpy(n_words):
+    # up to three blocks of four words; the largest seed, replica and label
+    # in every value of the two domain bits, and random full-width keys
+    keys = [_stream_keys(2**64 - 1, domain, [0, 2**31 - 1], [0, 2**31 - 1]).reshape(-1, 2) for domain in range(4)]
+    keys.append(np.random.default_rng(n_words).integers(0, 2**64, size=(16, 2), dtype=np.uint64))
+    keys = np.concatenate(keys)
+    assert _philox_words(keys, n_words).tobytes() == philox_reference(keys, n_words).tobytes()
+
+
+def test_philox_words_span_several_slabs():
+    # one full slab of _SLAB_WORDS keys and a short second one
+    keys = _stream_keys(31, _DOMAIN_INIT_VEL, range(_SLAB_WORDS // 4 + 2), range(4)).reshape(-1, 2)
+    assert keys.shape[0] == _SLAB_WORDS + 8
+    assert _philox_words(keys, 5).tobytes() == philox_reference(keys, 5).tobytes()
 
 
 def test_stream_keys_match_scalar_layout():
@@ -290,6 +345,25 @@ def test_outputs_do_not_depend_on_thread_count(model, scheme, monkeypatch):
         sys.setswitchinterval(interval)
     assert sizes == [2, 2, 2, 3, 3, 3, 4, 4, 3]
     assert got[2] == got[1] and got[3] == got[1] and got[4] == got[1]
+
+
+@pytest.mark.parametrize("W", [None, _bump(1)], ids=["no-interaction", "bump"])
+def test_run_bytes_do_not_depend_on_threads_at_the_real_grain(W, monkeypatch):
+    # 100 replicas of N = 32 hold three whole slabs of pair work: with the
+    # bump the chunk splits into 2 and 3 slabs; without an interaction it
+    # advances on this thread and only its noise converts on the pool
+    monkeypatch.setattr(simulator, "_TIME_BLOCK", 8)
+    model = ModelConfig(N=32, d=1, U=_double_well(1), W=W)
+    names = ("mean_position", "kinetic_energy")
+    got = []
+    for threads in (1, 2, 3):
+        monkeypatch.setattr(simulator, "_THREADS", threads)
+        assert simulator._slab_count(model, 100) == (1 if W is None else min(threads, 3))
+        res = run(model, IntegratorConfig("baoab", 0.01), 100, 0.3, 5,
+                  observables=names, stride=2, keep_replica_series=names)
+        got.append([res.final_state.positions.tobytes(), res.final_state.velocities.tobytes()]
+                   + [a[name].tobytes() for name in names for a in (res.means, res.variances, res.per_replica)])
+    assert got[1] == got[0] and got[2] == got[0]
 
 
 def test_slab_count_never_exceeds_the_chunk(monkeypatch):
