@@ -15,8 +15,8 @@ origin); psi is also available in s = r^2 (``psi_sq``), which the pair
 force uses to skip the square root.  The Hessian eigenvalues are g''(r) in
 the radial direction and psi(r) with multiplicity d-1 tangentially.  For a
 polynomial g the Lyapunov offset K2, the b0 part and the separation modulus
-have closed forms; only a bounded interaction's b0 part is searched, on the
-section line (d = 1) or plane (d >= 2) of a pair.
+have closed forms, and so does a bounded interaction's b0 part in d = 1; it
+is searched, on the section plane of a pair, only in d >= 2.
 
 On top of the families, this module extracts everything the certification
 pipeline consumes: the interaction Hessian bound K and gradient bound K', a
@@ -29,8 +29,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -39,7 +37,6 @@ from scipy import optimize
 from scipy.optimize import elementwise
 from scipy.integrate import cumulative_simpson
 
-from ._pool import _THREADS, _in_order, _ranges
 from .errors import InvalidSpecError
 
 __all__ = [
@@ -103,6 +100,7 @@ class _Family:
     is_zero: Callable
     poly: Optional[Callable] = None  # (a2, a4) with g = a2 r^2 + a4 r^4; None: bounded
     psi_r: Optional[Callable] = None  # psi in r, where it has no closed form in r^2
+    section_sup: Optional[Callable] = None  # bounded: exact d = 1 b0 part sup_a [P'(a) - P'(a + r)]
 
     def psi(self, p, r):
         if self.psi_r is not None:
@@ -140,6 +138,54 @@ def _bump_eig_bounds(p) -> tuple[float, float]:
         return -2 * a * math.exp(-1.5), a
     # radial a(u^2-1)e^{-u^2/2} in [-a, 2a e^{-3/2}], tangential in [-a, 0)
     return -a, 2 * a * math.exp(-1.5)
+
+
+_SQRT3 = math.sqrt(3.0)
+
+
+def _h(t):
+    """h(t) = t exp(-t^2/2); an attractive bump has P' = (a/w) h(y/w)."""
+    return t * np.exp(-t * t / 2)
+
+
+def _q_gap(a, b):
+    """q(a) - q(b) for q = h' = (1 - t^2) exp(-t^2/2) and b >= a >= 0.  For
+    d = (b^2 - a^2)/2 < 1 the exponentials differ through expm1(-d), so the
+    sign holds as b - a -> 0; beyond, the direct difference stays exact as
+    q(b) underflows."""
+    d = (b - a) * (b + a) / 2
+    near = np.exp(-a * a / 2) * (2 * d - (1 - b * b) * np.expm1(-d))
+    return np.where(d < 1, near, (1 - a * a) * np.exp(-a * a / 2) - (1 - b * b) * np.exp(-b * b / 2))
+
+
+def _bump_section_sup(p, r):
+    """The bump's sup_alpha [G(alpha) - G(alpha + r)], G = P', as (a/w) S(r/w).
+
+    At rho = r/w, S is the sup of h(u) - h(u + rho) (attractive) or of
+    h(s) + h(rho - s) (repulsive); critical points solve q(u) = q(u + rho),
+    resp. q(s) = q(rho - s).  Attractive: a window that meets (-1, 1) is
+    never best, so up to the mirror u -> -u - rho, u lies in [max(1, sqrt3 -
+    rho), sqrt3], where q(u) falls and q(u + rho) rises: one root, with
+    opposite signs at the ends.  Repulsive: h is subadditive on [0, inf), so
+    s < 0 is dominated, and an off-centre critical point needs s in (1,
+    sqrt3) and rho > 2 sqrt3; S is 2 h(rho/2), or above that the larger of it
+    and h(s*) + h(rho - s*) at the root s* in [1, sqrt3].  All roots come from
+    one ``elementwise.find_root`` call.
+    """
+    rho = np.asarray(r, dtype=float) / p["width"]
+    if p["sign"] == "attractive":
+        lo, hi = np.maximum(1.0, _SQRT3 - rho), np.full_like(rho, _SQRT3)
+        u = elementwise.find_root(lambda u, rho: _q_gap(u, u + rho), (lo, hi), args=(rho,)).x
+        S = _h(u) - _h(u + rho)
+    else:
+        S = 2 * _h(rho / 2)
+        far = rho > 2 * _SQRT3
+        if far.any():
+            rf = rho[far]
+            s = elementwise.find_root(lambda s, rf: _q_gap(s, rf - s), (np.ones_like(rf), np.full_like(rf, _SQRT3)),
+                                      args=(rf,)).x
+            S[far] = np.maximum(S[far], _h(s) + _h(rf - s))
+    return p["amplitude"] / p["width"] * S
 
 
 def _cosine_psi(p, r):
@@ -205,6 +251,7 @@ _FAMILIES = {
         hess_eig_bounds=_bump_eig_bounds,
         char_length=lambda p: p["width"],
         is_zero=lambda p: p["amplitude"] == 0.0,
+        section_sup=_bump_section_sup,
     ),
     # amplitude cos(frequency |x|)
     "cosine": _Family(
@@ -221,6 +268,8 @@ _FAMILIES = {
         char_length=lambda p: 2 * math.pi / abs(p["frequency"]),
         is_zero=lambda p: p["amplitude"] == 0.0,
         psi_r=_cosine_psi,
+        # G(alpha) - G(alpha + r) = 2 A f cos(f alpha + f r/2) sin(f r/2), G = -A f sin(f y)
+        section_sup=lambda p, r: 2 * np.abs(p["amplitude"] * p["frequency"] * np.sin(p["frequency"] * r / 2)),
     ),
 }
 FAMILIES = tuple(_FAMILIES)
@@ -319,6 +368,12 @@ class PotentialSpec:
         s = np.asarray(s, dtype=float)
         return _FAMILIES[self.family].psi_sq(self.params, s, np.empty_like(s) if out is None else out)
 
+    def section_sup(self, r):
+        """sup_{|x - y| = r} -<(x - y)/r, grad P(x) - grad P(y)> for a bounded P:
+        the family's closed form in d = 1, ``section_sup_batch`` in d >= 2."""
+        r = np.asarray(r, dtype=float)
+        return _FAMILIES[self.family].section_sup(self.params, r) if self.dim == 1 else section_sup_batch(self, r)
+
     def chi(self, r):
         """(g''(r) - psi(r)) / r^2, finite at r = 0."""
         return _FAMILIES[self.family].chi(self.params, np.asarray(r, dtype=float))
@@ -331,10 +386,13 @@ class PotentialSpec:
         return self.profile(np.sqrt((x**2).sum(axis=-1)))
 
     def gradient(self, x):
-        """grad P(x), shape (..., dim)."""
+        """grad P(x), shape (..., dim).  In d = 1 psi comes from s = x^2 without a
+        square root, the bytes of psi(sqrt(s)): sqrt(s)^2 rounds back to s, and
+        where s is subnormal (|x| < 1.5e-154) psi is psi(0) either way."""
         x = self._as_points(x)
-        r = np.sqrt((x**2).sum(axis=-1))
-        return self.psi(r)[..., None] * x
+        s = (x**2).sum(axis=-1)
+        psi = self.psi_sq(s) if self.dim == 1 else self.psi(np.sqrt(s))
+        return psi[..., None] * x
 
     def hessian(self, x):
         """hess P(x), shape (..., dim, dim), exactly symmetric."""
@@ -557,67 +615,22 @@ def extract_constants(U: PotentialSpec, W: Optional[PotentialSpec]) -> Constants
 # dissipativity rate b0 and the Lipschitz constant it induces
 # ---------------------------------------------------------------------------
 
-# rows per block of the d = 1 section grid: keeps the (rows, n) work arrays
-# near 1 MB each at n = 1601, so peak memory grows with the thread count, not
-# with the node count
-_SECTION_BLOCK = 64 * 1601
-
-
-def section_sup_batch(spec: PotentialSpec, rs, spans, n: int = 1601) -> np.ndarray:
-    """sup over pairs x = y + r e of -<e, grad P(x) - grad P(y)>, one per radius,
-    for a bounded interaction P (polynomial parts of b0 have a closed form).
+def section_sup_batch(spec: PotentialSpec, rs) -> np.ndarray:
+    """The d >= 2 section search: sup over pairs x = y + r e of
+    -<e, grad P(x) - grad P(y)>, one per radius, for a bounded interaction P.
 
     Rotational invariance reduces the pair to the plane spanned by e and one
-    orthogonal direction:  y = alpha e + beta n, with the beta axis absent
-    for d = 1.  Row i searches alpha in -r_i/2 +- spans[i] on an n-point grid.
-    In d = 1 the grid runs in blocks of rows, then one Chandrupatla
-    minimization (``elementwise.find_minimum``) polishes every row's best grid
-    node inside its bracket of grid neighbours; a row whose best node does not
-    bracket a maximum keeps its grid maximum.  Every row is its own problem,
-    so the d = 1 rows are cut into contiguous radius ranges, at most one per
-    core and per row block; each range runs its blocks and its polish on a
-    thread pool, and the ranges join in row order, byte-identical at any
-    thread count.  In d >= 2 each row polishes its three best grid nodes with
-    Nelder-Mead, serially.  A polish only raises the grid maximum, so each
-    entry is still a lower estimate of the true supremum.
+    orthogonal direction, y = alpha e + beta n.  Row i searches alpha in
+    -r_i/2 +- max(8 char_length, 2 r_i) on 1601 nodes and beta in [0, that
+    span] on 200, then polishes its three best nodes with Nelder-Mead.  A
+    polish only raises the grid maximum, so each entry is a lower estimate.
     """
-    rs = np.atleast_1d(np.asarray(rs, dtype=float))
-    spans = np.broadcast_to(np.asarray(spans, dtype=float), rs.shape)
-    if spec.dim > 1:
-        return np.array([_section_sup_2d(spec, float(r), float(sp), n) for r, sp in zip(rs, spans)])
-    step = max(_SECTION_BLOCK // n, 1)
-    parts = _ranges(rs.size, min(_THREADS, math.ceil(rs.size / step)))
-    with ThreadPoolExecutor(len(parts)) if len(parts) > 1 else nullcontext() as pool:
-        out = _in_order(pool, lambda lo, hi: _section_sup_1d(spec, rs[lo:hi], spans[lo:hi], n, step), parts)
-    return np.concatenate(out)
+    return np.array([_section_sup_2d(spec, r, max(8.0 * spec.char_length(), 2.0 * r)) for r in np.ravel(rs).tolist()])
 
 
-def _section_sup_1d(spec: PotentialSpec, rs: np.ndarray, spans: np.ndarray, n: int, step: int) -> np.ndarray:
-    """The d = 1 search of ``section_sup_batch`` on its rows, ``step`` at a time."""
-    grid_max, bracket = np.empty_like(rs), np.empty((3, rs.size))
-    for start in range(0, rs.size, step):
-        blk = slice(start, start + step)
-        r, span = rs[blk], spans[blk]
-        alpha = np.linspace(-r / 2 - span, -r / 2 + span, n, axis=1)
-        vals = _section_line(spec, alpha, r[:, None])
-        i = np.clip(np.argmax(vals, axis=1), 1, n - 2)
-        rows = np.arange(r.size)
-        grid_max[blk] = vals.max(axis=1)
-        bracket[:, blk] = alpha[rows, i - 1], alpha[rows, i], alpha[rows, i + 1]
-    res = elementwise.find_minimum(lambda a, r: -_section_line(spec, a, r), tuple(bracket), args=(rs,))
-    return np.fmax(grid_max, -res.f_x)  # f_x is NaN where the bracket is invalid
-
-
-def _section_line(spec: PotentialSpec, alpha: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """The d = 1 section objective at y = alpha, x = alpha + r."""
-    x = alpha + r
-    return -(spec.psi(np.abs(x)) * x - spec.psi(np.abs(alpha)) * alpha)
-
-
-def _section_sup_2d(spec: PotentialSpec, r: float, span: float, n: int) -> float:
-    alpha = np.linspace(-r / 2 - span, -r / 2 + span, n)
-    nb = max(n // 8, 101)
-    beta = np.linspace(0.0, span, nb)
+def _section_sup_2d(spec: PotentialSpec, r: float, span: float) -> float:
+    alpha = np.linspace(-r / 2 - span, -r / 2 + span, 1601)
+    beta = np.linspace(0.0, span, 200)
     A, B = np.meshgrid(alpha, beta, indexing="ij")
     s0 = np.sqrt(A**2 + B**2)
     s1 = np.sqrt((A + r) ** 2 + B**2)
@@ -694,14 +707,10 @@ def model_b0(U: PotentialSpec, W: Optional[PotentialSpec]) -> Callable[[np.ndarr
     The supremum splits into independent confinement and interaction parts
     because z is unconstrained.  A polynomial part g = a2 r^2 + a4 r^4 is
     exactly -(2 a2 r + a4 r^3), attained at y = -x = -r e / 2, since
-    <|x|^2 x - |y|^2 y, x - y> >= |x - y|^4 / 4; every bounded part is one
-    batched section search over all r on the box -r/2 +- max(8 char_length, 2r),
-    which in d = 1 shares its radii out among the cores (byte-identical at
-    any thread count).
-    All parts clamp r to >= 1e-9.  The search is a lower estimate, and an
-    under-estimate would poison c_lip: test_b0_widened_box_never_wins pins
-    that a 1.5x wider box does not raise it at the first-pass c_lip nodes of
-    the certify models.
+    <|x|^2 x - |y|^2 y, x - y> >= |x - y|^4 / 4.  A bounded part is
+    ``PotentialSpec.section_sup`` over all r at once: in d = 1 its family's
+    exact supremum in closed form, in d >= 2 the section search, a lower
+    estimate.  All parts clamp r to >= 1e-9.
     """
     specs = [s for s in (U, W) if s is not None and not s.is_zero()]
     a2 = sum(s.poly()[0] for s in specs if not s.bounded)
@@ -712,7 +721,7 @@ def model_b0(U: PotentialSpec, W: Optional[PotentialSpec]) -> Callable[[np.ndarr
         rr = np.maximum(np.atleast_1d(np.asarray(rs, dtype=float)), 1e-9)
         out = -(2 * a2 * rr + a4 * rr**3)
         for spec in bounded:
-            out += section_sup_batch(spec, rr, np.maximum(8.0 * spec.char_length(), 2.0 * rr))
+            out += spec.section_sup(rr)
         return out
 
     return b0_vec

@@ -38,8 +38,10 @@ byte-identical at any thread count.
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -51,7 +53,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.random import Philox
 from scipy.special import ndtri
 
-from ._pool import _THREADS, _in_order, _ranges
 from .errors import InvalidSpecError, ResourceCapError
 from .meanfield import ModelConfig, force_batch, pair_slabs
 
@@ -81,6 +82,26 @@ _BOOT_RESAMPLES = 200  # bootstrap refits of fit_decay
 _BOOT_SEED = 777
 _BOOT_ROWS = 128  # rows of a resample gathered at once
 _ENV_FRACTION = 0.5  # fit points keep |s| >= this fraction of the envelope
+# usable cores, the most ranges run at once
+_THREADS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _in_order(pool: Optional[ThreadPoolExecutor], fn: Callable, args: Sequence[tuple]) -> list:
+    """``[fn(*a) for a in args]``, inline without a pool.  On a pool each call
+    runs in a copy of the caller's context, so np.errstate applies on every
+    thread as it does inline, and results come back in the order of ``args``."""
+    if pool is None:
+        return [fn(*a) for a in args]
+    futures = [pool.submit(contextvars.copy_context().run, fn, *a) for a in args]
+    return [f.result() for f in futures]
+
+
+def _ranges(n: int, parts: int) -> list[tuple[int, int]]:
+    """``range(n)`` cut into at most ``parts`` contiguous, non-empty
+    ``(lo, hi)`` ranges of near-equal length."""
+    parts = max(1, min(parts, n))
+    edges = [n * p // parts for p in range(parts + 1)]
+    return list(zip(edges, edges[1:]))
 
 
 @dataclass(frozen=True)

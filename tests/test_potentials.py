@@ -1,9 +1,10 @@
 import math
-from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import optimize
+from scipy.optimize import elementwise
 
 from langcert import potentials
 from langcert.errors import InvalidSpecError
@@ -16,7 +17,6 @@ from langcert.potentials import (
     lipschitz_from_model,
     lyapunov_offsets,
     model_b0,
-    section_sup_batch,
 )
 
 QUAD = PotentialSpec("quadratic", {"coef": 1.0}, dim=1)
@@ -132,6 +132,22 @@ def test_psi_sq_into_out_matches_a_fresh_array(family, d):
     buf = np.full_like(s, np.nan)
     assert spec.psi_sq(s, out=buf) is buf and buf.tobytes() == want.tobytes()
     assert spec.psi_sq(s, out=s) is s and s.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("spec", [s for s in ALL_SPECS if s.dim == 1] + [REPULSIVE_BUMP],
+                         ids=lambda s: f"{s.family}_{s.params.get('sign', '')}")
+def test_gradient_d1_skips_the_square_root_byte_for_byte(spec):
+    # the d = 1 gradient takes psi_sq(x^2); the old path took psi(sqrt(x^2)).
+    # Below |x| ~ 1.5e-154 x^2 is subnormal or 0, so sqrt(x^2) is not |x|
+    rng = np.random.default_rng(13)
+    tiny = 10.0 ** rng.uniform(-175, -150, 20000)
+    x = np.concatenate([[0.0, -0.0, 1e-150, -1e-150, 1e6, -1e6, 1e-160, -1e-170, 5e-324],
+                        tiny * rng.choice([-1.0, 1.0], tiny.size),
+                        rng.standard_normal(20000) * 10.0 ** rng.uniform(-6, 6, 20000)])[:, None]
+    old = spec.psi(np.sqrt((x**2).sum(axis=-1)))[..., None] * x
+    assert spec.gradient(x).tobytes() == old.tobytes()
+    # a single point, as the oracle's scalar checks pass it
+    assert spec.gradient(-2.5).tobytes() == (spec.psi(np.sqrt(6.25)) * np.array([-2.5])).tobytes()
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: f"{s.family}_d{s.dim}")
@@ -345,13 +361,15 @@ def test_b0_polynomial_section_closed_form():
 
 
 def test_polynomial_specs_never_reach_section_search(monkeypatch):
+    # the bounded path: the d = 1 closed form or the d >= 2 search
     seen = []
+    section_sup = PotentialSpec.section_sup
 
-    def recording(spec, rs, spans, n=1601):
+    def recording(spec, r):
         seen.append(spec)
-        return section_sup_batch(spec, rs, spans, n)
+        return section_sup(spec, r)
 
-    monkeypatch.setattr(potentials, "section_sup_batch", recording)
+    monkeypatch.setattr(PotentialSpec, "section_sup", recording)
     for U in (QUAD, DW, ALL_SPECS[5]):
         W = SMALL_BUMP if U.dim == 1 else None
         lipschitz_from_model(U, W)
@@ -408,14 +426,30 @@ def test_clip_from_model_quadratic():
 def test_model_b0_vectorized_matches_pointwise():
     b0 = model_b0(DW, BUMP)
     a2, a4 = DW.poly()
-    # r = 0 is clamped to 1e-9; beyond 4 char_length = 4 the span is 2r
+    # r = 0 is clamped to 1e-9
     rs = np.array([0.0, 0.5, 1.0, 2.0, 6.0, 11.0])
     vec = b0(rs)
     for i, r in enumerate(rs):
         rr = np.array([max(float(r), 1e-9)])
         assert vec[i] == b0(r)[0]
-        bump = section_sup_batch(BUMP, rr, max(8.0 * BUMP.char_length(), 2.0 * rr[0]))
-        assert vec[i] == (-(2 * a2 * rr + a4 * rr**3) + bump)[0]
+        assert vec[i] == (-(2 * a2 * rr + a4 * rr**3) + BUMP.section_sup(rr))[0]
+
+
+def _section_line(spec, alpha, r):
+    """The d = 1 section objective G(alpha) - G(alpha + r), G = P', through psi
+    as the search that the closed forms replaced evaluated it."""
+    x = alpha + r
+    return -(spec.psi(np.abs(x)) * x - spec.psi(np.abs(alpha)) * alpha)
+
+
+def _section_line_rounding(spec, alpha, r):
+    """A bound on the rounding error of ``_section_line``: G(y) carries the
+    rounding of its argument, |y G'(y)| u, and of its own value, |G(y)| u,
+    with u = 2^-53; the factor 4 covers the few roundings of each term."""
+    def term(y):
+        return np.abs(spec.dprofile(np.abs(y))) + np.abs(y * spec.d2profile(np.abs(y)))
+
+    return 4 * 2.0**-53 * (term(alpha) + term(alpha + r))
 
 
 @pytest.mark.parametrize(
@@ -427,103 +461,156 @@ def test_model_b0_vectorized_matches_pointwise():
     ids=["double_well", "attractive_bump", "repulsive_bump", "cosine"],
 )
 def test_b0_widened_box_never_wins(spec):
-    # model_b0 searches -r/2 +- max(8 char_length, 2r) only; at the first-pass
-    # c_lip nodes of the certify models a 1.5x wider box must not beat it
+    # the closed forms are suprema over the whole line: at the first-pass c_lip
+    # nodes of the certify models a grid over 1.5x the old search box
+    # -r/2 +- max(8 char_length, 2r) must not beat them
     rs = np.linspace(0.0, 16.0, 4097)
     part = model_b0(spec, None)(rs)
     rr = np.maximum(rs, 1e-9)
-    wide = section_sup_batch(spec, rr, 1.5 * np.maximum(8.0 * spec.char_length(), 2.0 * rr), n=801)
-    assert np.all(wide <= part + 1e-9 * (1 + np.abs(part)))
+    span = 1.5 * np.maximum(8.0 * spec.char_length(), 2.0 * rr)
+    for blk in np.array_split(np.arange(rs.size), 16):
+        alpha = np.linspace(-rr[blk] / 2 - span[blk], -rr[blk] / 2 + span[blk], 801, axis=1)
+        wide = _section_line(spec, alpha, rr[blk, None]).max(axis=1)
+        assert np.all(wide <= part[blk] + 1e-9 * (1 + np.abs(part[blk])))
 
 
 def _section_sup_scalar(spec, r, span, n=1601):
-    """The d = 1 section search before the Chandrupatla polish: grid maximum
-    plus one scalar bounded-Brent polish of its cell."""
+    """The d = 1 section search the closed forms replaced, as a scalar: grid
+    maximum plus one bounded-Brent polish of its cell."""
     alpha = np.linspace(-r / 2 - span, -r / 2 + span, n)
-
-    def f(al):
-        al = np.asarray(al, dtype=float)
-        return -(spec.psi(np.abs(al + r)) * (al + r) - spec.psi(np.abs(al)) * al)
-
-    vals = f(alpha)
+    vals = _section_line(spec, alpha, r)
     i = int(np.argmax(vals))
-    res = optimize.minimize_scalar(lambda a: -float(f(a)), bounds=(alpha[max(i - 1, 0)], alpha[min(i + 1, n - 1)]),
-                                   method="bounded")
+    res = optimize.minimize_scalar(lambda a: -float(_section_line(spec, a, r)),
+                                   bounds=(alpha[max(i - 1, 0)], alpha[min(i + 1, n - 1)]), method="bounded")
     return max(float(vals.max()), float(-res.fun))
 
 
 @pytest.mark.parametrize("spec", [DW, SMALL_BUMP, SMALL_COS, REPULSIVE_BUMP],
                          ids=["double_well", "bump", "cosine", "repulsive_bump"])
 def test_section_sup_batch_matches_scalar_search(spec):
-    # 150 rows at n = 801 span two row blocks; every row is its own problem
+    # the d = 1 closed forms against the search they replaced; every row is
+    # its own problem, so the batch equals the rows one by one
     rs = np.linspace(0.01, 12.0, 150)
-    spans = np.maximum(8.0 * spec.char_length(), 2.0 * rs)
-    got = section_sup_batch(spec, rs, spans, n=801)
-    assert got.tolist() == [section_sup_batch(spec, [r], [sp], n=801)[0] for r, sp in zip(rs, spans)]
-    old = np.array([_section_sup_scalar(spec, r, sp, n=801) for r, sp in zip(rs, spans)])
+    got = model_b0(spec, None)(rs)
+    assert got.tolist() == [model_b0(spec, None)(r)[0] for r in rs]
+    old = np.array([_section_sup_scalar(spec, r, max(8.0 * spec.char_length(), 2.0 * r), n=801) for r in rs])
     assert np.all(np.abs(got - old) <= 1e-12 * (1 + np.abs(old)))
-
-
-def _record_pools(monkeypatch) -> list:
-    """Swap the section search's thread pool for one that records its worker count."""
-    sizes = []
-
-    class Pool(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr(potentials, "ThreadPoolExecutor", Pool)
-    return sizes
-
-
-def test_section_search_is_byte_identical_at_any_thread_count(monkeypatch):
-    # rows cut into at most one range per core and per 64-row block (n = 1601):
-    # 1, 63 and 64 rows stay on this thread, 65 rows use 2 workers, 150 up
-    # to 3 and 4097 (the first c_lip pass) one per thread
-    sizes = _record_pools(monkeypatch)
-    counts = (1, 63, 64, 65, 150, 4097)
-    got = {}
-    for threads in (1, 2, 3, 4):
-        monkeypatch.setattr(potentials, "_THREADS", threads)
-        for spec in (SMALL_BUMP, SMALL_COS):
-            for m in counts:
-                rs = np.linspace(1e-9, 16.0, m)
-                got[threads, spec.family, m] = section_sup_batch(spec, rs, np.maximum(8.0, 2.0 * rs)).tobytes()
-        res = lipschitz_from_model(DW, REPULSIVE_BUMP)
-        got[threads, "c_lip"] = (res.value, res.converged, res.s_max)
-    assert all(got[key] == got[(1,) + key[1:]] for key in got)
-    # per thread count: 65, 150 and 4097 rows of each spec, then the c_lip
-    # pass of 4097 nodes; one thread never starts a pool
-    assert sizes == [2, 2, 2, 2, 2, 2, 2,
-                     2, 3, 3, 2, 3, 3, 3,
-                     2, 3, 4, 2, 3, 4, 4]
-
-
-def test_section_search_keeps_the_callers_errstate(monkeypatch):
-    # the ranges run in copies of the caller's context: the bump's exp
-    # underflows far out on the section line, which raises under
-    # np.errstate(under="raise") on the workers as it does inline
-    rs = np.linspace(0.01, 16.0, 150)
-    for threads in (1, 2):
-        monkeypatch.setattr(potentials, "_THREADS", threads)
-        section_sup_batch(SMALL_BUMP, rs, 2.0 * rs + 8.0)
-        with np.errstate(under="raise"), pytest.raises(FloatingPointError):
-            section_sup_batch(SMALL_BUMP, rs, 2.0 * rs + 8.0)
 
 
 @pytest.mark.parametrize("spec", [BUMP, COS, REPULSIVE_BUMP], ids=["bump", "cosine", "repulsive_bump"])
 def test_section_polish_not_below_brute_scan(spec):
-    # the polish is a lower estimate of the supremum, so a finer grid is the
-    # test: it must not beat it, and nor may the bounded Brent it replaced
+    # a fine float scan of the section line never beats the closed form by
+    # more than the objective's own rounding error (the sinc of the cosine
+    # overshoots the exact value by up to 4.8e-15 at r = 0.01), and it comes
+    # within the scan's step of it
     for r in (0.01, 1.0, 3.0, 6.0, 12.0):
         span = max(8.0 * spec.char_length(), 2.0 * r)
-        got = section_sup_batch(spec, [r], [span], n=801)[0]
+        got = spec.section_sup(np.array([r]))[0]
         alpha = np.linspace(-r / 2 - span, -r / 2 + span, 2_000_001)
-        brute = (-(spec.psi(np.abs(alpha + r)) * (alpha + r) - spec.psi(np.abs(alpha)) * alpha)).max()
-        assert got >= brute - 4e-16 * (1 + abs(brute))
+        vals = _section_line(spec, alpha, r)
+        assert np.all(vals <= got + _section_line_rounding(spec, alpha, r))
+        assert got - vals.max() <= 1e-9
         old = _section_sup_scalar(spec, r, span, n=801)
         assert got >= old - 1e-12 * (1 + abs(old))
+
+
+# sympy and mpmath references for the d = 1 section suprema of the bounded
+# families; rho = r / width for the bump
+RHOS = [1e-9, 1e-3, 0.3, math.sqrt(3) - 1, 1.0, 2.0, 3.0, 2 * math.sqrt(3) - 1e-9, 2 * math.sqrt(3) + 1e-9,
+        2 * math.sqrt(3) + 1e-3, 4.0, 5.0, 8.0, 40.0, 1e3]
+UNIT_BUMPS = {sign: PotentialSpec("gaussian_bump", {"amplitude": 1.0, "width": 1.0, "sign": sign}, dim=1,
+                                  role="interaction") for sign in ("attractive", "repulsive")}
+
+
+def test_cosine_section_sup_closed_form():
+    sympy = pytest.importorskip("sympy")
+    y, al, r, A, f = sympy.symbols("y alpha r A f", real=True)
+    G = sympy.diff(A * sympy.cos(f * y), y)  # W = A cos(f y) is even, so W' is G on the whole line
+    objective = G.subs(y, al) - G.subs(y, al + r)
+    form = 2 * A * f * sympy.cos(f * al + f * r / 2) * sympy.sin(f * r / 2)
+    assert sympy.simplify(sympy.expand_trig(objective - form)) == 0
+    # the cosine factor reaches +-1 within any period of alpha, so the sup is
+    # |2 A f sin(f r / 2)|, whatever the signs of A and f
+    rs = np.concatenate([[1e-9], np.linspace(0.01, 40.0, 997)])
+    for amp, freq in ((0.05, 1.0), (0.7, 1.3), (-0.7, 2.3), (1.1, -0.8)):
+        spec = PotentialSpec("cosine", {"amplitude": amp, "frequency": freq}, dim=1, role="interaction")
+        want = sympy.lambdify(r, sympy.Abs(2 * A * f * sympy.sin(f * r / 2)).subs({A: amp, f: freq}))(rs)
+        assert spec.section_sup(rs) == pytest.approx(want, rel=4e-16, abs=1e-300)
+
+
+def _mp_section_sup(sign, rho):
+    """sup of h(u) - h(u + rho) (attractive) or h(s) + h(rho - s) (repulsive),
+    h(t) = t exp(-t^2/2), at 50 digits: a scan of [max(-rho/2, -6), 6] (the
+    mirror and the tails of h cover the rest of the line) with each local
+    maximum polished by a root of the derivative, and for the repulsive bump
+    the centre s = rho/2."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        rho = mp.mpf(rho)
+        h = lambda t: t * mp.exp(-t * t / 2)
+        q = lambda t: (1 - t * t) * mp.exp(-t * t / 2)
+        if sign == "attractive":
+            f, df = (lambda u: h(u) - h(u + rho)), (lambda u: q(u) - q(u + rho))
+            best = mp.mpf(0)
+        else:
+            f, df = (lambda s: h(s) + h(rho - s)), (lambda s: q(s) - q(rho - s))
+            best = 2 * h(rho / 2)
+        lo, hi = max(-rho / 2, mp.mpf(-6)), mp.mpf(6)
+        xs = [lo + (hi - lo) * k / 2400 for k in range(2401)]
+        vals = [f(x) for x in xs]
+        for k in range(1, 2400):
+            best = max(best, vals[k])
+            if vals[k] >= vals[k - 1] and vals[k] >= vals[k + 1]:
+                best = max(best, f(mp.findroot(df, (xs[k - 1], xs[k + 1]), solver="anderson")))
+        return best
+
+
+@pytest.mark.parametrize("sign", ["attractive", "repulsive"])
+def test_bump_section_sup_matches_mpmath(sign):
+    got = UNIT_BUMPS[sign].section_sup(np.array(RHOS))
+    for rho, value in zip(RHOS, got):
+        assert abs(value - float(_mp_section_sup(sign, rho))) <= 4 * 2.0**-52, rho
+
+
+@pytest.mark.parametrize("sign", ["attractive", "repulsive"])
+def test_bump_section_roots_converge_in_valid_brackets(sign, monkeypatch):
+    mp = pytest.importorskip("mpmath")
+    calls = []
+
+    def recording(f, init, *, args=()):
+        res = elementwise.find_root(f, init, args=args)
+        calls.append((f, init, args, res))
+        return res
+
+    monkeypatch.setattr(potentials, "elementwise", SimpleNamespace(find_root=recording))
+    rhos = np.array(RHOS)
+    UNIT_BUMPS[sign].section_sup(rhos)
+    assert len(calls) == 1  # every radius in one call
+    f, (lo, hi), args, res = calls[0]
+    assert np.all(res.status == 0)
+    assert np.all((res.x >= lo) & (res.x <= hi))
+    # the ends straddle the root: in float (0 where q underflows) and exactly
+    f_lo, f_hi = f(lo, *args), f(hi, *args)
+    assert np.all((f_lo >= 0) & (f_hi <= 0) & (f_lo > f_hi))
+    with mp.workdps(50):
+        q = lambda t: (1 - t * t) * mp.exp(-t * t / 2)
+        for a, b, rho in zip(lo, hi, args[0]):
+            a, b, rho = mp.mpf(a), mp.mpf(b), mp.mpf(rho)
+            if sign == "attractive":
+                assert q(a) - q(a + rho) > 0 > q(b) - q(b + rho)
+            else:
+                assert q(a) - q(rho - a) > 0 > q(b) - q(rho - b)
+    if sign == "repulsive":  # only rho > 2 sqrt 3 has off-centre critical points
+        assert args[0].tolist() == [rho for rho in RHOS if rho > 2 * math.sqrt(3)]
+
+
+@pytest.mark.parametrize("sign", ["attractive", "repulsive"])
+def test_bump_section_sup_depends_on_amplitude_over_width_and_r_over_width(sign):
+    rs = np.concatenate([[1e-9], np.linspace(0.01, 40.0, 499)])
+    unit = UNIT_BUMPS[sign]
+    for a, w in ((0.02, 1.0), (0.3, 0.4), (2.0, 1.7), (5.0, 1e-3), (1e-3, 30.0)):
+        spec = PotentialSpec("gaussian_bump", {"amplitude": a, "width": w, "sign": sign}, dim=1, role="interaction")
+        assert spec.section_sup(rs).tobytes() == (a / w * unit.section_sup(rs / w)).tobytes()
 
 
 @pytest.mark.parametrize(
