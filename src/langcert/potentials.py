@@ -180,11 +180,10 @@ def _bump_section_sup(p, r):
     else:
         S = 2 * _h(rho / 2)
         far = rho > 2 * _SQRT3
-        if far.any():
-            rf = rho[far]
-            s = elementwise.find_root(lambda s, rf: _q_gap(s, rf - s), (np.ones_like(rf), np.full_like(rf, _SQRT3)),
-                                      args=(rf,)).x
-            S[far] = np.maximum(S[far], _h(s) + _h(rf - s))
+        rf = rho[far]
+        s = elementwise.find_root(lambda s, rf: _q_gap(s, rf - s), (np.ones_like(rf), np.full_like(rf, _SQRT3)),
+                                  args=(rf,)).x
+        S[far] = np.maximum(S[far], _h(s) + _h(rf - s))
     return p["amplitude"] / p["width"] * S
 
 

@@ -378,6 +378,15 @@ def test_polynomial_specs_never_reach_section_search(monkeypatch):
     assert seen and all(s.bounded for s in seen)
 
 
+@pytest.mark.parametrize("spec", [BUMP, REPULSIVE_BUMP, COS], ids=["bump", "repulsive_bump", "cosine"])
+def test_section_sup_d2_search_not_below_the_d1_closed_form(spec):
+    # d >= 2 takes the section plane search, whose plane holds the d = 1
+    # section line; off the line the cosine goes higher (0.82 at r = 5)
+    r = np.array([0.5, 2.0, 5.0])
+    plane = PotentialSpec(spec.family, spec.params, dim=2, role="interaction").section_sup(r)
+    assert np.all(plane >= spec.section_sup(r) - 1e-12)
+
+
 def test_b0_small_r_continuity():
     vals = model_b0(DW, BUMP)(np.array([1e-3, 1e-5]))
     assert abs(vals[0]) < 5e-3
