@@ -448,8 +448,13 @@ def assemble_constants(
     convexity-at-infinity criterion, dissipativity route with the exact
     h = 0 for absent interaction.  C_LS: user value, Bakry-Emery, then the
     Zegarlinski transfer when a marginal constant was supplied (or the
-    super-convexity criterion provides the Lipschitz bound).
+    super-convexity criterion provides the Lipschitz bound).  A supplied
+    ``kappa_user``, ``cls_user`` or ``rho_marginal`` must be a finite
+    number > 0.
     """
+    for key, value in (("kappa_user", kappa_user), ("cls_user", cls_user), ("rho_marginal", rho_marginal)):
+        if value is not None and not 0 < value < math.inf:
+            raise InvalidSpecError(f"{key} must be finite and > 0, got {value!r}")
     bundle = pot.extract_constants(U, W)
     prov = bundle.provenance
 

@@ -15,8 +15,9 @@ origin); psi is also available in s = r^2 (``psi_sq``), which the pair
 force uses to skip the square root.  The Hessian eigenvalues are g''(r) in
 the radial direction and psi(r) with multiplicity d-1 tangentially.  For a
 polynomial g the Lyapunov offset K2, the b0 part and the separation modulus
-have closed forms, and so does a bounded interaction's b0 part in d = 1; it
-is searched, on the section plane of a pair, only in d >= 2.
+have closed forms.  A bounded interaction's b0 part is its family's
+``section_sup`` in every d: the bump's is exact in every d, the cosine's
+exact in d = 1 and a Hessian-and-gradient envelope above it in d >= 2.
 
 On top of the families, this module extracts everything the certification
 pipeline consumes: the interaction Hessian bound K and gradient bound K', a
@@ -33,7 +34,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import optimize
 from scipy.optimize import elementwise
 from scipy.integrate import cumulative_simpson
 
@@ -100,7 +100,7 @@ class _Family:
     is_zero: Callable
     poly: Optional[Callable] = None  # (a2, a4) with g = a2 r^2 + a4 r^4; None: bounded
     psi_r: Optional[Callable] = None  # psi in r, where it has no closed form in r^2
-    section_sup: Optional[Callable] = None  # bounded: exact d = 1 b0 part sup_a [P'(a) - P'(a + r)]
+    section_sup: Optional[Callable] = None  # bounded: (params, r, d) -> the b0 part, see PotentialSpec.section_sup
 
     def psi(self, p, r):
         if self.psi_r is not None:
@@ -158,8 +158,13 @@ def _q_gap(a, b):
     return np.where(d < 1, near, (1 - a * a) * np.exp(-a * a / 2) - (1 - b * b) * np.exp(-b * b / 2))
 
 
-def _bump_section_sup(p, r):
+def _bump_section_sup(p, r, d):
     """The bump's sup_alpha [G(alpha) - G(alpha + r)], G = P', as (a/w) S(r/w).
+
+    It is the supremum in every d: for y = alpha e + beta n and x = y + r e,
+    -<e, grad P(x) - grad P(y)> = exp(-beta^2 / 2 w^2) [G(alpha) - G(alpha +
+    r)], and the bracket's supremum is positive for r > 0, so beta = 0
+    attains it.
 
     At rho = r/w, S is the sup of h(u) - h(u + rho) (attractive) or of
     h(s) + h(rho - s) (repulsive); critical points solve q(u) = q(u + rho),
@@ -185,6 +190,19 @@ def _bump_section_sup(p, r):
                                   args=(rf,)).x
         S[far] = np.maximum(S[far], _h(s) + _h(rf - s))
     return p["amplitude"] / p["width"] * S
+
+
+def _cosine_section_sup(p, r, d):
+    """In d = 1, G(alpha) - G(alpha + r) = 2 A f cos(f alpha + f r/2) sin(f r/2)
+    with G = -A f sin(f y), whose supremum is 2 |A f sin(f r/2)|.  In d >= 2
+    the supremum leaves the section line.  There the section objective equals
+    -r Int_0^1 e^T hess W(y + t r e) e dt and is at most |grad W(x)| +
+    |grad W(y)|, so it is bounded by min(max(-lambda_min, 0) r, 2 K') with
+    lambda_min = -|A| f^2 and K' = |A f|, that is 2 |A f| min(|f r/2|, 1):
+    the d = 1 form with |sin t| raised to min(|t|, 1), so it stays above
+    that form in float as well."""
+    t = p["frequency"] * r / 2
+    return 2 * np.abs(p["amplitude"] * p["frequency"] * (np.sin(t) if d == 1 else np.minimum(np.abs(t), 1.0)))
 
 
 def _cosine_psi(p, r):
@@ -267,8 +285,7 @@ _FAMILIES = {
         char_length=lambda p: 2 * math.pi / abs(p["frequency"]),
         is_zero=lambda p: p["amplitude"] == 0.0,
         psi_r=_cosine_psi,
-        # G(alpha) - G(alpha + r) = 2 A f cos(f alpha + f r/2) sin(f r/2), G = -A f sin(f y)
-        section_sup=lambda p, r: 2 * np.abs(p["amplitude"] * p["frequency"] * np.sin(p["frequency"] * r / 2)),
+        section_sup=_cosine_section_sup,
     ),
 }
 FAMILIES = tuple(_FAMILIES)
@@ -309,8 +326,8 @@ class PotentialSpec:
             raise InvalidSpecError(f"unknown family {self.family!r}")
         if self.role not in ROLES:
             raise InvalidSpecError(f"unknown role {self.role!r}")
-        if self.dim < 1:
-            raise InvalidSpecError("dim must be >= 1")
+        if isinstance(self.dim, bool) or not isinstance(self.dim, numbers.Integral) or self.dim < 1:
+            raise InvalidSpecError(f"dim must be an integer >= 1, got {self.dim!r}")
         schema = _FAMILIES[self.family].schema
         unknown = set(self.params) - set(schema)
         if unknown:
@@ -368,10 +385,10 @@ class PotentialSpec:
         return _FAMILIES[self.family].psi_sq(self.params, s, np.empty_like(s) if out is None else out)
 
     def section_sup(self, r):
-        """sup_{|x - y| = r} -<(x - y)/r, grad P(x) - grad P(y)> for a bounded P:
-        the family's closed form in d = 1, ``section_sup_batch`` in d >= 2."""
-        r = np.asarray(r, dtype=float)
-        return _FAMILIES[self.family].section_sup(self.params, r) if self.dim == 1 else section_sup_batch(self, r)
+        """sup_{|x - y| = r} -<(x - y)/r, grad P(x) - grad P(y)> for a bounded P,
+        in closed form: exact for the bump in every d and for the cosine in
+        d = 1, an upper bound for the cosine in d >= 2."""
+        return _FAMILIES[self.family].section_sup(self.params, np.asarray(r, dtype=float), self.dim)
 
     def chi(self, r):
         """(g''(r) - psi(r)) / r^2, finite at r = 0."""
@@ -455,7 +472,7 @@ class PotentialSpec:
         return cls(
             family=obj.get("family", ""),
             params=dict(obj.get("params", {})),
-            dim=int(obj.get("dim", 1)),
+            dim=obj.get("dim", 1),
             role=role,
         )
 
@@ -614,42 +631,6 @@ def extract_constants(U: PotentialSpec, W: Optional[PotentialSpec]) -> Constants
 # dissipativity rate b0 and the Lipschitz constant it induces
 # ---------------------------------------------------------------------------
 
-def section_sup_batch(spec: PotentialSpec, rs) -> np.ndarray:
-    """The d >= 2 section search: sup over pairs x = y + r e of
-    -<e, grad P(x) - grad P(y)>, one per radius, for a bounded interaction P.
-
-    Rotational invariance reduces the pair to the plane spanned by e and one
-    orthogonal direction, y = alpha e + beta n.  Row i searches alpha in
-    -r_i/2 +- max(8 char_length, 2 r_i) on 1601 nodes and beta in [0, that
-    span] on 200, then polishes its three best nodes with Nelder-Mead.  A
-    polish only raises the grid maximum, so each entry is a lower estimate.
-    """
-    return np.array([_section_sup_2d(spec, r, max(8.0 * spec.char_length(), 2.0 * r)) for r in np.ravel(rs).tolist()])
-
-
-def _section_sup_2d(spec: PotentialSpec, r: float, span: float) -> float:
-    alpha = np.linspace(-r / 2 - span, -r / 2 + span, 1601)
-    beta = np.linspace(0.0, span, 200)
-    A, B = np.meshgrid(alpha, beta, indexing="ij")
-    s0 = np.sqrt(A**2 + B**2)
-    s1 = np.sqrt((A + r) ** 2 + B**2)
-    vals = -(spec.psi(s1) * (A + r) - spec.psi(s0) * A)
-    best = float(vals.max())
-    for k in np.argsort(vals.ravel())[::-1][:3]:
-        i, j = np.unravel_index(k, vals.shape)
-
-        def neg(p):
-            a, b = p
-            ss0 = math.hypot(a, b)
-            ss1 = math.hypot(a + r, b)
-            return float(spec.psi(ss1) * (a + r) - spec.psi(ss0) * a)
-
-        res = optimize.minimize(neg, x0=[A[i, j], B[i, j]], method="Nelder-Mead",
-                                options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 400})
-        best = max(best, float(-res.fun))
-    return best
-
-
 @dataclass(frozen=True)
 class LipschitzResult:
     value: float
@@ -707,9 +688,9 @@ def model_b0(U: PotentialSpec, W: Optional[PotentialSpec]) -> Callable[[np.ndarr
     because z is unconstrained.  A polynomial part g = a2 r^2 + a4 r^4 is
     exactly -(2 a2 r + a4 r^3), attained at y = -x = -r e / 2, since
     <|x|^2 x - |y|^2 y, x - y> >= |x - y|^4 / 4.  A bounded part is
-    ``PotentialSpec.section_sup`` over all r at once: in d = 1 its family's
-    exact supremum in closed form, in d >= 2 the section search, a lower
-    estimate.  All parts clamp r to >= 1e-9.
+    ``PotentialSpec.section_sup`` over all r at once, in closed form: the
+    exact supremum, or for the cosine in d >= 2 an upper bound, so b0 never
+    under-estimates.  All parts clamp r to >= 1e-9.
     """
     specs = [s for s in (U, W) if s is not None and not s.is_zero()]
     a2 = sum(s.poly()[0] for s in specs if not s.bounded)

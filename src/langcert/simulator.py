@@ -480,6 +480,8 @@ def run(
         raise InvalidSpecError("replicas must be >= 1")
     if not observables:
         raise InvalidSpecError("at least one observable is required")
+    if len(set(observables)) < len(observables):
+        raise InvalidSpecError(f"observables must be distinct, got {list(observables)}")
     for name in list(observables) + list(keep_replica_series):
         if name not in OBSERVABLES:
             raise InvalidSpecError(f"unknown observable {name!r}")

@@ -380,6 +380,13 @@ def test_certify_bad_numeric_values_exit_one(tmp_path, capsys):
         ({"model": {**model, "d": "1"}}, "model.d must be an integer, got '1'"),
         ({"model": {**model, "U": {**QUAD_U, "dim": 1.5}}}, "model.U.dim must be an integer, got 1.5"),
         ({"model": model, "kappa": "0.5"}, "certify.kappa must be a number, got '0.5'"),
+        # kappa = -1 used to certify a negative lambda, kappa = 0 lambda = 0,
+        # and cls = -1 exited 2 as a missing constant
+        ({"model": model, "mode": "thm3", "kappa": -1.0}, "kappa_user must be finite and > 0, got -1.0"),
+        ({"model": model, "kappa": 0}, "kappa_user must be finite and > 0, got 0.0"),
+        ({"model": model, "mode": "thm4", "cls": -1.0}, "cls_user must be finite and > 0, got -1.0"),
+        ({"model": model, "rho_marginal": 0.0}, "rho_marginal must be finite and > 0, got 0.0"),
+        ({"model": model, "rho_marginal": -2}, "rho_marginal must be finite and > 0, got -2.0"),
     ])
 
 

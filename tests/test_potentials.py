@@ -207,6 +207,14 @@ def test_invalid_specs_rejected():
             PotentialSpec("quadratic", params, dim=1)
     with pytest.raises(InvalidSpecError, match="out of range"):
         PotentialSpec("gaussian_bump", {"amplitude": 1.0, "width": 1.0, "sign": 1}, role="interaction")
+    # dim is an integer >= 1, never truncated: 2.7 used to read as 2, true as 1
+    for dim in (1.5, 2.0, True, "2", 0):
+        with pytest.raises(InvalidSpecError, match="^dim must be an integer >= 1, got "):
+            PotentialSpec("quadratic", {"coef": 1.0}, dim=dim)
+    for dim in (2.7, True):
+        with pytest.raises(InvalidSpecError, match="^dim must be an integer >= 1, got "):
+            PotentialSpec.from_json({"family": "quadratic", "params": {"coef": 1.0}, "dim": dim})
+    assert PotentialSpec("quadratic", {"coef": 1.0}, dim=np.int64(2)).dim == 2
 
 
 def test_json_round_trip():
@@ -338,7 +346,7 @@ def test_b0_mean_value_bound_with_bump():
     rs = np.array([0.25, 1.0, 3.0])
     for r, b0 in zip(rs, model_b0(QUAD, w)(rs)):
         assert b0 <= -(1.0 - 0.3) * r + 1e-9
-        # and the section search is consistent with a brute pair scan
+        # and the closed form is consistent with a brute pair scan
         t = np.linspace(-12, 12, 40001)
         brute = (-(w.psi(np.abs(t + r)) * (t + r) - w.psi(np.abs(t)) * t)).max()
         assert b0 == pytest.approx(-r + brute, rel=1e-6, abs=1e-9)
@@ -361,7 +369,7 @@ def test_b0_polynomial_section_closed_form():
 
 
 def test_polynomial_specs_never_reach_section_search(monkeypatch):
-    # the bounded path: the d = 1 closed form or the d >= 2 search
+    # the bounded path, the family's section_sup, in every d
     seen = []
     section_sup = PotentialSpec.section_sup
 
@@ -371,20 +379,63 @@ def test_polynomial_specs_never_reach_section_search(monkeypatch):
 
     monkeypatch.setattr(PotentialSpec, "section_sup", recording)
     for U in (QUAD, DW, ALL_SPECS[5]):
-        W = SMALL_BUMP if U.dim == 1 else None
+        W = PotentialSpec(SMALL_BUMP.family, SMALL_BUMP.params, dim=U.dim, role="interaction")
         lipschitz_from_model(U, W)
         extract_constants(U, W)
         convexity_at_infinity_fit(U, W)
-    assert seen and all(s.bounded for s in seen)
+    assert seen and all(s.bounded for s in seen) and {s.dim for s in seen} == {1, 2}
 
 
-@pytest.mark.parametrize("spec", [BUMP, REPULSIVE_BUMP, COS], ids=["bump", "repulsive_bump", "cosine"])
-def test_section_sup_d2_search_not_below_the_d1_closed_form(spec):
-    # d >= 2 takes the section plane search, whose plane holds the d = 1
-    # section line; off the line the cosine goes higher (0.82 at r = 5)
-    r = np.array([0.5, 2.0, 5.0])
-    plane = PotentialSpec(spec.family, spec.params, dim=2, role="interaction").section_sup(r)
-    assert np.all(plane >= spec.section_sup(r) - 1e-12)
+def test_bump_section_factorizes_off_the_line():
+    # y = alpha e + beta n, x = y + r e: the section objective is the d = 1 one
+    # times exp(-beta^2 / 2 w^2), so beta = 0 attains its supremum in every d
+    sympy = pytest.importorskip("sympy")
+    al, be, r, t, x1, x2, amp = sympy.symbols("alpha beta r t x1 x2 amp", real=True)
+    w = sympy.symbols("w", positive=True)
+    P = amp * sympy.exp(-(x1**2 + x2**2) / (2 * w**2))  # amp < 0 for an attractive bump
+    dP = sympy.diff(P, x1)  # <e, grad P> with e the first axis
+    G = sympy.diff(amp * sympy.exp(-t**2 / (2 * w**2)), t)  # the d = 1 P'
+    objective = -(dP.subs({x1: al + r, x2: be}) - dP.subs({x1: al, x2: be}))
+    line = G.subs(t, al) - G.subs(t, al + r)
+    assert sympy.simplify(objective - sympy.exp(-be**2 / (2 * w**2)) * line) == 0
+
+
+@pytest.mark.parametrize("spec", [BUMP, SMALL_BUMP, REPULSIVE_BUMP, PotentialSpec(
+    "gaussian_bump", {"amplitude": 2.0, "width": 0.7, "sign": "repulsive"}, dim=1, role="interaction")],
+    ids=["bump", "small_bump", "repulsive_bump", "narrow_repulsive_bump"])
+def test_bump_section_sup_is_the_d1_form_in_every_dim(spec):
+    rs = np.concatenate([[1e-9], np.linspace(0.01, 40.0, 499)])
+    want = spec.section_sup(rs).tobytes()
+    for dim in (2, 3):
+        assert PotentialSpec(spec.family, spec.params, dim=dim, role="interaction").section_sup(rs).tobytes() == want
+
+
+def _plane_scan(spec, r):
+    """The section objective -<e, grad P(x) - grad P(y)> on a grid of the plane
+    y = alpha e + beta n, x = y + r e: alpha in -r/2 +- span, beta in [0, span],
+    span = max(8 char_length, 2 r); its largest value."""
+    span = max(8.0 * spec.char_length(), 2.0 * r)
+    A, B = np.meshgrid(np.linspace(-r / 2 - span, -r / 2 + span, 1601), np.linspace(0.0, span, 401), indexing="ij")
+    return float((-(spec.psi(np.hypot(A + r, B)) * (A + r) - spec.psi(np.hypot(A, B)) * A)).max())
+
+
+@pytest.mark.parametrize("amp, freq", [(0.7, 1.3), (-0.7, 2.3), (1.1, -0.8), (0.05, 1.0)])
+def test_cosine_section_sup_above_line_and_plane_in_higher_dims(amp, freq):
+    # d >= 2 takes the envelope min(max(-lambda_min, 0) r, 2 K') from the
+    # table's bounds: never below the d = 1 form (in float too) or a plane scan
+    line = PotentialSpec("cosine", {"amplitude": amp, "frequency": freq}, dim=1, role="interaction")
+    rs = np.concatenate([np.geomspace(1e-300, 1.0, 2001), np.linspace(1.0, 100.0, 9901)])
+    for dim in (2, 3):
+        spec = PotentialSpec(line.family, line.params, dim=dim, role="interaction")
+        env = np.minimum(max(-spec.hess_eig_bounds()[0], 0.0) * rs, 2 * spec.grad_sup())
+        got = spec.section_sup(rs)
+        assert got == pytest.approx(env, rel=1e-15, abs=0.0)
+        assert np.all(got >= line.section_sup(rs))
+    for r in (0.5, 2.0, 5.0, 9.0):  # the plane holds every pair in any d >= 2
+        scan = _plane_scan(spec, r)
+        assert scan <= spec.section_sup(np.array([r]))[0]
+        if (amp, freq, r) == (0.7, 1.3, 5.0):  # off the line the supremum is higher
+            assert scan > line.section_sup(np.array([r]))[0] + 0.8
 
 
 def test_b0_small_r_continuity():
@@ -639,6 +690,16 @@ def test_clip_pinned_for_nonlinear_models(U, W, c_lip):
     res = lipschitz_from_model(U, W)
     assert res.converged
     assert res.value == pytest.approx(c_lip, rel=1e-12)
+
+
+def test_clip_readme_model_is_the_same_in_every_dim():
+    # the README model: double well plus an attractive bump, both exact in
+    # every d, so c_lip in d = 2 and 3 is the d = 1 value byte for byte
+    want = lipschitz_from_model(DW, SMALL_BUMP)
+    for dim in (2, 3):
+        U = PotentialSpec(DW.family, DW.params, dim=dim)
+        W = PotentialSpec(SMALL_BUMP.family, SMALL_BUMP.params, dim=dim, role="interaction")
+        assert lipschitz_from_model(U, W) == want
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,9 @@ def test_run_caps_and_validation():
         run(MODEL, IntegratorConfig("baoab", 1e-2), 1, 1.0, 0, observables=())
     with pytest.raises(InvalidSpecError):
         run(MODEL, IntegratorConfig("baoab", 1e-2), 1, 1.0, 0, observables=("bogus",))
+    # a repeated name used to add each record twice (the mean read double)
+    with pytest.raises(InvalidSpecError, match="^observables must be distinct"):
+        run(MODEL, IntegratorConfig("baoab", 1e-2), 1, 1.0, 0, observables=("mean_position", "mean_position"))
 
 
 @pytest.mark.parametrize("horizon", [-1.0, -1e-9, math.inf, math.nan])
