@@ -1,10 +1,15 @@
 """Command-line entry point: certification, simulation, sweeps, oracle suites.
 
-Every command reads a JSON config, validates it strictly (unknown keys are
-rejected), and writes machine-readable reports into the output directory:
-a JSON summary carrying the config echo plus its SHA-256 hash, and CSV time
-series for the simulation commands.  Outputs are bit-identical across runs
-with the same config and seed.
+Every command reads a JSON config, validates it strictly, and writes
+machine-readable reports into the output directory.  Each config section is
+a JSON object read through one table of typed readers (``_object``):
+unknown keys are rejected, and a key left out takes the library's default.
+null means absent only for ``W``, ``init``, ``fit``, ``kappa``, ``cls`` and
+``rho_marginal``.  NaN, +-Infinity and numbers that overflow a float, such
+as 1e400, are rejected on load.  The reports are a JSON summary carrying
+the config echo plus its SHA-256 hash, and CSV time series for the
+simulation commands.  Outputs are bit-identical across runs with the same
+config and seed.
 
 Exit codes: 0 success / certified, 1 internal error or usage error, 2
 missing constant or failed certification, 3 resource cap exceeded.
@@ -13,6 +18,7 @@ missing constant or failed certification, 3 resource cap exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -76,15 +82,6 @@ def _write_timeseries_csv(path: Path, times, means, variances, replicas: int) ->
     path.write_text("\n".join(lines) + "\n")
 
 
-def _require_keys(config: dict, allowed: set, required: set, where: str) -> None:
-    unknown = set(config) - allowed
-    if unknown:
-        raise InvalidSpecError(f"unknown keys in {where}: {sorted(unknown)}")
-    missing = required - set(config)
-    if missing:
-        raise InvalidSpecError(f"missing keys in {where}: {sorted(missing)}")
-
-
 def _int(value, name: str, minimum: int | None = None) -> int:
     """A config integer: a JSON integer, or a float with an integral value
     such as 2000.0.  A bool, a fraction or a string is an error, never
@@ -116,47 +113,91 @@ def _name(value, name: str) -> str:
     return value
 
 
-def _load_potential(obj, role: str, where: str) -> PotentialSpec:
-    """A potential spec whose ``dim`` and ``params`` go through the typed
-    readers: a family's params are reals, except a bump's ``sign``."""
-    if isinstance(obj, dict):
-        obj = dict(obj)
-        if "dim" in obj:
-            obj["dim"] = _int(obj["dim"], f"{where}.dim")
-        params = obj.get("params", {})
-        if not isinstance(params, dict):
-            raise InvalidSpecError(f"{where}.params must be a JSON object, got {params!r}")
-        readers = {float: _real, str: _name}
-        types = param_types(obj.get("family"))
-        obj["params"] = {k: readers[types[k]](v, f"{where}.params.{k}") if k in types else v
-                         for k, v in params.items()}
-    return PotentialSpec.from_json(obj, role=role)
+def _names(value, name: str) -> tuple:
+    """The recorded observables: a non-empty list of names."""
+    if not (isinstance(value, list) and value and all(isinstance(o, str) for o in value)):
+        raise InvalidSpecError(f"{name} must be a non-empty list of names, got {value!r}")
+    return tuple(value)
 
 
-def _load_model(obj: dict) -> ModelConfig:
-    _require_keys(obj, {"N", "d", "U", "W"}, {"N", "d", "U"}, "model")
-    w = obj.get("W")
-    return ModelConfig(
-        N=_int(obj["N"], "model.N"),
-        d=_int(obj["d"], "model.d"),
-        U=_load_potential(obj["U"], "confinement", "model.U"),
-        W=_load_potential(w, "interaction", "model.W") if w is not None else None,
-    )
+def _ns(value, name: str) -> list:
+    """The sweep's particle counts: a non-empty list of integers."""
+    if not isinstance(value, list):
+        raise InvalidSpecError(f"{name} must be a list of integers, got {value!r}")
+    if not value:
+        raise InvalidSpecError(f"{name} must name at least one N, got []")
+    return [_int(n, f"{name}[{k}]") for k, n in enumerate(value)]
 
 
-def _load_integrator(obj: dict) -> IntegratorConfig:
-    _require_keys(obj, {"scheme", "dt"}, set(), "integrator")
-    return IntegratorConfig(scheme=obj.get("scheme", "baoab"), dt=_real(obj.get("dt", 1e-2), "integrator.dt"))
+def _as_is(value, name: str):
+    """A value that the library checks itself."""
+    return value
 
 
-def _load_init(obj: dict | None) -> InitSpec:
-    if obj is None:
-        return InitSpec()
-    _require_keys(obj, {"position_offset", "position_spread"}, set(), "init")
-    return InitSpec(
-        position_offset=_real(obj.get("position_offset", 2.0), "init.position_offset"),
-        position_spread=_real(obj.get("position_spread", 1.0), "init.position_spread"),
-    )
+# config keys that are named differently in the library, and the keys for
+# which null means absent
+_RENAME = {"equilibrium": "equilibrium_value", "kappa": "kappa_user", "cls": "cls_user"}
+_NULLABLE = {"W", "init", "fit", "kappa", "cls", "rho_marginal"}
+
+
+def _object(obj, where: str, readers: dict, required=()) -> dict:
+    """A config section: a JSON object whose keys are all in ``readers`` and
+    include ``required``.  Each key present is read by its reader as
+    ``<where>.<key>`` and returned under its library name; an absent key, or
+    a null one in ``_NULLABLE``, stays absent so that the library's default
+    applies."""
+    if not isinstance(obj, dict):
+        raise InvalidSpecError(f"{where} must be a JSON object, got {obj!r}")
+    unknown = set(obj) - set(readers)
+    if unknown:
+        raise InvalidSpecError(f"unknown keys in {where}: {sorted(unknown)}")
+    missing = set(required) - set(obj)
+    if missing:
+        raise InvalidSpecError(f"missing keys in {where}: {sorted(missing)}")
+    return {_RENAME.get(key, key): readers[key](value, f"{where}.{key}")
+            for key, value in obj.items() if not (value is None and key in _NULLABLE)}
+
+
+def _section(where: str, readers: dict, required=(), make=dict):
+    """The reader of the section ``where``, which is named by its own key
+    (``model.N``, not ``certify.model.N``) and built by ``make``."""
+    return lambda obj, _: make(**_object(obj, where, readers, required))
+
+
+def _potential(role: str):
+    """The reader of a potential spec in ``role``.  Each param takes its
+    family's type: a real, except a bump's ``sign``, a string.  An unknown
+    family is named by ``PotentialSpec``."""
+    def read(obj, where: str) -> PotentialSpec:
+        spec = _object(obj, where, {"family": _as_is, "params": _as_is, "dim": _int}, {"family", "params"})
+        types = param_types(spec["family"])
+        if types:
+            readers = {key: _real if t is float else _name for key, t in types.items()}
+            spec["params"] = _object(spec["params"], f"{where}.params", readers)
+        return PotentialSpec(**spec, role=role)
+    return read
+
+
+_U, _W = _potential("confinement"), _potential("interaction")
+_MODEL = _section("model", {"N": _int, "d": _int, "U": _U, "W": _W}, {"N", "d", "U"}, ModelConfig)
+_INTEGRATOR = _section("integrator", {"scheme": _name, "dt": _real}, (), IntegratorConfig)
+_INIT = _section("init", {"position_offset": _real, "position_spread": _real}, (), InitSpec)
+
+# each command's config: (readers, required keys)
+_CERTIFY = ({"model": _MODEL, "mode": _name, "kappa": _real, "cls": _real, "rho_marginal": _real}, {"model"})
+_SIMULATE = (
+    {"model": _MODEL, "integrator": _INTEGRATOR, "replicas": _int, "horizon": _real, "stride": _int,
+     "observables": _names, "init": _INIT, "fit": _section("fit", {"observable": _name, "equilibrium": _real})},
+    {"model", "integrator", "replicas", "horizon"},
+)
+_SWEEP = (
+    {"model_template": _section("model_template", {"d": _int, "U": _U, "W": _W}, {"d", "U"}),
+     "Ns": _ns, "integrator": _INTEGRATOR, "replicas": _int, "horizon": _real, "stride": _int,
+     "observable": _name, "equilibrium": _real, "init": _INIT},
+    {"model_template", "Ns", "integrator", "replicas", "horizon"},
+)
+_count = functools.partial(_int, minimum=0)  # an oracle battery size
+_ORACLE = ({"n_lyapunov": _count, "n_moment": _count, "n_boundedness": _count}, ())
 
 
 # ---------------------------------------------------------------------------
@@ -165,22 +206,15 @@ def _load_init(obj: dict | None) -> InitSpec:
 
 def cmd_certify(config: dict, out_dir: Path, seed: int, mode: str | None, paper_literal: bool) -> int:
     """``mode`` is the --mode flag; it overrides the config's ``mode``."""
-    _require_keys(config, {"model", "mode", "kappa", "cls", "rho_marginal"}, {"model"}, "certify config")
-    model = _load_model(config["model"])
-    user = {key: _real(config[key], f"certify.{key}") for key in ("kappa", "cls", "rho_marginal")
-            if config.get(key) is not None}
-    mode = mode or config.get("mode", "auto")
+    user = _object(config, "certify", *_CERTIFY)
+    model = user.pop("model")
+    config_mode = user.pop("mode", None)
+    mode = mode or config_mode
     use_split = mode == "split"
-    bundle = certifier.assemble_constants(
-        model.U,
-        model.W,
-        kappa_user=user.get("kappa"),
-        cls_user=user.get("cls"),
-        rho_marginal=user.get("rho_marginal"),
-    )
+    bundle = certifier.assemble_constants(model.U, model.W, **user)
     cert = certifier.certify(
         bundle,
-        mode="auto" if use_split else mode,
+        **({} if mode in (None, "split") else {"mode": mode}),
         use_split=use_split,
         refine=not paper_literal,
     )
@@ -207,43 +241,12 @@ def cmd_certify(config: dict, out_dir: Path, seed: int, mode: str | None, paper_
 
 
 def cmd_simulate(config: dict, out_dir: Path, seed: int) -> int:
-    _require_keys(
-        config,
-        {"model", "integrator", "replicas", "horizon", "stride", "observables", "init", "fit"},
-        {"model", "integrator", "replicas", "horizon"},
-        "simulate config",
-    )
-    model = _load_model(config["model"])
-    integrator = _load_integrator(config["integrator"])
-    replicas = _int(config["replicas"], "simulate.replicas")
-    horizon = _real(config["horizon"], "simulate.horizon")
-    stride = _int(config.get("stride", 1), "simulate.stride")
-    observables = config.get("observables", ["mean_position"])
-    if not (isinstance(observables, list) and observables and all(isinstance(o, str) for o in observables)):
-        raise InvalidSpecError(f"simulate.observables must be a non-empty list of names, got {observables!r}")
-    observables = tuple(observables)
-    fit_cfg = config.get("fit") or {}
-    _require_keys(fit_cfg, {"observable", "equilibrium"}, set(), "fit")
-    fit_obs = _name(fit_cfg.get("observable", observables[0]), "fit.observable")
-    equilibrium = _real(fit_cfg.get("equilibrium", 0.0), "fit.equilibrium")
-    res = simulator.run(
-        model,
-        integrator,
-        replicas=replicas,
-        horizon=horizon,
-        master_seed=seed,
-        init=_load_init(config.get("init")),
-        observables=observables,
-        stride=stride,
-        keep_replica_series=(fit_obs,),
-    )
+    sim = _object(config, "simulate", *_SIMULATE)
+    fit_cfg = sim.pop("fit", {})
+    fit_obs = fit_cfg.pop("observable", sim.get("observables", simulator.DEFAULT_OBSERVABLES)[0])
+    res = simulator.run(**sim, master_seed=seed, keep_replica_series=(fit_obs,))
     _write_timeseries_csv(out_dir / "timeseries.csv", res.times, res.means, res.variances, res.n_replicas)
-    fit = simulator.fit_decay(
-        res.times,
-        res.per_replica[fit_obs],
-        equilibrium,
-        observable_id=fit_obs,
-    )
+    fit = simulator.fit_decay(res.times, res.per_replica[fit_obs], observable_id=fit_obs, **fit_cfg)
     fits = {fit_obs: fit.to_json() if fit is not None else None}
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -252,46 +255,17 @@ def cmd_simulate(config: dict, out_dir: Path, seed: int) -> int:
         "config_hash": _config_hash(config),
         "seed": seed,
         "decay_fits": fits,
-        "n_steps": int(round(horizon / integrator.dt)),
+        "n_steps": int(round(sim["horizon"] / sim["integrator"].dt)),
     }
     _write_json(out_dir / "summary.json", report)
-    print(f"simulated {replicas} replicas to T={config['horizon']}; fits: {list(fits)}")
+    print(f"simulated {sim['replicas']} replicas to T={config['horizon']}; fits: {list(fits)}")
     return EXIT_OK
 
 
 def cmd_sweep(config: dict, out_dir: Path, seed: int) -> int:
-    _require_keys(
-        config,
-        {"model_template", "Ns", "integrator", "replicas", "horizon", "stride",
-         "observable", "equilibrium", "init"},
-        {"model_template", "Ns", "integrator", "replicas", "horizon"},
-        "sweep config",
-    )
-    tpl = config["model_template"]
-    _require_keys(tpl, {"d", "U", "W"}, {"d", "U"}, "model_template")
-    U = _load_potential(tpl["U"], "confinement", "model_template.U")
-    W = _load_potential(tpl["W"], "interaction", "model_template.W") if tpl.get("W") else None
-    Ns = config["Ns"]
-    if not isinstance(Ns, list):
-        raise InvalidSpecError(f"sweep.Ns must be a list of integers, got {Ns!r}")
-    if not Ns:
-        raise InvalidSpecError("sweep.Ns must name at least one N, got []")
-    integrator = _load_integrator(config["integrator"])
-    observable = _name(config.get("observable", "mean_position"), "sweep.observable")
-    table = simulator.n_sweep(
-        U,
-        W,
-        d=_int(tpl["d"], "model_template.d"),
-        Ns=[_int(n, f"sweep.Ns[{k}]") for k, n in enumerate(Ns)],
-        integrator=integrator,
-        replicas=_int(config["replicas"], "sweep.replicas"),
-        horizon=_real(config["horizon"], "sweep.horizon"),
-        master_seed=seed,
-        observable=observable,
-        equilibrium_value=_real(config.get("equilibrium", 0.0), "sweep.equilibrium"),
-        stride=_int(config.get("stride", 5), "sweep.stride"),
-        init=_load_init(config.get("init")),
-    )
+    sweep = _object(config, "sweep", *_SWEEP)
+    tpl = sweep.pop("model_template")
+    table = simulator.n_sweep(tpl["U"], tpl.get("W"), tpl["d"], master_seed=seed, **sweep)
     rows = [{"N": n, "fit": fit.to_json() if fit is not None else None} for n, fit in table]
     rates = [fit.lambda_hat for _, fit in table if fit is not None]
     spread = (max(rates) - min(rates)) / np.mean(rates) if rates else None
@@ -317,13 +291,7 @@ def cmd_sweep(config: dict, out_dir: Path, seed: int) -> int:
 
 
 def cmd_oracle(config: dict, out_dir: Path, seed: int) -> int:
-    _require_keys(config, {"n_lyapunov", "n_moment", "n_boundedness"}, set(), "oracle config")
-    report = oracle.oracle_suite(
-        n_lyapunov=_int(config.get("n_lyapunov", 20), "oracle.n_lyapunov", minimum=0),
-        n_moment=_int(config.get("n_moment", 10), "oracle.n_moment", minimum=0),
-        n_boundedness=_int(config.get("n_boundedness", 10), "oracle.n_boundedness", minimum=0),
-        seed=seed,
-    )
+    report = oracle.oracle_suite(**_object(config, "oracle", *_ORACLE), seed=seed)
     report.update(
         {
             "schema_version": SCHEMA_VERSION,
@@ -343,6 +311,15 @@ def _reject_constant(name: str):
     """json.loads reads NaN, Infinity and -Infinity, which are not JSON and
     which no config value may take."""
     raise InvalidSpecError(f"config holds {name}, which is not valid JSON")
+
+
+def _finite_float(text: str) -> float:
+    """json.loads reads a number beyond the float range, such as 1e400, as
+    +-inf; a config holds none."""
+    value = float(text)
+    if math.isinf(value):
+        raise InvalidSpecError(f"config holds {text}, which overflows a float")
+    return value
 
 
 def _seed(text: str) -> int:
@@ -377,7 +354,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
         return EXIT_OK if exc.code == 0 else EXIT_INTERNAL
     try:
-        config = json.loads(args.config.read_text(), parse_constant=_reject_constant) if args.config else {}
+        config = json.loads(args.config.read_text(), parse_constant=_reject_constant,
+                            parse_float=_finite_float) if args.config else {}
         out_dir = args.out
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "certify":

@@ -17,6 +17,7 @@ bit the same whatever batch it comes in.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -51,10 +52,9 @@ class ModelConfig:
     W: Optional[PotentialSpec] = None
 
     def __post_init__(self):
-        if self.N < 2:
-            raise InvalidSpecError("N must be >= 2")
-        if self.d < 1:
-            raise InvalidSpecError("d must be >= 1")
+        for name, value, least in (("N", self.N, 2), ("d", self.d, 1)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                raise InvalidSpecError(f"{name} must be an integer >= {least}, got {value!r}")
         if self.U.dim != self.d or self.U.role != "confinement":
             raise InvalidSpecError("U must be a confinement potential of dimension d")
         if self.W is not None:

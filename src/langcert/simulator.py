@@ -71,6 +71,7 @@ __all__ = [
 ]
 
 SCHEMES = ("euler_maruyama", "baoab")
+DEFAULT_OBSERVABLES = ("mean_position",)  # what run records unless told otherwise
 MAX_STEPS = 10**8
 _DOMAIN_DYNAMICS = 0
 _DOMAIN_INIT_POS = 1
@@ -456,7 +457,7 @@ def run(
     horizon: float,
     master_seed: int,
     init: InitSpec | None = None,
-    observables: Sequence[str] = ("mean_position",),
+    observables: Sequence[str] = DEFAULT_OBSERVABLES,
     stride: int = 1,
     keep_replica_series: Sequence[str] = (),
     labels: Optional[Sequence[int]] = None,
@@ -686,7 +687,7 @@ def _resample_moments(per_replica: np.ndarray, idx: np.ndarray) -> tuple[np.ndar
 def fit_decay(
     times: np.ndarray,
     per_replica: np.ndarray,
-    equilibrium_value: float,
+    equilibrium_value: float = 0.0,
     observable_id: str = "",
     window: Optional[tuple[float, float]] = None,
 ) -> Optional[DecayFit]:

@@ -1,8 +1,13 @@
 import argparse
+import inspect
 import json
 import math
+import re
 from pathlib import Path
 
+import pytest
+
+from langcert import cli, oracle
 from langcert.cli import build_parser, main
 
 QUAD_U = {"family": "quadratic", "params": {"coef": 1.0}, "dim": 1}
@@ -317,8 +322,10 @@ def test_seed_outside_u64_exit_one(tmp_path, capsys):
 
 
 def test_simulate_negative_or_infinite_horizon_exit_one(tmp_path, capsys):
-    # -1.0 used to die with an IndexError, 1e400 (read as inf) with an OverflowError
-    for horizon, shown in (("-1.0", "-1.0"), ("1e400", "inf")):
+    # -1.0 used to die with an IndexError, 1e400 (read as inf) with an
+    # OverflowError; 1e400 is now rejected on load
+    for horizon, message in (("-1.0", "horizon must be finite and >= 0, got -1.0"),
+                             ("1e400", "config holds 1e400, which overflows a float")):
         cfg = write_config(tmp_path, "s.json", {
             "model": {"N": 2, "d": 1, "U": QUAD_U},
             "integrator": {"scheme": "baoab", "dt": 0.01},
@@ -327,7 +334,7 @@ def test_simulate_negative_or_infinite_horizon_exit_one(tmp_path, capsys):
         cfg.write_text(cfg.read_text().replace('"HORIZON"', horizon))
         out = tmp_path / "o"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1, horizon
-        assert f"error: horizon must be finite and >= 0, got {shown}" in capsys.readouterr().err
+        assert f"error: {message}" in capsys.readouterr().err
         assert not any(out.iterdir())
 
 
@@ -357,6 +364,25 @@ SIM = {"model": {"N": 2, "d": 1, "U": QUAD_U}, "integrator": {"scheme": "baoab",
        "replicas": 4, "horizon": 0.1}
 SWEEP = {"model_template": {"d": 1, "U": QUAD_U}, "Ns": [2, 4],
          "integrator": {"scheme": "baoab", "dt": 0.01}, "replicas": 4, "horizon": 0.1}
+
+
+def test_overflowing_number_in_config_exit_one(tmp_path, capsys):
+    # json reads 1e400 as inf: a coef died in _config_hash, and an init offset
+    # first wrote a timeseries.csv of inf and nan
+    configs = {
+        "certify": '{"model": {"N": 4, "d": 1, "U": {"family": "quadratic", "params": {"coef": 1e400}, "dim": 1}}}',
+        "simulate": json.dumps(SIM)[:-1] + ', "init": {"position_offset": 1e400}}',
+        "sweep": json.dumps(SWEEP)[:-1] + ', "equilibrium": -1e400}',
+        "oracle": '{"n_moment": 1e400}',
+    }
+    for command, text in configs.items():
+        cfg = tmp_path / f"{command}.json"
+        cfg.write_text(text)
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1, command
+        number = "-1e400" if command == "sweep" else "1e400"
+        assert f"error: config holds {number}, which overflows a float" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def _assert_rejected(tmp_path, capsys, command, cases):
@@ -512,3 +538,66 @@ def test_readme_usage_matches_parser():
                   for a in parser._actions for opt in a.option_strings if opt.startswith("--")}
         actual.pop("--help")
         assert usage[name] == actual, name
+
+
+CERTIFY = {"model": {"N": 4, "d": 1, "U": QUAD_U, "W": SMALL_BUMP}}
+# command -> (a valid config, the paths of its sections)
+SECTIONS = {
+    "certify": (CERTIFY, [(), ("model",), ("model", "U"), ("model", "W")]),
+    "simulate": (SIM, [(), ("model",), ("model", "U"), ("model", "W"), ("integrator",), ("init",), ("fit",)]),
+    "sweep": (SWEEP, [(), ("model_template",), ("model_template", "U"), ("model_template", "W"),
+                      ("integrator",), ("init",)]),
+    "oracle": ({}, [()]),
+}
+
+
+def _replace(config, path, value):
+    """``config`` with the section at ``path`` replaced by ``value``."""
+    if not path:
+        return value
+    return {**config, path[0]: _replace(config.get(path[0], {}), path[1:], value)}
+
+
+@pytest.mark.parametrize("value", [5, [], "x"], ids=["number", "list", "string"])
+@pytest.mark.parametrize("command,path", [pytest.param(c, p, id=f"{c}:{'.'.join(p) or c}")
+                                          for c, (_, paths) in SECTIONS.items() for p in paths])
+def test_section_not_an_object_exit_one(tmp_path, capsys, command, path, value):
+    # a model or integrator of 5, an init of [] or a whole config of 5 used
+    # to escape main as a traceback; a fit of [] read as the default fit
+    cfg = write_config(tmp_path, "c.json", _replace(SECTIONS[command][0], path, value))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    where = ".".join(path) or command
+    assert f"error: {where} must be a JSON object, got {value!r}" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_sweep_rejects_falsy_interaction(tmp_path, capsys):
+    # a W of {}, 0 or false used to be dropped as if it were null
+    template = SWEEP["model_template"]
+    _assert_rejected(tmp_path, capsys, "sweep", [
+        ({**SWEEP, "model_template": {**template, "W": {}}}, "missing keys in model_template.W: ['family', 'params']"),
+        ({**SWEEP, "model_template": {**template, "W": 0}}, "model_template.W must be a JSON object, got 0"),
+        ({**SWEEP, "model_template": {**template, "W": False}}, "model_template.W must be a JSON object, got False"),
+    ])
+
+
+def _readme() -> str:
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def test_readme_configs_read_by_section_tables():
+    # the README's example configs, // comment lines stripped, pass the CLI's
+    # section tables (nothing runs), and its battery sizes are oracle_suite's
+    block = _readme().split("Example configs:\n\n```json\n", 1)[1].split("```", 1)[0]
+    parts = re.split(r"^// (\w+)\.json\n", block, flags=re.MULTILINE)
+    configs = {name: json.loads(text) for name, text in zip(parts[1::2], parts[2::2])}
+    tables = {"certify": cli._CERTIFY, "simulate": cli._SIMULATE, "sweep": cli._SWEEP}
+    assert configs.keys() == tables.keys()
+    for command, config in configs.items():
+        cli._object(config, command, *tables[command])
+
+    sizes = re.search(r"battery sizes\s+\((\d+), (\d+), (\d+)\)", _readme())
+    defaults = inspect.signature(oracle.oracle_suite).parameters
+    assert tuple(map(int, sizes.groups())) == tuple(
+        defaults[key].default for key in ("n_lyapunov", "n_moment", "n_boundedness")) == (20, 10, 10)

@@ -32,6 +32,11 @@ def test_model_validation():
         ModelConfig(N=2, d=2, U=quad(1.0))  # dim mismatch
     with pytest.raises(InvalidSpecError):
         ModelConfig(N=2, d=1, U=quad(1.0), W=quad(1.0))  # wrong role
+    # N and d are integers, never a fraction, a string or a bool: N = 2.5
+    # used to fail in a TypeError inside run, N = "2" on <, and d = True passed
+    for N, d in ((2.5, 1), ("2", 1), (True, 1), (2, True), (2, 1.0)):
+        with pytest.raises(InvalidSpecError, match=r"^[Nd] must be an integer >= [12], got "):
+            ModelConfig(N=N, d=d, U=quad(1.0))
 
 
 def test_total_potential_hand_value():
