@@ -35,6 +35,7 @@ from .certifier import (
     improved_coefficients,
     build_Tprime,
     verify_coercivity,
+    coercivity_holds,
     rate_lambda,
     norm_equivalence,
 )

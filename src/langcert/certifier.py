@@ -14,11 +14,16 @@ construction.  Two routes produce the mixed-derivative boundedness constants
 
 and both feed  M = max(2 C1, 2 C2 + 2 K^2)  or the split pair
 M1 = 2 C1, M2 = 2 C2 + 2 K^2.
+
+Coefficients are accepted by one exact rational decision, ``coercivity_holds``;
+the float eigenvalue witness is only reported.  The paper's literal set and
+the ``refined`` set are fixed rationals scaled by M, proved PSD for M >= 1.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -43,10 +48,9 @@ __all__ = [
     "norm_equivalence",
     "certify",
     "assemble_constants",
-    "refine_coefficients",
+    "coercivity_holds",
+    "scaled_coefficients",
 ]
-
-PSD_TOL = -1e-12
 
 
 @dataclass(frozen=True)
@@ -91,24 +95,37 @@ def constants_lsi(K: float, K1: float, K2: float, C_LS: float, d: int) -> Bounde
 
 @dataclass(frozen=True)
 class Coefficients:
+    """Twisted-norm weights (a, b, c) and the coercivity target lambda0; the
+    variant is ``single`` (PAPER_SET at M), ``refined`` (REFINED_SET at M),
+    or ``split_case1``/``split_case2`` (improved_coefficients at M1, M2)."""
+
     a: float
     b: float
     c: float
     lambda0: float
-    variant: str  # "single", "split_case1", "split_case2", "refined"
+    variant: str
+
+
+# Denominators (da, db, dc, dl) of a set a = 1/(da M), b = 1/(db M^2),
+# c = 1/(dc M^3), lambda0 = 1/(dl M^2).  For both sets every principal
+# minor of S at T(M, M) is non-negative for all M >= 1, and b^2 < ac.
+PAPER_SET = (25, 200, 800, 440)
+REFINED_SET = (8, 25, 40, 70)
+
+
+def scaled_coefficients(M: float, denominators: tuple, variant: str) -> Coefficients:
+    """The set a = 1/(da M), b = 1/(db M^2), c = 1/(dc M^3),
+    lambda0 = 1/(dl M^2) at max(M, 1)."""
+    M = max(M, 1.0)
+    da, db, dc, dl = denominators
+    return Coefficients(a=1.0 / (da * M), b=1.0 / (db * M**2), c=1.0 / (dc * M**3),
+                        lambda0=1.0 / (dl * M**2), variant=variant)
 
 
 def default_coefficients(M: float) -> Coefficients:
-    """The fixed working choice a = 1/25M, b = 1/200M^2, c = 1/800M^3,
+    """The paper's working choice a = 1/25M, b = 1/200M^2, c = 1/800M^3,
     lambda0 = 1/440M^2, valid for M >= 1 (smaller M is clamped to 1)."""
-    M = max(M, 1.0)
-    return Coefficients(
-        a=1.0 / (25.0 * M),
-        b=1.0 / (200.0 * M**2),
-        c=1.0 / (800.0 * M**3),
-        lambda0=1.0 / (440.0 * M**2),
-        variant="single",
-    )
+    return scaled_coefficients(M, PAPER_SET, "single")
 
 
 def build_Tprime(a: float, b: float, c: float, M1: float, M2: float) -> np.ndarray:
@@ -134,16 +151,52 @@ def build_Tprime(a: float, b: float, c: float, M1: float, M2: float) -> np.ndarr
     return (T + T.T) / 2.0
 
 
-def verify_coercivity(T: np.ndarray, lambda0: float) -> float:
-    """Min eigenvalue of S = T - Diag(lambda0, 0, lambda0, 0).
-
-    The certificate is valid iff the witness is >= -1e-12.
-    """
+def _checked(T: np.ndarray) -> np.ndarray:
     T = np.asarray(T, dtype=float)
     if T.shape != (4, 4) or not np.allclose(T, T.T, atol=0.0):
-        raise InvalidSpecError("verify_coercivity needs a symmetric 4x4 matrix")
-    S = T - np.diag([lambda0, 0.0, lambda0, 0.0])
+        raise InvalidSpecError("the coercivity check needs a symmetric 4x4 matrix")
+    return T
+
+
+def verify_coercivity(T: np.ndarray, lambda0: float) -> float:
+    """Min eigenvalue of S = T - Diag(lambda0, 0, lambda0, 0), in floats.
+
+    A reported witness only: ``coercivity_holds`` makes the decision.
+    """
+    S = _checked(T) - np.diag([lambda0, 0.0, lambda0, 0.0])
     return float(np.linalg.eigvalsh(S)[0])
+
+
+# Each float entry of build_Tprime is within a relative delta = 2^-50 of the
+# real matrix at the same a, b, c, M1, M2 (correctly rounded square roots, at
+# most three more roundings on terms of one sign, T[0, 0] about 1).  If
+# S - eps Diag(|S_ii|) is PSD then |S_ij| <= sqrt(S_ii S_jj), so S + E stays
+# PSD for |E_ij| <= delta |S_ij| whenever eps >= 4 delta; eps = 2^-46 = 16 delta.
+PSD_MARGIN = Fraction(1, 2**46)
+
+
+def coercivity_holds(T: np.ndarray, lambda0: float) -> bool:
+    """Exactly decide whether S - PSD_MARGIN Diag(|S_ii|) is PSD, with
+    S = T - Diag(lambda0, 0, lambda0, 0) taken entry by entry in Fraction.
+
+    LDL^T without pivoting: a negative pivot refutes; a zero pivot needs a
+    zero remaining row (PSD, unlike PD, allows it) and is skipped.
+    """
+    S = [[Fraction(v) for v in row] for row in _checked(T).tolist()]
+    for i, shift in enumerate((lambda0, 0.0, lambda0, 0.0)):
+        S[i][i] -= Fraction(shift)
+        S[i][i] -= PSD_MARGIN * abs(S[i][i])
+    for k in range(4):
+        pivot = S[k][k]
+        if pivot < 0 or (pivot == 0 and any(S[k][k + 1:])):
+            return False
+        if pivot == 0:
+            continue
+        for i in range(k + 1, 4):
+            f = S[i][k] / pivot
+            for j in range(k + 1, 4):
+                S[i][j] -= f * S[k][j]
+    return True
 
 
 def rate_lambda(lambda0: float, a: float, c: float, kappa: float) -> float:
@@ -174,20 +227,6 @@ CASE1_BETA = 576.0 / 25921.0
 CASE1_GAMMA = 216.0 / 25921.0
 
 
-def _split_conditions_hold(a: float, b: float, c: float, lambda0: float, M1: float, M2: float) -> bool:
-    """Sufficient conditions for T' >= Diag(lambda0, 0, lambda0, 0)."""
-    s1, s2 = math.sqrt(M1), math.sqrt(M2)
-    tol = 1e-12
-    return (
-        b * s2 <= 0.25 + tol
-        and lambda0 <= 0.25 + tol
-        and 0.5 * (b / 2.0) + tol >= ((a + b + c * s2) / 2.0) ** 2
-        and a * c / 8.0 + tol * a * c >= (b * s1 / 2.0) ** 2
-        and a * c / 2.0 + tol * a * c >= b * b
-        and (b / 4.0) * (3.0 * c / 8.0) + tol * b * c >= (c * s1 / 2.0) ** 2
-    )
-
-
 def improved_coefficients(M1: float, M2: float) -> tuple[Coefficients, list[str]]:
     """Split-constant coefficients with rate of order 1/sqrt(M2).
 
@@ -199,9 +238,8 @@ def improved_coefficients(M1: float, M2: float) -> tuple[Coefficients, list[str]
         b = (16 M1^2/3 + 1 + 3 sqrt(M2)/(8 M1))^{-2},
         a = (16/3) M1^2 b,   c = 3 b / (8 M1).
 
-    Every candidate is checked against the sufficient PSD conditions and the
-    eigenvalue witness of T'; on failure the single-constant defaults at
-    max(1, M1, M2) are returned with a diagnostic.
+    Every candidate must pass ``coercivity_holds`` on T'(M1, M2); on failure
+    the single-constant defaults at max(1, M1, M2) are returned with a note.
     """
     if M1 <= 0 or M2 <= 0:
         raise InvalidSpecError("M1, M2 must be positive")
@@ -220,52 +258,12 @@ def improved_coefficients(M1: float, M2: float) -> tuple[Coefficients, list[str]
         b = 1.0 / denom**2
         cand = Coefficients(a=16.0 * M1**2 * b / 3.0, b=b, c=3.0 * b / (8.0 * M1),
                             lambda0=b / 4.0, variant="split_case2")
-    if not _split_conditions_hold(cand.a, cand.b, cand.c, cand.lambda0, M1, M2):
-        notes.append(f"{cand.variant}: sufficient conditions violated")
-    else:
-        witness = verify_coercivity(build_Tprime(cand.a, cand.b, cand.c, M1, M2), cand.lambda0)
-        if witness >= PSD_TOL:
-            return cand, notes
-        notes.append(f"{cand.variant}: PSD witness {witness:.3e} below tolerance")
+    if coercivity_holds(build_Tprime(cand.a, cand.b, cand.c, M1, M2), cand.lambda0):
+        return cand, notes
+    notes.append(f"{cand.variant}: T' - Diag(lambda0, 0, lambda0, 0) is not PSD")
     fallback = default_coefficients(max(1.0, M1, M2))
     notes.append("split construction failed; falling back to single-constant defaults")
     return fallback, notes
-
-
-_REFINE_ROUNDS = 3
-
-
-def refine_coefficients(coeffs: Coefficients, M1: float, M2: float, kappa: float) -> Coefficients:
-    """Coordinate search around a valid coefficient set, maximizing lambda
-    subject to the PSD witness of build_Tprime(a, b, c, M1, M2) and
-    b^2 < ac, in at most _REFINE_ROUNDS rounds.  Never replaces the literal
-    choice in reports; callers store it alongside.
-    """
-
-    def valid_lambda(a, b, c, lam0):
-        if min(a, b, c, lam0) <= 0 or b * b >= a * c:
-            return None
-        if verify_coercivity(build_Tprime(a, b, c, M1, M2), lam0) < PSD_TOL:
-            return None
-        return rate_lambda(lam0, a, c, kappa)
-
-    best = (coeffs.a, coeffs.b, coeffs.c, coeffs.lambda0)
-    best_lam = valid_lambda(*best)
-    if best_lam is None:
-        return coeffs
-    factors = (0.5, 0.8, 1.0, 1.25, 2.0, 4.0)
-    for _ in range(_REFINE_ROUNDS):
-        improved = False
-        for k in range(4):
-            for f in factors:
-                trial = list(best)
-                trial[k] *= f
-                lam = valid_lambda(*trial)
-                if lam is not None and lam > best_lam * (1 + 1e-12):
-                    best, best_lam, improved = tuple(trial), lam, True
-        if not improved:
-            break
-    return Coefficients(a=best[0], b=best[1], c=best[2], lambda0=best[3], variant="refined")
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +288,7 @@ class Certificate:
     c1: float
     c2: float
     psd_witness: float
+    psd_exact: bool
     M: float
     M1: float
     M2: float
@@ -316,6 +315,7 @@ class Certificate:
             "c1": self.c1,
             "c2": self.c2,
             "psd_witness": self.psd_witness,
+            "psd_exact": self.psd_exact,
             "M": self.M,
             "M1": self.M1,
             "M2": self.M2,
@@ -345,7 +345,8 @@ def certify(
     inequality implies a Poincare inequality with that constant).  ``auto``
     prefers thm3 when its prerequisites hold.  The certificate is marked
     certified only when every input constant has certifying provenance and
-    the PSD witness passes.
+    ``coercivity_holds`` accepts the coefficients.  ``refine`` adds the
+    REFINED_SET at max(1, M) beside them, when it passes the same check.
     """
     if mode not in ("auto", "thm3", "thm4"):
         raise InvalidSpecError(f"unknown mode {mode!r}")
@@ -383,7 +384,9 @@ def certify(
         M1, M2 = bc.M1, bc.M2
     T = build_Tprime(coeffs.a, coeffs.b, coeffs.c, M1, M2)
 
-    witness = verify_coercivity(T, coeffs.lambda0)
+    psd_exact = coercivity_holds(T, coeffs.lambda0)
+    if not psd_exact:
+        notes.append("coercivity matrix minus Diag(lambda0, 0, lambda0, 0) is not PSD")
     c1, c2, C0 = norm_equivalence(coeffs.a, coeffs.b, coeffs.c)
     lam = rate_lambda(coeffs.lambda0, coeffs.a, coeffs.c, kappa)
 
@@ -408,7 +411,8 @@ def certify(
         C0=C0,
         c1=c1,
         c2=c2,
-        psd_witness=witness,
+        psd_witness=verify_coercivity(T, coeffs.lambda0),
+        psd_exact=psd_exact,
         M=bc.M,
         M1=bc.M1,
         M2=bc.M2,
@@ -417,17 +421,21 @@ def certify(
         kappa=kappa,
         T=T,
         inputs=bundle,
-        certified=bool(witness >= PSD_TOL and prov_ok),
+        certified=psd_exact and prov_ok,
         notes=notes,
     )
     if refine:
-        ref = refine_coefficients(coeffs, M1, M2, kappa)
-        rc1, rc2, rC0 = norm_equivalence(ref.a, ref.b, ref.c)
-        cert.refined = {
-            "a": ref.a, "b": ref.b, "c": ref.c, "lambda0": ref.lambda0,
-            "lambda": rate_lambda(ref.lambda0, ref.a, ref.c, kappa),
-            "C0": rC0, "c1": rc1, "c2": rc2,
-        }
+        M = max(1.0, bc.M)
+        ref = scaled_coefficients(M, REFINED_SET, "refined")
+        if coercivity_holds(build_Tprime(ref.a, ref.b, ref.c, M, M), ref.lambda0):
+            rc1, rc2, rC0 = norm_equivalence(ref.a, ref.b, ref.c)
+            cert.refined = {
+                "a": ref.a, "b": ref.b, "c": ref.c, "lambda0": ref.lambda0,
+                "lambda": rate_lambda(ref.lambda0, ref.a, ref.c, kappa),
+                "C0": rC0, "c1": rc1, "c2": rc2,
+            }
+        else:
+            cert.notes.append("refined set failed the exact PSD check; block omitted")
     return cert
 
 

@@ -344,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--mode", choices=("thm3", "thm4", "split"), default=None,
                             help="certification route (overrides the config's mode)")
             sp.add_argument("--paper-literal", action="store_true",
-                            help="disable coefficient refinement channels")
+                            help="omit the refined coefficient set")
     return p
 
 

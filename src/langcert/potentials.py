@@ -462,20 +462,6 @@ class PotentialSpec:
     def to_json(self) -> dict:
         return {"family": self.family, "params": dict(self.params), "dim": self.dim}
 
-    @classmethod
-    def from_json(cls, obj: dict, role: str = "confinement") -> "PotentialSpec":
-        if not isinstance(obj, dict):
-            raise InvalidSpecError("potential spec must be a JSON object")
-        extra = set(obj) - {"family", "params", "dim"}
-        if extra:
-            raise InvalidSpecError(f"unknown keys in potential spec: {sorted(extra)}")
-        return cls(
-            family=obj.get("family", ""),
-            params=dict(obj.get("params", {})),
-            dim=obj.get("dim", 1),
-            role=role,
-        )
-
 
 # ---------------------------------------------------------------------------
 # constants bundle

@@ -13,6 +13,7 @@ import numpy as np
 from langcert.certifier import (
     build_Tprime,
     certify,
+    coercivity_holds,
     default_coefficients,
     improved_coefficients,
     rate_lambda,
@@ -39,9 +40,10 @@ def report(k, detail):
 def test_criterion_01_paper_literal_coefficients():
     c = default_coefficients(1.0)
     assert (c.a, c.b, c.c, c.lambda0) == (1 / 25, 1 / 200, 1 / 800, 1 / 440)
-    witness = verify_coercivity(build_Tprime(c.a, c.b, c.c, 1.0, 1.0), c.lambda0)
-    assert witness >= -1e-12
-    report(1, f"(a,b,c,lambda0) exact at M=1; min eig S = {witness:.3e} >= -1e-12")
+    T = build_Tprime(c.a, c.b, c.c, 1.0, 1.0)
+    assert coercivity_holds(T, c.lambda0)
+    witness = verify_coercivity(T, c.lambda0)
+    report(1, f"(a,b,c,lambda0) exact at M=1; S is PSD in exact arithmetic (min eig {witness:.3e})")
 
 
 def test_criterion_02_rate_formula():
@@ -94,8 +96,7 @@ def test_criterion_05_split_route_scaling():
     for M2 in M2s:
         coeffs, notes = improved_coefficients(1.0, float(M2))
         assert coeffs.variant == "split_case1", notes
-        w = verify_coercivity(build_Tprime(coeffs.a, coeffs.b, coeffs.c, 1.0, float(M2)), coeffs.lambda0)
-        assert w >= -1e-12
+        assert coercivity_holds(build_Tprime(coeffs.a, coeffs.b, coeffs.c, 1.0, float(M2)), coeffs.lambda0)
         lams_split.append(rate_lambda(coeffs.lambda0, coeffs.a, coeffs.c, 1.0))
         dflt = default_coefficients(max(1.0, float(M2)))
         lams_single.append(rate_lambda(dflt.lambda0, dflt.a, dflt.c, 1.0))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,16 +8,19 @@ from langcert.certifier import (
     CASE1_ALPHA,
     CASE1_BETA,
     CASE1_GAMMA,
+    PAPER_SET,
+    REFINED_SET,
     assemble_constants,
     build_Tprime,
     certify,
+    coercivity_holds,
     constants_bounded_grad,
     constants_lsi,
     default_coefficients,
     improved_coefficients,
     norm_equivalence,
     rate_lambda,
-    refine_coefficients,
+    scaled_coefficients,
     verify_coercivity,
 )
 from langcert.errors import InvalidSpecError, MissingConstantError
@@ -111,12 +115,13 @@ def test_T_no_mixed_term_loses_coercivity():
     # b = c = 0: no dissipation in the position direction
     T = build_Tprime(1.0, 0.0, 0.0, 1.0, 1.0)
     assert verify_coercivity(T, 1e-3) < -1e-12
+    assert not coercivity_holds(T, 1e-3)
 
 
 def test_paper_default_choice_is_coercive():
     c = default_coefficients(1.0)
     T = build_Tprime(c.a, c.b, c.c, 1.0, 1.0)
-    assert verify_coercivity(T, c.lambda0) >= -1e-12
+    assert coercivity_holds(T, c.lambda0)
 
 
 def test_Tprime_equals_T_when_M1_eq_M2():
@@ -136,10 +141,44 @@ def test_coercivity_rejects_nonsymmetric():
     bad = np.arange(16.0).reshape(4, 4)
     with pytest.raises(InvalidSpecError):
         verify_coercivity(bad, 0.0)
+    with pytest.raises(InvalidSpecError):
+        coercivity_holds(bad, 0.0)
 
 
 def test_zero_matrix_witness():
     assert verify_coercivity(np.zeros((4, 4)), 0.0) == 0.0
+    assert coercivity_holds(np.zeros((4, 4)), 0.0)
+
+
+def test_exact_decision_zero_pivots_and_margin():
+    # PSD is not PD: a zero pivot passes with a zero row and fails otherwise,
+    # however small the row; the float witness cannot tell the two apart
+    assert coercivity_holds(np.diag([1.0, 0.0, 2.0, 0.0]), 0.0)
+    T = np.zeros((4, 4))
+    T[1, 3] = T[3, 1] = 1e-300
+    assert verify_coercivity(T, 0.0) >= -1e-12
+    assert not coercivity_holds(T, 0.0)
+    # the margin is relative to the diagonal: a positive definite S whose
+    # least eigenvalue is 2^-50 of its diagonal is refused, 2^-40 passes
+    for gap, verdict in ((2.0**-50, False), (2.0**-40, True)):
+        T = np.eye(4)
+        T[0, 1] = T[1, 0] = 1.0 - gap
+        assert coercivity_holds(T, 0.0) is verdict
+
+
+def test_inflated_lambda0_rejected():
+    # the float witness of S sits inside an absolute -1e-12 tolerance, but S
+    # is not PSD; the split certificate of the README model stays accepted
+    coeffs, notes = improved_coefficients(1000.0, 1e4)
+    assert coeffs.variant == "split_case2", notes
+    T = build_Tprime(coeffs.a, coeffs.b, coeffs.c, 1000.0, 1e4)
+    assert coercivity_holds(T, coeffs.lambda0)
+    assert -1e-12 <= verify_coercivity(T, 64 * coeffs.lambda0) < 0
+    assert not coercivity_holds(T, 64 * coeffs.lambda0)
+    cert = certify(assemble_constants(DW, small_bump()), use_split=True)
+    assert cert.variant == "split_case2"
+    assert 0 < cert.psd_witness < 1e-11
+    assert cert.psd_exact and cert.certified
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +254,7 @@ def test_improved_case1_psd_and_lambda0():
         assert coeffs.variant == "split_case1", notes
         M = max(1.0, M2)
         assert coeffs.lambda0 == pytest.approx(144.0 / (25921.0 * math.sqrt(M)))
-        w = verify_coercivity(build_Tprime(coeffs.a, coeffs.b, coeffs.c, 1.0, M2), coeffs.lambda0)
-        assert w >= -1e-12
+        assert coercivity_holds(build_Tprime(coeffs.a, coeffs.b, coeffs.c, 1.0, M2), coeffs.lambda0)
 
 
 def test_improved_case1_scaling_slope():
@@ -242,8 +280,7 @@ def test_improved_case2_verified():
     for M1, M2 in ((2.0, 1e2), (1.5, 1e4), (10.0, 1e6)):
         coeffs, notes = improved_coefficients(M1, M2)
         assert coeffs.variant == "split_case2", notes
-        w = verify_coercivity(build_Tprime(coeffs.a, coeffs.b, coeffs.c, M1, M2), coeffs.lambda0)
-        assert w >= -1e-12
+        assert coercivity_holds(build_Tprime(coeffs.a, coeffs.b, coeffs.c, M1, M2), coeffs.lambda0)
 
 
 def test_improved_rejects_bad_input():
@@ -260,7 +297,7 @@ def test_certify_quadratic_plus_small_bump_thm3():
     cert = certify(bundle, mode="thm3")
     assert cert.certified
     assert cert.lam > 0
-    assert cert.psd_witness >= -1e-12
+    assert cert.psd_exact
     assert cert.b**2 < cert.a * cert.c
     assert cert.lam <= cert.lambda0
 
@@ -314,7 +351,7 @@ def test_certify_split_mode():
     cert = certify(bundle, mode="thm3", use_split=True)
     assert cert.variant == "split_case2"
     assert cert.certified
-    assert cert.psd_witness >= -1e-12
+    assert cert.psd_exact
     # the M1 <= 1 <= M2 improvement guarantee is exercised on explicit
     # constants in test_improved_beats_default_for_small_M1
 
@@ -324,6 +361,7 @@ def test_refined_channel_reported_alongside():
     cert = certify(bundle, mode="thm3", refine=True)
     assert cert.refined is not None
     assert cert.refined["lambda"] >= cert.lam  # refinement only improves
+    assert cert.refined["C0"] <= cert.C0
     # the paper-literal values stay untouched
     base = certify(bundle, mode="thm3", refine=False)
     assert cert.a == base.a and cert.lam == base.lam
@@ -338,11 +376,44 @@ def test_provenance_gates_certified_flag():
 
 
 def test_refine_keeps_validity():
-    bundle = assemble_constants(QUAD, small_bump(0.1))
+    # the refined block is REFINED_SET at max(1, M) on T(M, M), for the single
+    # and the split route alike, and passes the exact check at every scale
+    bundle = assemble_constants(DW, small_bump())
     bc = constants_bounded_grad(bundle.K, bundle.K_prime, bundle.K1, bundle.K2, bundle.d)
-    coeffs = default_coefficients(bc.M)
-    M = max(1.0, bc.M)
-    better = refine_coefficients(coeffs, M, M, kappa=bundle.kappa)
-    w = verify_coercivity(build_Tprime(better.a, better.b, better.c, M, M), better.lambda0)
-    assert w >= -1e-12
-    assert better.b**2 < better.a * better.c
+    ref = scaled_coefficients(bc.M, REFINED_SET, "refined")
+    for use_split in (False, True):
+        cert = certify(bundle, mode="thm3", use_split=use_split, refine=True)
+        assert (cert.refined["a"], cert.refined["b"], cert.refined["c"], cert.refined["lambda0"]) == (
+            ref.a, ref.b, ref.c, ref.lambda0)
+    for M in (0.5, 1.0, 4.0, 10.0, 218.9, 1e3, 1e6, 1e9, 1e12):
+        ref = scaled_coefficients(M, REFINED_SET, "refined")
+        M = max(1.0, M)
+        assert coercivity_holds(build_Tprime(ref.a, ref.b, ref.c, M, M), ref.lambda0)
+        assert ref.b**2 < ref.a * ref.c
+        assert ref.lambda0 > default_coefficients(M).lambda0
+
+
+@pytest.mark.parametrize("denominators", [PAPER_SET, REFINED_SET], ids=["literal", "refined"])
+def test_scaled_sets_psd_for_all_M(denominators):
+    # With t = sqrt(M) = 1 + u, D = Diag(t^3, t, t^2, t^3) makes D S D a
+    # polynomial matrix in u with the principal minors of S up to a factor
+    # t^(2k) > 0.  Non-negative coefficients in u prove each minor >= 0 for
+    # every M >= 1, hence S >= 0; b^2 < ac holds since (1/db)^2 < 1/(da dc).
+    sympy = pytest.importorskip("sympy")
+    u = sympy.symbols("u")
+    t = 1 + u
+    da, db, dc, dl = (sympy.Integer(v) for v in denominators)
+    a, b, c, lam0 = 1 / (da * t**2), 1 / (db * t**4), 1 / (dc * t**6), 1 / (dl * t**4)
+    S = sympy.Matrix([
+        [1 + a - b * t - lam0, 0, -(a + b + c * t) / 2, -b * t / 2],
+        [0, a, 0, -b],
+        [-(a + b + c * t) / 2, 0, b - lam0, -c * t / 2],
+        [-b * t / 2, -b, -c * t / 2, c],
+    ])
+    powers = (3, 1, 2, 3)
+    A = sympy.Matrix(4, 4, lambda i, j: sympy.cancel(S[i, j] * t ** (powers[i] + powers[j])))
+    for k in range(1, 5):
+        for idx in itertools.combinations(range(4), k):
+            minor = sympy.Poly(A.extract(list(idx), list(idx)).det(method="berkowitz"), u)
+            assert all(coef >= 0 for coef in minor.all_coeffs()), idx
+    assert db**2 > da * dc
