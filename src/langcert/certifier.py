@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -75,22 +75,39 @@ class BoundednessConstants:
         return 2 * self.C2 + 2 * self.K**2
 
 
+def _finite(mode: str, K: float, C1_C2, inputs: str) -> BoundednessConstants:
+    """The constants of ``mode`` with (C1, C2) = ``C1_C2()``, or an
+    InvalidSpecError naming ``inputs`` when C1, C2, M1 or M2 is not a finite
+    float (float ** raises OverflowError where * gives inf)."""
+    try:
+        bc = BoundednessConstants(*C1_C2(), K=K, mode=mode)
+        if math.isfinite(bc.M1) and math.isfinite(bc.M2):
+            return bc
+    except OverflowError:
+        pass
+    raise InvalidSpecError(f"C1 or C2 is not finite: {inputs} too large")
+
+
 def constants_bounded_grad(K: float, K_prime: float, K1: float, K2: float, d: int) -> BoundednessConstants:
     """C1, C2 for the bounded-interaction-gradient route (needs K' finite)."""
     if not math.isfinite(K_prime):
-        raise MissingConstantError("K_prime", "grad W unbounded: use the log-Sobolev route (constants_lsi)")
-    C1 = 50.0 * K1**2
-    C2 = 4.0 * K2**2 + 25.0 * K1**4 * d**2 / 4.0 + 25.0 * K_prime**2 * K1**2 / 2.0
-    return BoundednessConstants(C1=C1, C2=C2, K=K, mode="thm3")
+        raise MissingConstantError("K_prime", "grad W unbounded: provide C_LS and use mode thm4")
+    return _finite("thm3", K, lambda: (
+        50.0 * K1**2,
+        4.0 * K2**2 + 25.0 * K1**4 * d**2 / 4.0 + 25.0 * K_prime**2 * K1**2 / 2.0,
+    ), f"K = {K!r}, K1 = {K1!r}, K2 = {K2!r} or K' = {K_prime!r}")
 
 
 def constants_lsi(K: float, K1: float, K2: float, C_LS: float, d: int) -> BoundednessConstants:
     """C1, C2 for the log-Sobolev route (no gradient bound on W needed)."""
     if C_LS is None or C_LS <= 0:
-        raise MissingConstantError("C_LS", "provide a log-Sobolev constant or a curvature bound")
-    C1 = 50.0 * K1**2 * (1.0 + 4.0 * K**2 * C_LS**2)
-    C2 = 4.0 * K2**2 + 25.0 * K1**4 * d**2 / 4.0 + 50.0 * math.log(2.0) * d * K**2 * K1**2 * C_LS
-    return BoundednessConstants(C1=C1, C2=C2, K=K, mode="thm4")
+        raise MissingConstantError(
+            "C_LS", "no log-Sobolev constant: supply one, or derive via Bakry-Emery / "
+            "Zegarlinski transfer (lsi_transfer)")
+    return _finite("thm4", K, lambda: (
+        50.0 * K1**2 * (1.0 + 4.0 * K**2 * C_LS**2),
+        4.0 * K2**2 + 25.0 * K1**4 * d**2 / 4.0 + 50.0 * math.log(2.0) * d * K**2 * K1**2 * C_LS,
+    ), f"K = {K!r}, K1 = {K1!r}, K2 = {K2!r} or C_LS = {C_LS!r}")
 
 
 @dataclass(frozen=True)
@@ -302,33 +319,12 @@ class Certificate:
     refined: Optional[dict] = None
 
     def to_json(self) -> dict:
-        out = {
-            "schema_version": "1",
-            "mode": self.mode,
-            "variant": self.variant,
-            "a": self.a,
-            "b": self.b,
-            "c": self.c,
-            "lambda0": self.lambda0,
-            "lambda": self.lam,
-            "C0": self.C0,
-            "c1": self.c1,
-            "c2": self.c2,
-            "psd_witness": self.psd_witness,
-            "psd_exact": self.psd_exact,
-            "M": self.M,
-            "M1": self.M1,
-            "M2": self.M2,
-            "C1": self.C1,
-            "C2": self.C2,
-            "kappa": self.kappa,
-            "T": [[float(v) for v in row] for row in self.T],
-            "inputs": self.inputs.to_json() if self.inputs is not None else None,
-            "certified": self.certified,
-            "notes": list(self.notes),
-        }
-        if self.refined is not None:
-            out["refined"] = self.refined
+        """The fields, with ``lam`` as ``lambda``, ``T`` as nested lists, a
+        ``schema_version`` and no ``refined`` key when it is absent."""
+        out = {"schema_version": "1", **asdict(self), "lambda": self.lam, "T": self.T.tolist()}
+        del out["lam"]
+        if self.refined is None:
+            del out["refined"]
         return out
 
 
@@ -340,9 +336,11 @@ def certify(
 ) -> Certificate:
     """Run the full pipeline on a constants bundle.
 
-    mode ``thm3`` requires a finite K' and a Poincare constant kappa; mode
-    ``thm4`` requires C_LS (kappa falls back to 1/C_LS, since a log-Sobolev
-    inequality implies a Poincare inequality with that constant).  ``auto``
+    mode ``thm3`` requires a finite K', then finite C1 and C2 (both checked
+    by ``constants_bounded_grad``), then a Poincare constant kappa; mode
+    ``thm4`` requires C_LS, then finite C1 and C2 (both checked by
+    ``constants_lsi``), and kappa falls back to 1/C_LS, since a log-Sobolev
+    inequality implies a Poincare inequality with that constant.  ``auto``
     prefers thm3 when its prerequisites hold.  The certificate is marked
     certified only when every input constant has certifying provenance and
     ``coercivity_holds`` accepts the coefficients.  ``refine`` adds the
@@ -354,19 +352,13 @@ def certify(
         mode = "thm3" if math.isfinite(bundle.K_prime) and bundle.kappa is not None else "thm4"
 
     if mode == "thm3":
-        if not math.isfinite(bundle.K_prime):
-            raise MissingConstantError("K_prime", "grad W unbounded: provide C_LS and use mode thm4")
+        bc = constants_bounded_grad(bundle.K, bundle.K_prime, bundle.K1, bundle.K2, bundle.d)
         if bundle.kappa is None:
             raise MissingConstantError(
                 "kappa", "no Poincare constant: supply one, or derive via Bakry-Emery / "
                 "dissipativity (kappa_dissipativity) / convexity criterion (upi_criterion)")
-        bc = constants_bounded_grad(bundle.K, bundle.K_prime, bundle.K1, bundle.K2, bundle.d)
         kappa = bundle.kappa
     else:
-        if bundle.C_LS is None:
-            raise MissingConstantError(
-                "C_LS", "no log-Sobolev constant: supply one, or derive via Bakry-Emery / "
-                "Zegarlinski transfer (lsi_transfer)")
         bc = constants_lsi(bundle.K, bundle.K1, bundle.K2, bundle.C_LS, bundle.d)
         kappa = max(bundle.kappa or 0.0, 1.0 / bundle.C_LS)
 
@@ -454,17 +446,19 @@ def assemble_constants(
 
     Order of preference for kappa: user value, Bakry-Emery curvature,
     convexity-at-infinity criterion, dissipativity route with the exact
-    h = 0 for absent interaction.  C_LS: user value, Bakry-Emery, then the
-    Zegarlinski transfer when a marginal constant was supplied (or the
-    super-convexity criterion provides the Lipschitz bound).  A supplied
-    ``kappa_user``, ``cls_user`` or ``rho_marginal`` must be a finite
-    number > 0.
+    h = 0 for absent interaction; a force-free W counts as absent.  C_LS:
+    user value, Bakry-Emery, then the Zegarlinski transfer when a marginal
+    constant was supplied (or the super-convexity criterion provides the
+    Lipschitz bound).  A supplied ``kappa_user``, ``cls_user`` or
+    ``rho_marginal`` must be a finite number > 0.
     """
     for key, value in (("kappa_user", kappa_user), ("cls_user", cls_user), ("rho_marginal", rho_marginal)):
         if value is not None and not 0 < value < math.inf:
             raise InvalidSpecError(f"{key} must be finite and > 0, got {value!r}")
     bundle = pot.extract_constants(U, W)
     prov = bundle.provenance
+    if W is not None and W.is_zero():
+        W = None
 
     fit = pot.convexity_at_infinity_fit(U, W)
     if fit is not None:
@@ -475,7 +469,7 @@ def assemble_constants(
 
     clip = pot.lipschitz_from_model(U, W)
     bundle.c_lip, bundle.c_lip_converged = clip.value, clip.converged
-    linear_drift = U.linear and (W is None or W.is_zero() or W.linear)
+    linear_drift = U.linear and (W is None or W.linear)
     prov["c_lip"] = pot.ANALYTIC if linear_drift else pot.NUMERIC
 
     be = funcineq.kappa_bakry_emery(U, W)
@@ -491,7 +485,7 @@ def assemble_constants(
         if kap is not None:
             bundle.kappa = kap
             prov["kappa"] = pot.CRITERION
-    if bundle.kappa is None and (W is None or W.is_zero()) and clip.finite:
+    if bundle.kappa is None and W is None and clip.finite:
         # no interaction: the off-diagonal block matrix is identically zero,
         # so h = 0 exactly and the dissipativity route certifies
         kap = funcineq.kappa_dissipativity(0.0, clip.value)

@@ -23,6 +23,7 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +68,12 @@ def _json_safe(obj):
     if isinstance(obj, np.ndarray):
         return _json_safe(obj.tolist())
     return obj
+
+
+def _header(kind: str, config: dict, seed: int) -> dict:
+    """The keys every report starts with."""
+    return {"schema_version": SCHEMA_VERSION, "kind": kind, "config_echo": config,
+            "config_hash": _config_hash(config), "seed": seed}
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -218,15 +225,7 @@ def cmd_certify(config: dict, out_dir: Path, seed: int, mode: str | None, paper_
         use_split=use_split,
         refine=not paper_literal,
     )
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "certificate",
-        "config_echo": config,
-        "config_hash": _config_hash(config),
-        "seed": seed,
-        "model": model.to_json(),
-        "certificate": cert.to_json(),
-    }
+    report = {**_header("certificate", config, seed), "model": model.to_json(), "certificate": cert.to_json()}
     if use_split:
         # the split route is requested for comparison: report the
         # single-constant certificate alongside
@@ -247,16 +246,9 @@ def cmd_simulate(config: dict, out_dir: Path, seed: int) -> int:
     res = simulator.run(**sim, master_seed=seed, keep_replica_series=(fit_obs,))
     _write_timeseries_csv(out_dir / "timeseries.csv", res.times, res.means, res.variances, res.n_replicas)
     fit = simulator.fit_decay(res.times, res.per_replica[fit_obs], observable_id=fit_obs, **fit_cfg)
-    fits = {fit_obs: fit.to_json() if fit is not None else None}
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "simulation",
-        "config_echo": config,
-        "config_hash": _config_hash(config),
-        "seed": seed,
-        "decay_fits": fits,
-        "n_steps": int(round(sim["horizon"] / sim["integrator"].dt)),
-    }
+    fits = {fit_obs: asdict(fit) if fit is not None else None}
+    report = {**_header("simulation", config, seed), "decay_fits": fits,
+              "n_steps": int(round(sim["horizon"] / sim["integrator"].dt))}
     _write_json(out_dir / "summary.json", report)
     print(f"simulated {sim['replicas']} replicas to T={config['horizon']}; fits: {list(fits)}")
     return EXIT_OK
@@ -266,18 +258,10 @@ def cmd_sweep(config: dict, out_dir: Path, seed: int) -> int:
     sweep = _object(config, "sweep", *_SWEEP)
     tpl = sweep.pop("model_template")
     table = simulator.n_sweep(tpl["U"], tpl.get("W"), tpl["d"], master_seed=seed, **sweep)
-    rows = [{"N": n, "fit": fit.to_json() if fit is not None else None} for n, fit in table]
+    rows = [{"N": n, "fit": asdict(fit) if fit is not None else None} for n, fit in table]
     rates = [fit.lambda_hat for _, fit in table if fit is not None]
     spread = (max(rates) - min(rates)) / np.mean(rates) if rates else None
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "n_sweep",
-        "config_echo": config,
-        "config_hash": _config_hash(config),
-        "seed": seed,
-        "table": rows,
-        "relative_spread": spread,
-    }
+    report = {**_header("n_sweep", config, seed), "table": rows, "relative_spread": spread}
     _write_json(out_dir / "sweep.json", report)
     lines = ["N,lambda_hat,ci_low,ci_high,r_squared"]
     for n, fit in table:
@@ -292,15 +276,7 @@ def cmd_sweep(config: dict, out_dir: Path, seed: int) -> int:
 
 def cmd_oracle(config: dict, out_dir: Path, seed: int) -> int:
     report = oracle.oracle_suite(**_object(config, "oracle", *_ORACLE), seed=seed)
-    report.update(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "oracle",
-            "config_echo": config,
-            "config_hash": _config_hash(config),
-            "seed": seed,
-        }
-    )
+    report.update(_header("oracle", config, seed))
     _write_json(out_dir / "oracle.json", report)
     n_pass = sum(1 for c in report["oracle_suite"] if c["passed"])
     print(f"oracle suite: {n_pass}/{report['n_checks']} checks passed")

@@ -44,14 +44,13 @@ __all__ = [
 class GridMeasure:
     """Gibbs measure (1/Z) e^{-V} dx tabulated on a uniform 1D or 2D grid.
 
-    ``log_density`` holds -V at the nodes (unnormalized); ``Z`` is the
-    trapezoid normalization of exp(log_density) and ``grad_log_density``
-    holds -grad V when the constructor knows it analytically.
+    ``log_density`` holds -V at the nodes (unnormalized) and
+    ``grad_log_density`` holds -grad V when the constructor knows it
+    analytically.
     """
 
     axes: tuple
     log_density: np.ndarray
-    Z: float
     spacing: float
     grad_log_density: Optional[np.ndarray] = None
 
@@ -85,10 +84,8 @@ class GridMeasure:
         x = np.linspace(-halfwidth, halfwidth, n)
         logd = -U.profile(np.abs(x))
         _check_tails(logd, halfwidth)
-        w = np.exp(logd - logd.max())
-        Z = float(np.trapezoid(w, x))
         grad = -U.dprofile(np.abs(x)) * np.sign(x)
-        return cls(axes=(x,), log_density=logd, Z=Z, spacing=float(x[1] - x[0]), grad_log_density=grad)
+        return cls(axes=(x,), log_density=logd, spacing=float(x[1] - x[0]), grad_log_density=grad)
 
     @classmethod
     def from_pair_model(cls, model: ModelConfig, halfwidth: float, n: int) -> "GridMeasure":
@@ -101,17 +98,14 @@ class GridMeasure:
         conf = np.stack([X1.ravel(), X2.ravel()], axis=-1)[..., None]  # (n*n, 2, 1)
         u_part = model.U.value(conf).sum(axis=-1)
         logd = -u_part
-        if model.W is not None and not model.W.is_zero():
+        if model.W is not None:
             dv = (X1 - X2).ravel()
             w0 = float(model.W.profile(np.zeros(1))[0])
             logd = logd - (2 * w0 + 2 * model.W.profile(np.abs(dv))) / 4.0
         logd = logd.reshape(n, n)
         _check_tails(logd, halfwidth)
-        w = np.exp(logd - logd.max())
-        dx = float(x[1] - x[0])
-        Z = float(np.trapezoid(np.trapezoid(w, dx=dx, axis=1), dx=dx))
         grad = force_batch(model, conf)[..., 0].reshape(n, n, 2)
-        return cls(axes=(x, x), log_density=logd, Z=Z, spacing=dx, grad_log_density=grad)
+        return cls(axes=(x, x), log_density=logd, spacing=float(x[1] - x[0]), grad_log_density=grad)
 
 
 def _check_tails(log_density: np.ndarray, halfwidth: float, rel: float = 1e-13) -> None:
@@ -154,7 +148,7 @@ def kappa_bakry_emery(U: PotentialSpec, W: Optional[PotentialSpec]) -> Optional[
     yields C_LS = 1/kappa.
     """
     kappa1 = U.hess_eig_bounds()[0]
-    kappa2 = 0.0 if W is None or W.is_zero() else W.hess_eig_bounds()[0]
+    kappa2 = 0.0 if W is None else W.hess_eig_bounds()[0]
     kappa = kappa1 - max(0.0, -kappa2)
     if kappa <= 0 or not math.isfinite(kappa):
         return None
@@ -225,15 +219,6 @@ class GapResult:
     richardson: float
     spacing: float
     halfwidth: float
-
-    def to_json(self) -> dict:
-        return {
-            "gap": self.gap,
-            "gap_coarse": self.gap_coarse,
-            "richardson": self.richardson,
-            "spacing": self.spacing,
-            "halfwidth": self.halfwidth,
-        }
 
 
 def _gap_1d(logd: np.ndarray, dx: float) -> float:

@@ -44,7 +44,10 @@ _PAIR_SLAB = 2**15  # (replica, i, j) pair entries per slab of the pair force
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Mean-field model: N particles in R^d with confinement U and interaction W."""
+    """Mean-field model: N particles in R^d with confinement U and interaction W.
+
+    A force-free W (``PotentialSpec.is_zero``) is stored as None: no interaction.
+    """
 
     N: int
     d: int
@@ -60,6 +63,8 @@ class ModelConfig:
         if self.W is not None:
             if self.W.dim != self.d or self.W.role != "interaction":
                 raise InvalidSpecError("W must be an interaction potential of dimension d")
+            if self.W.is_zero():
+                object.__setattr__(self, "W", None)
 
     def to_json(self) -> dict:
         out = {"N": self.N, "d": self.d, "U": self.U.to_json()}
@@ -80,7 +85,7 @@ def total_potential(model: ModelConfig, x) -> float:
     """V(x) for one configuration of shape (N, d)."""
     x = _check_config(model, x)
     v = float(model.U.value(x).sum())
-    if model.W is not None and not model.W.is_zero():
+    if model.W is not None:
         diff = x[:, None, :] - x[None, :, :]
         v += float(model.W.value(diff).sum()) / (2 * model.N)
     return v
@@ -102,7 +107,7 @@ def force_batch(model: ModelConfig, x: np.ndarray) -> np.ndarray:
     x = np.ascontiguousarray(x, dtype=float)
     f = -model.U.gradient(x)
     W = model.W
-    if W is None or W.is_zero():
+    if W is None:
         return f
     N, d = x.shape[-2:]
     xs, fs = x.reshape(-1, N, d), f.reshape(-1, N, d)  # views: both contiguous
@@ -128,8 +133,8 @@ def force_batch(model: ModelConfig, x: np.ndarray) -> np.ndarray:
 def pair_slabs(model: ModelConfig, replicas: int) -> int:
     """Whole slabs of pair-force work in a batch of ``replicas``
     configurations: replicas * N^2 // ``_PAIR_SLAB``, and 0 when the model
-    has no (or a zero) interaction."""
-    if model.W is None or model.W.is_zero():
+    has no interaction (``ModelConfig`` stores a force-free W as None)."""
+    if model.W is None:
         return 0
     return replicas * model.N**2 // _PAIR_SLAB
 
@@ -167,7 +172,7 @@ def hessian_blocks(model: ModelConfig, x) -> HessianBlocks:
     H_U = np.zeros((N, d, N, d))
     H_U[idx, :, idx, :] = model.U.hessian(x)
     H_W = np.zeros((N, d, N, d))
-    if model.W is not None and not model.W.is_zero():
+    if model.W is not None:
         diff = x[:, None, :] - x[None, :, :]
         hw = model.W.hessian(diff)  # (N, N, d, d)
         hw[idx, idx] = 0.0
@@ -184,6 +189,6 @@ def hw_opnorm(model: ModelConfig, x) -> float:
     """Operator norm of H_W(x) from the dense symmetric eigensolver
     (``hessian_blocks`` raises ResourceCapError beyond DENSE_CAP)."""
     x = _check_config(model, x)
-    if model.W is None or model.W.is_zero():
+    if model.W is None:
         return 0.0
     return float(np.abs(np.linalg.eigvalsh(hessian_blocks(model, x).H_W)).max())

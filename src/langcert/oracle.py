@@ -15,7 +15,7 @@ wrong, and is treated as build-blocking by the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -101,15 +101,6 @@ class InequalityCheck:
     rhs: float
     passed: bool
     detail: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "passed": self.passed,
-            "detail": dict(sorted(self.detail.items())),
-        }
 
 
 def _d1(values: np.ndarray, dx: float, axis: int = 0) -> np.ndarray:
@@ -232,11 +223,7 @@ def verify_boundedness_condition(
     # with w = W''(x1 - x2); closed form of the block assembly at N = 2
     hu1 = model.U.d2profile(np.abs(X1))
     hu2 = model.U.d2profile(np.abs(X2))
-    w = (
-        model.W.d2profile(np.abs(X1 - X2))
-        if model.W is not None and not model.W.is_zero()
-        else np.zeros_like(X1)
-    )
+    w = model.W.d2profile(np.abs(X1 - X2)) if model.W is not None else np.zeros_like(X1)
     h11, h22, h12 = hu1 + w / 2.0, hu2 + w / 2.0, -w / 2.0
     hv_psi_sq = (h11 * psi[0] + h12 * psi[1]) ** 2 + (h12 * psi[0] + h22 * psi[1]) ** 2
 
@@ -289,7 +276,7 @@ def fd_derivative_suite(specs: Sequence[PotentialSpec]) -> list[InequalityCheck]
                 lhs=max(worst_g, worst_h),
                 rhs=_FD_REL_TOL,
                 passed=bool(max(worst_g, worst_h) < _FD_REL_TOL),
-                detail={"grad_err": worst_g, "hess_err": worst_h, "dim": spec.dim},
+                detail={"dim": spec.dim, "grad_err": worst_g, "hess_err": worst_h},
             )
         )
     return out
@@ -362,11 +349,11 @@ def oracle_suite(
         m = GridMeasure.from_potential(u, halfwidth=9.0 / math.sqrt(k1), n=2001)
         res = spectral_gap(m)
         ok = abs(res.gap - k1) <= 0.02 * k1
-        gap_reports.append({"curvature": k1, "passed": ok, **res.to_json()})
+        gap_reports.append({"curvature": k1, "passed": ok, **asdict(res)})
         checks.append(InequalityCheck(name="spectral_gap", lhs=abs(res.gap - k1),
-                                      rhs=0.02 * k1, passed=ok, detail=res.to_json()))
+                                      rhs=0.02 * k1, passed=ok, detail=asdict(res)))
     return {
-        "oracle_suite": [c.to_json() for c in checks],
+        "oracle_suite": [asdict(c) for c in checks],
         "spectral_gap_oracle": gap_reports,
         "all_passed": bool(all(c.passed for c in checks)),
         "n_checks": len(checks),

@@ -3,9 +3,11 @@
 Every built-in family is rotationally symmetric, P(x) = g(|x|), and is one
 record in ``_FAMILIES``: its parameter schema, closed forms for the radial
 profile g, its first two derivatives and psi, chi below, the closed-form
-Hessian and gradient bounds, a length scale, and ``poly``: the coefficients
-(a2, a4) of g = a2 r^2 + a4 r^4 for the two polynomial families, absent for
-the bounded ones (which cannot confine).  Gradients and Hessians follow from
+Hessian eigenvalue range (which also gives the Hessian norm bound and
+whether P is force-free) and gradient bound, a length scale, and ``poly``:
+the coefficients (a2, a4) of g = a2 r^2 + a4 r^4 for the two polynomial
+families, absent for the bounded ones (which cannot confine).  Gradients and
+Hessians follow from
 
     grad P(x) = psi(r) x,                 psi(r) = g'(r)/r,
     hess P(x) = psi(r) I + chi(r) x x^T,  chi(r) = (g''(r) - psi(r)) / r^2,
@@ -93,11 +95,9 @@ class _Family:
     d2g: Callable
     psi_sq: Callable
     chi: Callable
-    hess_op_sup: Callable
     grad_sup: Callable
     hess_eig_bounds: Callable
     char_length: Callable
-    is_zero: Callable
     poly: Optional[Callable] = None  # (a2, a4) with g = a2 r^2 + a4 r^4; None: bounded
     psi_r: Optional[Callable] = None  # psi in r, where it has no closed form in r^2
     section_sup: Optional[Callable] = None  # bounded: (params, r, d) -> the b0 part, see PotentialSpec.section_sup
@@ -228,11 +228,9 @@ _FAMILIES = {
         d2g=lambda p, r: np.full_like(r, p["coef"]),
         psi_sq=lambda p, s, out: _into(out, p["coef"]),
         chi=lambda p, r: np.zeros_like(r),
-        hess_op_sup=lambda p: p["coef"],
         grad_sup=lambda p: 0.0 if p["coef"] == 0.0 else math.inf,
         hess_eig_bounds=lambda p: (p["coef"], p["coef"]),
         char_length=lambda p: 1.0 / math.sqrt(p["coef"]) if p["coef"] > 0 else 1.0,
-        is_zero=lambda p: p["coef"] == 0.0,
         poly=lambda p: (0.5 * p["coef"], 0.0),
     ),
     # quartic |x|^4 - well |x|^2
@@ -244,11 +242,9 @@ _FAMILIES = {
         psi_sq=lambda p, s, out: np.subtract(np.multiply(s, 4 * p["quartic"], out=out), 2 * p["well"],
                                              out=out),
         chi=lambda p, r: np.full_like(r, 8 * p["quartic"]),
-        hess_op_sup=lambda p: math.inf,
         grad_sup=lambda p: math.inf,
         hess_eig_bounds=lambda p: (-2 * p["well"], math.inf),
         char_length=_quartic_char_length,
-        is_zero=lambda p: False,
         poly=lambda p: (-p["well"], p["quartic"]),
     ),
     # -+ amplitude exp(-|x|^2 / 2 width^2), minus sign for an attractive bump
@@ -263,11 +259,9 @@ _FAMILIES = {
         d2g=lambda p, r: -_bump_amp(p) / p["width"] ** 2 * (1 - r**2 / p["width"] ** 2) * _bump_exp(p, r**2),
         psi_sq=lambda p, s, out: np.multiply(_bump_exp(p, s, out), -_bump_amp(p) / p["width"] ** 2, out=out),
         chi=lambda p, r: _bump_amp(p) / (p["width"] ** 2) ** 2 * _bump_exp(p, r**2),
-        hess_op_sup=lambda p: p["amplitude"] / p["width"] ** 2,
         grad_sup=lambda p: p["amplitude"] / p["width"] * math.exp(-0.5),
         hess_eig_bounds=_bump_eig_bounds,
         char_length=lambda p: p["width"],
-        is_zero=lambda p: p["amplitude"] == 0.0,
         section_sup=_bump_section_sup,
     ),
     # amplitude cos(frequency |x|)
@@ -278,12 +272,10 @@ _FAMILIES = {
         d2g=lambda p, r: -p["amplitude"] * p["frequency"] ** 2 * np.cos(p["frequency"] * r),
         psi_sq=lambda p, s, out: _into(out, _cosine_psi(p, np.sqrt(s))),
         chi=_cosine_chi,
-        hess_op_sup=lambda p: abs(p["amplitude"]) * p["frequency"] ** 2,
         grad_sup=lambda p: abs(p["amplitude"]) * abs(p["frequency"]),
         hess_eig_bounds=lambda p: (-abs(p["amplitude"]) * p["frequency"] ** 2,
                                    abs(p["amplitude"]) * p["frequency"] ** 2),
         char_length=lambda p: 2 * math.pi / abs(p["frequency"]),
-        is_zero=lambda p: p["amplitude"] == 0.0,
         psi_r=_cosine_psi,
         section_sup=_cosine_section_sup,
     ),
@@ -429,8 +421,8 @@ class PotentialSpec:
     # -- analytic scalar bounds -------------------------------------------
 
     def hess_op_sup(self) -> float:
-        """sup_x |hess P(x)|_op, closed form per family."""
-        return _FAMILIES[self.family].hess_op_sup(self.params)
+        """sup_x |hess P(x)|_op: the larger magnitude of ``hess_eig_bounds``."""
+        return max(abs(b) for b in self.hess_eig_bounds())
 
     def grad_sup(self) -> float:
         """sup_x |grad P(x)|, closed form per family (may be +inf)."""
@@ -450,8 +442,9 @@ class PotentialSpec:
         return _FAMILIES[self.family].char_length(self.params)
 
     def is_zero(self) -> bool:
-        """P vanishes identically (zero coefficient or amplitude)."""
-        return _FAMILIES[self.family].is_zero(self.params)
+        """P is force-free: its Hessian vanishes everywhere (zero coefficient
+        or amplitude), so P is constant."""
+        return self.hess_op_sup() == 0
 
     def poly(self) -> tuple[float, float]:
         """(a2, a4) with g(r) = a2 r^2 + a4 r^4; only for unbounded families."""
@@ -507,28 +500,6 @@ class ConstantsBundle:
         if self.c_lip is not None and math.isfinite(self.c_lip) and not self.c_lip_converged:
             raise InvalidSpecError("finite c_lip requires a converged quadrature")
 
-    def to_json(self) -> dict:
-        def enc(v):
-            if isinstance(v, float) and math.isinf(v):
-                return "inf"
-            return v
-
-        return {
-            "K": self.K,
-            "K_prime": enc(self.K_prime),
-            "K1": self.K1,
-            "K2": self.K2,
-            "d": self.d,
-            "c_u": enc(self.c_u),
-            "c": enc(self.c),
-            "R_conv": enc(self.R_conv),
-            "c_lip": enc(self.c_lip),
-            "c_lip_converged": self.c_lip_converged,
-            "kappa": enc(self.kappa),
-            "C_LS": enc(self.C_LS),
-            "provenance": dict(sorted(self.provenance.items())),
-        }
-
 
 # ---------------------------------------------------------------------------
 # Lyapunov pair
@@ -581,9 +552,10 @@ def select_lyapunov_pair(
 def extract_constants(U: PotentialSpec, W: Optional[PotentialSpec]) -> ConstantsBundle:
     """Interaction bounds K, K' and a Lyapunov pair (K1, K2) for U.
 
-    K and K' are closed forms per family.  A quadratic interaction has a
-    constant Hessian but a linear gradient, so K' comes back as the +inf
-    flag and certification must go through the log-Sobolev route.
+    K and K' are closed forms per family, both 0 for an absent or force-free
+    W.  A quadratic interaction has a constant Hessian but a linear gradient,
+    so K' comes back as the +inf flag and certification must go through the
+    log-Sobolev route.
     """
     if U.role != "confinement":
         raise InvalidSpecError("U must have the confinement role")
@@ -591,10 +563,7 @@ def extract_constants(U: PotentialSpec, W: Optional[PotentialSpec]) -> Constants
         raise InvalidSpecError("W must have the interaction role")
     if W is not None and W.dim != U.dim:
         raise InvalidSpecError("U and W dimensions differ")
-    if W is None or W.is_zero():
-        K, K_prime = 0.0, 0.0
-    else:
-        K, K_prime = W.hess_op_sup(), W.grad_sup()
+    K, K_prime = (0.0, 0.0) if W is None else (W.hess_op_sup(), W.grad_sup())
 
     d = U.dim
     kp_eff = K_prime if math.isfinite(K_prime) else 0.0
@@ -676,9 +645,9 @@ def model_b0(U: PotentialSpec, W: Optional[PotentialSpec]) -> Callable[[np.ndarr
     <|x|^2 x - |y|^2 y, x - y> >= |x - y|^4 / 4.  A bounded part is
     ``PotentialSpec.section_sup`` over all r at once, in closed form: the
     exact supremum, or for the cosine in d >= 2 an upper bound, so b0 never
-    under-estimates.  All parts clamp r to >= 1e-9.
+    under-estimates.  A force-free part adds 0.  All parts clamp r to >= 1e-9.
     """
-    specs = [s for s in (U, W) if s is not None and not s.is_zero()]
+    specs = [s for s in (U, W) if s is not None]
     a2 = sum(s.poly()[0] for s in specs if not s.bounded)
     a4 = sum(s.poly()[1] for s in specs if not s.bounded)
     bounded = [s for s in specs if s.bounded]
@@ -742,7 +711,7 @@ def convexity_at_infinity_fit(U: PotentialSpec, W: Optional[PotentialSpec] = Non
     if U.linear:
         return ConvexityFit(c_u=U.hess_eig_bounds()[0], c=0.0, radius=0.0)
 
-    K = 0.0 if W is None or W.is_zero() else W.hess_op_sup()
+    K = 0.0 if W is None else W.hess_op_sup()
     char = U.char_length()
     r_max = _CONV_SPAN * char
     rs = np.linspace(r_max / _CONV_NODES, r_max, _CONV_NODES)

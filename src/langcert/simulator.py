@@ -118,9 +118,6 @@ class IntegratorConfig:
         if not 0.0 < self.dt <= 0.1:
             raise InvalidSpecError("dt must be in (0, 0.1]")
 
-    def to_json(self) -> dict:
-        return {"scheme": self.scheme, "dt": self.dt}
-
 
 @dataclass(frozen=True)
 class InitSpec:
@@ -134,9 +131,6 @@ class InitSpec:
 
     position_offset: float = 2.0
     position_spread: float = 1.0
-
-    def to_json(self) -> dict:
-        return {"position_offset": self.position_offset, "position_spread": self.position_spread}
 
 
 @dataclass
@@ -154,17 +148,6 @@ class DecayFit:
     window: tuple[float, float]
     observable_id: str
     n_points: int
-
-    def to_json(self) -> dict:
-        return {
-            "lambda_hat": self.lambda_hat,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "r_squared": self.r_squared,
-            "window": [self.window[0], self.window[1]],
-            "observable_id": self.observable_id,
-            "n_points": self.n_points,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -596,18 +579,11 @@ def _oscillation_spacing(t: np.ndarray, s: np.ndarray, sigma: np.ndarray) -> Opt
     return float(np.median(gaps)) if gaps.size else None
 
 
-def _running_env(s: np.ndarray, halfwidth_pts: int) -> np.ndarray:
-    """max |s| over [k - halfwidth, k + halfwidth], clipped to the series."""
-    h = min(halfwidth_pts, s.size)  # a wider window already spans the series
-    padded = np.pad(np.abs(s), h, mode="edge")
-    return sliding_window_view(padded, 2 * h + 1).max(axis=1)
-
-
-def _forward_env(s: np.ndarray, width_pts: int) -> np.ndarray:
-    """max |s| over [k, k + width], clipped to the series."""
-    w = min(width_pts, s.size)
-    padded = np.pad(np.abs(s), (0, w), mode="edge")
-    return sliding_window_view(padded, w + 1).max(axis=1)
+def _window_max(s: np.ndarray, before: int, after: int) -> np.ndarray:
+    """max |s| over [k - before, k + after], clipped to the series."""
+    b, a = min(before, s.size), min(after, s.size)  # a wider window already spans the series
+    padded = np.pad(np.abs(s), (b, a), mode="edge")
+    return sliding_window_view(padded, b + a + 1).max(axis=1)
 
 
 def _fit_lambda(
@@ -629,11 +605,12 @@ def _fit_lambda(
     spacing = _oscillation_spacing(t, s, sigma)
     if spacing is not None:
         # centered max over one oscillation period tracks the true envelope
-        env = _running_env(s, max(2, int(round(0.5 * spacing / dt))))
+        h = max(2, int(round(0.5 * spacing / dt)))
+        env = _window_max(s, h, h)
     else:
         # monotone decay: the forward max equals |s| itself while the signal
         # lives, and bridges noise wiggles once it has died
-        env = _forward_env(s, max(3, n // 8))
+        env = _window_max(s, 0, max(3, n // 8))
     if window is not None:
         i0 = int(np.searchsorted(t, window[0] - 1e-12))
         i1 = int(np.searchsorted(t, window[1] + 1e-12))

@@ -62,6 +62,35 @@ def test_constants_bounded_grad_rejects_infinite_kprime():
         constants_bounded_grad(K=1.0, K_prime=math.inf, K1=1.0, K2=1.0, d=1)
 
 
+@pytest.mark.parametrize("mode", ["thm3", "thm4"])
+@pytest.mark.parametrize("big", [{"K1": 1e100}, {"K2": 1e160}, {"K_prime": 1e154}, {"K": 1e154}],
+                         ids=lambda big: next(iter(big)))
+def test_overflowing_constants_raise_invalid_spec(mode, big):
+    # K1**4 overflows in float ** (OverflowError); 25 K'^2 and 2 K^2 overflow in * (inf)
+    bundle = ConstantsBundle(**{"K": 0.0, "K_prime": 0.0, "K1": 1.0, "K2": 1.0, "d": 1, **big},
+                             kappa=1.0, C_LS=1.0)
+    if mode == "thm4" and "K_prime" in big:
+        assert certify(bundle, mode=mode).lam > 0  # K' does not enter thm4
+        return
+    name = next(iter(big)).replace("_prime", "'")
+    with pytest.raises(InvalidSpecError, match=rf"^C1 or C2 is not finite: .*\b{name} = "):
+        certify(bundle, mode=mode)
+
+
+def test_route_checks_keep_certify_messages_and_order():
+    # K' is checked before kappa, and C_LS before anything in thm4
+    no_kp = ConstantsBundle(K=0.0, K_prime=math.inf, K1=1e100, K2=1.0, d=1)
+    with pytest.raises(MissingConstantError, match="provide C_LS and use mode thm4") as exc:
+        certify(no_kp, mode="thm3")
+    assert exc.value.constant == "K_prime"
+    with pytest.raises(MissingConstantError, match="supply one") as exc:
+        certify(no_kp, mode="thm4")
+    assert exc.value.constant == "C_LS"
+    with pytest.raises(MissingConstantError) as exc:
+        certify(ConstantsBundle(K=0.0, K_prime=0.0, K1=1.0, K2=1.0, d=1), mode="thm3")
+    assert exc.value.constant == "kappa"
+
+
 def test_constants_lsi_formula():
     bc = constants_lsi(K=1.0, K1=1.0, K2=0.0, C_LS=1.0, d=1)
     assert bc.C1 == pytest.approx(250.0)
@@ -300,6 +329,16 @@ def test_certify_quadratic_plus_small_bump_thm3():
     assert cert.psd_exact
     assert cert.b**2 < cert.a * cert.c
     assert cert.lam <= cert.lambda0
+
+
+@pytest.mark.parametrize("W", [small_bump(0.0), PotentialSpec("quadratic", {"coef": 0.0}, role="interaction"),
+                               PotentialSpec("cosine", {"amplitude": 0.0, "frequency": 1.0}, role="interaction")],
+                         ids=lambda W: W.family)
+@pytest.mark.parametrize("U", [QUAD, DW], ids=["quadratic", "double_well"])
+def test_force_free_interaction_assembles_as_none(U, W):
+    got, want = assemble_constants(U, W), assemble_constants(U, None)
+    for key, value in vars(want).items():
+        assert repr(getattr(got, key)) == repr(value), key
 
 
 def test_certify_quadratic_interaction_needs_thm4():

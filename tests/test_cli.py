@@ -39,6 +39,19 @@ def test_certify_quadratic_bump_exit_zero(tmp_path):
     assert report["config_hash"]
 
 
+def test_certify_force_free_interaction_reports_no_interaction(tmp_path):
+    zero_bump = {**SMALL_BUMP, "params": {**SMALL_BUMP["params"], "amplitude": 0.0}}
+    reports = []
+    for name, W in (("zero", zero_bump), ("none", None)):
+        cfg = write_config(tmp_path, f"{name}.json", {"model": {"N": 4, "d": 1, "U": DW_U, "W": W}})
+        assert main(["certify", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        reports.append(json.loads((tmp_path / name / "certificate.json").read_text()))
+    zero, none = reports
+    assert zero["config_echo"]["model"]["W"] == zero_bump  # the config is echoed as given
+    assert zero["model"]["W"] is None
+    assert zero["model"] == none["model"] and zero["certificate"] == none["certificate"]
+
+
 def test_certify_quadratic_interaction_thm3_exit_two(tmp_path):
     w_quad = {"family": "quadratic", "params": {"coef": 0.1}, "dim": 1}
     cfg = write_config(tmp_path, "c.json", {"model": {"N": 4, "d": 1, "U": QUAD_U, "W": w_quad}, "mode": "thm3"})

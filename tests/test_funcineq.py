@@ -131,7 +131,7 @@ def test_expectation_with_read_weights_is_bit_identical():
             v = rng.standard_normal(m.log_density.shape)
             assert repr(m.expectation(v, w)) == repr(m.expectation(v))
         assert m.weights is not w
-        assert set(vars(m)) == {"axes", "log_density", "Z", "spacing", "grad_log_density"}
+        assert set(vars(m)) == {"axes", "log_density", "spacing", "grad_log_density"}
 
 
 @pytest.mark.parametrize("W", [None, bump(0.3), bump(0.3, sign="repulsive"), quad(0.5, role="interaction")])

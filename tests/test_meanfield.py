@@ -39,6 +39,17 @@ def test_model_validation():
             ModelConfig(N=N, d=d, U=quad(1.0))
 
 
+@pytest.mark.parametrize("W", [bump(0.0), bump(0.0, sign="repulsive"), quad(0.0, role="interaction"),
+                               PotentialSpec("cosine", {"amplitude": 0.0, "frequency": 2.0}, role="interaction")],
+                         ids=lambda W: W.family)
+def test_force_free_interaction_is_stored_as_none(W):
+    model = ModelConfig(N=3, d=1, U=quad(1.0), W=W)
+    assert model.W is None
+    assert model.to_json()["W"] is None
+    with pytest.raises(InvalidSpecError):  # W is checked before it is dropped
+        ModelConfig(N=3, d=2, U=quad(1.0, d=2), W=W)
+
+
 def test_total_potential_hand_value():
     # N=2, U quad(1), W quad(1), x = (1, -1), with W(y) = y^2/2:
     # U-part U(1) + U(-1) = 1; W-part (1/4)(W(0) + W(2) + W(-2) + W(0)) = 1

@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -229,7 +230,7 @@ def test_fd_suite_array_pass_matches_per_point_loop():
                           dim=d, role="interaction"),
             PotentialSpec("cosine", {"amplitude": 0.7, "frequency": 1.8}, dim=d, role="interaction"),
         ]
-    got = [c.to_json() for c in fd_derivative_suite(specs)]
+    got = [asdict(c) for c in fd_derivative_suite(specs)]
     assert repr(got) == repr(_fd_suite_per_point(specs))
 
 

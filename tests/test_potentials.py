@@ -262,6 +262,45 @@ def test_hessian_and_gradient_bounds_hold(spec):
     assert np.all(gn <= Kp + 1e-9)
 
 
+# (family, params, hess_op_sup, grad_sup, is_zero) as the per-family closed
+# forms gave them before hess_op_sup and is_zero came from hess_eig_bounds
+BOUND_PINS = [
+    ("quadratic", {"coef": 0}, 0, 0.0, True),
+    ("quadratic", {"coef": 0.0}, 0.0, 0.0, True),
+    ("quadratic", {"coef": 0.5}, 0.5, math.inf, False),
+    ("quadratic", {"coef": 2.0}, 2.0, math.inf, False),
+    ("quartic_double_well", {"quartic": 0.25, "well": 0.5}, math.inf, math.inf, False),
+    ("quartic_double_well", {"quartic": 1.0, "well": 0.0}, math.inf, math.inf, False),
+    ("gaussian_bump", {"amplitude": 0.0, "width": 0.5, "sign": "attractive"}, 0.0, 0.0, True),
+    ("gaussian_bump", {"amplitude": 0.0, "width": 0.5, "sign": "repulsive"}, 0.0, 0.0, True),
+    ("gaussian_bump", {"amplitude": 0.0, "width": 2.0, "sign": "attractive"}, 0.0, 0.0, True),
+    ("gaussian_bump", {"amplitude": 0.0, "width": 2.0, "sign": "repulsive"}, 0.0, 0.0, True),
+    ("gaussian_bump", {"amplitude": 0.02, "width": 0.5, "sign": "attractive"}, 0.08, 0.024261226388505336, False),
+    ("gaussian_bump", {"amplitude": 0.02, "width": 0.5, "sign": "repulsive"}, 0.08, 0.024261226388505336, False),
+    ("gaussian_bump", {"amplitude": 0.02, "width": 2.0, "sign": "attractive"}, 0.005, 0.006065306597126334, False),
+    ("gaussian_bump", {"amplitude": 0.02, "width": 2.0, "sign": "repulsive"}, 0.005, 0.006065306597126334, False),
+    ("gaussian_bump", {"amplitude": 1.1, "width": 0.5, "sign": "attractive"}, 4.4, 1.3343674513677937, False),
+    ("gaussian_bump", {"amplitude": 1.1, "width": 0.5, "sign": "repulsive"}, 4.4, 1.3343674513677937, False),
+    ("gaussian_bump", {"amplitude": 1.1, "width": 2.0, "sign": "attractive"}, 0.275, 0.3335918628419484, False),
+    ("gaussian_bump", {"amplitude": 1.1, "width": 2.0, "sign": "repulsive"}, 0.275, 0.3335918628419484, False),
+    ("cosine", {"amplitude": 0.0, "frequency": 1.0}, 0.0, 0.0, True),
+    ("cosine", {"amplitude": 0.0, "frequency": -1.8}, 0.0, 0.0, True),
+    ("cosine", {"amplitude": 0.05, "frequency": 1.0}, 0.05, 0.05, False),
+    ("cosine", {"amplitude": 0.05, "frequency": -1.8}, 0.16200000000000003, 0.09000000000000001, False),
+    ("cosine", {"amplitude": -0.7, "frequency": 1.0}, 0.7, 0.7, False),
+    ("cosine", {"amplitude": -0.7, "frequency": -1.8}, 2.268, 1.26, False),
+]
+
+
+@pytest.mark.parametrize("family, params, hess, grad, zero", BOUND_PINS)
+def test_bounds_pinned_for_each_family(family, params, hess, grad, zero):
+    spec = PotentialSpec(family, params, role="interaction")
+    assert repr(spec.hess_op_sup()) == repr(hess)  # the same bytes and type (coef: 0 stays an int)
+    assert repr(spec.grad_sup()) == repr(grad)
+    assert spec.is_zero() is zero
+    assert spec.hess_op_sup() == max(abs(b) for b in spec.hess_eig_bounds())
+
+
 def test_lyapunov_condition_holds_on_random_points():
     for spec in (QUAD, DW, PotentialSpec("quartic_double_well", {"quartic": 0.1, "well": 1.0}, dim=2)):
         bundle = extract_constants(spec, None)

@@ -5,6 +5,7 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -32,11 +33,10 @@ from langcert.simulator import (
     _advance_block,
     _fit_lambda,
     _philox_words,
-    _forward_env,
     _oscillation_spacing,
     _init_normals,
-    _running_env,
     _stream_keys,
+    _window_max,
 )
 
 QUAD = PotentialSpec("quadratic", {"coef": 1.0}, dim=1)
@@ -618,12 +618,12 @@ def test_envelopes_match_reference_loops():
     for n in range(1, 11):
         s = rng.normal(size=n) * np.exp(-np.arange(n))
         for w in (1, 2, 7, 50, n, n + 3):
-            assert running(s, w).tobytes() == _running_env(s, w).tobytes()
-            assert forward(s, w).tobytes() == _forward_env(s, w).tobytes()
+            assert running(s, w).tobytes() == _window_max(s, w, w).tobytes()
+            assert forward(s, w).tobytes() == _window_max(s, 0, w).tobytes()
     s = rng.normal(size=400)
     for w in (1, 2, 7, 50):
-        assert running(s, w).tobytes() == _running_env(s, w).tobytes()
-        assert forward(s, w).tobytes() == _forward_env(s, w).tobytes()
+        assert running(s, w).tobytes() == _window_max(s, w, w).tobytes()
+        assert forward(s, w).tobytes() == _window_max(s, 0, w).tobytes()
 
 
 def _two_gather_fit(t, per, equilibrium, window, fit_lambda):
@@ -642,7 +642,7 @@ def _two_gather_fit(t, per, equilibrium, window, fit_lambda):
             boots.append(bfit[0])
     lo, hi = np.percentile(boots, [2.5, 97.5]) if len(boots) >= 20 else (lam, lam)
     return {"lambda_hat": lam, "ci_low": float(min(lo, lam)), "ci_high": float(max(hi, lam)),
-            "r_squared": r2, "window": [window[0], window[1]], "observable_id": "x",
+            "r_squared": r2, "window": (window[0], window[1]), "observable_id": "x",
             "n_points": n_pts}
 
 
@@ -674,7 +674,7 @@ def test_fit_decay_bootstrap_matches_two_gather_reference(kind, window, monkeypa
         fit = fit_decay(t, per, 0.0, "x", window=window)
         assert fit is not None
         assert len(got) == 201 and got == want  # every resample's signal and noise floor
-        assert repr(fit.to_json()) == repr(reference)
+        assert repr(asdict(fit)) == repr(reference)
 
 
 @pytest.mark.parametrize("R", [2, 127, 128, 129, 2000])
@@ -691,6 +691,7 @@ def test_resample_moments_match_the_full_gather(R):
 
 
 _FIT_BY_THREADS = """
+from dataclasses import asdict
 import numpy as np
 from langcert import simulator
 rng = np.random.default_rng(4)
@@ -698,7 +699,7 @@ t = np.arange(0, 10.0, 0.02)
 per = 2 * np.exp(-0.7 * t)[None, :] + rng.normal(0, 0.2, size=(300, t.size))
 for threads in (1, 2, 3, 4):
     simulator._THREADS = threads
-    print(repr(simulator.fit_decay(t, per, 0.0, "x").to_json()))
+    print(repr(asdict(simulator.fit_decay(t, per, 0.0, "x"))))
 """
 
 
