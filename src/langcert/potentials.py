@@ -301,7 +301,8 @@ class PotentialSpec:
         ``gaussian_bump`` or ``cosine``.
     params : dict
         Family parameters, named and range-checked by the family's
-        ``_FAMILIES`` schema.
+        ``_FAMILIES`` schema, and rejected when the closed-form bounds or the
+        length scale leave the float range.
     dim : int
         Dimension d >= 1 of the space the potential acts on.
     role : str
@@ -336,6 +337,15 @@ class PotentialSpec:
                 ok = rule(v)
             if not ok:
                 raise InvalidSpecError(f"param {name}={v!r} out of range")
+        try:
+            self.hess_eig_bounds(), self.grad_sup()
+            in_range = math.isfinite(self.char_length())
+        except ArithmeticError:
+            in_range = False
+        if not in_range:
+            raise InvalidSpecError(
+                f"{self.family} params {self.params} are out of float range: "
+                "its closed-form bounds cannot be evaluated")
         if self.role == "confinement" and self.bounded:
             raise InvalidSpecError(
                 f"{self.family} is bounded and cannot confine (non-integrable Gibbs measure)"
@@ -565,13 +575,18 @@ def extract_constants(U: PotentialSpec, W: Optional[PotentialSpec]) -> Constants
         raise InvalidSpecError("U and W dimensions differ")
     K, K_prime = (0.0, 0.0) if W is None else (W.hess_op_sup(), W.grad_sup())
 
+    from .certifier import constants_bounded_grad  # certifier imports this module
+
     d = U.dim
     kp_eff = K_prime if math.isfinite(K_prime) else 0.0
 
     def objective(k1, k2):
-        c1 = 50 * k1**2
-        c2 = 4 * k2**2 + 25 * k1**4 * d**2 / 4 + 25 * kp_eff**2 * k1**2 / 2
-        return max(2 * c1, 2 * c2 + 2 * K**2, 1.0)
+        # the thm3 M of the pair, floored at 1; a pair whose C1 or C2
+        # overflows is infeasible
+        try:
+            return max(constants_bounded_grad(K, kp_eff, k1, k2, d).M, 1.0)
+        except InvalidSpecError:
+            return math.inf
 
     k1, k2 = select_lyapunov_pair(U, objective)
     if not U.linear:
@@ -626,7 +641,10 @@ def lipschitz_constant(b0: Callable[[np.ndarray], np.ndarray]) -> LipschitzResul
         b_tail = float(b[int(0.75 * n):].max())
         if b_tail < 0.0:
             beta = -b_tail / 4.0
-            tail = 0.25 * math.exp(inner[-1]) * (s_max / beta + 1.0 / beta**2)
+            try:
+                tail = 0.25 * math.exp(inner[-1]) * (s_max / beta + 1.0 / beta**2)
+            except ArithmeticError:  # beta**2 underflows to 0: no usable bound
+                tail = math.inf
             if value > 0 and tail < _CLIP_REL_TAIL * value:
                 return LipschitzResult(value, True, s_max)
         s_max *= 2.0

@@ -7,19 +7,16 @@ with friction and noise fixed to this normalization (no temperature knob:
 the certificates target exactly this invariant measure).
 
 Noise is derived counter-based from the master seed: every (replica,
-particle) pair owns a Philox stream keyed by (seed, domain | replica |
-label), and consumes exactly d words per step.  Streams therefore do not
-depend on the number of replicas or particles in the run, which makes
-N-sweeps seed-comparable and particle relabeling an exact symmetry (carry
-the labels along).  Uniform words map to normals through the inverse CDF,
-one word per normal, so the k-th step of a stream is a pure function of the
-key regardless of chunking.  A block of noise is stored step-major, so the
-normals of one step are one contiguous run for the integrator to read.  The
-initial draws take only the first few words of each stream, so they come
-from the Philox4x64-10 rounds run on all keys at once as uint64 array
-arithmetic (Salmon et al., SC'11), word for word what numpy's ``Philox``
-returns; the dynamics streams, which draw a block at a time, keep one
-``Philox`` each.
+particle) pair owns one Philox stream keyed by (seed, replica << 31 |
+label), and consumes exactly d words per step.  Its first two steps are the
+initial position and velocity, and the dynamics start at step 2.  Streams
+therefore do not depend on the number of replicas or particles in the run,
+which makes N-sweeps seed-comparable and particle relabeling an exact
+symmetry (carry the labels along).  Uniform words map to normals through
+the inverse CDF, one word per normal, so the k-th step of a stream is a
+pure function of the key regardless of chunking.  A block of noise is
+stored step-major, so the normals of one step are one contiguous run for
+the integrator to read.
 
 Replicas advance in chunks.  A chunk with enough pair-force work is split
 into contiguous replica slabs, up to one per usable core, that advance on a
@@ -73,9 +70,6 @@ __all__ = [
 SCHEMES = ("euler_maruyama", "baoab")
 DEFAULT_OBSERVABLES = ("mean_position",)  # what run records unless told otherwise
 MAX_STEPS = 10**8
-_DOMAIN_DYNAMICS = 0
-_DOMAIN_INIT_POS = 1
-_DOMAIN_INIT_VEL = 2
 _SLAB_WORDS = 2**14  # raw Philox words converted to normals per pass
 _REPLICA_CHUNK = 4096  # replicas integrated together by run
 _TIME_BLOCK = 256  # steps of noise drawn per block
@@ -154,28 +148,16 @@ class DecayFit:
 # counter-based noise streams
 # ---------------------------------------------------------------------------
 
-def _stream_keys(master_seed: int, domain: int, replicas: Sequence[int], labels: Sequence[int]) -> np.ndarray:
-    """Philox keys of every (replica, label) stream, shape (R, N, 2) uint64."""
+def _stream_keys(master_seed: int, replicas: Sequence[int], labels: Sequence[int]) -> np.ndarray:
+    """Philox keys (seed, replica << 31 | label) of every (replica, label)
+    stream, shape (R, N, 2) uint64."""
     if not all(0 <= v < 2**31 for v in (*replicas, *labels)):
         raise InvalidSpecError("replica and particle label must fit in 31 bits")
     keys = np.empty((len(replicas), len(labels), 2), dtype=np.uint64)
     keys[..., 0] = np.uint64(master_seed & (2**64 - 1))
     rep = np.array(replicas, dtype=np.uint64)[:, None] << np.uint64(31)
-    keys[..., 1] = (np.uint64(domain) << np.uint64(62)) | rep | np.array(labels, dtype=np.uint64)
+    keys[..., 1] = rep | np.array(labels, dtype=np.uint64)
     return keys
-
-
-def _words_to_normals(words: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """One uint64 word -> one uniform in (0,1) -> one normal, no state involved.
-
-    The conversion runs in place: ``words`` is overwritten by its shifted
-    value and the normals are written to ``out`` (float64, the shape of
-    ``words``).
-    """
-    top = np.right_shift(words, np.uint64(11), out=words)
-    u = np.multiply(top, 2.0**-53, out=out)
-    np.add(u, 2.0**-54, out=u)
-    return ndtri(u, out=u)
 
 
 class NoiseStreams:
@@ -194,7 +176,7 @@ class NoiseStreams:
         if not len(replicas) or not len(labels):
             raise InvalidSpecError("noise streams need at least one replica and one label")
         self.d = d
-        keys = _stream_keys(master_seed, _DOMAIN_DYNAMICS, replicas, labels)
+        keys = _stream_keys(master_seed, replicas, labels)
         self._gens = [[Philox(key=k) for k in row] for row in keys]
 
     def normals(self, n_steps: int, pool: Optional[ThreadPoolExecutor] = None) -> np.ndarray:
@@ -220,74 +202,22 @@ class NoiseStreams:
                     for j, g in enumerate(row):
                         raw[i, j] = g.random_raw(words)
                 raw = raw.reshape(b - a, N, n_steps, self.d).transpose(2, 0, 1, 3)
-                _words_to_normals(raw, out=out[:, a:b])
+                # one word -> one uniform in (0, 1) from its top 53 bits -> one
+                # normal, in place
+                u = np.multiply(np.right_shift(raw, np.uint64(11), out=raw), 2.0**-53, out=out[:, a:b])
+                ndtri(np.add(u, 2.0**-54, out=u), out=u)
 
         _in_order(pool, convert, _ranges(R, 1 if pool is None else pool._max_workers))
         return out.transpose(1, 0, 2, 3)
 
 
-# Philox4x64-10 (Salmon et al., SC'11) with numpy's constants: the two round
-# multipliers, the two key increments (Weyl constants) and the 32-bit mask
-_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
-_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
-_LO32 = np.uint64(0xFFFFFFFF)
-
-
-def _mulhilo(m: np.uint64, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of the 128-bit products m * a, from 32-bit halves
-    (every partial product and partial sum fits in 64 bits)."""
-    s = np.uint64(32)
-    m_lo, m_hi = m & _LO32, m >> s
-    a_lo, a_hi = a & _LO32, a >> s
-    ll, lh, hl = a_lo * m_lo, a_lo * m_hi, a_hi * m_lo
-    mid = (ll >> s) + (lh & _LO32) + (hl & _LO32)
-    return a_hi * m_hi + (lh >> s) + (hl >> s) + (mid >> s), a * m
-
-
-def _philox_words(keys: np.ndarray, n_words: int) -> np.ndarray:
-    """``Philox(key=k).random_raw(n_words)`` for every row k of the (K, 2)
-    uint64 ``keys``, shape (K, n_words), from ceil(n_words / 4) blocks of
-    ten rounds run on all keys at once, in slabs of at most ``_SLAB_WORDS``
-    keys.  As in numpy, the first block has counter (1, 0, 0, 0) and the key
-    is bumped before rounds 1 to 9."""
-    blocks = -(-n_words // 4)
-    out = np.empty((keys.shape[0], n_words), dtype=np.uint64)
-    for lo in range(0, keys.shape[0], _SLAB_WORDS):
-        k = keys[lo:lo + _SLAB_WORDS]
-        n = k.shape[0]
-        k0, k1 = np.repeat(k[:, 0], blocks), np.repeat(k[:, 1], blocks)
-        c0 = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), n)
-        c1 = c2 = c3 = np.zeros_like(c0)
-        for r in range(10):
-            if r:
-                k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
-            hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-            hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-            c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-        out[lo:lo + n] = np.stack([c0, c1, c2, c3], axis=-1).reshape(n, 4 * blocks)[:, :n_words]
-    return out
-
-
-def _init_normals(master_seed: int, domain: int, replicas: Sequence[int], labels: Sequence[int], d: int) -> np.ndarray:
-    """The first d normals of every (replica, label) stream of ``domain``,
-    shape (R, N, d): the first d words of every key from ``_philox_words``,
-    converted in one pass."""
-    keys = _stream_keys(master_seed, domain, replicas, labels)
-    raw = _philox_words(keys.reshape(-1, 2), d).reshape(len(replicas), len(labels), d)
-    return _words_to_normals(raw, out=np.empty(raw.shape))
-
-
-def _draw_init(
-    master_seed: int,
-    replica_ids: Sequence[int],
-    labels: Sequence[int],
-    d: int,
-    init: InitSpec,
-) -> tuple[np.ndarray, np.ndarray]:
-    pos = _init_normals(master_seed, _DOMAIN_INIT_POS, replica_ids, labels, d) * init.position_spread
+def _draw_init(streams: NoiseStreams, init: InitSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The first two steps of every stream: step 0 scaled by the spread and
+    offset in coordinate 0 gives the positions, step 1 the velocities."""
+    z = streams.normals(2)
+    pos = z[:, 0] * init.position_spread
     pos[..., 0] += init.position_offset
-    vel = _init_normals(master_seed, _DOMAIN_INIT_VEL, replica_ids, labels, d)
-    return pos, vel
+    return pos, z[:, 1]
 
 
 def initial_state(
@@ -297,10 +227,11 @@ def initial_state(
     init: InitSpec | None = None,
     labels: Optional[Sequence[int]] = None,
 ) -> EnsembleState:
-    """Draw the initial ensemble from its own key domains (the dynamics
-    streams start at word zero regardless of initialization)."""
-    labels = list(range(model.N)) if labels is None else list(labels)
-    pos, vel = _draw_init(master_seed, list(range(replicas)), labels, model.d, init or InitSpec())
+    """The initial ensemble ``run`` starts from: the first two steps of every
+    (replica, label) stream, positions from step 0 and velocities from step
+    1.  The dynamics continue at step 2 whatever the ``init``."""
+    labels = range(model.N) if labels is None else labels
+    pos, vel = _draw_init(NoiseStreams(master_seed, range(replicas), labels, model.d), init or InitSpec())
     return EnsembleState(positions=pos, velocities=vel)
 
 
@@ -490,13 +421,15 @@ def run(
     final_v = np.empty_like(final_x)
 
     lab = list(range(model.N)) if labels is None else list(labels)
+    init = init or InitSpec()
     for lo in range(0, replicas, _REPLICA_CHUNK):
         hi = min(lo + _REPLICA_CHUNK, replicas)
         x, v = final_x[lo:hi], final_v[lo:hi]
-        x[...], v[...] = _draw_init(master_seed, list(range(lo, hi)), lab, model.d, init or InitSpec())
         n_slabs = _slab_count(model, hi - lo)
         slabs = [(NoiseStreams(master_seed, range(lo + a, lo + b), lab, model.d), slice(a, b))
                  for a, b in _ranges(hi - lo, n_slabs)]
+        for streams, cols in slabs:
+            x[cols], v[cols] = _draw_init(streams, init)
 
         def reduce(bufs, first):
             # records first, first + 1, ... of the chunk, each row in replica order

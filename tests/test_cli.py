@@ -505,6 +505,37 @@ def test_potential_params_read_as_numbers(tmp_path, capsys):
     assert certs[0] == certs[1]
 
 
+_NO_PAIR = "no feasible Lyapunov pair found"
+_OUT_OF_RANGE = "params {} are out of float range: its closed-form bounds cannot be evaluated"
+
+
+@pytest.mark.parametrize("U, W, message", [
+    ({**QUAD_U, "params": {"coef": 1e300}}, None, _NO_PAIR),
+    ({**DW_U, "params": {"quartic": 1e200, "well": 0.5}}, None, _NO_PAIR),
+    (QUAD_U, {**SMALL_BUMP, "params": {**SMALL_BUMP["params"], "amplitude": 1e300}}, _NO_PAIR),
+    (QUAD_U, {**SMALL_BUMP, "params": {**SMALL_BUMP["params"], "width": 1e-300}},
+     "gaussian_bump " + _OUT_OF_RANGE.format({"amplitude": 0.1, "width": 1e-300, "sign": "attractive"})),
+    (QUAD_U, {"family": "cosine", "params": {"amplitude": 1.0, "frequency": 1e300}, "dim": 1},
+     "cosine " + _OUT_OF_RANGE.format({"amplitude": 1.0, "frequency": 1e300})),
+    # an infinite char_length made the convexity fit's random pairs overflow
+    ({**DW_U, "params": {"quartic": 5e-324, "well": 0.0}}, None,
+     "quartic_double_well " + _OUT_OF_RANGE.format({"quartic": 5e-324, "well": 0.0})),
+], ids=["quadratic-coef", "quartic", "bump-amplitude", "bump-width", "cosine-frequency", "quartic-denormal"])
+def test_params_at_the_float_range_exit_one(tmp_path, capsys, U, W, message):
+    # each of these escaped main as an OverflowError or ZeroDivisionError
+    _assert_rejected(tmp_path, capsys, "certify", [({"model": {"N": 8, "d": 1, "U": U, "W": W}}, message)])
+
+
+def test_flat_quadratic_certifies_with_an_unconverged_c_lip(tmp_path, capsys):
+    # beta**2 underflows in the c_lip tail bound: the doubling runs out and
+    # c_lip comes back as the unconverged +inf flag
+    cfg = write_config(tmp_path, "flat.json", {"model": {"N": 8, "d": 1, "U": {**QUAD_U, "params": {"coef": 1e-300}}}})
+    assert main(["certify", "--config", str(cfg), "--out", str(tmp_path / "flat")]) == 0
+    assert capsys.readouterr().out.startswith("certified: ")
+    constants = json.loads((tmp_path / "flat" / "certificate.json").read_text())["certificate"]["inputs"]
+    assert (constants["c_lip"], constants["c_lip_converged"]) == ("inf", False)
+
+
 def test_sweep_rejects_empty_Ns(tmp_path, capsys):
     # [] used to print "relative spread None" and exit 0
     _assert_rejected(tmp_path, capsys, "sweep", [({**SWEEP, "Ns": []}, "sweep.Ns must name at least one N, got []")])

@@ -26,15 +26,10 @@ from langcert.simulator import (
     initial_state,
     n_sweep,
     run,
-    _DOMAIN_DYNAMICS,
-    _DOMAIN_INIT_POS,
-    _DOMAIN_INIT_VEL,
     _SLAB_WORDS,
     _advance_block,
     _fit_lambda,
-    _philox_words,
     _oscillation_spacing,
-    _init_normals,
     _stream_keys,
     _window_max,
 )
@@ -155,7 +150,7 @@ def test_streams_slab_conversion_matches_per_stream(R, N, d, n_steps, per_slab):
         return out
 
     seed, replicas, labels = 13, list(range(3, 3 + R)), [0, 5, 2][:N]
-    gens = [[Philox(key=k) for k in row] for row in _stream_keys(seed, _DOMAIN_DYNAMICS, replicas, labels)]
+    gens = [[Philox(key=k) for k in row] for row in _stream_keys(seed, replicas, labels)]
     streams = NoiseStreams(seed, replicas, labels, d)
     for _ in range(2):  # the second block continues every stream
         got = streams.normals(n_steps)
@@ -194,54 +189,73 @@ def test_normals_of_one_step_are_contiguous(workers):
             assert all(block[:, k].flags.c_contiguous for k in range(n_steps))
 
 
-def philox_reference(keys, n_words):
-    return np.array([Philox(key=k).random_raw(n_words) for k in keys], dtype=np.uint64).reshape(-1, n_words)
-
-
-@pytest.mark.parametrize("n_words", range(1, 10))
-def test_philox_words_match_numpy(n_words):
-    # up to three blocks of four words; the largest seed, replica and label
-    # in every value of the two domain bits, and random full-width keys
-    keys = [_stream_keys(2**64 - 1, domain, [0, 2**31 - 1], [0, 2**31 - 1]).reshape(-1, 2) for domain in range(4)]
-    keys.append(np.random.default_rng(n_words).integers(0, 2**64, size=(16, 2), dtype=np.uint64))
-    keys = np.concatenate(keys)
-    assert _philox_words(keys, n_words).tobytes() == philox_reference(keys, n_words).tobytes()
-
-
-def test_philox_words_span_several_slabs():
-    # one full slab of _SLAB_WORDS keys and a short second one
-    keys = _stream_keys(31, _DOMAIN_INIT_VEL, range(_SLAB_WORDS // 4 + 2), range(4)).reshape(-1, 2)
-    assert keys.shape[0] == _SLAB_WORDS + 8
-    assert _philox_words(keys, 5).tobytes() == philox_reference(keys, 5).tobytes()
-
-
 def test_stream_keys_match_scalar_layout():
     seed, replicas, labels = 2**64 + 17, [0, 9, 2**31 - 1], [4, 2**31 - 1]
-    keys = _stream_keys(seed, _DOMAIN_INIT_VEL, replicas, labels)
+    keys = _stream_keys(seed, replicas, labels)
     assert keys.shape == (3, 2, 2) and keys.dtype == np.uint64
     for i, r in enumerate(replicas):
         for j, lab in enumerate(labels):
-            assert keys[i, j].tolist() == [17, (_DOMAIN_INIT_VEL << 62) | (r << 31) | lab]
+            assert keys[i, j].tolist() == [17, (r << 31) | lab]
 
 
 @pytest.mark.parametrize("replicas, labels", [([2**31], [0]), ([0], [-1]), ([0, 1], [0, 2**31])])
 def test_stream_keys_reject_more_than_31_bits(replicas, labels):
     with pytest.raises(InvalidSpecError, match="31 bits"):
-        _stream_keys(1, _DOMAIN_DYNAMICS, replicas, labels)
+        _stream_keys(1, replicas, labels)
 
 
 @pytest.mark.parametrize("R, N, d", [(7, 3, 2), (250, 32, 1)])
-@pytest.mark.parametrize("domain", [_DOMAIN_INIT_POS, _DOMAIN_INIT_VEL])
-def test_init_normals_match_per_stream(R, N, d, domain):
-    # the per-stream draw: a fresh Philox per (replica, label) and d words
-    seed, replicas, labels = 21, list(range(4, 4 + R)), list(range(N))[::-1]
-    ref = np.empty((R, N, d))
-    for i, r in enumerate(replicas):
-        for j, lab in enumerate(labels):
-            key = np.array([seed, (domain << 62) | (r << 31) | lab], dtype=np.uint64)
-            words = Philox(key=key).random_raw(d)
-            ref[i, j] = ndtri((words >> np.uint64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54)
-    assert _init_normals(seed, domain, replicas, labels, d).tobytes() == ref.tobytes()
+def test_initial_state_is_the_first_two_steps_of_each_stream(R, N, d):
+    init = InitSpec(position_offset=1.5, position_spread=0.25)
+    labels = list(range(N))[::-1]
+    st = initial_state(ModelConfig(N=N, d=d, U=PotentialSpec("quadratic", {"coef": 1.0}, dim=d)),
+                       R, 21, init, labels=labels)
+    z = NoiseStreams(21, range(R), labels, d).normals(2)
+    pos = z[:, 0] * init.position_spread
+    pos[..., 0] += init.position_offset
+    assert st.positions.tobytes() == pos.tobytes()
+    assert st.velocities.tobytes() == z[:, 1].tobytes()
+
+
+def test_initial_state_of_a_particle_does_not_depend_on_N_or_labels():
+    # replica r, label i starts in one state at N = 2 and N = 8, and a
+    # permutation of the labels permutes the particles
+    st2 = initial_state(ModelConfig(N=2, d=2, U=_double_well(2)), 5, 9)
+    st8 = initial_state(ModelConfig(N=8, d=2, U=_double_well(2)), 5, 9)
+    perm = [7, 1, 0, 5, 2, 6, 3, 4]
+    stp = initial_state(ModelConfig(N=8, d=2, U=_double_well(2)), 5, 9, labels=perm)
+    for a, b in ((st2.positions, st8.positions), (st2.velocities, st8.velocities)):
+        assert a.tobytes() == b[:, :2].tobytes()
+    for a, b in ((stp.positions, st8.positions), (stp.velocities, st8.velocities)):
+        assert a.tobytes() == b[:, perm].tobytes()
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_run_starts_from_initial_state(threads, monkeypatch):
+    # every replica slab draws its own initial state: a zero horizon leaves
+    # it as initial_state draws it, whatever the chunks and slabs
+    monkeypatch.setattr(meanfield, "_PAIR_SLAB", 1)
+    monkeypatch.setattr(simulator, "_REPLICA_CHUNK", 4)
+    monkeypatch.setattr(simulator, "_THREADS", threads)
+    model = ModelConfig(N=3, d=2, U=_double_well(2), W=_bump(2))
+    init = InitSpec(position_offset=-1.0, position_spread=2.0)
+    st = initial_state(model, 11, 4, init)
+    res = run(model, IntegratorConfig("baoab", 0.01), 11, 0.0, 4, init=init)
+    assert res.final_state.positions.tobytes() == st.positions.tobytes()
+    assert res.final_state.velocities.tobytes() == st.velocities.tobytes()
+
+
+def test_dynamics_streams_do_not_depend_on_init():
+    # without a force the velocities do not see the positions, so two
+    # initial position laws give the same velocity trajectories
+    model = ModelConfig(N=2, d=1, U=PotentialSpec("quadratic", {"coef": 0.0}, dim=1))
+    names = ("mean_velocity", "kinetic_energy")
+    got = []
+    for init in (InitSpec(), InitSpec(position_offset=-3.0, position_spread=0.1)):
+        res = run(model, IntegratorConfig("baoab", 0.05), 6, 2.0, 8, init=init,
+                  observables=names, keep_replica_series=names)
+        got.append([res.final_state.velocities.tobytes()] + [res.per_replica[n].tobytes() for n in names])
+    assert got[0] == got[1]
 
 
 def test_initial_state_reproducible_and_offset():
@@ -397,7 +411,7 @@ def test_split_names_the_same_nonfinite_block(monkeypatch):
         def normals(self, n_steps, pool=None):
             out = super().normals(n_steps, pool)
             self.blocks += 1
-            if self.blocks == 3 and 4 in self.replicas:
+            if self.blocks == 4 and 4 in self.replicas:  # block 1 is the initial draw
                 out[self.replicas.index(4), 0, 0, 0] = np.nan
             return out
 

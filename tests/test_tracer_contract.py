@@ -42,3 +42,16 @@ def test_tracer_install_uninstall_restores_every_name():
     finally:
         tracer.uninstall()
     assert all(_current(owner, key) is raw for owner, key, raw in patched)
+
+
+def test_tracer_counts_the_initial_draw_as_noise():
+    # the initial state is the first two steps of every stream, so a run of
+    # n steps draws (n + 2) R N d normals through NoiseStreams.normals
+    R, N, d, n = 5, 3, 2, 300
+    model = ModelConfig(N=N, d=d, U=PotentialSpec("quadratic", {"coef": 1.0}, dim=d))
+    tracer = _load_tracer().Tracer().install()
+    try:
+        simulator.run(model, simulator.IntegratorConfig("baoab", 0.01), R, n * 0.01, 1)
+        assert tracer.counts["simulator.normals"] == (n + 2) * R * N * d
+    finally:
+        tracer.uninstall()
