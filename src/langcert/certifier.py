@@ -381,6 +381,9 @@ def certify(
         notes.append("coercivity matrix minus Diag(lambda0, 0, lambda0, 0) is not PSD")
     c1, c2, C0 = norm_equivalence(coeffs.a, coeffs.b, coeffs.c)
     lam = rate_lambda(coeffs.lambda0, coeffs.a, coeffs.c, kappa)
+    rate_ok = math.isfinite(lam) and lam > 0
+    if not rate_ok:
+        notes.append(f"lambda = {lam!r} is not a positive finite rate")
 
     needed = ["K", "K1", "K2"]
     if mode == "thm3":
@@ -413,7 +416,7 @@ def certify(
         kappa=kappa,
         T=T,
         inputs=bundle,
-        certified=psd_exact and prov_ok,
+        certified=psd_exact and prov_ok and rate_ok,
         notes=notes,
     )
     if refine:

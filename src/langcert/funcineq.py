@@ -19,9 +19,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import InvalidSpecError, TailCoverageError
 from .meanfield import ModelConfig, force_batch
@@ -221,7 +218,12 @@ class GapResult:
     halfwidth: float
 
 
+# the gap solvers import scipy when first called: only the oracle and the
+# tests reach them, and ``certify`` runs without scipy
+
 def _gap_1d(logd: np.ndarray, dx: float) -> float:
+    from scipy.linalg import eigh_tridiagonal
+
     half = 0.5 * np.diff(logd)
     diag = np.zeros(logd.size)
     diag[:-1] += np.exp(half)
@@ -232,6 +234,9 @@ def _gap_1d(logd: np.ndarray, dx: float) -> float:
 
 
 def _gap_2d(logd: np.ndarray, dx: float) -> float:
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     n1, n2 = logd.shape
     size = n1 * n2
     l = logd.ravel()

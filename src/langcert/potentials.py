@@ -36,8 +36,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import elementwise
-from scipy.integrate import cumulative_simpson
 
 from .errors import InvalidSpecError
 
@@ -149,13 +147,32 @@ def _h(t):
 
 
 def _q_gap(a, b):
-    """q(a) - q(b) for q = h' = (1 - t^2) exp(-t^2/2) and b >= a >= 0.  For
-    d = (b^2 - a^2)/2 < 1 the exponentials differ through expm1(-d), so the
-    sign holds as b - a -> 0; beyond, the direct difference stays exact as
-    q(b) underflows."""
+    """A function with the sign of q(a) - q(b), q = h' = (1 - t^2) exp(-t^2/2),
+    for 1 <= a <= b: log((b^2 - 1) / (a^2 - 1)) - (b^2 - a^2) / 2.  Written
+    as log1p(2 d / (a^2 - 1)) - d with d = (b^2 - a^2) / 2, it keeps its sign
+    as b - a -> 0 and as q(b) underflows; it is +inf at a = 1, where q(a) = 0."""
     d = (b - a) * (b + a) / 2
-    near = np.exp(-a * a / 2) * (2 * d - (1 - b * b) * np.expm1(-d))
-    return np.where(d < 1, near, (1 - a * a) * np.exp(-a * a / 2) - (1 - b * b) * np.exp(-b * b / 2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.log1p(2 * d / ((a - 1) * (a + 1))) - d
+
+
+# a bracket inside [1, sqrt3] is under 1 wide and its ends are spaced 2^-52,
+# so 53 halvings leave adjacent floats
+_BISECTIONS = 53
+
+
+def _bisect(f, lo, hi, args=()):
+    """Roots of f(x, *args) in [lo, hi] with f(lo) >= 0 >= f(hi), elementwise:
+    a fixed number of halvings of every bracket at once.  Returns the final
+    brackets (lo, hi)."""
+    lo, hi, mid = lo.copy(), hi.copy(), np.empty_like(lo)
+    for _ in range(_BISECTIONS):
+        np.add(lo, hi, out=mid)
+        mid /= 2
+        up = f(mid, *args) >= 0
+        np.copyto(lo, mid, where=up)
+        np.copyto(hi, mid, where=~up)
+    return lo, hi
 
 
 def _bump_section_sup(p, r, d):
@@ -175,19 +192,19 @@ def _bump_section_sup(p, r, d):
     s < 0 is dominated, and an off-centre critical point needs s in (1,
     sqrt3) and rho > 2 sqrt3; S is 2 h(rho/2), or above that the larger of it
     and h(s*) + h(rho - s*) at the root s* in [1, sqrt3].  All roots come from
-    one ``elementwise.find_root`` call.
+    one ``_bisect`` call, and S is taken at the lower end of each final
+    bracket.
     """
     rho = np.asarray(r, dtype=float) / p["width"]
     if p["sign"] == "attractive":
         lo, hi = np.maximum(1.0, _SQRT3 - rho), np.full_like(rho, _SQRT3)
-        u = elementwise.find_root(lambda u, rho: _q_gap(u, u + rho), (lo, hi), args=(rho,)).x
+        u = _bisect(lambda u, rho: _q_gap(u, u + rho), lo, hi, (rho,))[0]
         S = _h(u) - _h(u + rho)
     else:
         S = 2 * _h(rho / 2)
         far = rho > 2 * _SQRT3
         rf = rho[far]
-        s = elementwise.find_root(lambda s, rf: _q_gap(s, rf - s), (np.ones_like(rf), np.full_like(rf, _SQRT3)),
-                                  args=(rf,)).x
+        s = _bisect(lambda s, rf: _q_gap(s, rf - s), np.ones_like(rf), np.full_like(rf, _SQRT3), (rf,))[0]
         S[far] = np.maximum(S[far], _h(s) + _h(rf - s))
     return p["amplitude"] / p["width"] * S
 
@@ -535,7 +552,8 @@ def lyapunov_offsets(spec: PotentialSpec, k1s) -> list[float]:
         r_star = (1 + np.sqrt(1 - k1**2 * a2 / (6 * a4))) / k1
     r = np.concatenate([np.zeros_like(k1), np.full_like(k1, r0), r_star], axis=1)
     r = np.where(np.isfinite(r), r, 0.0)  # no r* for k1 = 0 or a4 = 0
-    sup = (np.abs(spec.d2profile(r)) - k1 * np.abs(spec.dprofile(r))).max(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing profile leaves K2 nan: infeasible
+        sup = (np.abs(spec.d2profile(r)) - k1 * np.abs(spec.dprofile(r))).max(axis=1)
     return np.where((k1[:, 0] == 0) & (a4 > 0), math.inf, np.maximum(sup, 0.0)).tolist()
 
 
@@ -619,6 +637,32 @@ _CLIP_REL_TAIL = 1e-10
 _CLIP_DOUBLINGS = 12
 
 
+def _simpson_pieces(y, dx):
+    """Integral over each [x_k, x_k+1] of the parabola through the samples
+    at x_k, x_k+1, x_k+2, for node spacings dx (Cartwright's eqn (8))."""
+    x21, x32 = dx[:-1], dx[1:]
+    x21_x31 = x21 / (x21 + x32)
+    x21x21_x31x32 = x21_x31 * (x21 / x32)
+    return x21 / 6 * ((3 - x21_x31) * y[:-2] + (3 + x21x21_x31x32 + x21_x31) * y[1:-1] - x21x21_x31x32 * y[2:])
+
+
+def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Int_{x_0}^{x_k} y for every node k by the composite Simpson rule on
+    increasing nodes x (at least 3), summed in order: interval k takes the
+    parabola through nodes k..k+2 for even k and through k-1..k+1 for odd k
+    and for the last interval.  This is ``scipy.integrate.cumulative_simpson(
+    y, x=x, initial=0.0)`` to the bit."""
+    dx = np.diff(x)
+    right = _simpson_pieces(y, dx)
+    left = _simpson_pieces(y[::-1], dx[::-1])[::-1]
+    pieces = np.empty_like(y)
+    pieces[0] = 0.0
+    pieces[1:-1:2] = right[::2]
+    pieces[2::2] = left[::2]
+    pieces[-1] = left[-1]
+    return np.cumsum(pieces)
+
+
 def lipschitz_constant(b0: Callable[[np.ndarray], np.ndarray]) -> LipschitzResult:
     """c_lip = (1/4) Int_0^inf exp{(1/4) Int_0^s b0(u) du} s ds.
 
@@ -633,11 +677,11 @@ def lipschitz_constant(b0: Callable[[np.ndarray], np.ndarray]) -> LipschitzResul
         n = max(4097, min(int(s_max * 256) + 1, 2_000_001))
         s = np.linspace(0.0, s_max, n)
         b = np.asarray(b0(s), dtype=float)
-        inner = cumulative_simpson(b, x=s, initial=0.0) / 4.0
+        inner = _cumulative_simpson(b, s) / 4.0
         if inner[-1] > 700.0:
             return LipschitzResult(math.inf, True, s_max)
         integrand = 0.25 * np.exp(inner) * s
-        value = float(cumulative_simpson(integrand, x=s, initial=0.0)[-1])
+        value = float(_cumulative_simpson(integrand, s)[-1])
         b_tail = float(b[int(0.75 * n):].max())
         if b_tail < 0.0:
             beta = -b_tail / 4.0

@@ -48,7 +48,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.random import Philox
-from scipy.special import ndtri
 
 from .errors import InvalidSpecError, ResourceCapError
 from .meanfield import ModelConfig, force_batch, pair_slabs
@@ -175,6 +174,11 @@ class NoiseStreams:
     def __init__(self, master_seed: int, replicas: Sequence[int], labels: Sequence[int], d: int):
         if not len(replicas) or not len(labels):
             raise InvalidSpecError("noise streams need at least one replica and one label")
+        # scipy loads with the first streams, on the thread that builds them
+        # (``run`` does so before its pool starts), so ``certify`` never loads it
+        from scipy.special import ndtri
+
+        self._ndtri = ndtri
         self.d = d
         keys = _stream_keys(master_seed, replicas, labels)
         self._gens = [[Philox(key=k) for k in row] for row in keys]
@@ -205,7 +209,7 @@ class NoiseStreams:
                 # one word -> one uniform in (0, 1) from its top 53 bits -> one
                 # normal, in place
                 u = np.multiply(np.right_shift(raw, np.uint64(11), out=raw), 2.0**-53, out=out[:, a:b])
-                ndtri(np.add(u, 2.0**-54, out=u), out=u)
+                self._ndtri(np.add(u, 2.0**-54, out=u), out=u)
 
         _in_order(pool, convert, _ranges(R, 1 if pool is None else pool._max_workers))
         return out.transpose(1, 0, 2, 3)

@@ -2,7 +2,10 @@ import argparse
 import inspect
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -512,6 +515,8 @@ _OUT_OF_RANGE = "params {} are out of float range: its closed-form bounds cannot
 @pytest.mark.parametrize("U, W, message", [
     ({**QUAD_U, "params": {"coef": 1e300}}, None, _NO_PAIR),
     ({**DW_U, "params": {"quartic": 1e200, "well": 0.5}}, None, _NO_PAIR),
+    # the profile overflows in the Lyapunov offsets: that used to print three RuntimeWarnings first
+    ({**DW_U, "params": {"quartic": 1, "well": 1e300}}, None, _NO_PAIR),
     (QUAD_U, {**SMALL_BUMP, "params": {**SMALL_BUMP["params"], "amplitude": 1e300}}, _NO_PAIR),
     (QUAD_U, {**SMALL_BUMP, "params": {**SMALL_BUMP["params"], "width": 1e-300}},
      "gaussian_bump " + _OUT_OF_RANGE.format({"amplitude": 0.1, "width": 1e-300, "sign": "attractive"})),
@@ -520,7 +525,7 @@ _OUT_OF_RANGE = "params {} are out of float range: its closed-form bounds cannot
     # an infinite char_length made the convexity fit's random pairs overflow
     ({**DW_U, "params": {"quartic": 5e-324, "well": 0.0}}, None,
      "quartic_double_well " + _OUT_OF_RANGE.format({"quartic": 5e-324, "well": 0.0})),
-], ids=["quadratic-coef", "quartic", "bump-amplitude", "bump-width", "cosine-frequency", "quartic-denormal"])
+], ids=["quadratic-coef", "quartic", "well", "bump-amplitude", "bump-width", "cosine-frequency", "quartic-denormal"])
 def test_params_at_the_float_range_exit_one(tmp_path, capsys, U, W, message):
     # each of these escaped main as an OverflowError or ZeroDivisionError
     _assert_rejected(tmp_path, capsys, "certify", [({"model": {"N": 8, "d": 1, "U": U, "W": W}}, message)])
@@ -534,6 +539,16 @@ def test_flat_quadratic_certifies_with_an_unconverged_c_lip(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("certified: ")
     constants = json.loads((tmp_path / "flat" / "certificate.json").read_text())["certificate"]["inputs"]
     assert (constants["c_lip"], constants["c_lip_converged"]) == ("inf", False)
+
+
+def test_zero_rate_does_not_certify(tmp_path, capsys):
+    # kappa = coef = 5e-324 gives lambda = 0.0, which used to certify
+    cfg = write_config(tmp_path, "zero.json", {"model": {"N": 2, "d": 1, "U": {**QUAD_U, "params": {"coef": 5e-324}}}})
+    out = tmp_path / "zero"
+    assert main(["certify", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "lambda = 0.0 is not a positive finite rate" in capsys.readouterr().out
+    cert = json.loads((out / "certificate.json").read_text())["certificate"]
+    assert (cert["lambda"], cert["certified"]) == (0.0, False)
 
 
 def test_sweep_rejects_empty_Ns(tmp_path, capsys):
@@ -630,12 +645,17 @@ def _readme() -> str:
     return (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
 
-def test_readme_configs_read_by_section_tables():
-    # the README's example configs, // comment lines stripped, pass the CLI's
-    # section tables (nothing runs), and its battery sizes are oracle_suite's
+def _readme_configs() -> dict:
+    """The README's example configs, // comment lines stripped: name -> config."""
     block = _readme().split("Example configs:\n\n```json\n", 1)[1].split("```", 1)[0]
     parts = re.split(r"^// (\w+)\.json\n", block, flags=re.MULTILINE)
-    configs = {name: json.loads(text) for name, text in zip(parts[1::2], parts[2::2])}
+    return {name: json.loads(text) for name, text in zip(parts[1::2], parts[2::2])}
+
+
+def test_readme_configs_read_by_section_tables():
+    # the README's example configs pass the CLI's section tables (nothing
+    # runs), and its battery sizes are oracle_suite's
+    configs = _readme_configs()
     tables = {"certify": cli._CERTIFY, "simulate": cli._SIMULATE, "sweep": cli._SWEEP}
     assert configs.keys() == tables.keys()
     for command, config in configs.items():
@@ -645,3 +665,26 @@ def test_readme_configs_read_by_section_tables():
     defaults = inspect.signature(oracle.oracle_suite).parameters
     assert tuple(map(int, sizes.groups())) == tuple(
         defaults[key].default for key in ("n_lyapunov", "n_moment", "n_boundedness")) == (20, 10, 10)
+
+
+_SCIPY_MODULES = """
+import sys
+from langcert import cli
+loaded = lambda: sorted(name for name in sys.modules if name.startswith("scipy"))
+cli.build_parser()
+print(loaded())
+assert cli.main(["certify", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+print(loaded())
+"""
+
+
+def test_certify_loads_no_scipy(tmp_path):
+    # certify runs on numpy alone: scipy loads only for simulate, sweep and oracle
+    cfg = write_config(tmp_path, "certify.json", _readme_configs()["certify"])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(cli.__file__).parents[1]),
+                                                         os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_MODULES, str(cfg), str(tmp_path / "out")], env=env,
+                          capture_output=True, text=True, check=True)
+    before, verdict, after = proc.stdout.splitlines()
+    assert verdict.startswith("certified: ")
+    assert before == after == "[]"  # after importing the CLI and after certify

@@ -1,10 +1,8 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import optimize
-from scipy.optimize import elementwise
 
 from langcert import potentials
 from langcert.errors import InvalidSpecError
@@ -672,22 +670,24 @@ def test_bump_section_sup_matches_mpmath(sign):
 def test_bump_section_roots_converge_in_valid_brackets(sign, monkeypatch):
     mp = pytest.importorskip("mpmath")
     calls = []
+    bisect = potentials._bisect
 
-    def recording(f, init, *, args=()):
-        res = elementwise.find_root(f, init, args=args)
-        calls.append((f, init, args, res))
+    def recording(f, lo, hi, args=()):
+        res = bisect(f, lo, hi, args)
+        calls.append((f, lo, hi, args, res))
         return res
 
-    monkeypatch.setattr(potentials, "elementwise", SimpleNamespace(find_root=recording))
+    monkeypatch.setattr(potentials, "_bisect", recording)
     rhos = np.array(RHOS)
     UNIT_BUMPS[sign].section_sup(rhos)
     assert len(calls) == 1  # every radius in one call
-    f, (lo, hi), args, res = calls[0]
-    assert np.all(res.status == 0)
-    assert np.all((res.x >= lo) & (res.x <= hi))
-    # the ends straddle the root: in float (0 where q underflows) and exactly
+    f, lo, hi, args, (lo_end, hi_end) = calls[0]
+    assert np.all((lo <= lo_end) & (lo_end <= hi_end) & (hi_end <= hi))
+    assert np.all(hi_end - lo_end <= np.spacing(lo_end))  # the halvings end on adjacent floats
+    # the ends straddle the root: in float (+inf at 1, where q vanishes) and exactly
     f_lo, f_hi = f(lo, *args), f(hi, *args)
     assert np.all((f_lo >= 0) & (f_hi <= 0) & (f_lo > f_hi))
+    assert np.all((f(lo_end, *args) >= 0) & (f(hi_end, *args) <= 0))
     with mp.workdps(50):
         q = lambda t: (1 - t * t) * mp.exp(-t * t / 2)
         for a, b, rho in zip(lo, hi, args[0]):
@@ -698,6 +698,18 @@ def test_bump_section_roots_converge_in_valid_brackets(sign, monkeypatch):
                 assert q(a) - q(rho - a) > 0 > q(b) - q(rho - b)
     if sign == "repulsive":  # only rho > 2 sqrt 3 has off-centre critical points
         assert args[0].tolist() == [rho for rho in RHOS if rho > 2 * math.sqrt(3)]
+
+
+@pytest.mark.parametrize("n, s_max", [(4097, 16.0), (8193, 32.0), (16385, 64.0)])
+def test_cumulative_simpson_matches_scipy_bit_for_bit(n, s_max):
+    from scipy.integrate import cumulative_simpson
+
+    s = np.linspace(0.0, s_max, n)
+    for y in (np.exp(-s), s * np.cos(3 * s), 1 / (1 + s * s), model_b0(DW, SMALL_BUMP)(s), model_b0(QUAD, None)(s)):
+        assert potentials._cumulative_simpson(y, s).tobytes() == cumulative_simpson(y, x=s, initial=0.0).tobytes()
+    x = s_max * np.linspace(0.0, 1.0, n) ** 2  # unequal spacing
+    y = np.sin(x)
+    assert potentials._cumulative_simpson(y, x).tobytes() == cumulative_simpson(y, x=x, initial=0.0).tobytes()
 
 
 @pytest.mark.parametrize("sign", ["attractive", "repulsive"])
