@@ -32,7 +32,6 @@ __all__ = [
     "total_potential",
     "force",
     "force_batch",
-    "pair_slabs",
     "hessian_blocks",
     "hw_opnorm",
     "DENSE_CAP",
@@ -128,15 +127,6 @@ def force_batch(model: ModelConfig, x: np.ndarray) -> np.ndarray:
         acc /= N
         fs[lo:lo + n] -= acc
     return f
-
-
-def pair_slabs(model: ModelConfig, replicas: int) -> int:
-    """Whole slabs of pair-force work in a batch of ``replicas``
-    configurations: replicas * N^2 // ``_PAIR_SLAB``, and 0 when the model
-    has no interaction (``ModelConfig`` stores a force-free W as None)."""
-    if model.W is None:
-        return 0
-    return replicas * model.N**2 // _PAIR_SLAB
 
 
 def force(model: ModelConfig, x) -> np.ndarray:

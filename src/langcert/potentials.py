@@ -120,7 +120,7 @@ def _bump_amp(p) -> float:
 
 def _bump_exp(p, s, out=None):
     """exp(-r^2 / 2 width^2) from s = r^2, into ``out`` when given."""
-    return np.exp(np.divide(np.negative(s, out=out), 2 * p["width"] ** 2, out=out), out=out)
+    return np.exp(np.divide(s, -2 * p["width"] ** 2, out=out), out=out)
 
 
 def _into(out, values):

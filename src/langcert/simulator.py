@@ -18,19 +18,19 @@ pure function of the key regardless of chunking.  A block of noise is
 stored step-major, so the normals of one step are one contiguous run for
 the integrator to read.
 
-Replicas advance in chunks.  A chunk with enough pair-force work is split
-into contiguous replica slabs, up to one per usable core, that advance on a
-thread pool block by block (numpy releases the interpreter lock inside its
-loops).
-Each slab owns its streams, and each replica's force does not depend on the
-batch it comes in, so a slab computes exactly what the whole chunk would;
-the main thread reduces the per-replica observable values in replica order.
-A lighter chunk advances on the calling thread, and only the conversion of
-its noise words runs on the pool, in contiguous replica ranges.  The
-moments of ``fit_decay``'s bootstrap resamples build on the pool too, from
-index vectors the calling thread draws in resample order, and the refits
-then run in that order on the calling thread.  Every output is therefore
-byte-identical at any thread count.
+Replicas advance in chunks.  A chunk with enough work is split into
+contiguous replica slabs, one per usable core, that advance in forked worker
+processes (numpy's per-step dispatch and the Philox draws hold the
+interpreter lock, so threads barely overlap them).  Each worker builds its
+slab's streams, draws its initial state and sends the parent each block's
+observable rows; each replica's force does not depend on the batch it comes
+in, so a slab computes exactly what the whole chunk would, and the parent
+reduces the rows in replica order.  A lighter chunk, and every chunk on a
+platform without fork, advances in the calling process.  The moments of
+``fit_decay``'s bootstrap resamples build on a thread pool (their gathers
+release the lock), from index vectors the calling thread draws in resample
+order, and the refits then run in that order on the calling thread.  Every
+output is therefore byte-identical at any worker or thread count.
 """
 
 from __future__ import annotations
@@ -39,18 +39,18 @@ import contextvars
 import itertools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+import pickle
+from contextlib import closing
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.random import Philox
 
-from .errors import InvalidSpecError, ResourceCapError
-from .meanfield import ModelConfig, force_batch, pair_slabs
+from .errors import InvalidSpecError, LangcertError, ResourceCapError
+from .meanfield import ModelConfig, force_batch
 
 __all__ = [
     "IntegratorConfig",
@@ -76,18 +76,14 @@ _BOOT_RESAMPLES = 200  # bootstrap refits of fit_decay
 _BOOT_SEED = 777
 _BOOT_ROWS = 128  # rows of a resample gathered at once
 _ENV_FRACTION = 0.5  # fit points keep |s| >= this fraction of the envelope
-# usable cores, the most ranges run at once
+# usable cores, the most slab workers or bootstrap threads run at once
 _THREADS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-def _in_order(pool: Optional[ThreadPoolExecutor], fn: Callable, args: Sequence[tuple]) -> list:
-    """``[fn(*a) for a in args]``, inline without a pool.  On a pool each call
-    runs in a copy of the caller's context, so np.errstate applies on every
-    thread as it does inline, and results come back in the order of ``args``."""
-    if pool is None:
-        return [fn(*a) for a in args]
-    futures = [pool.submit(contextvars.copy_context().run, fn, *a) for a in args]
-    return [f.result() for f in futures]
+# work of a chunk (replicas x steps x particles, or x pair entries with an
+# interaction) from which its slabs advance in worker processes.  Forking and
+# joining two workers took 5-6 ms, 30 ms when they sent back 8 MB; a chunk of
+# 2**21 (a bump model at N = 2, 250 replicas, 2000 steps) took 0.13-0.17 s
+# inline and gained nothing split, and one of 2**23 gained 20-35% on 2 cores
+_SPLIT_WORK = 2**21
 
 
 def _ranges(n: int, parts: int) -> list[tuple[int, int]]:
@@ -167,15 +163,14 @@ class NoiseStreams:
     where the previous block ended, so chunked generation is exact.  The
     block is the transposed view of a step-major (n_steps, R, N, d) array,
     so ``block[:, k]`` is C-contiguous.  Each stream's words go to its own
-    entries of the block, so how the replicas are shared among threads does
+    entries of the block, so how the replicas are shared among slabs does
     not change a byte.
     """
 
     def __init__(self, master_seed: int, replicas: Sequence[int], labels: Sequence[int], d: int):
         if not len(replicas) or not len(labels):
             raise InvalidSpecError("noise streams need at least one replica and one label")
-        # scipy loads with the first streams, on the thread that builds them
-        # (``run`` does so before its pool starts), so ``certify`` never loads it
+        # scipy loads with the first streams, so ``certify`` never loads it
         from scipy.special import ndtri
 
         self._ndtri = ndtri
@@ -183,9 +178,7 @@ class NoiseStreams:
         keys = _stream_keys(master_seed, replicas, labels)
         self._gens = [[Philox(key=k) for k in row] for row in keys]
 
-    def normals(self, n_steps: int, pool: Optional[ThreadPoolExecutor] = None) -> np.ndarray:
-        """With a ``pool``, contiguous replica ranges, one per worker, convert
-        on its threads into their own replicas' entries of the block."""
+    def normals(self, n_steps: int) -> np.ndarray:
         if n_steps < 0:
             raise InvalidSpecError(f"n_steps must be >= 0, got {n_steps}")
         R, N = len(self._gens), len(self._gens[0])
@@ -194,24 +187,20 @@ class NoiseStreams:
         if words == 0:
             return out.transpose(1, 0, 2, 3)
         slab = max(1, _SLAB_WORDS // (N * words))
-
-        def convert(lo, hi):
-            # the raw words of a slab of replicas go to one reused buffer,
-            # stream by stream, and are converted into out[:, a:b] in one pass
-            buf = np.empty(min(slab, hi - lo) * N * words, dtype=np.uint64)
-            for a in range(lo, hi, slab):
-                b = min(a + slab, hi)
-                raw = buf[:(b - a) * N * words].reshape(b - a, N, words)
-                for i, row in enumerate(self._gens[a:b]):
-                    for j, g in enumerate(row):
-                        raw[i, j] = g.random_raw(words)
-                raw = raw.reshape(b - a, N, n_steps, self.d).transpose(2, 0, 1, 3)
-                # one word -> one uniform in (0, 1) from its top 53 bits -> one
-                # normal, in place
-                u = np.multiply(np.right_shift(raw, np.uint64(11), out=raw), 2.0**-53, out=out[:, a:b])
-                self._ndtri(np.add(u, 2.0**-54, out=u), out=u)
-
-        _in_order(pool, convert, _ranges(R, 1 if pool is None else pool._max_workers))
+        # the raw words of a slab of replicas go to one reused buffer, stream
+        # by stream, and are converted into out[:, a:b] in one pass
+        buf = np.empty(min(slab, R) * N * words, dtype=np.uint64)
+        for a in range(0, R, slab):
+            b = min(a + slab, R)
+            raw = buf[:(b - a) * N * words].reshape(b - a, N, words)
+            for i, row in enumerate(self._gens[a:b]):
+                for j, g in enumerate(row):
+                    raw[i, j] = g.random_raw(words)
+            raw = raw.reshape(b - a, N, n_steps, self.d).transpose(2, 0, 1, 3)
+            # one word -> one uniform in (0, 1) from its top 53 bits -> one
+            # normal, in place
+            u = np.multiply(np.right_shift(raw, np.uint64(11), out=raw), 2.0**-53, out=out[:, a:b])
+            self._ndtri(np.add(u, 2.0**-54, out=u), out=u)
         return out.transpose(1, 0, 2, 3)
 
 
@@ -327,45 +316,132 @@ class RunResult:
     per_replica: dict = field(default_factory=dict)
 
 
-def _slab_count(model: ModelConfig, chunk: int) -> int:
-    """Replica slabs a chunk is split into: at most one per usable core, one
-    per replica and one per whole slab of pair-force work (threads cost more
-    than they save on a light chunk)."""
-    return max(1, min(_THREADS, chunk, pair_slabs(model, chunk)))
+def _slab_count(model: ModelConfig, chunk: int, n_steps: int) -> int:
+    """Replica slabs, each in its own forked worker, that a chunk of
+    ``chunk`` replicas advancing ``n_steps`` steps splits into: one per
+    usable core and at most one per replica, once the chunk's work (replicas
+    x steps x particles, or x pair entries with an interaction) reaches
+    ``_SPLIT_WORK`` on a platform that can fork.  Otherwise 1: the chunk
+    advances in the calling process."""
+    per_step = model.N**2 if model.W is not None else model.N
+    if _THREADS < 2 or chunk < 2 or chunk * n_steps * per_step < _SPLIT_WORK:
+        return 1
+    import multiprocessing  # here, so that no other command pays for its import
+
+    return min(_THREADS, chunk) if "fork" in multiprocessing.get_all_start_methods() else 1
 
 
-def _observe(model: ModelConfig, x: np.ndarray, v: np.ndarray, bufs: dict, row: int, cols: slice) -> None:
+def _observe(model: ModelConfig, x: np.ndarray, v: np.ndarray, bufs: dict, row: int) -> None:
     for name, buf in bufs.items():
-        buf[row, cols] = OBSERVABLES[name](model, x, v)
+        buf[row] = OBSERVABLES[name](model, x, v)
 
 
-def _advance_slab(
+def _slab_rows(
     model: ModelConfig,
     integrator: IntegratorConfig,
-    x: np.ndarray,
-    v: np.ndarray,
-    streams: NoiseStreams,
-    cols: slice,
-    first: int,
+    init: InitSpec,
+    master_seed: int,
+    labels: Sequence[int],
     n_steps: int,
     stride: int,
-    bufs: dict,
-    noise_pool: Optional[ThreadPoolExecutor] = None,
-) -> None:
-    """Advance the chunk's replicas ``cols`` (with their ``streams``) in place
-    through steps first+1 .. first+n_steps, writing their observable values
-    at the k-th record step of the block into row k, columns ``cols``, of
-    ``bufs``.  The block's noise converts on ``noise_pool`` when given."""
-    noise = streams.normals(n_steps, noise_pool)
-    row = 0
+    names: Sequence[str],
+    replicas: range,
+    x: np.ndarray,
+    v: np.ndarray,
+) -> Iterator[tuple[int, int, dict, bool]]:
+    """Draw the initial state of ``replicas`` into (x, v) and advance it in
+    place, a block of steps at a time.  Yields ``(first, last, rows,
+    finite)``: the steps covered (0-0 for the initial state), the values of
+    the observables ``names`` at their record steps, one row per record
+    step, and whether the state is finite after them."""
+    streams = NoiseStreams(master_seed, replicas, labels, model.d)
+    x[...], v[...] = _draw_init(streams, init)
+    bufs = {name: np.empty((1, len(replicas))) for name in names}
+    _observe(model, x, v, bufs, 0)
+    yield 0, 0, bufs, True
+    for done in range(0, n_steps, _TIME_BLOCK):
+        nb = min(_TIME_BLOCK, n_steps - done)
+        bufs = {name: np.empty(((done + nb) // stride - done // stride, len(replicas))) for name in names}
 
-    def record(k, x_now, v_now):
-        nonlocal row
-        if (first + k + 1) % stride == 0:
-            _observe(model, x_now, v_now, bufs, row, cols)
-            row += 1
+        def record(k, x_now, v_now):
+            if (done + k + 1) % stride == 0:
+                _observe(model, x_now, v_now, bufs, (done + k + 1) // stride - done // stride - 1)
 
-    x[cols], v[cols] = _advance_block(model, integrator, x[cols], v[cols], noise, callback=record)
+        x[...], v[...] = _advance_block(model, integrator, x, v, streams.normals(nb), callback=record)
+        yield done + 1, done + nb, bufs, bool(np.all(np.isfinite(x)) and np.all(np.isfinite(v)))
+
+
+def _slab_worker(conn, slab_rows: Callable, replicas: range, x: np.ndarray, v: np.ndarray) -> None:
+    """Run ``slab_rows`` on one slab in a forked worker: send the parent each
+    of its blocks, stop after a non-finite one, then send the final state.
+    An exception goes to the parent instead, to be raised there."""
+    try:
+        for first, last, bufs, finite in slab_rows(replicas, x, v):
+            conn.send(("rows", first, last, bufs, finite))
+            if not finite:
+                return
+        conn.send(("final", x, v))
+    except BaseException as exc:
+        try:
+            exc = pickle.loads(pickle.dumps(exc))  # the parent must be able to rebuild it
+        except Exception:
+            exc = LangcertError(f"{type(exc).__name__}: {exc}")
+        conn.send(("error", exc))
+    finally:
+        conn.close()
+
+
+def _forked_rows(
+    slab_rows: Callable, lo: int, hi: int, n_slabs: int, x: np.ndarray, v: np.ndarray
+) -> Iterator[tuple[int, int, dict, bool]]:
+    """``slab_rows(range(lo, hi), x, v)`` with the replicas split into
+    ``n_slabs`` contiguous slabs, each advancing in its own forked worker.
+    Each block's rows are joined in replica order, and the state is finite
+    when every slab's is.  Every worker is terminated and joined when the
+    generator finishes or is closed."""
+    import multiprocessing
+
+    # loaded here once, not again in every worker
+    from scipy.special import ndtri  # noqa: F401
+
+    fork = multiprocessing.get_context("fork")
+    workers = []
+    try:
+        for a, b in _ranges(hi - lo, n_slabs):
+            conn, child_end = fork.Pipe(duplex=False)
+            proc = fork.Process(target=_slab_worker, args=(child_end, slab_rows, range(lo + a, lo + b),
+                                                           x[a:b], v[a:b]), daemon=True)
+            proc.start()
+            # later workers must not inherit this end, so that the parent
+            # reads EOF as soon as this worker exits
+            child_end.close()
+            workers.append((slice(a, b), conn, proc))
+        while True:
+            got = []
+            for cols, conn, proc in workers:
+                try:
+                    kind, *payload = conn.recv()
+                except EOFError:
+                    proc.join()
+                    raise LangcertError(
+                        f"the worker for replicas {lo + cols.start}-{lo + cols.stop - 1} exited with code "
+                        f"{proc.exitcode} before sending its results") from None
+                if kind == "error":
+                    raise payload[0]
+                got.append(payload)
+            if kind == "final":
+                for (cols, _, proc), (xs, vs) in zip(workers, got):
+                    x[cols], v[cols] = xs, vs
+                    proc.join()
+                return
+            first, last = got[0][:2]
+            bufs = {name: np.concatenate([rows[name] for _, _, rows, _ in got], axis=1) for name in got[0][2]}
+            yield first, last, bufs, all(finite for *_, finite in got)
+    finally:
+        for _, conn, proc in workers:
+            proc.terminate()  # a no-op once the worker has exited
+            proc.join()
+            conn.close()
 
 
 def run(
@@ -385,13 +461,15 @@ def run(
 
     Replicas are independent: per-replica noise and trajectories are exact
     functions of (master_seed, replica, label) and do not depend on the
-    chunking or on the replica slabs a chunk advances in on threads.
-    Ensemble reductions run on the calling thread in a fixed order
-    determined by the run parameters and involve no BLAS reduction, so
-    repeated runs are bit-identical at any thread count (chunk sizes only
+    chunking or on the replica slabs a chunk advances in on worker
+    processes.  Ensemble reductions run in the calling process in a fixed
+    order determined by the run parameters and involve no BLAS reduction,
+    so repeated runs are bit-identical at any worker count (chunk sizes only
     regroup floating-point sums).  The state is checked after every block
     of steps, and the first non-finite block raises ResourceCapError naming
-    its steps and replicas.  Per-replica series are retained for the
+    its steps and replicas.  An exception in a worker is raised again here;
+    a worker that exits without its results raises LangcertError.  No
+    worker outlives the call.  Per-replica series are retained for the
     observables named in ``keep_replica_series``, recorded or not in
     ``observables`` (needed for bootstrap decay fits).
     """
@@ -425,48 +503,25 @@ def run(
     final_v = np.empty_like(final_x)
 
     lab = list(range(model.N)) if labels is None else list(labels)
-    init = init or InitSpec()
+    slab_rows = partial(_slab_rows, model, integrator, init or InitSpec(), master_seed, lab, n_steps, stride, names)
     for lo in range(0, replicas, _REPLICA_CHUNK):
         hi = min(lo + _REPLICA_CHUNK, replicas)
         x, v = final_x[lo:hi], final_v[lo:hi]
-        n_slabs = _slab_count(model, hi - lo)
-        slabs = [(NoiseStreams(master_seed, range(lo + a, lo + b), lab, model.d), slice(a, b))
-                 for a, b in _ranges(hi - lo, n_slabs)]
-        for streams, cols in slabs:
-            x[cols], v[cols] = _draw_init(streams, init)
-
-        def reduce(bufs, first):
-            # records first, first + 1, ... of the chunk, each row in replica order
-            for name in observables:
-                for r, row in enumerate(bufs[name], first):
-                    sums[name][r] += row.sum()
-                    sqsums[name][r] += (row**2).sum()
-            for name in per_rep:
-                per_rep[name][lo:hi, first:first + len(bufs[name])] = bufs[name].T
-
-        bufs = {name: np.empty((1, hi - lo)) for name in names}
-        _observe(model, x, v, bufs, 0, slice(None))
-        reduce(bufs, 0)
-        # a split chunk advances its slabs on the pool; an unsplit one
-        # advances on this thread and converts its noise on the pool
-        workers = n_slabs if n_slabs > 1 else _THREADS
-        with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-            done = 0
-            while done < n_steps:
-                nb = min(_TIME_BLOCK, n_steps - done)
-                bufs = {name: np.empty(((done + nb) // stride - done // stride, hi - lo)) for name in names}
-                work = partial(_advance_slab, model, integrator, x, v,
-                               first=done, n_steps=nb, stride=stride, bufs=bufs)
-                if n_slabs == 1:
-                    work(*slabs[0], noise_pool=pool)
-                else:
-                    _in_order(pool, work, slabs)
-                if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
+        n_slabs = _slab_count(model, hi - lo, n_steps)
+        blocks = slab_rows(range(lo, hi), x, v) if n_slabs == 1 else _forked_rows(slab_rows, lo, hi, n_slabs, x, v)
+        with closing(blocks):
+            for first, last, bufs, finite in blocks:
+                if not finite:
                     raise ResourceCapError(
-                        f"non-finite state in steps {done + 1}-{done + nb} of replicas "
-                        f"{lo}-{hi - 1} (reduce dt)")
-                reduce(bufs, done // stride + 1)
-                done += nb
+                        f"non-finite state in steps {first}-{last} of replicas {lo}-{hi - 1} (reduce dt)")
+                # records from the first at or after step ``first``, each row in replica order
+                row0 = -(-first // stride)
+                for name in observables:
+                    for r, row in enumerate(bufs[name], row0):
+                        sums[name][r] += row.sum()
+                        sqsums[name][r] += (row**2).sum()
+                for name in per_rep:
+                    per_rep[name][lo:hi, row0:row0 + len(bufs[name])] = bufs[name].T
 
     means = {name: sums[name] / replicas for name in observables}
     variances = {
@@ -643,8 +698,17 @@ def fit_decay(
     def moments(lo, hi):
         return [_resample_moments(per_replica, idx) for idx in idxs[lo:hi]]
 
-    with ThreadPoolExecutor(_THREADS) if _THREADS > 1 else nullcontext() as pool:
-        groups = _in_order(pool, moments, _ranges(_BOOT_RESAMPLES, _THREADS))
+    ranges = _ranges(_BOOT_RESAMPLES, _THREADS)
+    if _THREADS > 1:
+        from concurrent.futures import ThreadPoolExecutor  # here, so that no other command pays for its import
+
+        # each group runs in a copy of the caller's context, so np.errstate
+        # applies on every thread as it does inline
+        with ThreadPoolExecutor(_THREADS) as pool:
+            futures = [pool.submit(contextvars.copy_context().run, moments, lo, hi) for lo, hi in ranges]
+            groups = [f.result() for f in futures]
+    else:
+        groups = [moments(lo, hi) for lo, hi in ranges]
     boots = []
     for bmean, bvar in itertools.chain.from_iterable(groups):
         bfit = _fit_lambda(times, bmean - equilibrium_value, np.sqrt(bvar / R) + 1e-300, window=window)

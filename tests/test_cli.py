@@ -672,6 +672,8 @@ import sys
 from langcert import cli
 loaded = lambda: sorted(name for name in sys.modules if name.startswith("scipy"))
 cli.build_parser()
+# the simulator imports these only where it forks workers or starts threads
+assert "multiprocessing" not in sys.modules and "concurrent.futures" not in sys.modules
 print(loaded())
 assert cli.main(["certify", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
 print(loaded())
@@ -679,7 +681,8 @@ print(loaded())
 
 
 def test_certify_loads_no_scipy(tmp_path):
-    # certify runs on numpy alone: scipy loads only for simulate, sweep and oracle
+    # certify runs on numpy alone: scipy loads only for simulate, sweep and
+    # oracle, and neither multiprocessing nor concurrent.futures loads with the CLI
     cfg = write_config(tmp_path, "certify.json", _readme_configs()["certify"])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(cli.__file__).parents[1]),
                                                          os.environ.get("PYTHONPATH", "")])}

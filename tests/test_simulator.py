@@ -1,10 +1,10 @@
 import math
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import asdict
 from pathlib import Path
 
@@ -13,8 +13,8 @@ import pytest
 from numpy.random import Philox
 from scipy.special import ndtri
 
-from langcert import meanfield, simulator
-from langcert.errors import InvalidSpecError, ResourceCapError
+from langcert import simulator
+from langcert.errors import InvalidSpecError, LangcertError, MissingConstantError, ResourceCapError
 from langcert.meanfield import ModelConfig
 from langcert.potentials import PotentialSpec
 from langcert.simulator import (
@@ -37,6 +37,13 @@ from langcert.simulator import (
 QUAD = PotentialSpec("quadratic", {"coef": 1.0}, dim=1)
 MODEL = ModelConfig(N=2, d=1, U=QUAD)
 OMEGA = math.sqrt(3) / 2  # oscillation frequency of the unit-curvature kinetic mean
+
+
+@pytest.fixture(autouse=True)
+def no_worker_outlives_the_test():
+    # run joins every slab worker it forks, on every exit path
+    yield
+    assert multiprocessing.active_children() == []
 
 
 def exact_mean(t, x0, v0):
@@ -177,16 +184,17 @@ def test_streams_reject_an_empty_replica_or_label_list(replicas, labels):
         NoiseStreams(4, replicas, labels, 1)
 
 
-@pytest.mark.parametrize("workers", [0, 2])
-def test_normals_of_one_step_are_contiguous(workers):
+@pytest.mark.parametrize("drawn", [0, 2])
+def test_normals_of_one_step_are_contiguous(drawn):
     # the block is stored step-major, so the integrator reads each step's
-    # normals as one contiguous run, with or without a pool
+    # normals as one contiguous run, also after the two steps of the
+    # initial state have been drawn
     streams = NoiseStreams(5, range(7), [0, 3, 1], 2)
-    with ThreadPoolExecutor(workers) if workers else nullcontext() as pool:
-        for n_steps in (6, 1):
-            block = streams.normals(n_steps, pool)
-            assert block.shape == (7, n_steps, 3, 2)
-            assert all(block[:, k].flags.c_contiguous for k in range(n_steps))
+    streams.normals(drawn)
+    for n_steps in (6, 1):
+        block = streams.normals(n_steps)
+        assert block.shape == (7, n_steps, 3, 2)
+        assert all(block[:, k].flags.c_contiguous for k in range(n_steps))
 
 
 def test_stream_keys_match_scalar_layout():
@@ -234,7 +242,7 @@ def test_initial_state_of_a_particle_does_not_depend_on_N_or_labels():
 def test_run_starts_from_initial_state(threads, monkeypatch):
     # every replica slab draws its own initial state: a zero horizon leaves
     # it as initial_state draws it, whatever the chunks and slabs
-    monkeypatch.setattr(meanfield, "_PAIR_SLAB", 1)
+    monkeypatch.setattr(simulator, "_SPLIT_WORK", 0)
     monkeypatch.setattr(simulator, "_REPLICA_CHUNK", 4)
     monkeypatch.setattr(simulator, "_THREADS", threads)
     model = ModelConfig(N=3, d=2, U=_double_well(2), W=_bump(2))
@@ -307,7 +315,7 @@ def test_trajectories_chunk_invariant(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# replica slabs on threads
+# replica slabs in worker processes
 # ---------------------------------------------------------------------------
 
 def _bump(d, amplitude=0.5):
@@ -319,17 +327,35 @@ def _double_well(d):
     return PotentialSpec("quartic_double_well", {"quartic": 0.25, "well": 0.5}, dim=d)
 
 
-def _record_pools(monkeypatch) -> list:
-    """Swap the simulator's thread pool for one that records its worker count."""
+def _record_splits(monkeypatch) -> list:
+    """Record the slab count of every chunk that forks its slabs."""
     sizes = []
+    original = simulator._forked_rows
 
-    class Pool(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers)
+    def forked_rows(slab_rows, lo, hi, n_slabs, x, v):
+        sizes.append(n_slabs)
+        return original(slab_rows, lo, hi, n_slabs, x, v)
 
-    monkeypatch.setattr(simulator, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(simulator, "_forked_rows", forked_rows)
     return sizes
+
+
+def _record_blocks(monkeypatch, path):
+    """Make ``_advance_block`` append its process id and replica count to
+    ``path``, from whichever process advances the block; returns a reader."""
+    def recording(model, integrator, x, v, noise, callback=None):
+        with open(path, "a") as f:
+            f.write(f"{os.getpid()} {x.shape[0]}\n")
+        return _advance_block(model, integrator, x, v, noise, callback)
+
+    monkeypatch.setattr(simulator, "_advance_block", recording)
+
+    def read():
+        lines = path.read_text().split() if path.exists() else []
+        path.unlink(missing_ok=True)
+        return [(int(pid), int(n)) for pid, n in zip(lines[::2], lines[1::2])]
+
+    return read
 
 
 @pytest.mark.parametrize("model, scheme", [
@@ -337,160 +363,191 @@ def _record_pools(monkeypatch) -> list:
     (ModelConfig(N=4, d=2, U=_double_well(2), W=_bump(2)), "euler_maruyama"),
 ])
 def test_outputs_do_not_depend_on_thread_count(model, scheme, monkeypatch):
-    # a grain of one pair entry splits every chunk into one slab per thread,
-    # but never into more slabs than replicas: chunks of 7, 7 and 3
-    # replicas, slabs of 3+4, 2+2+3 (and 1+1+1) or 1+2+2+2 (and 1+1+1)
-    sizes = _record_pools(monkeypatch)
-    monkeypatch.setattr(meanfield, "_PAIR_SLAB", 1)
+    # with no work threshold every chunk splits into one slab worker per
+    # usable core (_THREADS), but never into more slabs than replicas:
+    # chunks of 7, 7 and 3 replicas, slabs of 3+4, 2+2+3 (and 1+1+1) or
+    # 1+2+2+2 (and 1+1+1); one core advances every chunk in this process
+    sizes = _record_splits(monkeypatch)
+    monkeypatch.setattr(simulator, "_SPLIT_WORK", 0)
     monkeypatch.setattr(simulator, "_REPLICA_CHUNK", 7)
     monkeypatch.setattr(simulator, "_TIME_BLOCK", 10)
     names = tuple(OBSERVABLES)
     got = {}
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # interleave the slab threads as finely as possible
-    try:
-        for threads in (1, 2, 3, 4):
-            monkeypatch.setattr(simulator, "_THREADS", threads)
-            res = run(model, IntegratorConfig(scheme, 0.01), 17, 0.5, 3,
-                      observables=names, stride=3, keep_replica_series=names)
-            got[threads] = [res.times.tobytes(), res.final_state.positions.tobytes(),
-                            res.final_state.velocities.tobytes()]
-            for name in names:
-                got[threads] += [res.means[name].tobytes(), res.variances[name].tobytes(),
-                                 res.per_replica[name].tobytes()]
-    finally:
-        sys.setswitchinterval(interval)
+    for threads in (1, 2, 3, 4):
+        monkeypatch.setattr(simulator, "_THREADS", threads)
+        res = run(model, IntegratorConfig(scheme, 0.01), 17, 0.5, 3,
+                  observables=names, stride=3, keep_replica_series=names)
+        assert multiprocessing.active_children() == []
+        got[threads] = [res.times.tobytes(), res.final_state.positions.tobytes(),
+                        res.final_state.velocities.tobytes()]
+        for name in names:
+            got[threads] += [res.means[name].tobytes(), res.variances[name].tobytes(),
+                             res.per_replica[name].tobytes()]
     assert sizes == [2, 2, 2, 3, 3, 3, 4, 4, 3]
     assert got[2] == got[1] and got[3] == got[1] and got[4] == got[1]
 
 
 @pytest.mark.parametrize("W", [None, _bump(1)], ids=["no-interaction", "bump"])
 def test_run_bytes_do_not_depend_on_threads_at_the_real_grain(W, monkeypatch):
-    # 100 replicas of N = 32 hold three whole slabs of pair work: with the
-    # bump the chunk splits into 2 and 3 slabs; without an interaction it
-    # advances on this thread and only its noise converts on the pool
+    # 100 replicas of N = 32 over 30 steps: with the bump the pair entries
+    # pass the work threshold and the chunk splits into 2 and 3 workers;
+    # without an interaction its 96 000 particle-steps advance in this process
+    sizes = _record_splits(monkeypatch)
     monkeypatch.setattr(simulator, "_TIME_BLOCK", 8)
     model = ModelConfig(N=32, d=1, U=_double_well(1), W=W)
     names = ("mean_position", "kinetic_energy")
     got = []
     for threads in (1, 2, 3):
         monkeypatch.setattr(simulator, "_THREADS", threads)
-        assert simulator._slab_count(model, 100) == (1 if W is None else min(threads, 3))
+        assert simulator._slab_count(model, 100, 30) == (1 if W is None else threads)
         res = run(model, IntegratorConfig("baoab", 0.01), 100, 0.3, 5,
                   observables=names, stride=2, keep_replica_series=names)
         got.append([res.final_state.positions.tobytes(), res.final_state.velocities.tobytes()]
                    + [a[name].tobytes() for name in names for a in (res.means, res.variances, res.per_replica)])
+    assert sizes == ([] if W is None else [2, 3])
     assert got[1] == got[0] and got[2] == got[0]
 
 
 def test_slab_count_never_exceeds_the_chunk(monkeypatch):
-    # at the real grain one replica of N = 256 holds two slabs of pair work,
-    # and a lone replica (here the last chunk of 3) still runs unsplit
+    # one replica of N = 256 holds 65 536 pair entries per step: at 16 cores
+    # a chunk of 2 over 20 steps passes the threshold and splits in 2, and a
+    # lone replica (here the last chunk of 3) still runs unsplit
+    sizes = _record_splits(monkeypatch)
     model = ModelConfig(N=256, d=1, U=QUAD, W=_bump(1))
     monkeypatch.setattr(simulator, "_REPLICA_CHUNK", 2)
     got = []
     for threads in (1, 16):
         monkeypatch.setattr(simulator, "_THREADS", threads)
-        assert simulator._slab_count(model, 1) == 1
-        res = run(model, IntegratorConfig("baoab", 0.01), 3, 0.02, 0)
+        assert simulator._slab_count(model, 2, 20) == min(threads, 2)
+        assert simulator._slab_count(model, 1, 10**6) == 1
+        res = run(model, IntegratorConfig("baoab", 0.01), 3, 0.2, 0)
         got.append([res.means["mean_position"].tobytes(), res.final_state.positions.tobytes()])
+    assert sizes == [2]
     assert got[1] == got[0]
 
 
-def test_split_names_the_same_nonfinite_block(monkeypatch):
-    # NaN noise for replica 4 in its third block of 7 steps: every thread
+def test_split_names_the_same_nonfinite_block(monkeypatch, tmp_path):
+    # NaN noise for replica 4 in its third block of 7 steps: every worker
     # count names steps 15-21 of chunk 3-5, and the last chunk never starts
-    created = []
+    created = tmp_path / "created"
 
     class Poisoned(NoiseStreams):
         def __init__(self, seed, replicas, labels, d):
             super().__init__(seed, replicas, labels, d)
             self.replicas, self.blocks = list(replicas), 0
-            created.extend(self.replicas)
+            with open(created, "a") as f:  # also from a worker process
+                f.write("".join(f"{r}\n" for r in self.replicas))
 
-        def normals(self, n_steps, pool=None):
-            out = super().normals(n_steps, pool)
+        def normals(self, n_steps):
+            out = super().normals(n_steps)
             self.blocks += 1
             if self.blocks == 4 and 4 in self.replicas:  # block 1 is the initial draw
                 out[self.replicas.index(4), 0, 0, 0] = np.nan
             return out
 
-    sizes = _record_pools(monkeypatch)
+    sizes = _record_splits(monkeypatch)
     monkeypatch.setattr(simulator, "NoiseStreams", Poisoned)
-    monkeypatch.setattr(meanfield, "_PAIR_SLAB", 1)
+    monkeypatch.setattr(simulator, "_SPLIT_WORK", 0)
     monkeypatch.setattr(simulator, "_REPLICA_CHUNK", 3)
     monkeypatch.setattr(simulator, "_TIME_BLOCK", 7)
     model = ModelConfig(N=3, d=1, U=QUAD, W=_bump(1))
     for threads in (1, 2, 3):
         monkeypatch.setattr(simulator, "_THREADS", threads)
-        created.clear()
         with pytest.raises(ResourceCapError, match=r"^non-finite state in steps 15-21 of replicas 3-5 "):
             run(model, IntegratorConfig("baoab", 0.01), 8, 0.21, 0)
-        assert sorted(created) == list(range(6))
+        assert multiprocessing.active_children() == []
+        assert sorted(map(int, created.read_text().split())) == list(range(6))
+        created.unlink()
     assert sizes == [2, 2, 3, 3]
 
 
 def test_split_keeps_the_callers_errstate(monkeypatch):
-    # the slabs run in copies of the caller's context, so an overflow raises
-    # under np.errstate(over="raise") on any thread as it does inline
-    monkeypatch.setattr(meanfield, "_PAIR_SLAB", 1)
+    # fork carries the caller's np.errstate into every worker, so an
+    # overflow raises FloatingPointError in a worker as it does inline, and
+    # the parent raises it again
+    sizes = _record_splits(monkeypatch)
+    monkeypatch.setattr(simulator, "_SPLIT_WORK", 0)
     model = ModelConfig(N=2, d=1, U=_double_well(1), W=_bump(1))
     for threads in (1, 2):
         monkeypatch.setattr(simulator, "_THREADS", threads)
-        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
             run(model, IntegratorConfig("baoab", 0.1), 4, 100.0, 0, init=InitSpec(position_offset=20.0))
+        assert multiprocessing.active_children() == []
+    assert sizes == [2]
 
 
-def test_light_chunk_advances_on_the_calling_thread(monkeypatch):
-    # without a pair force the whole chunk of 8 replicas advances on this
-    # thread, and only its noise converts on the pool of 4
-    sizes = _record_pools(monkeypatch)
-    blocks = []
-
-    def recording(model, integrator, x, v, noise, callback=None):
-        blocks.append((threading.get_ident(), x.shape[0]))
+def test_worker_exception_is_raised_again_with_its_type(monkeypatch):
+    # an exception the parent could not rebuild from its pickle arrives as
+    # a LangcertError naming its type and message
+    def failing(model, integrator, x, v, noise, callback=None):
+        if x.shape[0] == 4:
+            raise MissingConstantError("K", "supply K")
         return _advance_block(model, integrator, x, v, noise, callback)
 
-    monkeypatch.setattr(simulator, "_advance_block", recording)
-    monkeypatch.setattr(meanfield, "_PAIR_SLAB", 1)
+    monkeypatch.setattr(simulator, "_advance_block", failing)
+    monkeypatch.setattr(simulator, "_SPLIT_WORK", 0)
+    monkeypatch.setattr(simulator, "_THREADS", 2)
+    with pytest.raises(LangcertError, match=r"^MissingConstantError: missing constant 'K': supply K$"):
+        run(ModelConfig(N=2, d=1, U=QUAD), IntegratorConfig("baoab", 0.01), 7, 0.1, 0)
+
+
+@pytest.mark.parametrize("stage, slab_size", [
+    ("_draw_init", lambda streams, init: len(streams._gens)),
+    ("_advance_block", lambda model, integrator, x, *rest, **kwargs: x.shape[0]),
+], ids=["before-sending", "after-the-first-rows"])
+def test_a_worker_that_exits_makes_run_raise(stage, slab_size, monkeypatch):
+    # the worker for replicas 3-6 exits with code 3, before sending anything
+    # (while drawing its initial state) or after its first rows; run raises
+    # at once instead of waiting for it, and joins the other worker
+    parent = os.getpid()
+    original = getattr(simulator, stage)
+
+    def exiting(*args, **kwargs):
+        if os.getpid() != parent and slab_size(*args, **kwargs) == 4:
+            os._exit(3)
+        return original(*args, **kwargs)
+
+    def hung(signum, frame):
+        raise TimeoutError("run waits for a worker that has exited")
+
+    monkeypatch.setattr(simulator, stage, exiting)
+    monkeypatch.setattr(simulator, "_SPLIT_WORK", 0)
+    monkeypatch.setattr(simulator, "_THREADS", 2)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with pytest.raises(LangcertError, match=r"^the worker for replicas 3-6 exited with code 3 "):
+            run(ModelConfig(N=2, d=1, U=QUAD), IntegratorConfig("baoab", 0.01), 7, 0.1, 0)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_light_chunk_advances_on_the_calling_thread(monkeypatch, tmp_path):
+    # at a threshold of 500, 8 replicas of N = 3 over 10 steps hold 240
+    # particle-steps without an interaction and advance on this thread of
+    # this process; with a pair force they hold 720 pair entries and split
+    # into one worker process per core
+    read = _record_blocks(monkeypatch, tmp_path / "blocks")
+    blocks = []
+    original = simulator._advance_block
+
+    def on_thread(*args, **kwargs):
+        blocks.append(threading.get_ident())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "_advance_block", on_thread)
+    monkeypatch.setattr(simulator, "_SPLIT_WORK", 500)
     monkeypatch.setattr(simulator, "_THREADS", 4)
     for W in (None, _bump(1, amplitude=0.0)):
         run(ModelConfig(N=3, d=1, U=QUAD, W=W), IntegratorConfig("baoab", 0.01), 8, 0.1, 0)
-    assert sizes == [4, 4]
-    assert blocks == [(threading.get_ident(), 8)] * 2
-    # the same settings split a model with a pair force across the workers
-    blocks.clear()
+    assert read() == [(os.getpid(), 8)] * 2
+    assert blocks == [threading.get_ident()] * 2
     run(ModelConfig(N=3, d=1, U=QUAD, W=_bump(1)), IntegratorConfig("baoab", 0.01), 8, 0.1, 0)
-    assert sizes == [4, 4, 4]
-    assert sorted(n for _, n in blocks) == [2, 2, 2, 2]
-    assert threading.get_ident() not in {t for t, _ in blocks}
-
-
-@pytest.mark.parametrize("R", [1, 2, 3, 7])
-def test_pooled_normals_match_plain(R, monkeypatch):
-    # a pool splits the block into min(workers, R) replica ranges; a slab of
-    # two replicas per pass makes a range span several conversion slabs
-    monkeypatch.setattr(simulator, "_SLAB_WORDS", 2 * 3 * 5 * 2)
-    plain = NoiseStreams(5, range(R), [0, 4, 1], 2)
-    want = [plain.normals(5).tobytes(), plain.normals(5).tobytes()]
-    submits = []
-
-    class Pool(ThreadPoolExecutor):
-        def submit(self, fn, *args):
-            submits.append(1)
-            return super().submit(fn, *args)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # interleave the ranges as finely as possible
-    try:
-        for workers in (1, 2, 3, 4):
-            streams = NoiseStreams(5, range(R), [0, 4, 1], 2)
-            submits.clear()
-            with Pool(workers) as pool:
-                assert [streams.normals(5, pool).tobytes(), streams.normals(5, pool).tobytes()] == want
-            assert len(submits) == 2 * min(workers, R)  # one range per worker, none empty
-    finally:
-        sys.setswitchinterval(interval)
+    workers = read()
+    assert sorted(n for _, n in workers) == [2, 2, 2, 2]
+    assert len({pid for pid, _ in workers} | {os.getpid()}) == 5
+    assert blocks == [threading.get_ident()] * 2  # no block ran in this process
 
 
 def test_exchangeability_label_permutation():
