@@ -7,6 +7,11 @@ the grid, so every verified integral converges at second order in the
 spacing (the refinement ratio test pins that), and the pass tolerances stay
 far above the quadrature error at the shipped resolutions.
 
+Each quadrature verifier checks a whole battery of test-function cases in
+one call and returns one check per case: it builds the case-independent
+fields (the quadrature weights, and on the pair grid |x1 - x2|^2 or the
+Hessian entries) once, and each case adds only its test-function factors.
+
 These are transcription checks of the certified formulas, not scalability
 claims: a failure here means either the formula or the oracle was copied
 wrong, and is treated as build-blocking by the test suite.
@@ -15,8 +20,9 @@ wrong, and is treated as build-blocking by the test suite.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -36,7 +42,6 @@ __all__ = [
     "oracle_suite",
 ]
 
-FN_FAMILIES = ("gaussian_bump_fn", "polynomial_fn", "logistic_fn")
 _PASS_TOL = 1e-8  # relative slack of the quadrature verifiers
 # fd_derivative_suite: random points per spec, their seed, and the pass bound
 _FD_POINTS = 1000
@@ -44,15 +49,71 @@ _FD_SEED = 99
 _FD_REL_TOL = 1e-6
 
 
+def _real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _positive(v) -> bool:
+    return _real(v) and v > 0.0
+
+
+def _coefficients(v) -> bool:
+    return np.ndim(v) == 1 and len(v) > 0 and all(map(_real, v))
+
+
+@dataclass(frozen=True)
+class _FnFamily:
+    """One test-function family: its parameter schema, its evaluation
+    ``f(params, x)`` and ``draw(rng, positive)``, the parameters
+    ``random_test_function`` draws for it (``positive``: for a weight S)."""
+
+    schema: dict  # parameter name -> predicate on its value
+    f: Callable
+    draw: Callable
+    optional: tuple = ()  # schema names that may be left out
+    weight: bool = False  # positive on the line, so it may serve as a Lyapunov weight S
+
+
+_FN_FAMILIES = {
+    # exp(-(x - center)^2 / 2 width^2) + offset
+    "gaussian_bump_fn": _FnFamily(
+        schema={"center": _real, "width": _positive, "offset": _real},
+        f=lambda p, x: p.get("offset", 0.0) + np.exp(-0.5 * ((x - p["center"]) / p["width"]) ** 2),
+        draw=lambda rng, positive: {
+            "center": float(rng.uniform(-2, 2)),
+            "width": float(rng.uniform(0.8, 2.5)),
+            "offset": float(rng.uniform(0.2, 1.0)) if positive else 0.0,
+        },
+        optional=("offset",),
+        weight=True,
+    ),
+    # sum_k coefficients[k] x^k
+    "polynomial_fn": _FnFamily(
+        schema={"coefficients": _coefficients},
+        f=lambda p, x: np.polynomial.polynomial.polyval(x, p["coefficients"]),
+        draw=lambda rng, positive: {"coefficients": [float(c) for c in rng.uniform(-1, 1, size=3)]},
+    ),
+    # 1 / (1 + exp(-(x - center) / scale))
+    "logistic_fn": _FnFamily(
+        schema={"center": _real, "scale": _positive},
+        f=lambda p, x: 1.0 / (1.0 + np.exp(-(x - p["center"]) / p["scale"])),
+        draw=lambda rng, positive: {
+            "center": float(rng.uniform(-2, 2)),
+            "scale": float(rng.uniform(0.5, 2.0)),
+        },
+        weight=True,
+    ),
+}
+
+
 @dataclass(frozen=True)
 class TestFunctionSpec:
-    """Twice-differentiable scalar test function on the line.
-
-    Families: ``gaussian_bump_fn`` exp(-(x-center)^2 / 2 width^2) (+offset),
-    ``polynomial_fn`` with given coefficients (ascending powers), and
-    ``logistic_fn`` 1 / (1 + exp(-(x-center)/scale)).  Positive-role
-    functions (Lyapunov weights S > 0) are validated on the grid they are
-    used on, not here.
+    """Twice-differentiable scalar test function on the line, from a family
+    of ``_FN_FAMILIES``: ``gaussian_bump_fn`` (``center``, ``width`` > 0 and
+    an optional ``offset``), ``polynomial_fn`` (``coefficients``, ascending
+    powers) and ``logistic_fn`` (``center``, ``scale`` > 0).  Parameters are
+    checked here; positive-role functions (Lyapunov weights S > 0) are
+    validated on the grid they are used on.
     """
 
     __test__ = False  # not a pytest class, despite the Test* name
@@ -61,37 +122,34 @@ class TestFunctionSpec:
     params: dict
 
     def __post_init__(self):
-        if self.family not in FN_FAMILIES:
+        fam = _FN_FAMILIES.get(self.family) if isinstance(self.family, str) else None
+        if fam is None:
             raise InvalidSpecError(f"unknown test function family {self.family!r}")
+        if not isinstance(self.params, dict):
+            raise InvalidSpecError(f"{self.family} params must be a dict, got {self.params!r}")
+        unknown = set(self.params) - set(fam.schema)
+        if unknown:
+            raise InvalidSpecError(f"unknown params for {self.family}: {sorted(unknown)}")
+        for name, ok in fam.schema.items():
+            if name not in self.params:
+                if name in fam.optional:
+                    continue
+                raise InvalidSpecError(f"{self.family} requires param {name!r}")
+            if not ok(self.params[name]):
+                raise InvalidSpecError(f"{self.family} param {name}={self.params[name]!r} out of range")
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        p = self.params
-        if self.family == "gaussian_bump_fn":
-            z = (x - p["center"]) / p["width"]
-            return p.get("offset", 0.0) + np.exp(-0.5 * z**2)
-        if self.family == "polynomial_fn":
-            return np.polynomial.polynomial.polyval(x, p["coefficients"])
-        return 1.0 / (1.0 + np.exp(-(x - p["center"]) / p["scale"]))
+        return _FN_FAMILIES[self.family].f(self.params, np.asarray(x, dtype=float))
 
 
 def random_test_function(rng: np.random.Generator, purpose: str = "g_generic") -> TestFunctionSpec:
     """Draw a random test function; positive families only for S weights."""
     if purpose not in ("S_positive", "g_generic"):
         raise InvalidSpecError(f"unknown purpose {purpose!r}")
-    fams = ("gaussian_bump_fn", "logistic_fn") if purpose == "S_positive" else FN_FAMILIES
+    positive = purpose == "S_positive"
+    fams = [name for name, fam in _FN_FAMILIES.items() if fam.weight or not positive]
     fam = fams[int(rng.integers(len(fams)))]
-    if fam == "gaussian_bump_fn":
-        params = {
-            "center": float(rng.uniform(-2, 2)),
-            "width": float(rng.uniform(0.8, 2.5)),
-            "offset": float(rng.uniform(0.2, 1.0)) if purpose == "S_positive" else 0.0,
-        }
-    elif fam == "polynomial_fn":
-        params = {"coefficients": [float(c) for c in rng.uniform(-1, 1, size=3)]}
-    else:
-        params = {"center": float(rng.uniform(-2, 2)), "scale": float(rng.uniform(0.5, 2.0))}
-    return TestFunctionSpec(family=fam, params=params)
+    return TestFunctionSpec(family=fam, params=_FN_FAMILIES[fam].draw(rng, positive))
 
 
 @dataclass(frozen=True)
@@ -117,11 +175,11 @@ def _d2_1d(values: np.ndarray, dx: float) -> np.ndarray:
 
 def verify_lyapunov_lemma(
     measure: GridMeasure,
-    S: TestFunctionSpec,
-    g: TestFunctionSpec,
-) -> InequalityCheck:
-    """Check  Int -(H S / S) g^2 dm <= Int |g'|^2 dm  on a 1D grid,
-    with H = Lap - V' d/dx the generator of the measure.
+    cases: Sequence[tuple[TestFunctionSpec, TestFunctionSpec]],
+) -> list[InequalityCheck]:
+    """Check  Int -(H S / S) g^2 dm <= Int |g'|^2 dm  on a 1D grid for each
+    ``(S, g)`` of ``cases``, with H = Lap - V' d/dx the generator of the
+    measure; one check per case, in order.
 
     S must be positive at every node.  Derivatives are central differences;
     the inequality holds for all twice-differentiable S > 0, so a failure
@@ -133,72 +191,96 @@ def verify_lyapunov_lemma(
         raise InvalidSpecError("measure must carry grad_log_density (-V')")
     x = measure.axes[0]
     dx = measure.spacing
-    s_vals = S(x)
-    if np.any(s_vals <= 0):
-        raise InvalidSpecError("Lyapunov weight S must be positive on the grid")
-    g_vals = g(x)
-    hs = _d2_1d(s_vals, dx) + measure.grad_log_density * _d1(s_vals, dx)
     weights = measure.weights
-    lhs = measure.expectation(-(hs / s_vals) * g_vals**2, weights)
-    rhs = measure.expectation(_d1(g_vals, dx) ** 2, weights)
-    return InequalityCheck(
-        name="lyapunov_lemma",
-        lhs=lhs,
-        rhs=rhs,
-        passed=bool(lhs <= rhs + _PASS_TOL * (1 + abs(rhs))),
-        detail={"spacing": dx},
-    )
+    checks = []
+    for S, g in cases:
+        s_vals = S(x)
+        if np.any(s_vals <= 0):
+            raise InvalidSpecError("Lyapunov weight S must be positive on the grid")
+        g_vals = g(x)
+        hs = _d2_1d(s_vals, dx) + measure.grad_log_density * _d1(s_vals, dx)
+        lhs = measure.expectation(-(hs / s_vals) * g_vals**2, weights)
+        rhs = measure.expectation(_d1(g_vals, dx) ** 2, weights)
+        checks.append(InequalityCheck(
+            name="lyapunov_lemma",
+            lhs=lhs,
+            rhs=rhs,
+            passed=bool(lhs <= rhs + _PASS_TOL * (1 + abs(rhs))),
+            detail={"spacing": dx},
+        ))
+    return checks
+
+
+def _check_pair_grid(model: ModelConfig, measure: GridMeasure, what: str) -> None:
+    if model.N != 2 or model.d != 1 or measure.ndim != 2:
+        raise InvalidSpecError(f"{what} oracle is restricted to N = 2, d = 1 on a 2D pair grid")
 
 
 def verify_moment_bound(
     model: ModelConfig,
     C_LS: float,
     tau: float,
-    g_pair: tuple[TestFunctionSpec, TestFunctionSpec],
+    g_pairs: Sequence[tuple[TestFunctionSpec, TestFunctionSpec]],
     measure: GridMeasure,
-) -> InequalityCheck:
-    """Pair-distance moment bound on the N = 2, d = 1 mean-field measure:
+) -> list[InequalityCheck]:
+    """Pair-distance moment bound on the N = 2, d = 1 mean-field measure, for
+    each ``(g1, g2)`` of ``g_pairs``:
 
         Int |x1 - x2|^2 g^2 dm  <=  (2 C_LS / tau) Int |grad g|^2 dm
                                     + (d ln(1 - 4 tau C_LS)^{-1} / (2 tau)) Int g^2 dm
 
     for 0 < tau < 1/(4 C_LS);  g(x1, x2) = g1(x1) g2(x2) is a separable test
     function.  At tau = 1/(8 C_LS) the constants reduce to 16 C_LS^2 and
-    4 ln2 d C_LS.
+    4 ln2 d C_LS.  One check per pair, in order.
     """
+    _check_pair_grid(model, measure, "moment bound")
     if not 0.0 < tau < 1.0 / (4.0 * C_LS):
         raise InvalidSpecError("tau must lie in (0, 1/(4 C_LS))")
     x = measure.axes[0]
     dx = measure.spacing
-    g1, g2 = g_pair
-    G = np.outer(g1(x), g2(x))
-    X1, X2 = np.meshgrid(x, x, indexing="ij")
-    F = (X1 - X2) ** 2
     weights = measure.weights
-    lhs = measure.expectation(F * G**2, weights)
-    grad_sq = _d1(G, dx, axis=0) ** 2 + _d1(G, dx, axis=1) ** 2
-    d = model.d
-    rhs = (2.0 * C_LS / tau) * measure.expectation(grad_sq, weights) + (
-        d * math.log(1.0 / (1.0 - 4.0 * tau * C_LS)) / (2.0 * tau)
-    ) * measure.expectation(G**2, weights)
-    return InequalityCheck(
-        name="moment_bound",
-        lhs=lhs,
-        rhs=rhs,
-        passed=bool(lhs <= rhs + _PASS_TOL * (1 + abs(rhs))),
-        detail={"tau": tau, "C_LS": C_LS, "spacing": dx},
-    )
+    dist_sq = (x[:, None] - x[None, :]) ** 2
+    grad_coef = 2.0 * C_LS / tau
+    log_coef = model.d * math.log(1.0 / (1.0 - 4.0 * tau * C_LS)) / (2.0 * tau)
+    checks = []
+    for g1, g2 in g_pairs:
+        G = np.outer(g1(x), g2(x))
+        G_sq = G**2
+        lhs = measure.expectation(dist_sq * G_sq, weights)
+        grad_sq = _d1(G, dx, axis=0) ** 2 + _d1(G, dx, axis=1) ** 2
+        rhs = (grad_coef * measure.expectation(grad_sq, weights)
+               + log_coef * measure.expectation(G_sq, weights))
+        checks.append(InequalityCheck(
+            name="moment_bound",
+            lhs=lhs,
+            rhs=rhs,
+            passed=bool(lhs <= rhs + _PASS_TOL * (1 + abs(rhs))),
+            detail={"tau": tau, "C_LS": C_LS, "spacing": dx},
+        ))
+    return checks
+
+
+def _pair_hessian(model: ModelConfig, x: np.ndarray) -> tuple:
+    """Entries (h11, h22, h12) of hess V on the pair grid x by x:
+
+        hess V(x1, x2) = [[U''(x1) + w/2, -w/2], [-w/2, U''(x2) + w/2]]
+
+    with w = W''(x1 - x2), the closed form of the block assembly at N = 2."""
+    r = np.abs(x[:, None] - x[None, :])
+    w = model.W.d2profile(r) if model.W is not None else np.zeros_like(r)
+    hu = model.U.d2profile(np.abs(x))
+    return hu[:, None] + w / 2.0, hu[None, :] + w / 2.0, -w / 2.0
 
 
 def verify_boundedness_condition(
     model: ModelConfig,
     M1: float,
     M2: float,
-    phi: TestFunctionSpec,
-    psi_vec: Sequence[float],
+    cases: Sequence[tuple[TestFunctionSpec, Sequence[float]]],
     measure: GridMeasure,
-) -> InequalityCheck:
-    """Mixed-derivative boundedness condition on separable h(x, v) = phi(x) (psi . v):
+) -> list[InequalityCheck]:
+    """Mixed-derivative boundedness condition on separable h(x, v) = phi(x) (psi . v),
+    for each ``(phi, psi)`` of ``cases``:
 
         Int |hess V(x) . grad_v h|^2 dmu  <=  M1 Int |grad_xv h|_HS^2 dmu
                                               + M2 Int |grad_v h|^2 dmu.
@@ -208,39 +290,36 @@ def verify_boundedness_condition(
 
         Int |hess V psi|^2 phi^2 dm <= M1 |psi|^2 Int |grad phi|^2 dm
                                        + M2 |psi|^2 Int phi^2 dm.
+
+    One check per case, in order.
     """
-    if model.N != 2 or model.d != 1:
-        raise InvalidSpecError("boundedness oracle is restricted to N = 2, d = 1")
-    psi = np.asarray(psi_vec, dtype=float)
-    if psi.shape != (2,):
-        raise InvalidSpecError("psi must be a vector in R^(N d) = R^2")
+    _check_pair_grid(model, measure, "boundedness")
     x = measure.axes[0]
     dx = measure.spacing
-    n = x.size
-    X1, X2 = np.meshgrid(x, x, indexing="ij")
-
-    # hess V(x1, x2) = [[U''(x1) + w/2, -w/2], [-w/2, U''(x2) + w/2]]
-    # with w = W''(x1 - x2); closed form of the block assembly at N = 2
-    hu1 = model.U.d2profile(np.abs(X1))
-    hu2 = model.U.d2profile(np.abs(X2))
-    w = model.W.d2profile(np.abs(X1 - X2)) if model.W is not None else np.zeros_like(X1)
-    h11, h22, h12 = hu1 + w / 2.0, hu2 + w / 2.0, -w / 2.0
-    hv_psi_sq = (h11 * psi[0] + h12 * psi[1]) ** 2 + (h12 * psi[0] + h22 * psi[1]) ** 2
-
-    phi1 = np.outer(phi(x), np.ones(n))
-    grad_phi_sq = _d1(phi1, dx, axis=0) ** 2
-    psi_sq = float((psi**2).sum())
     weights = measure.weights
-    lhs = measure.expectation(hv_psi_sq * phi1**2, weights)
-    e_grad, e_phi2 = measure.expectation(grad_phi_sq, weights), measure.expectation(phi1**2, weights)
-    rhs = psi_sq * (M1 * e_grad + M2 * e_phi2)
-    return InequalityCheck(
-        name="boundedness_condition",
-        lhs=lhs,
-        rhs=rhs,
-        passed=bool(lhs <= rhs * (1 + _PASS_TOL)),
-        detail={"M1": M1, "M2": M2, "spacing": dx},
-    )
+    h11, h22, h12 = _pair_hessian(model, x)
+    checks = []
+    for phi, psi_vec in cases:
+        psi = np.asarray(psi_vec, dtype=float)
+        if psi.shape != (2,):
+            raise InvalidSpecError("psi must be a vector in R^(N d) = R^2")
+        hv_psi_sq = (h11 * psi[0] + h12 * psi[1]) ** 2 + (h12 * psi[0] + h22 * psi[1]) ** 2
+        # phi depends on x1 alone: its factors stay 1D columns, broadcast over x2
+        phi_x = phi(x)
+        phi_sq = (phi_x**2)[:, None]
+        grad_phi_sq = (_d1(phi_x, dx) ** 2)[:, None]
+        psi_sq = float((psi**2).sum())
+        lhs = measure.expectation(hv_psi_sq * phi_sq, weights)
+        e_grad, e_phi2 = measure.expectation(grad_phi_sq, weights), measure.expectation(phi_sq, weights)
+        rhs = psi_sq * (M1 * e_grad + M2 * e_phi2)
+        checks.append(InequalityCheck(
+            name="boundedness_condition",
+            lhs=lhs,
+            rhs=rhs,
+            passed=bool(lhs <= rhs * (1 + _PASS_TOL)),
+            detail={"M1": M1, "M2": M2, "spacing": dx},
+        ))
+    return checks
 
 
 def fd_derivative_suite(specs: Sequence[PotentialSpec]) -> list[InequalityCheck]:
@@ -302,31 +381,25 @@ def oracle_suite(
 
     u_quad = PotentialSpec("quadratic", {"coef": 1.0}, dim=1)
     measure_1d = GridMeasure.from_potential(u_quad, halfwidth=9.0, n=16001)
-    for _ in range(n_lyapunov):
-        S = random_test_function(rng, "S_positive")
-        g = random_test_function(rng, "g_generic")
-        checks.append(verify_lyapunov_lemma(measure_1d, S, g))
+    cases = [(random_test_function(rng, "S_positive"), random_test_function(rng, "g_generic"))
+             for _ in range(n_lyapunov)]
+    checks.extend(verify_lyapunov_lemma(measure_1d, cases))
 
     pair_quad = ModelConfig(N=2, d=1, U=u_quad, W=None)
     measure_2d = GridMeasure.from_pair_model(pair_quad, halfwidth=9.0, n=361)
     C_LS = 1.0  # Bakry-Emery for the unit-curvature quadratic model
-    tau = 1.0 / (8.0 * C_LS)
-    for _ in range(n_moment):
-        g1 = random_test_function(rng, "g_generic")
-        g2 = random_test_function(rng, "g_generic")
-        checks.append(verify_moment_bound(pair_quad, C_LS, tau, (g1, g2), measure=measure_2d))
+    g_pairs = [(random_test_function(rng, "g_generic"), random_test_function(rng, "g_generic"))
+               for _ in range(n_moment)]
+    checks.extend(verify_moment_bound(pair_quad, C_LS, 1.0 / (8.0 * C_LS), g_pairs, measure=measure_2d))
 
     u_dw = PotentialSpec("quartic_double_well", {"quartic": 0.25, "well": 0.5}, dim=1)
     pair_dw = ModelConfig(N=2, d=1, U=u_dw, W=None)
     measure_dw = GridMeasure.from_pair_model(pair_dw, halfwidth=9.0, n=361)
     bundle = extract_constants(u_dw, None)
     bc = certifier.constants_bounded_grad(bundle.K, bundle.K_prime, bundle.K1, bundle.K2, bundle.d)
-    for _ in range(n_boundedness):
-        phi = random_test_function(rng, "g_generic")
-        psi = rng.uniform(-1.5, 1.5, size=2)
-        checks.append(
-            verify_boundedness_condition(pair_dw, bc.M1, bc.M2, phi, psi, measure=measure_dw)
-        )
+    cases = [(random_test_function(rng, "g_generic"), rng.uniform(-1.5, 1.5, size=2))
+             for _ in range(n_boundedness)]
+    checks.extend(verify_boundedness_condition(pair_dw, bc.M1, bc.M2, cases, measure=measure_dw))
 
     fd = fd_derivative_suite(
         [

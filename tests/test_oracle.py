@@ -44,7 +44,7 @@ def gaussian_fn(center=0.0, width=1.0, offset=0.0):
 def test_lyapunov_lemma_constant_g(measure_1d):
     S = gaussian_fn(0.5, 1.2, offset=0.3)
     g = TestFunctionSpec("polynomial_fn", {"coefficients": [1.0]})
-    chk = verify_lyapunov_lemma(measure_1d, S, g)
+    [chk] = verify_lyapunov_lemma(measure_1d, [(S, g)])
     assert chk.passed
     assert chk.rhs == pytest.approx(0.0, abs=1e-12)
     assert chk.lhs <= 1e-8  # integral of -(HS/S) dm is nonpositive
@@ -56,18 +56,18 @@ def test_lyapunov_lemma_equality_case():
     # the random battery to sit inside the 1e-8 pass band; slack stays < 1e-6.
     measure = GridMeasure.from_potential(QUAD, halfwidth=9.0, n=128001)
     S = gaussian_fn(-0.3, 1.0, offset=0.5)
-    chk = verify_lyapunov_lemma(measure, S, S)
+    [chk] = verify_lyapunov_lemma(measure, [(S, S)])
     assert chk.passed
     assert abs(chk.rhs - chk.lhs) < 1e-6
 
 
 def test_lyapunov_lemma_random_battery(measure_1d):
     rng = np.random.default_rng(2718)
-    for _ in range(20):
-        S = random_test_function(rng, "S_positive")
-        g = random_test_function(rng, "g_generic")
-        chk = verify_lyapunov_lemma(measure_1d, S, g)
-        assert chk.passed
+    cases = [(random_test_function(rng, "S_positive"), random_test_function(rng, "g_generic"))
+             for _ in range(20)]
+    checks = verify_lyapunov_lemma(measure_1d, cases)
+    assert len(checks) == 20
+    assert all(chk.passed for chk in checks)
     with pytest.raises(InvalidSpecError):
         random_test_function(rng, "S_generic")
 
@@ -75,7 +75,7 @@ def test_lyapunov_lemma_random_battery(measure_1d):
 def test_lyapunov_lemma_rejects_nonpositive_S(measure_1d):
     S = TestFunctionSpec("polynomial_fn", {"coefficients": [0.0, 1.0]})  # x changes sign
     with pytest.raises(InvalidSpecError):
-        verify_lyapunov_lemma(measure_1d, S, S)
+        verify_lyapunov_lemma(measure_1d, [(S, S)])
 
 
 def test_lyapunov_lemma_grid_refinement_second_order():
@@ -84,7 +84,7 @@ def test_lyapunov_lemma_grid_refinement_second_order():
     vals = []
     for n in (751, 1501, 3001):
         m = GridMeasure.from_potential(QUAD, halfwidth=9.0, n=n)
-        chk = verify_lyapunov_lemma(m, S, g)
+        [chk] = verify_lyapunov_lemma(m, [(S, g)])
         vals.append(chk.lhs)
     ratio = (vals[0] - vals[1]) / (vals[1] - vals[2])
     assert 3.0 <= ratio <= 5.0
@@ -101,14 +101,14 @@ def test_moment_bound_paper_constants_at_special_tau(measure_2d):
     assert 2 * C / tau == pytest.approx(16 * C**2)
     assert math.log(1.0 / (1.0 - 4 * tau * C)) / (2 * tau) == pytest.approx(4 * math.log(2) * C)
     g = (gaussian_fn(0.5, 1.5), gaussian_fn(-0.5, 1.2))
-    chk = verify_moment_bound(PAIR_QUAD, C, tau, g, measure=measure_2d)
+    [chk] = verify_moment_bound(PAIR_QUAD, C, tau, [g], measure=measure_2d)
     assert chk.passed
 
 
 def test_moment_bound_constant_g_gaussian_moment(measure_2d):
     # E|x1 - x2|^2 = 2 for the iid standard Gaussian pair; rhs = 4 ln 2
     ones = TestFunctionSpec("polynomial_fn", {"coefficients": [1.0]})
-    chk = verify_moment_bound(PAIR_QUAD, 1.0, 1.0 / 8.0, (ones, ones), measure=measure_2d)
+    [chk] = verify_moment_bound(PAIR_QUAD, 1.0, 1.0 / 8.0, [(ones, ones)], measure=measure_2d)
     assert chk.lhs == pytest.approx(2.0, abs=1e-6)
     assert chk.rhs == pytest.approx(4 * math.log(2), abs=1e-9)
     assert chk.passed
@@ -116,21 +116,21 @@ def test_moment_bound_constant_g_gaussian_moment(measure_2d):
 
 def test_moment_bound_random_battery(measure_2d):
     rng = np.random.default_rng(6)
-    for _ in range(10):
-        g = (random_test_function(rng), random_test_function(rng))
-        chk = verify_moment_bound(PAIR_QUAD, 1.0, 1.0 / 8.0, g, measure=measure_2d)
-        assert chk.passed
+    g_pairs = [(random_test_function(rng), random_test_function(rng)) for _ in range(10)]
+    checks = verify_moment_bound(PAIR_QUAD, 1.0, 1.0 / 8.0, g_pairs, measure=measure_2d)
+    assert len(checks) == 10
+    assert all(chk.passed for chk in checks)
 
 
 def test_moment_bound_tau_range_enforced(measure_2d):
     ones = TestFunctionSpec("polynomial_fn", {"coefficients": [1.0]})
     with pytest.raises(InvalidSpecError):
-        verify_moment_bound(PAIR_QUAD, 1.0, 0.3, (ones, ones), measure=measure_2d)
+        verify_moment_bound(PAIR_QUAD, 1.0, 0.3, [(ones, ones)], measure=measure_2d)
 
 
 def test_moment_bound_near_upper_tau_blows_up(measure_2d):
     ones = TestFunctionSpec("polynomial_fn", {"coefficients": [1.0]})
-    chk = verify_moment_bound(PAIR_QUAD, 1.0, 0.2499999, (ones, ones), measure=measure_2d)
+    [chk] = verify_moment_bound(PAIR_QUAD, 1.0, 0.2499999, [(ones, ones)], measure=measure_2d)
     assert chk.passed
     # the log factor diverges as tau -> 1/(4 C_LS); pass is trivial there
     assert chk.rhs > 10 * chk.lhs
@@ -145,16 +145,16 @@ def test_boundedness_quadratic_reduces_to_M2(measure_2d):
     # phi = 1, i.e. a pure M2 test passing iff M2 >= |hess V|_op^2
     ones = TestFunctionSpec("polynomial_fn", {"coefficients": [1.0]})
     # hess V eigenvalues for U quad(1), W none: {1, 1}
-    chk = verify_boundedness_condition(PAIR_QUAD, 0.0, 1.0, ones, [0.7, -0.4], measure=measure_2d)
+    [chk] = verify_boundedness_condition(PAIR_QUAD, 0.0, 1.0, [(ones, [0.7, -0.4])], measure=measure_2d)
     assert chk.passed
-    chk_bad = verify_boundedness_condition(PAIR_QUAD, 0.0, 0.9, ones, [0.7, -0.4], measure=measure_2d)
+    [chk_bad] = verify_boundedness_condition(PAIR_QUAD, 0.0, 0.9, [(ones, [0.7, -0.4])], measure=measure_2d)
     assert not chk_bad.passed
 
 
 def test_boundedness_constant_phi_zero_mixed_term(measure_2d):
     ones = TestFunctionSpec("polynomial_fn", {"coefficients": [1.0]})
-    chk = verify_boundedness_condition(PAIR_QUAD, 123.0, 1.0, ones, [1.0, 0.0], measure=measure_2d)
-    chk2 = verify_boundedness_condition(PAIR_QUAD, 0.0, 1.0, ones, [1.0, 0.0], measure=measure_2d)
+    [chk] = verify_boundedness_condition(PAIR_QUAD, 123.0, 1.0, [(ones, [1.0, 0.0])], measure=measure_2d)
+    [chk2] = verify_boundedness_condition(PAIR_QUAD, 0.0, 1.0, [(ones, [1.0, 0.0])], measure=measure_2d)
     # grad phi = 0 kills the M1 term entirely
     assert chk.rhs == pytest.approx(chk2.rhs, rel=1e-12)
 
@@ -166,11 +166,10 @@ def test_boundedness_double_well_certified_constants():
     bundle = extract_constants(dw, None)
     bc = constants_bounded_grad(bundle.K, bundle.K_prime, bundle.K1, bundle.K2, bundle.d)
     rng = np.random.default_rng(7)
-    for _ in range(10):
-        phi = random_test_function(rng)
-        psi = rng.uniform(-1.5, 1.5, size=2)
-        chk = verify_boundedness_condition(model, bc.M1, bc.M2, phi, psi, measure=measure)
-        assert chk.passed
+    cases = [(random_test_function(rng), rng.uniform(-1.5, 1.5, size=2)) for _ in range(10)]
+    checks = verify_boundedness_condition(model, bc.M1, bc.M2, cases, measure=measure)
+    assert len(checks) == 10
+    assert all(chk.passed for chk in checks)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +250,180 @@ def test_moment_bound_grid_refinement_second_order():
     vals = []
     for n in (61, 121, 241):
         m = GridMeasure.from_pair_model(PAIR_QUAD, halfwidth=9.0, n=n)
-        chk = verify_moment_bound(PAIR_QUAD, 1.0, 1.0 / 8.0, g, measure=m)
+        [chk] = verify_moment_bound(PAIR_QUAD, 1.0, 1.0 / 8.0, [g], measure=m)
         vals.append(chk.rhs)
     ratio = (vals[0] - vals[1]) / (vals[1] - vals[2])
     assert 3.0 <= ratio <= 5.0
+
+
+# ---------------------------------------------------------------------------
+# test-function table and pair-grid checks
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("family, params", [
+    ("gaussian_bump_fn", {}),
+    ("gaussian_bump_fn", {"center": 0.0, "width": 0.0}),
+    ("gaussian_bump_fn", {"center": float("nan"), "width": 1.0}),
+    ("gaussian_bump_fn", {"center": True, "width": 1.0}),
+    ("logistic_fn", {"center": 0.0, "scale": 0}),
+    ("logistic_fn", {"center": 0.0, "scale": 1.0, "offset": 0.5}),
+    ("polynomial_fn", {"coefficients": []}),
+    ("polynomial_fn", {"coefficients": [1.0, "x"]}),
+    ("polynomial_fn", [1.0]),
+    ("sine_fn", {}),
+])
+def test_test_function_spec_checks_params_when_built(family, params):
+    with pytest.raises(InvalidSpecError):
+        TestFunctionSpec(family, params)
+
+
+def test_gaussian_bump_fn_offset_is_optional():
+    assert TestFunctionSpec("gaussian_bump_fn", {"center": 0.0, "width": 1.0})(0.0) == 1.0
+
+
+def _draw_by_chain(rng, purpose):
+    """random_test_function as the if-chain it replaced: (family, params)."""
+    fams = ("gaussian_bump_fn", "logistic_fn") if purpose == "S_positive" else (
+        "gaussian_bump_fn", "polynomial_fn", "logistic_fn")
+    fam = fams[int(rng.integers(len(fams)))]
+    if fam == "gaussian_bump_fn":
+        params = {
+            "center": float(rng.uniform(-2, 2)),
+            "width": float(rng.uniform(0.8, 2.5)),
+            "offset": float(rng.uniform(0.2, 1.0)) if purpose == "S_positive" else 0.0,
+        }
+    elif fam == "polynomial_fn":
+        params = {"coefficients": [float(c) for c in rng.uniform(-1, 1, size=3)]}
+    else:
+        params = {"center": float(rng.uniform(-2, 2)), "scale": float(rng.uniform(0.5, 2.0))}
+    return fam, params
+
+
+def _eval_by_chain(fn, x):
+    """TestFunctionSpec.__call__ as the if-chain it replaced."""
+    fam, p = fn
+    if fam == "gaussian_bump_fn":
+        z = (x - p["center"]) / p["width"]
+        return p.get("offset", 0.0) + np.exp(-0.5 * z**2)
+    if fam == "polynomial_fn":
+        return np.polynomial.polynomial.polyval(x, p["coefficients"])
+    return 1.0 / (1.0 + np.exp(-(x - p["center"]) / p["scale"]))
+
+
+@pytest.mark.parametrize("purpose", ["S_positive", "g_generic"])
+def test_random_test_function_draws_and_values_match_chain(purpose):
+    rng, rng_chain = np.random.default_rng(5), np.random.default_rng(5)
+    x = np.linspace(-9.0, 9.0, 1001)
+    for _ in range(100):
+        spec = random_test_function(rng, purpose)
+        fn = _draw_by_chain(rng_chain, purpose)
+        assert repr((spec.family, spec.params)) == repr(fn)
+        assert spec(x).tobytes() == _eval_by_chain(fn, x).tobytes()
+
+
+def test_boundedness_rejects_1d_measure(measure_1d):
+    ones = TestFunctionSpec("polynomial_fn", {"coefficients": [1.0]})
+    with pytest.raises(InvalidSpecError):
+        verify_boundedness_condition(PAIR_QUAD, 0.0, 1.0, [(ones, [1.0, 0.0])], measure=measure_1d)
+
+
+def test_moment_bound_rejects_1d_measure(measure_1d):
+    ones = TestFunctionSpec("polynomial_fn", {"coefficients": [1.0]})
+    with pytest.raises(InvalidSpecError):
+        verify_moment_bound(PAIR_QUAD, 1.0, 1.0 / 8.0, [(ones, ones)], measure=measure_1d)
+
+
+def test_moment_bound_rejects_more_than_two_particles(measure_2d):
+    ones = TestFunctionSpec("polynomial_fn", {"coefficients": [1.0]})
+    with pytest.raises(InvalidSpecError):
+        verify_moment_bound(ModelConfig(N=5, d=1, U=QUAD), 1.0, 1.0 / 8.0, [(ones, ones)], measure=measure_2d)
+
+
+def test_moment_bound_rejects_dimension_above_one(measure_2d):
+    ones = TestFunctionSpec("polynomial_fn", {"coefficients": [1.0]})
+    model = ModelConfig(N=2, d=3, U=PotentialSpec("quadratic", {"coef": 1.0}, dim=3))
+    with pytest.raises(InvalidSpecError):
+        verify_moment_bound(model, 1.0, 1.0 / 8.0, [(ones, ones)], measure=measure_2d)
+
+
+# ---------------------------------------------------------------------------
+# batteries against the per-check formulas
+# ---------------------------------------------------------------------------
+
+def _grad(values, dx, axis=0):
+    return np.gradient(values, dx, axis=axis, edge_order=2)
+
+
+def _batteries_per_check(n_lyapunov, n_moment, n_boundedness, seed):
+    """oracle_suite's three batteries as the per-check loops they replaced:
+    the weights, meshgrids and Hessian fields are rebuilt for every check."""
+    rng = np.random.default_rng(seed)
+    out = []
+    m = GridMeasure.from_potential(QUAD, halfwidth=9.0, n=16001)
+    x, dx = m.axes[0], m.spacing
+    for _ in range(n_lyapunov):
+        S, g = _draw_by_chain(rng, "S_positive"), _draw_by_chain(rng, "g_generic")
+        s, gv = _eval_by_chain(S, x), _eval_by_chain(g, x)
+        d2 = np.empty_like(s)
+        d2[1:-1] = (s[2:] - 2 * s[1:-1] + s[:-2]) / dx**2
+        d2[0], d2[-1] = d2[1], d2[-2]
+        hs = d2 + m.grad_log_density * _grad(s, dx)
+        lhs = float((m.weights * (-(hs / s) * gv**2)).sum())
+        rhs = float((m.weights * _grad(gv, dx) ** 2).sum())
+        out.append({"name": "lyapunov_lemma", "lhs": lhs, "rhs": rhs,
+                    "passed": lhs <= rhs + 1e-8 * (1 + abs(rhs)), "detail": {"spacing": dx}})
+
+    m = GridMeasure.from_pair_model(PAIR_QUAD, halfwidth=9.0, n=361)
+    x, dx = m.axes[0], m.spacing
+    C_LS, tau = 1.0, 1.0 / 8.0
+    for _ in range(n_moment):
+        g1, g2 = _draw_by_chain(rng, "g_generic"), _draw_by_chain(rng, "g_generic")
+        G = np.outer(_eval_by_chain(g1, x), _eval_by_chain(g2, x))
+        X1, X2 = np.meshgrid(x, x, indexing="ij")
+        lhs = float((m.weights * ((X1 - X2) ** 2 * G**2)).sum())
+        grad_sq = _grad(G, dx, axis=0) ** 2 + _grad(G, dx, axis=1) ** 2
+        rhs = (2.0 * C_LS / tau) * float((m.weights * grad_sq).sum()) + (
+            1 * math.log(1.0 / (1.0 - 4.0 * tau * C_LS)) / (2.0 * tau)
+        ) * float((m.weights * G**2).sum())
+        out.append({"name": "moment_bound", "lhs": lhs, "rhs": rhs,
+                    "passed": lhs <= rhs + 1e-8 * (1 + abs(rhs)),
+                    "detail": {"tau": tau, "C_LS": C_LS, "spacing": dx}})
+
+    dw = PotentialSpec("quartic_double_well", {"quartic": 0.25, "well": 0.5}, dim=1)
+    m = GridMeasure.from_pair_model(ModelConfig(N=2, d=1, U=dw), halfwidth=9.0, n=361)
+    x, dx = m.axes[0], m.spacing
+    bundle = extract_constants(dw, None)
+    bc = constants_bounded_grad(bundle.K, bundle.K_prime, bundle.K1, bundle.K2, bundle.d)
+    for _ in range(n_boundedness):
+        phi, psi = _draw_by_chain(rng, "g_generic"), rng.uniform(-1.5, 1.5, size=2)
+        X1, X2 = np.meshgrid(x, x, indexing="ij")
+        w = np.zeros_like(X1)
+        h11, h22, h12 = dw.d2profile(np.abs(X1)) + w / 2.0, dw.d2profile(np.abs(X2)) + w / 2.0, -w / 2.0
+        hv_psi_sq = (h11 * psi[0] + h12 * psi[1]) ** 2 + (h12 * psi[0] + h22 * psi[1]) ** 2
+        phi1 = np.outer(_eval_by_chain(phi, x), np.ones(x.size))
+        lhs = float((m.weights * (hv_psi_sq * phi1**2)).sum())
+        e_grad = float((m.weights * _grad(phi1, dx, axis=0) ** 2).sum())
+        e_phi2 = float((m.weights * phi1**2).sum())
+        rhs = float((psi**2).sum()) * (bc.M1 * e_grad + bc.M2 * e_phi2)
+        out.append({"name": "boundedness_condition", "lhs": lhs, "rhs": rhs,
+                    "passed": lhs <= rhs * (1 + 1e-8),
+                    "detail": {"M1": bc.M1, "M2": bc.M2, "spacing": dx}})
+    return out
+
+
+@pytest.mark.parametrize("seed", [7, 12, 31415])
+@pytest.mark.parametrize("sizes", [(20, 10, 10), (5, 3, 3), (0, 0, 0)])
+def test_batteries_match_per_check_formulas(sizes, seed):
+    # each battery builds its fields once and broadcasts 1D factors; every
+    # check must stay bit for bit the per-check formula it replaced
+    rep = oracle_suite(*sizes, seed=seed)
+    assert repr(rep["oracle_suite"][:sum(sizes)]) == repr(_batteries_per_check(*sizes, seed))
+    assert rep["n_checks"] == sum(sizes) + 4 + 3
+
+
+def test_oracle_suite_builds_weights_once_per_battery(monkeypatch):
+    builds = []
+    weights = GridMeasure.weights
+    monkeypatch.setattr(GridMeasure, "weights", property(lambda m: builds.append(m.ndim) or weights.fget(m)))
+    oracle_suite()
+    assert builds == [1, 2, 2]
