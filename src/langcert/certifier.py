@@ -339,8 +339,9 @@ def certify(
     mode ``thm3`` requires a finite K', then finite C1 and C2 (both checked
     by ``constants_bounded_grad``), then a Poincare constant kappa; mode
     ``thm4`` requires C_LS, then finite C1 and C2 (both checked by
-    ``constants_lsi``), and kappa falls back to 1/C_LS, since a log-Sobolev
-    inequality implies a Poincare inequality with that constant.  ``auto``
+    ``constants_lsi``), and kappa is 1/C_LS, since a log-Sobolev inequality
+    implies a Poincare inequality with that constant, or the bundle's kappa
+    when that is larger and its grade certifies.  ``auto``
     prefers thm3 when its prerequisites hold.  The certificate is marked
     certified only when every input constant has certifying provenance and
     ``coercivity_holds`` accepts the coefficients.  ``refine`` adds the
@@ -348,6 +349,7 @@ def certify(
     """
     if mode not in ("auto", "thm3", "thm4"):
         raise InvalidSpecError(f"unknown mode {mode!r}")
+    strong = {k for k, grade in bundle.provenance.items() if grade in CERTIFYING_PROVENANCE}
     if mode == "auto":
         mode = "thm3" if math.isfinite(bundle.K_prime) and bundle.kappa is not None else "thm4"
 
@@ -360,7 +362,9 @@ def certify(
         kappa = bundle.kappa
     else:
         bc = constants_lsi(bundle.K, bundle.K1, bundle.K2, bundle.C_LS, bundle.d)
-        kappa = max(bundle.kappa or 0.0, 1.0 / bundle.C_LS)
+        kappa = 1.0 / bundle.C_LS
+        if bundle.kappa is not None and "kappa" in strong:
+            kappa = max(bundle.kappa, kappa)
 
     notes: list[str] = []
     if use_split:
@@ -385,14 +389,9 @@ def certify(
     if not rate_ok:
         notes.append(f"lambda = {lam!r} is not a positive finite rate")
 
-    needed = ["K", "K1", "K2"]
-    if mode == "thm3":
-        needed += ["K_prime", "kappa"]
-    else:
-        needed += ["C_LS"]
-    prov_ok = all(bundle.provenance.get(k, pot.NUMERIC) in CERTIFYING_PROVENANCE for k in needed)
-    if not prov_ok:
-        weak = [k for k in needed if bundle.provenance.get(k, pot.NUMERIC) not in CERTIFYING_PROVENANCE]
+    needed = ["K", "K1", "K2", *(("K_prime", "kappa") if mode == "thm3" else ("C_LS",))]
+    weak = [k for k in needed if k not in strong]
+    if weak:
         notes.append(f"non-certifying provenance for {weak}")
 
     cert = Certificate(
@@ -416,7 +415,7 @@ def certify(
         kappa=kappa,
         T=T,
         inputs=bundle,
-        certified=psd_exact and prov_ok and rate_ok,
+        certified=psd_exact and not weak and rate_ok,
         notes=notes,
     )
     if refine:
@@ -438,6 +437,46 @@ def certify(
 # constants assembly from potentials
 # ---------------------------------------------------------------------------
 
+def _first_certified(routes) -> tuple:
+    """The first ``(value, grade)`` of the lazy ``routes`` whose grade
+    certifies, else the first that applies (value not None), else (None, None)."""
+    first = (None, None)
+    for value, grade in routes:
+        if value is not None and grade in CERTIFYING_PROVENANCE:
+            return value, grade
+        if value is not None and first[0] is None:
+            first = (value, grade)
+    return first
+
+
+def _kappa_routes(bundle: ConstantsBundle, be, fit, W, kappa_user):
+    """Poincare routes: user value, Bakry-Emery curvature, the
+    convexity-at-infinity slack, dissipativity at h = 0 without interaction."""
+    yield kappa_user, pot.USER
+    yield (be and be.kappa), pot.ANALYTIC
+    if fit is not None:
+        yield funcineq.upi_criterion(fit.c_u, fit.c, fit.radius, bundle.K), pot.CRITERION
+    if W is None and math.isfinite(bundle.c_lip):
+        # no interaction: the off-diagonal block matrix is identically zero,
+        # so h = 0 exactly and the route is as strong as c_lip
+        yield funcineq.kappa_dissipativity(0.0, bundle.c_lip), bundle.provenance["c_lip"]
+
+
+def _cls_routes(bundle: ConstantsBundle, be, fit, cls_user, rho_marginal):
+    """Log-Sobolev routes: user value, Bakry-Emery, then the Zegarlinski
+    transfer on c_lip and on the super-convexity bound e^{cR/4}/(c_u - K).
+    The exact c_lip never exceeds that bound, so it goes first."""
+    yield cls_user, pot.USER
+    yield (be and be.c_ls), pot.ANALYTIC
+    if rho_marginal is None:
+        return
+    if math.isfinite(bundle.c_lip):
+        yield funcineq.lsi_transfer(rho_marginal, bundle.c_lip, bundle.K), bundle.provenance["c_lip"]
+    if fit is not None and funcineq.ulsi_criterion(fit.c_u, fit.c, fit.radius, bundle.K):
+        lip = math.exp(fit.c * fit.radius / 4.0) / (fit.c_u - bundle.K)
+        yield funcineq.lsi_transfer(rho_marginal, lip, bundle.K), pot.CRITERION
+
+
 def assemble_constants(
     U: PotentialSpec,
     W: Optional[PotentialSpec],
@@ -447,13 +486,11 @@ def assemble_constants(
 ) -> ConstantsBundle:
     """Derive a full constants bundle for (U, W), chasing every certified route.
 
-    Order of preference for kappa: user value, Bakry-Emery curvature,
-    convexity-at-infinity criterion, dissipativity route with the exact
-    h = 0 for absent interaction; a force-free W counts as absent.  C_LS:
-    user value, Bakry-Emery, then the Zegarlinski transfer when a marginal
-    constant was supplied (or the super-convexity criterion provides the
-    Lipschitz bound).  A supplied ``kappa_user``, ``cls_user`` or
-    ``rho_marginal`` must be a finite number > 0.
+    ``kappa`` and ``C_LS`` each walk their route list (``_kappa_routes``,
+    ``_cls_routes``) and keep the first route whose grade certifies, or the
+    first that applies when none does; a force-free W counts as absent.  The
+    transfer routes need ``rho_marginal``.  A supplied ``kappa_user``,
+    ``cls_user`` or ``rho_marginal`` must be a finite number > 0.
     """
     for key, value in (("kappa_user", kappa_user), ("cls_user", cls_user), ("rho_marginal", rho_marginal)):
         if value is not None and not 0 < value < math.inf:
@@ -476,43 +513,10 @@ def assemble_constants(
     prov["c_lip"] = pot.ANALYTIC if linear_drift else pot.NUMERIC
 
     be = funcineq.kappa_bakry_emery(U, W)
-
-    if kappa_user is not None:
-        bundle.kappa = kappa_user
-        prov["kappa"] = pot.USER
-    elif be is not None:
-        bundle.kappa = be.kappa
-        prov["kappa"] = pot.ANALYTIC
-    elif fit is not None:
-        kap = funcineq.upi_criterion(fit.c_u, fit.c, fit.radius, bundle.K)
-        if kap is not None:
-            bundle.kappa = kap
-            prov["kappa"] = pot.CRITERION
-    if bundle.kappa is None and W is None and clip.finite:
-        # no interaction: the off-diagonal block matrix is identically zero,
-        # so h = 0 exactly and the dissipativity route certifies
-        kap = funcineq.kappa_dissipativity(0.0, clip.value)
-        if kap is not None:
-            bundle.kappa = kap
-            prov["kappa"] = prov["c_lip"]
-
-    if cls_user is not None:
-        bundle.C_LS = cls_user
-        prov["C_LS"] = pot.USER
-    elif be is not None:
-        bundle.C_LS = be.c_ls
-        prov["C_LS"] = pot.ANALYTIC
-    elif rho_marginal is not None:
-        c_lip_for_lsi = bundle.c_lip if clip.finite else None
-        prov_lsi = prov["c_lip"]
-        if fit is not None and funcineq.ulsi_criterion(fit.c_u, fit.c, fit.radius, bundle.K):
-            crit_lip = math.exp(fit.c * fit.radius / 4.0) / (fit.c_u - bundle.K)
-            if c_lip_for_lsi is None or crit_lip < c_lip_for_lsi:
-                c_lip_for_lsi = crit_lip
-                prov_lsi = pot.CRITERION
-        if c_lip_for_lsi is not None:
-            c_ls = funcineq.lsi_transfer(rho_marginal, c_lip_for_lsi, bundle.K)
-            if c_ls is not None:
-                bundle.C_LS = c_ls
-                prov["C_LS"] = prov_lsi
+    for key, routes in (("kappa", _kappa_routes(bundle, be, fit, W, kappa_user)),
+                        ("C_LS", _cls_routes(bundle, be, fit, cls_user, rho_marginal))):
+        value, grade = _first_certified(routes)
+        if value is not None:
+            setattr(bundle, key, value)
+            prov[key] = grade
     return bundle

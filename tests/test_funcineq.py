@@ -13,7 +13,7 @@ from langcert.funcineq import (
     ulsi_criterion,
     upi_criterion,
 )
-from langcert.meanfield import ModelConfig, force_batch
+from langcert.meanfield import ModelConfig
 from langcert.potentials import PotentialSpec, lipschitz_from_model
 
 
@@ -135,18 +135,22 @@ def test_expectation_with_read_weights_is_bit_identical():
 
 
 @pytest.mark.parametrize("W", [None, bump(0.3), bump(0.3, sign="repulsive"), quad(0.5, role="interaction")])
-def test_pair_measure_gradient_matches_per_row_force_batch(W):
-    # from_pair_model takes -grad V from one force_batch call over the grid;
-    # it must equal the per-row calls it replaced byte for byte
-    model = ModelConfig(N=2, d=1, U=PotentialSpec("quartic_double_well", {"quartic": 0.25, "well": 0.5}), W=W)
+@pytest.mark.parametrize("U", [quad(1.0), PotentialSpec("quartic_double_well", {"quartic": 0.25, "well": 0.5})],
+                         ids=["quadratic", "double_well"])
+def test_pair_measure_from_profiles_matches_configuration_sum(U, W):
+    # from_pair_model sums the 1D profile U(|x|) over both axes; it must
+    # equal U evaluated on every (x1, x2) configuration byte for byte, and
+    # the pair grid carries no gradient
     n = 181
-    m = GridMeasure.from_pair_model(model, halfwidth=9.0, n=n)
+    m = GridMeasure.from_pair_model(ModelConfig(N=2, d=1, U=U, W=W), halfwidth=9.0, n=n)
     x = m.axes[0]
-    ref = np.empty((n, n, 2))
-    for i, xi in enumerate(x):
-        cfg = np.stack([np.full(n, xi), x], axis=-1)[:, :, None]  # (n, 2, 1)
-        ref[i] = force_batch(model, cfg)[..., 0]
-    assert m.grad_log_density.tobytes() == ref.tobytes()
+    X1, X2 = np.meshgrid(x, x, indexing="ij")
+    logd = -U.value(np.stack([X1.ravel(), X2.ravel()], axis=-1)[..., None]).sum(axis=-1)
+    if W is not None:
+        w0 = float(W.profile(np.zeros(1))[0])
+        logd = logd - (2 * w0 + 2 * W.profile(np.abs((X1 - X2).ravel()))) / 4.0
+    assert m.log_density.tobytes() == logd.reshape(n, n).tobytes()
+    assert m.grad_log_density is None
 
 
 # ---------------------------------------------------------------------------
