@@ -473,7 +473,10 @@ def _cls_routes(bundle: ConstantsBundle, be, fit, cls_user, rho_marginal):
     if math.isfinite(bundle.c_lip):
         yield funcineq.lsi_transfer(rho_marginal, bundle.c_lip, bundle.K), bundle.provenance["c_lip"]
     if fit is not None and funcineq.ulsi_criterion(fit.c_u, fit.c, fit.radius, bundle.K):
-        lip = math.exp(fit.c * fit.radius / 4.0) / (fit.c_u - bundle.K)
+        try:
+            lip = math.exp(fit.c * fit.radius / 4.0) / (fit.c_u - bundle.K)
+        except OverflowError:  # e^{cR/4} is past the float range: no usable bound
+            return
         yield funcineq.lsi_transfer(rho_marginal, lip, bundle.K), pot.CRITERION
 
 

@@ -191,14 +191,16 @@ def lsi_transfer(rho_marginal: float, c_lip: float, K: float) -> Optional[float]
 
 
 def ulsi_criterion(c_u: float, c: float, R: float, K: float) -> bool:
-    """Super-convexity criterion e^{cR/4} K / (c_u - K) < 1.
+    """Super-convexity criterion e^{cR/4} K / (c_u - K) < 1, read as
+    cR/4 < log((c_u - K) / K) so that no large cR/4 overflows; it holds
+    outright at K = 0.
 
     When true, e^{cR/4} / (c_u - K) serves as the Lipschitz bound in the
     log-Sobolev transfer (criterion-derived provenance).
     """
     if c_u <= K:
         return False
-    return math.exp(c * R / 4.0) * K / (c_u - K) < 1.0
+    return K <= 0 or c * R / 4.0 < math.log((c_u - K) / K)
 
 
 # ---------------------------------------------------------------------------

@@ -81,10 +81,9 @@ class _Family:
     The radial derivative psi is written once, as ``psi_sq(params, s, out)``
     with s = r^2, so the pair force never takes a square root: it writes
     psi into the array ``out``, which may be ``s`` itself, and returns it,
-    so the pair force's slab buffer is reused.  ``psi`` in r is
-    ``psi_sq(params, r**2, r**2)``.  A family whose psi has no closed form
-    in r^2 (cosine: a sinc in r) supplies ``psi_r`` instead, and its
-    ``psi_sq`` copies ``psi_r(params, sqrt(s))`` into ``out``.
+    so the pair force's slab buffer is reused.  ``PotentialSpec.psi`` in r
+    is ``psi_sq`` of r^2.  A family whose psi has no closed form in r^2
+    (cosine: a sinc in r) takes ``sqrt(s)`` inside its ``psi_sq``.
     """
 
     schema: dict  # parameter name -> predicate on a real value, or the tuple of allowed strings
@@ -97,14 +96,7 @@ class _Family:
     hess_eig_bounds: Callable
     char_length: Callable
     poly: Optional[Callable] = None  # (a2, a4) with g = a2 r^2 + a4 r^4; None: bounded
-    psi_r: Optional[Callable] = None  # psi in r, where it has no closed form in r^2
     section_sup: Optional[Callable] = None  # bounded: (params, r, d) -> the b0 part, see PotentialSpec.section_sup
-
-    def psi(self, p, r):
-        if self.psi_r is not None:
-            return self.psi_r(p, r)
-        s = np.asarray(r**2)
-        return self.psi_sq(p, s, s)
 
 
 def _quartic_char_length(p) -> float:
@@ -222,10 +214,6 @@ def _cosine_section_sup(p, r, d):
     return 2 * np.abs(p["amplitude"] * p["frequency"] * (np.sin(t) if d == 1 else np.minimum(np.abs(t), 1.0)))
 
 
-def _cosine_psi(p, r):
-    return -p["amplitude"] * p["frequency"] ** 2 * np.sinc(p["frequency"] * r / np.pi)
-
-
 def _cosine_chi(p, r):
     om = p["frequency"]
     t = om * r
@@ -287,13 +275,13 @@ _FAMILIES = {
         g=lambda p, r: p["amplitude"] * np.cos(p["frequency"] * r),
         dg=lambda p, r: -p["amplitude"] * p["frequency"] * np.sin(p["frequency"] * r),
         d2g=lambda p, r: -p["amplitude"] * p["frequency"] ** 2 * np.cos(p["frequency"] * r),
-        psi_sq=lambda p, s, out: _into(out, _cosine_psi(p, np.sqrt(s))),
+        psi_sq=lambda p, s, out: _into(out, -p["amplitude"] * p["frequency"] ** 2
+                                       * np.sinc(p["frequency"] * np.sqrt(s) / np.pi)),
         chi=_cosine_chi,
         grad_sup=lambda p: abs(p["amplitude"]) * abs(p["frequency"]),
         hess_eig_bounds=lambda p: (-abs(p["amplitude"]) * p["frequency"] ** 2,
                                    abs(p["amplitude"]) * p["frequency"] ** 2),
         char_length=lambda p: 2 * math.pi / abs(p["frequency"]),
-        psi_r=_cosine_psi,
         section_sup=_cosine_section_sup,
     ),
 }
@@ -393,8 +381,9 @@ class PotentialSpec:
         return _FAMILIES[self.family].d2g(self.params, np.asarray(r, dtype=float))
 
     def psi(self, r):
-        """g'(r)/r, finite at r = 0."""
-        return _FAMILIES[self.family].psi(self.params, np.asarray(r, dtype=float))
+        """g'(r)/r, finite at r = 0: ``psi_sq`` of r^2."""
+        s = np.asarray(np.asarray(r, dtype=float) ** 2)
+        return self.psi_sq(s, s)
 
     def psi_sq(self, s, out=None):
         """psi(sqrt(s)) for s = r^2 >= 0, without a square root where the

@@ -18,24 +18,22 @@ pure function of the key regardless of chunking.  A block of noise is
 stored step-major, so the normals of one step are one contiguous run for
 the integrator to read.
 
-Replicas advance in chunks.  A chunk with enough work is split into
-contiguous replica slabs, one per usable core, that advance in forked worker
-processes (numpy's per-step dispatch and the Philox draws hold the
-interpreter lock, so threads barely overlap them).  Each worker builds its
-slab's streams, draws its initial state and sends the parent each block's
-observable rows; each replica's force does not depend on the batch it comes
+Work that reaches ``_SPLIT_WORK`` on a platform with fork is cut into
+contiguous parts, one per usable core, each run in a forked worker process
+(numpy's per-step dispatch and the Philox draws hold the interpreter lock,
+so threads barely overlap them); lighter work runs in the calling process.
+``run``'s parts are replica slabs of a chunk: each worker builds its slab's
+streams, draws its initial state and sends the parent each block's
+observable rows.  A replica's force does not depend on the batch it comes
 in, so a slab computes exactly what the whole chunk would, and the parent
-reduces the rows in replica order.  A lighter chunk, and every chunk on a
-platform without fork, advances in the calling process.  The moments of
-``fit_decay``'s bootstrap resamples build on a thread pool (their gathers
-release the lock), from index vectors the calling thread draws in resample
-order, and the refits then run in that order on the calling thread.  Every
-output is therefore byte-identical at any worker or thread count.
+reduces the rows in replica order.  ``fit_decay``'s parts are groups of
+bootstrap resamples, whose moments the workers build from index vectors
+the parent draws in resample order; the refits then run in the parent in
+that order.  Every output is therefore byte-identical at any worker count.
 """
 
 from __future__ import annotations
 
-import contextvars
 import itertools
 import math
 import os
@@ -43,7 +41,7 @@ import pickle
 from contextlib import closing
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -76,22 +74,83 @@ _BOOT_RESAMPLES = 200  # bootstrap refits of fit_decay
 _BOOT_SEED = 777
 _BOOT_ROWS = 128  # rows of a resample gathered at once
 _ENV_FRACTION = 0.5  # fit points keep |s| >= this fraction of the envelope
-# usable cores, the most slab workers or bootstrap threads run at once
+# usable cores, the most worker processes a job splits into
 _THREADS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-# work of a chunk (replicas x steps x particles, or x pair entries with an
-# interaction) from which its slabs advance in worker processes.  Forking and
-# joining two workers took 5-6 ms, 30 ms when they sent back 8 MB; a chunk of
-# 2**21 (a bump model at N = 2, 250 replicas, 2000 steps) took 0.13-0.17 s
-# inline and gained nothing split, and one of 2**23 gained 20-35% on 2 cores
+# work from which a job splits across worker processes.  Forking and joining
+# two workers took 5-6 ms, 30 ms when they sent back 8 MB; a chunk of 2**21
+# (a bump model at N = 2, 250 replicas, 2000 steps) took 0.13-0.17 s inline
+# and gained nothing split, and one of 2**23 gained 20-35% on 2 cores
 _SPLIT_WORK = 2**21
 
 
-def _ranges(n: int, parts: int) -> list[tuple[int, int]]:
-    """``range(n)`` cut into at most ``parts`` contiguous, non-empty
-    ``(lo, hi)`` ranges of near-equal length."""
-    parts = max(1, min(parts, n))
-    edges = [n * p // parts for p in range(parts + 1)]
+def _split(items: range, work: int) -> list[tuple[int, int]]:
+    """``items`` cut into contiguous ``(lo, hi)`` parts of near-equal length:
+    one per usable core, and at most one per item, once the job's ``work``
+    reaches ``_SPLIT_WORK`` on a platform that can fork.  Otherwise one part,
+    which runs in the calling process."""
+    parts = min(_THREADS, len(items)) if work >= _SPLIT_WORK else 1
+    if parts > 1:
+        import multiprocessing  # here, so that no other command pays for its import
+
+        parts = parts if "fork" in multiprocessing.get_all_start_methods() else 1
+    edges = [items.start + len(items) * p // parts for p in range(parts + 1)]
     return list(zip(edges, edges[1:]))
+
+
+def _forked(job: Callable[[int, int], Iterable], parts: Sequence[tuple[int, int]], what: str) -> Iterator[list]:
+    """Run ``job(lo, hi)`` for every part, each in its own forked worker, and
+    yield the list of the workers' next items, in part order, until they are
+    exhausted.  A worker's exception is raised again here (as a LangcertError
+    naming its type when its pickle cannot be rebuilt); a worker that exits
+    early raises LangcertError naming its ``what`` and exit code.  Every worker
+    is terminated and joined when the generator finishes or is closed."""
+    import multiprocessing
+
+    def work(conn, lo, hi):
+        try:
+            for item in job(lo, hi):
+                conn.send(("item", item))
+            conn.send(("done", None))
+        except BaseException as exc:
+            try:
+                exc = pickle.loads(pickle.dumps(exc))  # the parent must be able to rebuild it
+            except Exception:
+                exc = LangcertError(f"{type(exc).__name__}: {exc}")
+            conn.send(("error", exc))
+        finally:
+            conn.close()
+
+    fork = multiprocessing.get_context("fork")
+    workers = []
+    try:
+        for lo, hi in parts:
+            conn, child_end = fork.Pipe(duplex=False)
+            proc = fork.Process(target=work, args=(child_end, lo, hi), daemon=True)
+            proc.start()
+            # later workers must not inherit this end, so that the parent
+            # reads EOF as soon as this worker exits
+            child_end.close()
+            workers.append((lo, hi, conn, proc))
+        while True:
+            got = []
+            for lo, hi, conn, proc in workers:
+                try:
+                    kind, item = conn.recv()
+                except EOFError:
+                    proc.join()
+                    raise LangcertError(f"the worker for {what} {lo}-{hi - 1} exited with code "
+                                        f"{proc.exitcode} before sending its results") from None
+                if kind == "error":
+                    raise item
+                got.append(item)
+            if kind == "done":
+                return
+            yield got
+    finally:
+        for *_, conn, proc in workers:
+            proc.terminate()  # a no-op once the worker has exited
+            proc.join()
+            conn.close()
 
 
 @dataclass(frozen=True)
@@ -316,21 +375,6 @@ class RunResult:
     per_replica: dict = field(default_factory=dict)
 
 
-def _slab_count(model: ModelConfig, chunk: int, n_steps: int) -> int:
-    """Replica slabs, each in its own forked worker, that a chunk of
-    ``chunk`` replicas advancing ``n_steps`` steps splits into: one per
-    usable core and at most one per replica, once the chunk's work (replicas
-    x steps x particles, or x pair entries with an interaction) reaches
-    ``_SPLIT_WORK`` on a platform that can fork.  Otherwise 1: the chunk
-    advances in the calling process."""
-    per_step = model.N**2 if model.W is not None else model.N
-    if _THREADS < 2 or chunk < 2 or chunk * n_steps * per_step < _SPLIT_WORK:
-        return 1
-    import multiprocessing  # here, so that no other command pays for its import
-
-    return min(_THREADS, chunk) if "fork" in multiprocessing.get_all_start_methods() else 1
-
-
 def _observe(model: ModelConfig, x: np.ndarray, v: np.ndarray, bufs: dict, row: int) -> None:
     for name, buf in bufs.items():
         buf[row] = OBSERVABLES[name](model, x, v)
@@ -368,80 +412,10 @@ def _slab_rows(
                 _observe(model, x_now, v_now, bufs, (done + k + 1) // stride - done // stride - 1)
 
         x[...], v[...] = _advance_block(model, integrator, x, v, streams.normals(nb), callback=record)
-        yield done + 1, done + nb, bufs, bool(np.all(np.isfinite(x)) and np.all(np.isfinite(v)))
-
-
-def _slab_worker(conn, slab_rows: Callable, replicas: range, x: np.ndarray, v: np.ndarray) -> None:
-    """Run ``slab_rows`` on one slab in a forked worker: send the parent each
-    of its blocks, stop after a non-finite one, then send the final state.
-    An exception goes to the parent instead, to be raised there."""
-    try:
-        for first, last, bufs, finite in slab_rows(replicas, x, v):
-            conn.send(("rows", first, last, bufs, finite))
-            if not finite:
-                return
-        conn.send(("final", x, v))
-    except BaseException as exc:
-        try:
-            exc = pickle.loads(pickle.dumps(exc))  # the parent must be able to rebuild it
-        except Exception:
-            exc = LangcertError(f"{type(exc).__name__}: {exc}")
-        conn.send(("error", exc))
-    finally:
-        conn.close()
-
-
-def _forked_rows(
-    slab_rows: Callable, lo: int, hi: int, n_slabs: int, x: np.ndarray, v: np.ndarray
-) -> Iterator[tuple[int, int, dict, bool]]:
-    """``slab_rows(range(lo, hi), x, v)`` with the replicas split into
-    ``n_slabs`` contiguous slabs, each advancing in its own forked worker.
-    Each block's rows are joined in replica order, and the state is finite
-    when every slab's is.  Every worker is terminated and joined when the
-    generator finishes or is closed."""
-    import multiprocessing
-
-    # loaded here once, not again in every worker
-    from scipy.special import ndtri  # noqa: F401
-
-    fork = multiprocessing.get_context("fork")
-    workers = []
-    try:
-        for a, b in _ranges(hi - lo, n_slabs):
-            conn, child_end = fork.Pipe(duplex=False)
-            proc = fork.Process(target=_slab_worker, args=(child_end, slab_rows, range(lo + a, lo + b),
-                                                           x[a:b], v[a:b]), daemon=True)
-            proc.start()
-            # later workers must not inherit this end, so that the parent
-            # reads EOF as soon as this worker exits
-            child_end.close()
-            workers.append((slice(a, b), conn, proc))
-        while True:
-            got = []
-            for cols, conn, proc in workers:
-                try:
-                    kind, *payload = conn.recv()
-                except EOFError:
-                    proc.join()
-                    raise LangcertError(
-                        f"the worker for replicas {lo + cols.start}-{lo + cols.stop - 1} exited with code "
-                        f"{proc.exitcode} before sending its results") from None
-                if kind == "error":
-                    raise payload[0]
-                got.append(payload)
-            if kind == "final":
-                for (cols, _, proc), (xs, vs) in zip(workers, got):
-                    x[cols], v[cols] = xs, vs
-                    proc.join()
-                return
-            first, last = got[0][:2]
-            bufs = {name: np.concatenate([rows[name] for _, _, rows, _ in got], axis=1) for name in got[0][2]}
-            yield first, last, bufs, all(finite for *_, finite in got)
-    finally:
-        for _, conn, proc in workers:
-            proc.terminate()  # a no-op once the worker has exited
-            proc.join()
-            conn.close()
+        finite = bool(np.all(np.isfinite(x)) and np.all(np.isfinite(v)))
+        yield done + 1, done + nb, bufs, finite
+        if not finite:
+            return
 
 
 def run(
@@ -504,24 +478,40 @@ def run(
 
     lab = list(range(model.N)) if labels is None else list(labels)
     slab_rows = partial(_slab_rows, model, integrator, init or InitSpec(), master_seed, lab, n_steps, stride, names)
+    per_step = model.N**2 if model.W is not None else model.N
+
+    # loaded here once, not again in every slab worker
+    from scipy.special import ndtri  # noqa: F401
+
+    def slab(lo, hi):
+        # a slab's blocks, then its final state (a worker's copy must be sent)
+        yield from slab_rows(range(lo, hi), final_x[lo:hi], final_v[lo:hi])
+        yield final_x[lo:hi], final_v[lo:hi]
+
     for lo in range(0, replicas, _REPLICA_CHUNK):
         hi = min(lo + _REPLICA_CHUNK, replicas)
-        x, v = final_x[lo:hi], final_v[lo:hi]
-        n_slabs = _slab_count(model, hi - lo, n_steps)
-        blocks = slab_rows(range(lo, hi), x, v) if n_slabs == 1 else _forked_rows(slab_rows, lo, hi, n_slabs, x, v)
-        with closing(blocks):
-            for first, last, bufs, finite in blocks:
-                if not finite:
+        parts = _split(range(lo, hi), (hi - lo) * n_steps * per_step)
+        slabs = _forked(slab, parts, "replicas") if len(parts) > 1 else ([item] for item in slab(lo, hi))
+        with closing(slabs):
+            for got in slabs:
+                if len(got[0]) == 2:  # the final states
+                    for (a, b), (xs, vs) in zip(parts, got):
+                        final_x[a:b], final_v[a:b] = xs, vs
+                    continue
+                first, last = got[0][:2]
+                if not all(finite for *_, finite in got):
                     raise ResourceCapError(
                         f"non-finite state in steps {first}-{last} of replicas {lo}-{hi - 1} (reduce dt)")
                 # records from the first at or after step ``first``, each row in replica order
                 row0 = -(-first // stride)
-                for name in observables:
-                    for r, row in enumerate(bufs[name], row0):
-                        sums[name][r] += row.sum()
-                        sqsums[name][r] += (row**2).sum()
-                for name in per_rep:
-                    per_rep[name][lo:hi, row0:row0 + len(bufs[name])] = bufs[name].T
+                for name in names:
+                    rows = np.concatenate([bufs[name] for _, _, bufs, _ in got], axis=1)
+                    if name in sums:
+                        for r, row in enumerate(rows, row0):
+                            sums[name][r] += row.sum()
+                            sqsums[name][r] += (row**2).sum()
+                    if name in per_rep:
+                        per_rep[name][lo:hi, row0:row0 + len(rows)] = rows.T
 
     means = {name: sums[name] / replicas for name in observables}
     variances = {
@@ -669,10 +659,11 @@ def fit_decay(
     oscillation) and above the noise floor.  Bootstrap resamples refit inside
     the point-estimate window; their moments are gathered in blocks of rows
     but use the same arithmetic, in the same order, as ``ndarray.mean``/``var``
-    on the whole resample, so they match those calls bit for bit.  The calling
-    thread draws every resample's indices in order, the moments build on up
-    to ``_THREADS`` threads, and the refits run on the calling thread in
-    resample order, so the result does not depend on the thread count.
+    on the whole resample, so they match those calls bit for bit.  The caller
+    draws every resample's indices in order, the moments build in worker
+    processes when the work (resamples x replicas x records) reaches
+    ``_SPLIT_WORK``, and the refits run in the caller in resample order, so
+    the result does not depend on the worker count.
     Returns None with no fit when the signal starts below noise, never
     decays, or leaves fewer than 5 usable points; callers requiring the
     documented precondition should supply >= 20 window points.
@@ -689,26 +680,19 @@ def fit_decay(
         return None
     lam, r2, n_pts, window = fit
 
-    # the moments of contiguous groups of resamples build on the pool (their
-    # gathers release the interpreter lock); the refits, which mostly hold
-    # it, then run here in resample order
+    # the moments of contiguous groups of resamples may build in worker
+    # processes; the refits then run here in resample order
     rng = np.random.default_rng(_BOOT_SEED)
     idxs = [rng.integers(0, R, size=R) for _ in range(_BOOT_RESAMPLES)]
 
     def moments(lo, hi):
         return [_resample_moments(per_replica, idx) for idx in idxs[lo:hi]]
 
-    ranges = _ranges(_BOOT_RESAMPLES, _THREADS)
-    if _THREADS > 1:
-        from concurrent.futures import ThreadPoolExecutor  # here, so that no other command pays for its import
-
-        # each group runs in a copy of the caller's context, so np.errstate
-        # applies on every thread as it does inline
-        with ThreadPoolExecutor(_THREADS) as pool:
-            futures = [pool.submit(contextvars.copy_context().run, moments, lo, hi) for lo, hi in ranges]
-            groups = [f.result() for f in futures]
+    parts = _split(range(_BOOT_RESAMPLES), _BOOT_RESAMPLES * per_replica.size)
+    if len(parts) > 1:
+        (groups,) = _forked(lambda lo, hi: [moments(lo, hi)], parts, "resamples")
     else:
-        groups = [moments(lo, hi) for lo, hi in ranges]
+        groups = [moments(0, _BOOT_RESAMPLES)]
     boots = []
     for bmean, bvar in itertools.chain.from_iterable(groups):
         bfit = _fit_lambda(times, bmean - equilibrium_value, np.sqrt(bvar / R) + 1e-300, window=window)

@@ -2,6 +2,7 @@ import argparse
 import inspect
 import json
 import math
+import multiprocessing
 import os
 import re
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from langcert import cli, oracle
+from langcert import cli, oracle, simulator
 from langcert.cli import build_parser, main
 
 QUAD_U = {"family": "quadratic", "params": {"coef": 1.0}, "dim": 1}
@@ -83,6 +84,20 @@ def test_readme_model_certifies_thm4_through_the_criterion_transfer(tmp_path, ca
     assert (cert["mode"], cert["certified"], cert["inputs"]["provenance"]["C_LS"]) == ("thm4", True, "criterion-derived")
     assert cert["inputs"]["C_LS"] == pytest.approx(1.2051194594523, rel=1e-12)
     assert cert["lambda"] == pytest.approx(3.935e-8, rel=1e-3)
+
+
+def test_shallow_double_well_fails_certification_without_overflow(tmp_path, capsys):
+    # e^{cR/4} of the convexity fit (c R / 4 = 770) overflows a float: the
+    # super-convexity route is skipped, C_LS comes from the numeric c_lip,
+    # and kappa from dissipativity is a numeric estimate of 5.6e-215
+    U = {"family": "quartic_double_well", "params": {"quartic": 0.001, "well": 1.4}, "dim": 1}
+    cfg = write_config(tmp_path, "c.json", {"model": {"N": 8, "d": 1, "U": U, "W": None}, "rho_marginal": 1.0})
+    assert main(["certify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().out.startswith("certification failed: ")
+    inputs = json.loads((tmp_path / "o" / "certificate.json").read_text())["certificate"]["inputs"]
+    assert inputs["c"] * inputs["R_conv"] / 4 > 710
+    assert (inputs["C_LS"], inputs["provenance"]["C_LS"]) == (1.0, "numeric-estimate")
+    assert inputs["kappa"] == pytest.approx(5.6e-215, rel=1e-3)
 
 
 def test_certify_split_mode_reports_both(tmp_path):
@@ -704,3 +719,29 @@ def test_certify_loads_no_scipy(tmp_path):
     before, verdict, after = proc.stdout.splitlines()
     assert verdict.startswith("certified: ")
     assert before == after == "[]"  # after importing the CLI and after certify
+
+
+_SIMULATE_THREADS = """
+import sys, threading
+from langcert import cli
+started = []
+start = threading.Thread.start
+threading.Thread.start = lambda self: started.append(self.name) or start(self)
+assert cli.main(["simulate", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+print(started, threading.active_count(), "multiprocessing" in sys.modules)
+"""
+
+
+def test_simulate_starts_no_thread(tmp_path):
+    # the replica slabs and the bootstrap moments advance in forked workers:
+    # a README simulate, at 2000 replicas so that both still split, starts
+    # no thread in this process.  (scipy.special loads concurrent.futures
+    # through numpy.testing, so whether that module is loaded shows nothing.)
+    config = {**_readme_configs()["simulate"], "replicas": 2000}
+    cfg = write_config(tmp_path, "simulate.json", config)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(cli.__file__).parents[1]),
+                                                         os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", _SIMULATE_THREADS, str(cfg), str(tmp_path / "out")], env=env,
+                          capture_output=True, text=True, check=True)
+    forks = simulator._THREADS > 1 and "fork" in multiprocessing.get_all_start_methods()
+    assert proc.stdout.splitlines()[-1] == f"[] 1 {forks}"

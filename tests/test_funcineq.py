@@ -83,6 +83,15 @@ def test_ulsi_criterion():
     assert ulsi_criterion(0.5, 0.0, 0.0, 1.0) is False  # c_u <= K
 
 
+def test_ulsi_criterion_past_the_float_range_of_its_exponential():
+    # e^{cR/4} overflows a float beyond cR/4 = 709.78; the criterion compares
+    # cR/4 with log((c_u - K)/K) instead, so it fails without raising for
+    # K > 0 and holds outright for K = 0
+    assert ulsi_criterion(5.0, 4.0, 720.0, 1e-300) is False  # cR/4 = 720 > log(5e300) = 692
+    assert ulsi_criterion(5.0, 4.0, 720.0, 1e-320) is True  # log(5e320) = 738.5
+    assert ulsi_criterion(0.02807, 57.88, 53.18, 0.0) is True
+
+
 # ---------------------------------------------------------------------------
 # grid measure
 # ---------------------------------------------------------------------------

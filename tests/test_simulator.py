@@ -328,15 +328,15 @@ def _double_well(d):
 
 
 def _record_splits(monkeypatch) -> list:
-    """Record the slab count of every chunk that forks its slabs."""
+    """Record the worker count of every job that forks its parts."""
     sizes = []
-    original = simulator._forked_rows
+    original = simulator._forked
 
-    def forked_rows(slab_rows, lo, hi, n_slabs, x, v):
-        sizes.append(n_slabs)
-        return original(slab_rows, lo, hi, n_slabs, x, v)
+    def forked(job, parts, what):
+        sizes.append(len(parts))
+        return original(job, parts, what)
 
-    monkeypatch.setattr(simulator, "_forked_rows", forked_rows)
+    monkeypatch.setattr(simulator, "_forked", forked)
     return sizes
 
 
@@ -399,7 +399,8 @@ def test_run_bytes_do_not_depend_on_threads_at_the_real_grain(W, monkeypatch):
     got = []
     for threads in (1, 2, 3):
         monkeypatch.setattr(simulator, "_THREADS", threads)
-        assert simulator._slab_count(model, 100, 30) == (1 if W is None else threads)
+        per_step = 32 if W is None else 32**2
+        assert len(simulator._split(range(100), 100 * 30 * per_step)) == (1 if W is None else threads)
         res = run(model, IntegratorConfig("baoab", 0.01), 100, 0.3, 5,
                   observables=names, stride=2, keep_replica_series=names)
         got.append([res.final_state.positions.tobytes(), res.final_state.velocities.tobytes()]
@@ -418,8 +419,8 @@ def test_slab_count_never_exceeds_the_chunk(monkeypatch):
     got = []
     for threads in (1, 16):
         monkeypatch.setattr(simulator, "_THREADS", threads)
-        assert simulator._slab_count(model, 2, 20) == min(threads, 2)
-        assert simulator._slab_count(model, 1, 10**6) == 1
+        assert len(simulator._split(range(2), 2 * 20 * 256**2)) == min(threads, 2)
+        assert simulator._split(range(5, 6), 10**6 * 256**2) == [(5, 6)]
         res = run(model, IntegratorConfig("baoab", 0.01), 3, 0.2, 0)
         got.append([res.means["mean_position"].tobytes(), res.final_state.positions.tobytes()])
     assert sizes == [2]
@@ -738,7 +739,7 @@ def test_fit_decay_bootstrap_matches_two_gather_reference(kind, window, monkeypa
     want = []
     reference = _two_gather_fit(t, per, 0.0, window, recording(want))
     for threads in (1, 2, 3, 4):
-        # the moments build on threads, the refits follow in resample order
+        # the moments build in worker processes, the refits follow here in resample order
         got = []
         monkeypatch.setattr(simulator, "_THREADS", threads)
         monkeypatch.setattr(simulator, "_fit_lambda", recording(got))
@@ -789,25 +790,81 @@ def test_fit_decay_independent_of_threads_and_blas_threads():
     assert len(outs) == 8 and len(set(outs)) == 1
 
 
-def test_bootstrap_keeps_the_callers_errstate(monkeypatch):
-    # the resample moments build on worker threads in copies of the
-    # caller's context, so they see its np.errstate as they would inline
-    seen = []
+def _decaying_series(R):
+    rng = np.random.default_rng(2)
+    t = np.arange(0, 10.0, 0.02)
+    return t, 2 * np.exp(-0.7 * t)[None, :] + rng.normal(0, 0.2, size=(R, t.size))
+
+
+def test_bootstrap_keeps_the_callers_errstate(monkeypatch, tmp_path):
+    # fork carries the caller's np.errstate into every worker, so the
+    # resample moments see it as they would inline: 64 replicas of 500
+    # records pass the work threshold and split into 2 workers of 100
+    path = tmp_path / "moments"
     original = simulator._resample_moments
 
     def resample_moments(per_replica, idx):
-        seen.append((threading.get_ident(), np.geterr()["over"]))
+        with open(path, "a") as f:  # from the worker process
+            f.write(f"{os.getpid()} {np.geterr()['over']}\n")
         return original(per_replica, idx)
 
-    rng = np.random.default_rng(2)
-    t = np.arange(0, 10.0, 0.02)
-    per = 2 * np.exp(-0.7 * t)[None, :] + rng.normal(0, 0.2, size=(64, t.size))
+    t, per = _decaying_series(64)
+    sizes = _record_splits(monkeypatch)
     monkeypatch.setattr(simulator, "_resample_moments", resample_moments)
     monkeypatch.setattr(simulator, "_THREADS", 2)
     with np.errstate(over="raise"):
         fit_decay(t, per, 0.0, "x")
+    seen = [line.split() for line in path.read_text().splitlines()]
+    assert sizes == [2]
     assert [over for _, over in seen] == ["raise"] * 200
-    assert threading.get_ident() not in {thread for thread, _ in seen}
+    assert len({pid for pid, _ in seen}) == 2 and str(os.getpid()) not in {pid for pid, _ in seen}
+
+
+def test_bootstrap_worker_exception_is_raised_again_with_its_type(monkeypatch):
+    # an overflow under the caller's np.errstate raises FloatingPointError in
+    # a worker, and fit_decay raises it again
+    parent = os.getpid()
+    original = simulator._resample_moments
+
+    def overflowing(per_replica, idx):
+        if os.getpid() != parent:
+            np.multiply(1e300, 1e300)
+        return original(per_replica, idx)
+
+    t, per = _decaying_series(64)
+    monkeypatch.setattr(simulator, "_resample_moments", overflowing)
+    monkeypatch.setattr(simulator, "_THREADS", 2)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        fit_decay(t, per, 0.0, "x")
+
+
+def test_a_bootstrap_worker_that_exits_makes_fit_decay_raise(monkeypatch):
+    # every worker exits with code 3 before sending its moments: fit_decay
+    # names the first part, resamples 0-65 of 200 split in 3
+    parent = os.getpid()
+    original = simulator._resample_moments
+
+    def exiting(per_replica, idx):
+        if os.getpid() != parent:
+            os._exit(3)
+        return original(per_replica, idx)
+
+    t, per = _decaying_series(64)
+    monkeypatch.setattr(simulator, "_resample_moments", exiting)
+    monkeypatch.setattr(simulator, "_THREADS", 3)
+    with pytest.raises(LangcertError, match=r"^the worker for resamples 0-65 exited with code 3 "):
+        fit_decay(t, per, 0.0, "x")
+
+
+def test_light_bootstrap_runs_in_the_calling_process(monkeypatch):
+    # 40 replicas of 101 records (808 000 < 2**21 over 200 resamples) stay here
+    sizes = _record_splits(monkeypatch)
+    monkeypatch.setattr(simulator, "_THREADS", 4)
+    rng = np.random.default_rng(6)
+    t = np.arange(0, 10.1, 0.1)
+    per = 2 * np.exp(-0.7 * t)[None, :] + rng.normal(0, 0.05, size=(40, t.size))
+    assert fit_decay(t, per, 0.0, "x") is not None
+    assert sizes == []
 
 
 def test_fit_decay_synthetic_exponential():
