@@ -15,6 +15,7 @@ to total dimension <= 2: it exists to validate formulas, not to scale.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -66,11 +67,15 @@ class GridMeasure:
                 w[tuple(edge)] *= 0.5
         return w / w.sum()
 
-    def expectation(self, values: np.ndarray, weights: Optional[np.ndarray] = None) -> float:
+    def expectation(self, values: np.ndarray, weights: Optional[np.ndarray] = None,
+                    out: Optional[np.ndarray] = None) -> float:
         """E[values]. A caller taking several passes ``weights``, read once:
-        each read rebuilds them, and the measure does not keep them."""
+        each read rebuilds them, and the measure does not keep them.  ``out``,
+        a C-ordered array of the grid's shape, receives the product
+        ``weights * values`` (it may be ``values`` itself); without it the
+        product is a new array.  Either way the sum is the same bit for bit."""
         w = self.weights if weights is None else weights
-        return float((w * values).sum())
+        return float(np.multiply(w, values, out=out).sum())
 
     @classmethod
     def from_potential(cls, U: PotentialSpec, halfwidth: float, n: int) -> "GridMeasure":
@@ -78,7 +83,7 @@ class GridMeasure:
         halfwidth] (U.dim must be 1)."""
         if U.dim != 1:
             raise InvalidSpecError("grid measures need per-particle dimension 1")
-        x = np.linspace(-halfwidth, halfwidth, n)
+        x = _grid_axis(halfwidth, n)
         logd = -U.profile(np.abs(x))
         _check_tails(logd, halfwidth)
         grad = -U.dprofile(np.abs(x)) * np.sign(x)
@@ -91,7 +96,7 @@ class GridMeasure:
         pair verifier reads one."""
         if model.N != 2 or model.d != 1:
             raise InvalidSpecError("pair grids are restricted to N = 2, d = 1")
-        x = np.linspace(-halfwidth, halfwidth, n)
+        x = _grid_axis(halfwidth, n)
         u = model.U.profile(np.abs(x))
         logd = -(u[:, None] + u[None, :])
         if model.W is not None:
@@ -99,6 +104,18 @@ class GridMeasure:
             logd = logd - (2 * w0 + 2 * model.W.profile(np.abs(x[:, None] - x[None, :]))) / 4.0
         _check_tails(logd, halfwidth)
         return cls(axes=(x, x), log_density=logd, spacing=float(x[1] - x[0]))
+
+
+def _grid_axis(halfwidth: float, n: int) -> np.ndarray:
+    """The n uniform nodes of [-halfwidth, halfwidth].  n >= 3, so that the
+    3-point derivative stencils of the oracle have an interior node and the
+    tail check has a node off the boundary."""
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 3:
+        raise InvalidSpecError(f"grid node count must be an integer >= 3, got {n!r}")
+    if (not isinstance(halfwidth, numbers.Real) or isinstance(halfwidth, bool)
+            or not math.isfinite(halfwidth) or halfwidth <= 0):
+        raise InvalidSpecError(f"grid halfwidth must be finite and positive, got {halfwidth!r}")
+    return np.linspace(-halfwidth, halfwidth, n)
 
 
 def _check_tails(log_density: np.ndarray, halfwidth: float, rel: float = 1e-13) -> None:

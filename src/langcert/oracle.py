@@ -11,6 +11,14 @@ Each quadrature verifier checks a whole battery of test-function cases in
 one call and returns one check per case: it builds the case-independent
 fields (the quadrature weights, and on the pair grid |x1 - x2|^2 or the
 Hessian entries) once, and each case adds only its test-function factors.
+It also allocates its grid-sized work arrays once per call, and each case
+writes only into them, through ``out=``: ``_d1`` and ``_d2_1d`` write their
+difference quotients into a given buffer, and ``GridMeasure.expectation``
+writes its weighted product into one.  Every ufunc keeps the operands and the
+order of the freshly allocated formula, so each check stays the same bit for
+bit.  A fresh temporary per operation would cost more than its arithmetic:
+on the 361 x 361 pair grid each is 1 MB, which glibc maps afresh, so every
+case would page-fault.
 
 These are transcription checks of the certified formulas, not scalability
 claims: a failure here means either the formula or the oracle was copied
@@ -161,13 +169,35 @@ class InequalityCheck:
     detail: dict = field(default_factory=dict)
 
 
-def _d1(values: np.ndarray, dx: float, axis: int = 0) -> np.ndarray:
-    return np.gradient(values, dx, axis=axis, edge_order=2)
+def _d1(values: np.ndarray, dx: float, axis: int, out: np.ndarray) -> np.ndarray:
+    """d/dx of ``values`` along ``axis`` at uniform spacing ``dx``, written into
+    ``out`` (same shape, no overlap with ``values``) and returned.
+
+    These are numpy.gradient's ``edge_order=2`` formulas, operation for
+    operation: central differences inside, one-sided 3-point differences at
+    both ends, so the result is numpy's ``gradient(values, dx, axis=axis,
+    edge_order=2)`` bit for bit.  Needs at least 3 nodes along ``axis``.
+    """
+    f = np.moveaxis(values, axis, 0)
+    o = np.moveaxis(out, axis, 0)
+    inner = o[1:-1]
+    np.subtract(f[2:], f[:-2], out=inner)
+    np.divide(inner, 2.0 * dx, out=inner)
+    a, b, c = -1.5 / dx, 2.0 / dx, -0.5 / dx
+    o[0] = a * f[0] + b * f[1] + c * f[2]
+    a, b, c = 0.5 / dx, -2.0 / dx, 1.5 / dx
+    o[-1] = a * f[-3] + b * f[-2] + c * f[-1]
+    return out
 
 
-def _d2_1d(values: np.ndarray, dx: float) -> np.ndarray:
-    out = np.empty_like(values)
-    out[1:-1] = (values[2:] - 2 * values[1:-1] + values[:-2]) / dx**2
+def _d2_1d(values: np.ndarray, dx: float, out: np.ndarray) -> np.ndarray:
+    """(v[2:] - 2 v[1:-1] + v[:-2]) / dx^2 inside, the nearest interior value
+    at both ends, written into ``out`` (no overlap with ``values``)."""
+    inner = out[1:-1]
+    np.multiply(2, values[1:-1], out=inner)
+    np.subtract(values[2:], inner, out=inner)
+    np.add(inner, values[:-2], out=inner)
+    np.divide(inner, dx**2, out=inner)
     out[0] = out[1]
     out[-1] = out[-2]
     return out
@@ -192,15 +222,21 @@ def verify_lyapunov_lemma(
     x = measure.axes[0]
     dx = measure.spacing
     weights = measure.weights
+    hs, d1, g_sq = (np.empty(x.shape) for _ in range(3))
     checks = []
     for S, g in cases:
         s_vals = S(x)
         if np.any(s_vals <= 0):
             raise InvalidSpecError("Lyapunov weight S must be positive on the grid")
         g_vals = g(x)
-        hs = _d2_1d(s_vals, dx) + measure.grad_log_density * _d1(s_vals, dx)
-        lhs = measure.expectation(-(hs / s_vals) * g_vals**2, weights)
-        rhs = measure.expectation(_d1(g_vals, dx) ** 2, weights)
+        # H S = S'' + (-V') S', then -(H S / S) g^2
+        _d2_1d(s_vals, dx, hs)
+        np.add(hs, np.multiply(measure.grad_log_density, _d1(s_vals, dx, 0, d1), out=d1), out=hs)
+        np.negative(np.divide(hs, s_vals, out=hs), out=hs)
+        np.multiply(hs, np.square(g_vals, out=g_sq), out=hs)
+        lhs = measure.expectation(hs, weights, out=hs)
+        grad_g = _d1(g_vals, dx, 0, d1)
+        rhs = measure.expectation(np.square(grad_g, out=grad_g), weights, out=grad_g)
         checks.append(InequalityCheck(
             name="lyapunov_lemma",
             lhs=lhs,
@@ -234,6 +270,10 @@ def verify_moment_bound(
     4 ln2 d C_LS.  One check per pair, in order.
     """
     _check_pair_grid(model, measure, "moment bound")
+    if not _positive(C_LS):
+        raise InvalidSpecError(f"C_LS must be finite and positive, got {C_LS!r}")
+    if not _real(tau):
+        raise InvalidSpecError(f"tau must be finite, got {tau!r}")
     if not 0.0 < tau < 1.0 / (4.0 * C_LS):
         raise InvalidSpecError("tau must lie in (0, 1/(4 C_LS))")
     x = measure.axes[0]
@@ -242,14 +282,18 @@ def verify_moment_bound(
     dist_sq = (x[:, None] - x[None, :]) ** 2
     grad_coef = 2.0 * C_LS / tau
     log_coef = model.d * math.log(1.0 / (1.0 - 4.0 * tau * C_LS)) / (2.0 * tau)
+    # G, then G^2 and a product; both are free again once their
+    # expectations are taken, and then hold the two partial derivatives
+    G, G_sq, prod = (np.empty(weights.shape) for _ in range(3))
     checks = []
     for g1, g2 in g_pairs:
-        G = np.outer(g1(x), g2(x))
-        G_sq = G**2
-        lhs = measure.expectation(dist_sq * G_sq, weights)
-        grad_sq = _d1(G, dx, axis=0) ** 2 + _d1(G, dx, axis=1) ** 2
-        rhs = (grad_coef * measure.expectation(grad_sq, weights)
-               + log_coef * measure.expectation(G_sq, weights))
+        np.multiply(g1(x)[:, None], g2(x)[None, :], out=G)
+        np.square(G, out=G_sq)
+        lhs = measure.expectation(np.multiply(dist_sq, G_sq, out=prod), weights, out=prod)
+        e_g_sq = measure.expectation(G_sq, weights, out=prod)
+        d_x1, d_x2 = _d1(G, dx, 0, G_sq), _d1(G, dx, 1, prod)
+        grad_sq = np.add(np.square(d_x1, out=d_x1), np.square(d_x2, out=d_x2), out=d_x1)
+        rhs = grad_coef * measure.expectation(grad_sq, weights, out=grad_sq) + log_coef * e_g_sq
         checks.append(InequalityCheck(
             name="moment_bound",
             lhs=lhs,
@@ -294,23 +338,32 @@ def verify_boundedness_condition(
     One check per case, in order.
     """
     _check_pair_grid(model, measure, "boundedness")
+    for name, v in (("M1", M1), ("M2", M2)):
+        if not (_real(v) and v >= 0.0):
+            raise InvalidSpecError(f"{name} must be finite and non-negative, got {v!r}")
     x = measure.axes[0]
     dx = measure.spacing
     weights = measure.weights
     h11, h22, h12 = _pair_hessian(model, x)
+    hv_psi_sq, row2, work = (np.empty(weights.shape) for _ in range(3))
+    d_phi = np.empty(x.shape)
     checks = []
     for phi, psi_vec in cases:
         psi = np.asarray(psi_vec, dtype=float)
-        if psi.shape != (2,):
-            raise InvalidSpecError("psi must be a vector in R^(N d) = R^2")
-        hv_psi_sq = (h11 * psi[0] + h12 * psi[1]) ** 2 + (h12 * psi[0] + h22 * psi[1]) ** 2
+        if psi.shape != (2,) or not np.isfinite(psi).all():
+            raise InvalidSpecError(f"psi must be a finite vector in R^(N d) = R^2, got {psi_vec!r}")
+        # (h11 psi0 + h12 psi1)^2 + (h12 psi0 + h22 psi1)^2
+        np.add(np.multiply(h11, psi[0], out=hv_psi_sq), np.multiply(h12, psi[1], out=work), out=hv_psi_sq)
+        np.add(np.multiply(h12, psi[0], out=row2), np.multiply(h22, psi[1], out=work), out=row2)
+        np.add(np.square(hv_psi_sq, out=hv_psi_sq), np.square(row2, out=row2), out=hv_psi_sq)
         # phi depends on x1 alone: its factors stay 1D columns, broadcast over x2
         phi_x = phi(x)
         phi_sq = (phi_x**2)[:, None]
-        grad_phi_sq = (_d1(phi_x, dx) ** 2)[:, None]
+        grad_phi_sq = (_d1(phi_x, dx, 0, d_phi) ** 2)[:, None]
         psi_sq = float((psi**2).sum())
-        lhs = measure.expectation(hv_psi_sq * phi_sq, weights)
-        e_grad, e_phi2 = measure.expectation(grad_phi_sq, weights), measure.expectation(phi_sq, weights)
+        lhs = measure.expectation(np.multiply(hv_psi_sq, phi_sq, out=hv_psi_sq), weights, out=hv_psi_sq)
+        e_grad = measure.expectation(grad_phi_sq, weights, out=work)
+        e_phi2 = measure.expectation(phi_sq, weights, out=work)
         rhs = psi_sq * (M1 * e_grad + M2 * e_phi2)
         checks.append(InequalityCheck(
             name="boundedness_condition",

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -108,6 +109,40 @@ def test_grid_measure_tail_rejection():
     with pytest.raises(TailCoverageError) as exc:
         GridMeasure.from_potential(quad(1.0), halfwidth=2.0, n=801)
     assert exc.value.required_halfwidth > 2.0
+
+
+@pytest.mark.parametrize("halfwidth, n, bad", [
+    *((9.0, n, n) for n in (2, 1, 0, -5, 361.0, True)),
+    *((h, 361, h) for h in (-9.0, 0.0, math.nan, math.inf, "9")),
+])
+def test_grid_measures_reject_bad_grids(halfwidth, n, bad):
+    # at n <= 2 every node is a boundary node, so no halfwidth passes the
+    # tail check; a negative or NaN halfwidth gave a negative or NaN spacing
+    model = ModelConfig(N=2, d=1, U=quad(1.0))
+    for build in (lambda: GridMeasure.from_potential(quad(1.0), halfwidth=halfwidth, n=n),
+                  lambda: GridMeasure.from_pair_model(model, halfwidth=halfwidth, n=n)):
+        with pytest.raises(InvalidSpecError, match=re.escape(f"got {bad!r}")):
+            build()
+
+
+def test_smallest_grid_is_three_nodes():
+    m = GridMeasure.from_potential(quad(1.0), halfwidth=40.0, n=3)
+    assert m.spacing == 40.0 and m.weights.shape == (3,)
+
+
+def test_expectation_out_holds_the_weighted_product():
+    m = GridMeasure.from_pair_model(ModelConfig(N=2, d=1, U=quad(1.0)), halfwidth=9.0, n=121)
+    w = m.weights
+    v = np.random.default_rng(2).standard_normal(w.shape)
+    out = np.empty(w.shape)
+    assert repr(m.expectation(v, w, out=out)) == repr(m.expectation(v, w))
+    assert out.tobytes() == (w * v).tobytes()
+    # in place over the values, and with a column broadcast over the grid
+    in_place = v.copy()
+    assert repr(m.expectation(in_place, w, out=in_place)) == repr(m.expectation(v, w))
+    assert in_place.tobytes() == out.tobytes()
+    col = v[:, :1]
+    assert repr(m.expectation(col, w, out=out)) == repr(m.expectation(col, w))
 
 
 def test_pair_measure_gaussian_moments():

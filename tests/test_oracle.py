@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -10,6 +11,8 @@ from langcert.funcineq import GridMeasure
 from langcert.meanfield import ModelConfig
 from langcert.oracle import (
     TestFunctionSpec,
+    _d1,
+    _d2_1d,
     fd_derivative_suite,
     oracle_suite,
     random_test_function,
@@ -126,6 +129,21 @@ def test_moment_bound_tau_range_enforced(measure_2d):
     ones = TestFunctionSpec("polynomial_fn", {"coefficients": [1.0]})
     with pytest.raises(InvalidSpecError):
         verify_moment_bound(PAIR_QUAD, 1.0, 0.3, [(ones, ones)], measure=measure_2d)
+
+
+@pytest.mark.parametrize("C_LS", [0.0, -1.0, math.nan, math.inf])
+def test_moment_bound_rejects_a_c_ls_that_is_not_finite_and_positive(C_LS, measure_2d):
+    # C_LS = 0 used to escape as a bare ZeroDivisionError from 1/(4 C_LS)
+    ones = TestFunctionSpec("polynomial_fn", {"coefficients": [1.0]})
+    with pytest.raises(InvalidSpecError, match="C_LS"):
+        verify_moment_bound(PAIR_QUAD, C_LS, 1.0 / 8.0, [(ones, ones)], measure=measure_2d)
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+def test_moment_bound_rejects_a_tau_that_is_not_finite(tau, measure_2d):
+    ones = TestFunctionSpec("polynomial_fn", {"coefficients": [1.0]})
+    with pytest.raises(InvalidSpecError, match="tau"):
+        verify_moment_bound(PAIR_QUAD, 1.0, tau, [(ones, ones)], measure=measure_2d)
 
 
 def test_moment_bound_near_upper_tau_blows_up(measure_2d):
@@ -321,6 +339,22 @@ def test_random_test_function_draws_and_values_match_chain(purpose):
         assert spec(x).tobytes() == _eval_by_chain(fn, x).tobytes()
 
 
+@pytest.mark.parametrize("M1, M2, psi", [
+    (math.nan, 1.0, [1.0, 0.0]),
+    (1.0, math.nan, [1.0, 0.0]),
+    (-1.0, 1.0, [1.0, 0.0]),
+    (1.0, -1e-3, [1.0, 0.0]),
+    (math.inf, 1.0, [1.0, 0.0]),
+    (1.0, 1.0, [math.nan, 0.0]),
+    (1.0, 1.0, [0.0, math.inf]),
+])
+def test_boundedness_rejects_bad_constants_and_psi(M1, M2, psi, measure_2d):
+    # these used to return a failed check with a NaN lhs or rhs
+    ones = TestFunctionSpec("polynomial_fn", {"coefficients": [1.0]})
+    with pytest.raises(InvalidSpecError):
+        verify_boundedness_condition(PAIR_QUAD, M1, M2, [(ones, psi)], measure=measure_2d)
+
+
 def test_boundedness_rejects_1d_measure(measure_1d):
     ones = TestFunctionSpec("polynomial_fn", {"coefficients": [1.0]})
     with pytest.raises(InvalidSpecError):
@@ -344,6 +378,62 @@ def test_moment_bound_rejects_dimension_above_one(measure_2d):
     model = ModelConfig(N=2, d=3, U=PotentialSpec("quadratic", {"coef": 1.0}, dim=3))
     with pytest.raises(InvalidSpecError):
         verify_moment_bound(model, 1.0, 1.0 / 8.0, [(ones, ones)], measure=measure_2d)
+
+
+# ---------------------------------------------------------------------------
+# difference quotients into buffers
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("dx", [0.05, 1.0, 0.0123, 7.5])
+@pytest.mark.parametrize("n", [3, 4, 361])
+def test_d1_is_numpy_gradient_bit_for_bit(n, dx):
+    rng = np.random.default_rng(n)
+    v = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4, size=n)
+    out = np.full(n, np.nan)
+    assert _d1(v, dx, 0, out) is out
+    assert out.tobytes() == np.gradient(v, dx, edge_order=2).tobytes()
+    V = rng.standard_normal((n, n + 1))
+    for axis in (0, 1):
+        out = np.full(V.shape, np.nan)
+        _d1(V, dx, axis, out)
+        assert out.tobytes() == np.gradient(V, dx, axis=axis, edge_order=2).tobytes()
+
+
+@pytest.mark.parametrize("dx", [0.05, 1.125e-3, 3.0])
+@pytest.mark.parametrize("n", [3, 4, 16001])
+def test_d2_1d_is_the_three_point_formula_bit_for_bit(n, dx):
+    v = np.random.default_rng(n).standard_normal(n)
+    ref = np.empty(n)
+    ref[1:-1] = (v[2:] - 2 * v[1:-1] + v[:-2]) / dx**2
+    ref[0], ref[-1] = ref[1], ref[-2]
+    out = np.full(n, np.nan)
+    assert _d2_1d(v, dx, out) is out
+    assert out.tobytes() == ref.tobytes()
+
+
+def _peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("verifier", ["moment", "boundedness"])
+def test_pair_verifier_peak_memory_does_not_grow_with_the_battery(verifier, measure_2d):
+    # the work arrays are allocated once per call: ten cases may not hold
+    # more grid-sized temporaries at once than one case does
+    rng = np.random.default_rng(3)
+    if verifier == "moment":
+        cases = [(random_test_function(rng), random_test_function(rng)) for _ in range(10)]
+        run = lambda cases: verify_moment_bound(PAIR_QUAD, 1.0, 1.0 / 8.0, cases, measure=measure_2d)
+    else:
+        cases = [(random_test_function(rng), rng.uniform(-1.5, 1.5, size=2)) for _ in range(10)]
+        run = lambda cases: verify_boundedness_condition(PAIR_QUAD, 1.0, 1.0, cases, measure=measure_2d)
+    grid_floats = measure_2d.log_density.size
+    one, ten = _peak_bytes(lambda: run(cases[:1])), _peak_bytes(lambda: run(cases))
+    assert ten <= one + 0.25 * grid_floats * 8, (one / (8 * grid_floats), ten / (8 * grid_floats))
 
 
 # ---------------------------------------------------------------------------
