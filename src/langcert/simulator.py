@@ -27,9 +27,10 @@ streams, draws its initial state and sends the parent each block's
 observable rows.  A replica's force does not depend on the batch it comes
 in, so a slab computes exactly what the whole chunk would, and the parent
 reduces the rows in replica order.  ``fit_decay``'s parts are groups of
-bootstrap resamples, whose moments the workers build from index vectors
-the parent draws in resample order; the refits then run in the parent in
-that order.  Every output is therefore byte-identical at any worker count.
+bootstrap resamples: each worker replays the one resample generator up to
+its first resample, draws its own index vectors one at a time and builds
+their moments; the refits then run in the parent in resample order.  Every
+output is therefore byte-identical at any worker count.
 """
 
 from __future__ import annotations
@@ -180,6 +181,11 @@ class InitSpec:
     position_offset: float = 2.0
     position_spread: float = 1.0
 
+    def __post_init__(self):
+        for name in ("position_offset", "position_spread"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidSpecError(f"{name} must be finite, got {getattr(self, name)!r}")
+
 
 @dataclass
 class EnsembleState:
@@ -257,8 +263,10 @@ class NoiseStreams:
                     raw[i, j] = g.random_raw(words)
             raw = raw.reshape(b - a, N, n_steps, self.d).transpose(2, 0, 1, 3)
             # one word -> one uniform in (0, 1) from its top 53 bits -> one
-            # normal, in place
-            u = np.multiply(np.right_shift(raw, np.uint64(11), out=raw), 2.0**-53, out=out[:, a:b])
+            # normal, in place.  k = 2**53 - 1 would round k 2**-53 + 2**-54
+            # up to 1 and give +inf, so it takes the value of k = 2**53 - 2
+            np.minimum(np.right_shift(raw, np.uint64(11), out=raw), np.uint64(2**53 - 2), out=raw)
+            u = np.multiply(raw, 2.0**-53, out=out[:, a:b])
             self._ndtri(np.add(u, 2.0**-54, out=u), out=u)
         return out.transpose(1, 0, 2, 3)
 
@@ -616,31 +624,59 @@ def _fit_lambda(
     return float(-coef[0]), r2, int(mask.sum()), (float(tt[0]), float(tt[-1]))
 
 
-def _resample_moments(per_replica: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``b.mean(axis=0)`` and ``b.var(axis=0)`` of the resample
-    ``b = per_replica[idx]``, bit for bit, gathered _BOOT_ROWS rows at a time.
+def _column_sum(
+    rows: Callable[[int, int], np.ndarray], R: int, centre: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """The column sums of rows ``0..R-1``, or of their squared deviations
+    from ``centre``, built from blocks ``rows(lo, hi)`` of _BOOT_ROWS rows
+    that the sum may overwrite.
 
     A column sum over axis 0 adds the rows one by one, in order (for two or
     more columns), so a block that takes the running sum into its first row
-    continues exactly the sum of the whole gather.
+    continues exactly the sum of all R rows at once.
     """
+    acc = None
+    for lo in range(0, R, _BOOT_ROWS):
+        blk = rows(lo, min(lo + _BOOT_ROWS, R))
+        if centre is not None:
+            blk -= centre
+            np.square(blk, out=blk)
+        if acc is not None:
+            blk[0] += acc
+        acc = blk.sum(axis=0)
+    return acc
+
+
+def _resample_moments(per_replica: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``b.mean(axis=0)`` and ``b.var(axis=0)`` of the resample
+    ``b = per_replica[idx]``, bit for bit, gathered _BOOT_ROWS rows at a time."""
     R = idx.size
 
-    def column_sum(step):
-        acc = None
-        for lo in range(0, R, _BOOT_ROWS):
-            blk = step(per_replica[idx[lo:lo + _BOOT_ROWS]])
-            if acc is not None:
-                blk[0] += acc
-            acc = blk.sum(axis=0)
-        return acc
+    def rows(lo, hi):
+        return per_replica[idx[lo:hi]]
 
-    def centred_square(blk):
-        blk -= bmean
-        return np.square(blk, out=blk)
+    bmean = _column_sum(rows, R) / R
+    return bmean, _column_sum(rows, R, bmean) / R
 
-    bmean = column_sum(lambda blk: blk) / R
-    return bmean, column_sum(centred_square) / R
+
+def _point_moments(per_replica: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``per_replica.mean(axis=0)`` and ``var(axis=0)``, bit for bit for a
+    C-ordered series of two or more columns, from copies of _BOOT_ROWS rows
+    at a time, so that no temporary of the series' size is made.  A column
+    whose mean is not finite (any NaN or inf entry makes one, and so does a
+    sum past the float range) raises InvalidSpecError before the variance is
+    taken; the flags such a sum raises are not reported, the error is."""
+    R = per_replica.shape[0]
+
+    def rows(lo, hi):
+        return per_replica[lo:hi].copy()
+
+    with np.errstate(invalid="ignore", over="ignore"):
+        mean = _column_sum(rows, R) / R
+    bad = np.flatnonzero(~np.isfinite(mean))
+    if bad.size:
+        raise InvalidSpecError(f"per_replica column {bad[0]} has a non-finite mean")
+    return mean, _column_sum(rows, R, mean) / R
 
 
 def fit_decay(
@@ -659,20 +695,34 @@ def fit_decay(
     oscillation) and above the noise floor.  Bootstrap resamples refit inside
     the point-estimate window; their moments are gathered in blocks of rows
     but use the same arithmetic, in the same order, as ``ndarray.mean``/``var``
-    on the whole resample, so they match those calls bit for bit.  The caller
-    draws every resample's indices in order, the moments build in worker
-    processes when the work (resamples x replicas x records) reaches
-    ``_SPLIT_WORK``, and the refits run in the caller in resample order, so
-    the result does not depend on the worker count.
+    on the whole resample, so they match those calls bit for bit; the point
+    estimate's moments are built the same way from the series' own rows.
+    The moments build in worker processes when the work (resamples x
+    replicas x records) reaches ``_SPLIT_WORK``.  Each worker, or the caller
+    when the work is lighter, replays the resample generator past the
+    resamples before its own and draws each index vector just before that
+    resample's moments, so the draws are those of one generator in resample
+    order; the refits run in the caller in resample order, so the result
+    does not depend on the worker count.  Malformed input raises
+    InvalidSpecError: a ``per_replica`` that is not 2-D with at least one
+    row and one column, ``times`` that are not 1-D, finite, strictly
+    increasing and one per column, or a column with a non-finite mean.
     Returns None with no fit when the signal starts below noise, never
     decays, or leaves fewer than 5 usable points; callers requiring the
     documented precondition should supply >= 20 window points.
     """
     times = np.asarray(times, dtype=float)
     per_replica = np.asarray(per_replica, dtype=float)
-    R = per_replica.shape[0]
-    mean = per_replica.mean(axis=0)
-    var = per_replica.var(axis=0)
+    if per_replica.ndim != 2 or 0 in per_replica.shape:
+        raise InvalidSpecError(f"per_replica must be 2-D with at least one row and one column, "
+                               f"got shape {per_replica.shape}")
+    R, n_rec = per_replica.shape
+    if times.shape != (n_rec,):
+        raise InvalidSpecError(f"times must be 1-D with one entry per column of per_replica ({n_rec}), "
+                               f"got shape {times.shape}")
+    if not (np.isfinite(times).all() and (np.diff(times) > 0).all()):
+        raise InvalidSpecError("times must be finite and strictly increasing")
+    mean, var = _point_moments(per_replica)
     sigma = np.sqrt(var / R) + 1e-300
     s = mean - equilibrium_value
     fit = _fit_lambda(times, s, sigma, window=window)
@@ -682,11 +732,11 @@ def fit_decay(
 
     # the moments of contiguous groups of resamples may build in worker
     # processes; the refits then run here in resample order
-    rng = np.random.default_rng(_BOOT_SEED)
-    idxs = [rng.integers(0, R, size=R) for _ in range(_BOOT_RESAMPLES)]
-
     def moments(lo, hi):
-        return [_resample_moments(per_replica, idx) for idx in idxs[lo:hi]]
+        rng = np.random.default_rng(_BOOT_SEED)
+        for _ in range(lo):
+            rng.integers(0, R, size=R)  # the vectors of the resamples before this part
+        return [_resample_moments(per_replica, rng.integers(0, R, size=R)) for _ in range(lo, hi)]
 
     parts = _split(range(_BOOT_RESAMPLES), _BOOT_RESAMPLES * per_replica.size)
     if len(parts) > 1:

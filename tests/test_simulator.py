@@ -5,6 +5,7 @@ import signal
 import subprocess
 import sys
 import threading
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
@@ -60,6 +61,19 @@ def test_integrator_validation():
         IntegratorConfig("rk4", 0.01)
     with pytest.raises(InvalidSpecError):
         IntegratorConfig("baoab", 0.2)  # stability guard dt <= 0.1
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"position_offset": math.nan}, "position_offset"),
+    ({"position_offset": -math.inf}, "position_offset"),
+    ({"position_spread": math.inf}, "position_spread"),
+    ({"position_offset": 2.0, "position_spread": math.nan}, "position_spread"),
+])
+def test_init_spec_rejects_non_finite_fields(kwargs, name):
+    # a non-finite start used to end in the run's non-finite-state error,
+    # which asks for a smaller dt
+    with pytest.raises(InvalidSpecError, match=f"^{name} must be finite, got "):
+        InitSpec(**kwargs)
 
 
 def test_run_caps_and_validation():
@@ -162,6 +176,45 @@ def test_streams_slab_conversion_matches_per_stream(R, N, d, n_steps, per_slab):
     for _ in range(2):  # the second block continues every stream
         got = streams.normals(n_steps)
         assert got.tobytes() == reference_block(gens).tobytes()
+
+
+class _FixedWords:
+    """A stand-in for a stream's Philox generator that hands out given words."""
+
+    def __init__(self, words):
+        self.words = np.array(words, dtype=np.uint64)
+
+    def random_raw(self, n):
+        out, self.words = self.words[:n], self.words[n:]
+        return out
+
+
+def _old_normals(words):
+    # the conversion before the top word was capped
+    k = np.asarray(words, dtype=np.uint64) >> np.uint64(11)
+    return ndtri(k.astype(np.float64) * 2.0**-53 + 2.0**-54)
+
+
+def test_top_noise_words_stay_finite():
+    # a word whose top 53 bits are all ones mapped to u = 1 and a normal of
+    # +inf; it now takes the normal of the word below, and every other word
+    # keeps its bytes
+    top = [2**64 - 1, (2**53 - 1) << 11]
+    near = [(2**53 - 2) << 11, ((2**53 - 2) << 11) | 0x7FF, (2**53 - 3) << 11, (2**52) << 11,
+            2**63, 0, 2**11 - 1, 2**11]
+    streams = NoiseStreams(3, [0], [0], 1)
+    streams._gens = [[_FixedWords(top + near)]]
+    got = streams.normals(len(top) + len(near))[0, :, 0, 0]
+    assert np.isinf(_old_normals(top)).all()
+    assert np.isfinite(got).all()
+    assert got[:2].tobytes() == _old_normals(near[:1] * 2).tobytes()
+    assert got[2:].tobytes() == _old_normals(near).tobytes()
+    # a seeded block of every stream, converted the old way
+    seed, replicas, labels = 8, [0, 4, 9], [1, 0]
+    gens = [[Philox(key=k) for k in row] for row in _stream_keys(seed, replicas, labels)]
+    want = np.stack([np.stack([_old_normals(g.random_raw(300 * 2)).reshape(300, 2) for g in row], axis=1)
+                     for row in gens])
+    assert NoiseStreams(seed, replicas, labels, 2).normals(300).tobytes() == want.tobytes()
 
 
 def test_normals_of_zero_steps_are_empty_and_advance_nothing():
@@ -760,6 +813,88 @@ def test_resample_moments_match_the_full_gather(R):
         b = per[idx]
         assert bmean.tobytes() == b.mean(axis=0).tobytes()
         assert bvar.tobytes() == b.var(axis=0).tobytes()
+
+
+@pytest.mark.parametrize("R", [2, 127, 128, 129, 2000])
+def test_point_moments_match_the_whole_series(R):
+    # the point estimate's moments come from copies of row blocks, with the
+    # bytes of ndarray.mean/var over the whole series, which stays as it was
+    rng = np.random.default_rng(R + 1)
+    for width in (2, 3, 8, 9, 17, 401, 1001):
+        per = rng.normal(size=(R, width)) * 10.0 ** rng.integers(-8, 9, size=(R, 1))
+        kept = per.copy()
+        mean, var = simulator._point_moments(per)
+        assert mean.tobytes() == per.mean(axis=0).tobytes()
+        assert var.tobytes() == per.var(axis=0).tobytes()
+        assert per.tobytes() == kept.tobytes()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_fit_decay_holds_no_copy_of_the_series(threads, monkeypatch):
+    # the point moments take row blocks and the index vectors are drawn one
+    # at a time where they are used, so fit_decay's own allocations peak
+    # well below the series (they peaked at 1.005x it with a full-size
+    # variance temporary and all 200 index vectors drawn up front)
+    rng = np.random.default_rng(9)
+    t = np.arange(1001) * 0.01
+    per = 2 * np.exp(-0.7 * t)[None, :] + rng.normal(0, 1.0, size=(2000, t.size))
+    sizes = _record_splits(monkeypatch)
+    monkeypatch.setattr(simulator, "_THREADS", threads)
+    tracemalloc.start()
+    try:
+        fit = fit_decay(t, per, 0.0, "x")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fit is not None
+    assert sizes == ([2] if threads == 2 else [])
+    assert peak <= 0.5 * per.nbytes
+
+
+_T10 = np.arange(10) * 0.1
+
+
+@pytest.mark.parametrize("per", [np.ones(10), np.ones((2, 3, 10))], ids=["1d", "3d"])
+def test_fit_decay_rejects_a_series_that_is_not_2d(per):
+    with pytest.raises(InvalidSpecError, match=r"^per_replica must be 2-D .*got shape \("):
+        fit_decay(_T10, per)
+
+
+def test_fit_decay_rejects_a_series_without_rows():
+    # numpy warned "Mean of empty slice" here
+    with pytest.raises(InvalidSpecError, match=r"^per_replica must be 2-D with at least one row .*\(0, 10\)"):
+        fit_decay(_T10, np.ones((0, 10)))
+
+
+def test_fit_decay_rejects_times_that_are_not_1d():
+    with pytest.raises(InvalidSpecError, match=r"^times must be 1-D with one entry per column .*\(10\), got shape \(1, 10\)"):
+        fit_decay(_T10[None, :], np.ones((4, 10)))
+
+
+@pytest.mark.parametrize("n", [9, 11])
+def test_fit_decay_rejects_times_that_are_not_one_per_column(n):
+    # fewer raised IndexError, more fitted silently
+    with pytest.raises(InvalidSpecError, match=rf"^times must be 1-D with one entry per column .*got shape \({n},\)"):
+        fit_decay(np.arange(n) * 0.1, np.ones((4, 10)))
+
+
+@pytest.mark.parametrize("k, value", [(3, math.nan), (0, math.inf), (9, -math.inf), (6, 0.5), (6, 0.4)])
+def test_fit_decay_rejects_times_that_are_not_finite_and_increasing(k, value):
+    times = _T10.copy()
+    times[k] = value  # 0.5 repeats times[5], 0.4 steps back to before it
+    with pytest.raises(InvalidSpecError, match="^times must be finite and strictly increasing$"):
+        fit_decay(times, np.ones((4, 10)))
+
+
+@pytest.mark.parametrize("values", [[math.nan], [math.inf], [-math.inf], [math.inf, -math.inf], [1e308] * 2],
+                         ids=["nan", "inf", "-inf", "inf-inf", "overflow"])
+def test_fit_decay_rejects_a_non_finite_column_mean(values):
+    # a NaN entry fitted silently; the others now stop before the variance
+    # would subtract inf from inf, and the sum's own flags give no warning
+    t, per = _decaying_series(64)
+    per[17:17 + len(values), 40] = values
+    with pytest.raises(InvalidSpecError, match="^per_replica column 40 has a non-finite mean"):
+        fit_decay(t, per)
 
 
 _FIT_BY_THREADS = """
