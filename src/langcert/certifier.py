@@ -17,7 +17,11 @@ M1 = 2 C1, M2 = 2 C2 + 2 K^2.
 
 Coefficients are accepted by one exact rational decision, ``coercivity_holds``;
 the float eigenvalue witness is only reported.  The paper's literal set and
-the ``refined`` set are fixed rationals scaled by M, proved PSD for M >= 1.
+the ``refined`` set are fixed rationals scaled by M, proved PSD for M >= 1;
+the split set is a formula in (M1, M2), decided like the others.  ``certify``
+walks its coefficient sets in order and reports the first accepted one;
+``_evaluate`` is the one place that builds T', decides it and computes
+lambda and C0 from a set.
 """
 
 from __future__ import annotations
@@ -63,10 +67,6 @@ class BoundednessConstants:
     mode: str  # "thm3" or "thm4"
 
     @property
-    def M(self) -> float:
-        return max(2 * self.C1, 2 * self.C2 + 2 * self.K**2)
-
-    @property
     def M1(self) -> float:
         return 2 * self.C1
 
@@ -74,18 +74,31 @@ class BoundednessConstants:
     def M2(self) -> float:
         return 2 * self.C2 + 2 * self.K**2
 
+    @property
+    def M(self) -> float:
+        return max(self.M1, self.M2)
+
+
+def _in_range(build, ok, message: str):
+    """``build()`` when it passes ``ok``, else an InvalidSpecError with
+    ``message``.  An OverflowError fails too: float ** raises one where *
+    gives inf."""
+    try:
+        value = build()
+        if ok(value):
+            return value
+    except OverflowError:
+        pass
+    raise InvalidSpecError(message)
+
 
 def _finite(mode: str, K: float, C1_C2, inputs: str) -> BoundednessConstants:
     """The constants of ``mode`` with (C1, C2) = ``C1_C2()``, or an
     InvalidSpecError naming ``inputs`` when C1, C2, M1 or M2 is not a finite
-    float (float ** raises OverflowError where * gives inf)."""
-    try:
-        bc = BoundednessConstants(*C1_C2(), K=K, mode=mode)
-        if math.isfinite(bc.M1) and math.isfinite(bc.M2):
-            return bc
-    except OverflowError:
-        pass
-    raise InvalidSpecError(f"C1 or C2 is not finite: {inputs} too large")
+    float."""
+    return _in_range(lambda: BoundednessConstants(*C1_C2(), K=K, mode=mode),
+                     lambda bc: math.isfinite(bc.M1) and math.isfinite(bc.M2),
+                     f"C1 or C2 is not finite: {inputs} too large")
 
 
 def constants_bounded_grad(K: float, K_prime: float, K1: float, K2: float, d: int) -> BoundednessConstants:
@@ -244,43 +257,30 @@ CASE1_BETA = 576.0 / 25921.0
 CASE1_GAMMA = 216.0 / 25921.0
 
 
-def improved_coefficients(M1: float, M2: float) -> tuple[Coefficients, list[str]]:
+def improved_coefficients(M1: float, M2: float) -> Coefficients:
     """Split-constant coefficients with rate of order 1/sqrt(M2).
 
-    Case M1 <= 1 uses the exact rationals alpha = 3072/25921,
-    beta = 576/25921, gamma = 216/25921 with a = alpha M^{-1/4},
-    b = beta M^{-1/2}, c = gamma M^{-3/4}, lambda0 = b/4, M = max(1, M2).
-    Case M1 > 1 solves the corresponding equality system,
+    Case M1 <= 1 (a linear confinement has M1 = 0) uses the exact rationals
+    alpha = 3072/25921, beta = 576/25921, gamma = 216/25921 with
+    a = alpha M^{-1/4}, b = beta M^{-1/2}, c = gamma M^{-3/4},
+    lambda0 = b/4, M = max(1, M2).  Case M1 > 1 solves the corresponding
+    equality system,
 
         b = (16 M1^2/3 + 1 + 3 sqrt(M2)/(8 M1))^{-2},
         a = (16/3) M1^2 b,   c = 3 b / (8 M1).
 
-    Every candidate must pass ``coercivity_holds`` on T'(M1, M2); on failure
-    the single-constant defaults at max(1, M1, M2) are returned with a note.
+    A formula only: ``certify`` decides the set on T'(M1, M2).
     """
-    if M1 <= 0 or M2 <= 0:
-        raise InvalidSpecError("M1, M2 must be positive")
-    notes: list[str] = []
+    if not (M1 >= 0 and M2 >= 0):
+        raise InvalidSpecError(f"M1, M2 must be >= 0, got {M1!r}, {M2!r}")
     M = max(1.0, M2)
     if M1 <= 1.0:
-        cand = Coefficients(
-            a=CASE1_ALPHA / M**0.25,
-            b=CASE1_BETA / M**0.5,
-            c=CASE1_GAMMA / M**0.75,
-            lambda0=CASE1_BETA / (4.0 * M**0.5),
-            variant="split_case1",
-        )
-    else:
-        denom = 16.0 * M1**2 / 3.0 + 1.0 + 3.0 * math.sqrt(M2) / (8.0 * M1)
-        b = 1.0 / denom**2
-        cand = Coefficients(a=16.0 * M1**2 * b / 3.0, b=b, c=3.0 * b / (8.0 * M1),
-                            lambda0=b / 4.0, variant="split_case2")
-    if coercivity_holds(build_Tprime(cand.a, cand.b, cand.c, M1, M2), cand.lambda0):
-        return cand, notes
-    notes.append(f"{cand.variant}: T' - Diag(lambda0, 0, lambda0, 0) is not PSD")
-    fallback = default_coefficients(max(1.0, M1, M2))
-    notes.append("split construction failed; falling back to single-constant defaults")
-    return fallback, notes
+        return Coefficients(a=CASE1_ALPHA / M**0.25, b=CASE1_BETA / M**0.5, c=CASE1_GAMMA / M**0.75,
+                            lambda0=CASE1_BETA / (4.0 * M**0.5), variant="split_case1")
+    denom = 16.0 * M1**2 / 3.0 + 1.0 + 3.0 * math.sqrt(M2) / (8.0 * M1)
+    b = 1.0 / denom**2
+    return Coefficients(a=16.0 * M1**2 * b / 3.0, b=b, c=3.0 * b / (8.0 * M1),
+                        lambda0=b / 4.0, variant="split_case2")
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +328,34 @@ class Certificate:
         return out
 
 
+def _coefficients(build, scale: str) -> Coefficients:
+    """``build()``, or an InvalidSpecError naming ``scale`` when the set
+    overflows or leaves b^2 < ac false (norm_equivalence needs it)."""
+    return _in_range(build, lambda co: co.b * co.b < co.a * co.c,
+                     f"coefficients leave the float range (overflow, or b^2 >= ac): {scale} too large")
+
+
+def _coefficient_sets(bc: BoundednessConstants, use_split: bool):
+    """``certify``'s coefficient sets in order, each with the (M1, M2) of its
+    T': the split set at (M1, M2) when asked for, then the single set at
+    M1 = M2 = max(1, M).  Each is built only when the walk reaches it."""
+    if use_split:
+        yield (_coefficients(lambda: improved_coefficients(bc.M1, bc.M2), f"M1 = {bc.M1!r}, M2 = {bc.M2!r}"),
+               bc.M1, bc.M2)
+    M = max(1.0, bc.M)
+    yield _coefficients(lambda: default_coefficients(M), f"M = {bc.M!r}"), M, M
+
+
+def _evaluate(coeffs: Coefficients, M1: float, M2: float, kappa: float) -> tuple[np.ndarray, bool, dict]:
+    """T'(M1, M2) of ``coeffs``, the exact decision on it, and what a
+    certificate reports of the set: a, b, c, lambda0, lambda, C0, c1, c2."""
+    T = build_Tprime(coeffs.a, coeffs.b, coeffs.c, M1, M2)
+    c1, c2, C0 = norm_equivalence(coeffs.a, coeffs.b, coeffs.c)
+    values = {"a": coeffs.a, "b": coeffs.b, "c": coeffs.c, "lambda0": coeffs.lambda0,
+              "lambda": rate_lambda(coeffs.lambda0, coeffs.a, coeffs.c, kappa), "C0": C0, "c1": c1, "c2": c2}
+    return T, coercivity_holds(T, coeffs.lambda0), values
+
+
 def certify(
     bundle: ConstantsBundle,
     mode: str = "auto",
@@ -342,10 +370,14 @@ def certify(
     ``constants_lsi``), and kappa is 1/C_LS, since a log-Sobolev inequality
     implies a Poincare inequality with that constant, or the bundle's kappa
     when that is larger and its grade certifies.  ``auto``
-    prefers thm3 when its prerequisites hold.  The certificate is marked
-    certified only when every input constant has certifying provenance and
-    ``coercivity_holds`` accepts the coefficients.  ``refine`` adds the
-    REFINED_SET at max(1, M) beside them, when it passes the same check.
+    prefers thm3 when its prerequisites hold.  The coefficient sets are
+    walked in order (``_coefficient_sets``: the split set when ``use_split``,
+    then the single set) and each is decided once by ``coercivity_holds``;
+    the first accepted is reported, else the last, and every rejected set
+    leaves a note naming its variant.  The certificate is marked certified
+    only when every input constant has certifying provenance and a set is
+    accepted.  ``refine`` adds the REFINED_SET at max(1, M) beside it, when
+    it passes the same check.
     """
     if mode not in ("auto", "thm3", "thm4"):
         raise InvalidSpecError(f"unknown mode {mode!r}")
@@ -367,24 +399,12 @@ def certify(
             kappa = max(bundle.kappa, kappa)
 
     notes: list[str] = []
-    if use_split:
-        coeffs, split_notes = improved_coefficients(bc.M1, bc.M2)
-        notes.extend(split_notes)
-    else:
-        coeffs = default_coefficients(bc.M)
-    # the split variants use T' at (M1, M2); the single-constant choice uses
-    # T = T' at M = M1 = M2, clamped to 1 as in default_coefficients
-    if coeffs.variant == "single":
-        M1 = M2 = max(1.0, bc.M)
-    else:
-        M1, M2 = bc.M1, bc.M2
-    T = build_Tprime(coeffs.a, coeffs.b, coeffs.c, M1, M2)
-
-    psd_exact = coercivity_holds(T, coeffs.lambda0)
-    if not psd_exact:
-        notes.append("coercivity matrix minus Diag(lambda0, 0, lambda0, 0) is not PSD")
-    c1, c2, C0 = norm_equivalence(coeffs.a, coeffs.b, coeffs.c)
-    lam = rate_lambda(coeffs.lambda0, coeffs.a, coeffs.c, kappa)
+    for coeffs, M1, M2 in _coefficient_sets(bc, use_split):
+        T, psd_exact, values = _evaluate(coeffs, M1, M2, kappa)
+        if psd_exact:
+            break
+        notes.append(f"{coeffs.variant} set rejected: T' - Diag(lambda0, 0, lambda0, 0) is not PSD")
+    lam = values.pop("lambda")
     rate_ok = math.isfinite(lam) and lam > 0
     if not rate_ok:
         notes.append(f"lambda = {lam!r} is not a positive finite rate")
@@ -395,41 +415,18 @@ def certify(
         notes.append(f"non-certifying provenance for {weak}")
 
     cert = Certificate(
-        mode=mode,
-        variant=coeffs.variant,
-        a=coeffs.a,
-        b=coeffs.b,
-        c=coeffs.c,
-        lambda0=coeffs.lambda0,
-        lam=lam,
-        C0=C0,
-        c1=c1,
-        c2=c2,
-        psd_witness=verify_coercivity(T, coeffs.lambda0),
-        psd_exact=psd_exact,
-        M=bc.M,
-        M1=bc.M1,
-        M2=bc.M2,
-        C1=bc.C1,
-        C2=bc.C2,
-        kappa=kappa,
-        T=T,
-        inputs=bundle,
-        certified=psd_exact and not weak and rate_ok,
-        notes=notes,
-    )
+        mode=mode, variant=coeffs.variant, lam=lam, **values,
+        psd_witness=verify_coercivity(T, coeffs.lambda0), psd_exact=psd_exact,
+        M=bc.M, M1=bc.M1, M2=bc.M2, C1=bc.C1, C2=bc.C2, kappa=kappa, T=T,
+        inputs=bundle, certified=psd_exact and not weak and rate_ok, notes=notes)
     if refine:
         M = max(1.0, bc.M)
-        ref = scaled_coefficients(M, REFINED_SET, "refined")
-        if coercivity_holds(build_Tprime(ref.a, ref.b, ref.c, M, M), ref.lambda0):
-            rc1, rc2, rC0 = norm_equivalence(ref.a, ref.b, ref.c)
-            cert.refined = {
-                "a": ref.a, "b": ref.b, "c": ref.c, "lambda0": ref.lambda0,
-                "lambda": rate_lambda(ref.lambda0, ref.a, ref.c, kappa),
-                "C0": rC0, "c1": rc1, "c2": rc2,
-            }
+        ref = _coefficients(lambda: scaled_coefficients(M, REFINED_SET, "refined"), f"M = {bc.M!r}")
+        _, accepted, values = _evaluate(ref, M, M, kappa)
+        if accepted:
+            cert.refined = values
         else:
-            cert.notes.append("refined set failed the exact PSD check; block omitted")
+            notes.append("refined set failed the exact PSD check; block omitted")
     return cert
 
 

@@ -94,8 +94,8 @@ def test_criterion_05_split_route_scaling():
     M2s = np.array([1e2, 1e4, 1e6])
     lams_split, lams_single = [], []
     for M2 in M2s:
-        coeffs, notes = improved_coefficients(1.0, float(M2))
-        assert coeffs.variant == "split_case1", notes
+        coeffs = improved_coefficients(1.0, float(M2))
+        assert coeffs.variant == "split_case1"
         assert coercivity_holds(build_Tprime(coeffs.a, coeffs.b, coeffs.c, 1.0, float(M2)), coeffs.lambda0)
         lams_split.append(rate_lambda(coeffs.lambda0, coeffs.a, coeffs.c, 1.0))
         dflt = default_coefficients(max(1.0, float(M2)))

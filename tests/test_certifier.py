@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -23,7 +24,7 @@ from langcert.certifier import (
     scaled_coefficients,
     verify_coercivity,
 )
-from langcert import funcineq
+from langcert import certifier, funcineq
 from langcert.errors import InvalidSpecError, MissingConstantError
 from langcert.potentials import ConstantsBundle, PotentialSpec
 
@@ -199,8 +200,8 @@ def test_exact_decision_zero_pivots_and_margin():
 def test_inflated_lambda0_rejected():
     # the float witness of S sits inside an absolute -1e-12 tolerance, but S
     # is not PSD; the split certificate of the README model stays accepted
-    coeffs, notes = improved_coefficients(1000.0, 1e4)
-    assert coeffs.variant == "split_case2", notes
+    coeffs = improved_coefficients(1000.0, 1e4)
+    assert coeffs.variant == "split_case2"
     T = build_Tprime(coeffs.a, coeffs.b, coeffs.c, 1000.0, 1e4)
     assert coercivity_holds(T, coeffs.lambda0)
     assert -1e-12 <= verify_coercivity(T, 64 * coeffs.lambda0) < 0
@@ -209,6 +210,24 @@ def test_inflated_lambda0_rejected():
     assert cert.variant == "split_case2"
     assert 0 < cert.psd_witness < 1e-11
     assert cert.psd_exact and cert.certified
+
+
+def test_rejected_split_set_falls_back_to_single(monkeypatch):
+    # at 64 lambda0 the README model's split set fails the exact decision on
+    # T'(100, 218.9); certify then reports the single set, with one note
+    formula = certifier.improved_coefficients
+
+    def inflated(M1, M2):
+        split = formula(M1, M2)
+        return dataclasses.replace(split, lambda0=64 * split.lambda0)
+
+    monkeypatch.setattr(certifier, "improved_coefficients", inflated)
+    bundle = assemble_constants(DW, small_bump())
+    cert = certify(bundle, use_split=True)
+    assert (cert.variant, cert.psd_exact, cert.certified) == ("single", True, True)
+    assert len(cert.notes) == 1 and "split_case2" in cert.notes[0]
+    single = certify(bundle).to_json()
+    assert {**cert.to_json(), "notes": []} == single
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +299,8 @@ def test_case1_exact_rational_identities():
 
 def test_improved_case1_psd_and_lambda0():
     for M2 in (10.0, 1e2, 1e4, 1e6):
-        coeffs, notes = improved_coefficients(1.0, M2)
-        assert coeffs.variant == "split_case1", notes
+        coeffs = improved_coefficients(1.0, M2)
+        assert coeffs.variant == "split_case1"
         M = max(1.0, M2)
         assert coeffs.lambda0 == pytest.approx(144.0 / (25921.0 * math.sqrt(M)))
         assert coercivity_holds(build_Tprime(coeffs.a, coeffs.b, coeffs.c, 1.0, M2), coeffs.lambda0)
@@ -291,7 +310,7 @@ def test_improved_case1_scaling_slope():
     M2s = np.array([1e2, 1e4, 1e6])
     lams = []
     for M2 in M2s:
-        coeffs, _ = improved_coefficients(1.0, M2)
+        coeffs = improved_coefficients(1.0, M2)
         lams.append(rate_lambda(coeffs.lambda0, coeffs.a, coeffs.c, 1.0))
     slope = np.polyfit(np.log(M2s), np.log(lams), 1)[0]
     assert -0.55 <= slope <= -0.45
@@ -299,7 +318,7 @@ def test_improved_case1_scaling_slope():
 
 def test_improved_beats_default_for_small_M1():
     for M2 in (10.0, 1e2, 1e3, 1e4, 1e5, 1e6):
-        coeffs, _ = improved_coefficients(1.0, M2)
+        coeffs = improved_coefficients(1.0, M2)
         lam_split = rate_lambda(coeffs.lambda0, coeffs.a, coeffs.c, 1.0)
         d = default_coefficients(max(1.0, 1.0, M2))
         lam_single = rate_lambda(d.lambda0, d.a, d.c, 1.0)
@@ -308,14 +327,21 @@ def test_improved_beats_default_for_small_M1():
 
 def test_improved_case2_verified():
     for M1, M2 in ((2.0, 1e2), (1.5, 1e4), (10.0, 1e6)):
-        coeffs, notes = improved_coefficients(M1, M2)
-        assert coeffs.variant == "split_case2", notes
+        coeffs = improved_coefficients(M1, M2)
+        assert coeffs.variant == "split_case2"
         assert coercivity_holds(build_Tprime(coeffs.a, coeffs.b, coeffs.c, M1, M2), coeffs.lambda0)
+
+
+def test_split_set_out_of_float_range_names_M1_and_M2():
+    # (16 M1^2/3 + ...)^2 overflows at M1 = 1e100; the single set is never built
+    bundle = ConstantsBundle(K=0.0, K_prime=0.0, K1=1e49, K2=1.0, d=1, kappa=1.0)
+    with pytest.raises(InvalidSpecError, match=r"\(overflow, or b\^2 >= ac\): M1 = \S+, M2 = \S+ too large"):
+        certify(bundle, use_split=True)
 
 
 def test_improved_rejects_bad_input():
     with pytest.raises(InvalidSpecError):
-        improved_coefficients(0.0, 1.0)
+        improved_coefficients(-1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

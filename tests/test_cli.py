@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from langcert import cli, oracle, simulator
+from langcert import certifier, cli, oracle, simulator
 from langcert.cli import build_parser, main
 
 QUAD_U = {"family": "quadratic", "params": {"coef": 1.0}, "dim": 1}
@@ -109,6 +109,37 @@ def test_certify_split_mode_reports_both(tmp_path):
     assert report["certificate"]["variant"].startswith("split")
     assert "certificate_single" in report
     assert report["certificate_single"]["lambda"] > 0
+
+
+@pytest.mark.parametrize("W, mode, lam, C0", [
+    ({"family": "gaussian_bump", "params": {"amplitude": 0.1, "width": 1.0, "sign": "repulsive"}, "dim": 1},
+     "thm3", 1.7195e-3, 34.03),
+    ({"family": "quadratic", "params": {"coef": 0.5}, "dim": 1}, "thm4", 1.6732e-3, 34.78),
+], ids=["repulsive-bump", "quadratic-thm4"])
+def test_certify_split_takes_case1_for_a_linear_confinement(tmp_path, W, mode, lam, C0):
+    # a quadratic U has K1 = 0, so M1 = 0; the split route used to refuse it
+    cfg = write_config(tmp_path, "c.json", {"model": {"N": 8, "d": 1, "U": QUAD_U, "W": W}})
+    out = tmp_path / "o"
+    assert main(["certify", "--config", str(cfg), "--out", str(out), "--mode", "split"]) == 0
+    report = json.loads((out / "certificate.json").read_text())
+    cert, single = report["certificate"], report["certificate_single"]
+    assert (cert["M1"], cert["variant"], cert["mode"], cert["certified"]) == (0.0, "split_case1", mode, True)
+    assert (cert["lambda"], cert["C0"]) == (pytest.approx(lam, rel=1e-4), pytest.approx(C0, rel=1e-3))
+    assert cert["lambda"] > 50 * single["lambda"]
+
+
+@pytest.mark.parametrize("flags, decisions", [(["--mode", "split"], 3), ([], 2), (["--paper-literal"], 1)],
+                         ids=["split", "default", "paper-literal"])
+def test_certify_decides_each_coefficient_set_once(tmp_path, monkeypatch, flags, decisions):
+    # the split set, the refined set and the split run's single certificate,
+    # or the single set and the refined set, or the single set alone
+    calls = []
+    holds = certifier.coercivity_holds
+    monkeypatch.setattr(certifier, "coercivity_holds", lambda *args: calls.append(args) or holds(*args))
+    bump = {**SMALL_BUMP, "params": {**SMALL_BUMP["params"], "amplitude": 0.02}}
+    cfg = write_config(tmp_path, "c.json", {"model": {"N": 8, "d": 1, "U": DW_U, "W": bump}})
+    assert main(["certify", "--config", str(cfg), "--out", str(tmp_path / "o"), *flags]) == 0
+    assert len(calls) == decisions
 
 
 def test_certify_paper_literal_disables_refinement(tmp_path):
@@ -538,6 +569,7 @@ def test_potential_params_read_as_numbers(tmp_path, capsys):
 
 _NO_PAIR = "no feasible Lyapunov pair found"
 _OUT_OF_RANGE = "params {} are out of float range: its closed-form bounds cannot be evaluated"
+_HUGE_M = "coefficients leave the float range (overflow, or b^2 >= ac): M = {} too large"
 
 
 @pytest.mark.parametrize("U, W, message", [
@@ -553,9 +585,15 @@ _OUT_OF_RANGE = "params {} are out of float range: its closed-form bounds cannot
     # an infinite char_length made the convexity fit's random pairs overflow
     ({**DW_U, "params": {"quartic": 5e-324, "well": 0.0}}, None,
      "quartic_double_well " + _OUT_OF_RANGE.format({"quartic": 5e-324, "well": 0.0})),
-], ids=["quadratic-coef", "quartic", "well", "bump-amplitude", "bump-width", "cosine-frequency", "quartic-denormal"])
+    # M**3 overflowed in the single coefficient set
+    ({**DW_U, "params": {"quartic": 1e60, "well": 0.5}}, None, _HUGE_M.format("1.8626451529562473e+111")),
+    # b underflowed, and the message named b^2 >= ac but not M
+    ({**DW_U, "params": {"quartic": 1e55, "well": 0.5}}, None, _HUGE_M.format("1.8626451529562482e+101")),
+], ids=["quadratic-coef", "quartic", "well", "bump-amplitude", "bump-width", "cosine-frequency", "quartic-denormal",
+        "quartic-M-overflow", "quartic-M-underflow"])
 def test_params_at_the_float_range_exit_one(tmp_path, capsys, U, W, message):
-    # each of these escaped main as an OverflowError or ZeroDivisionError
+    # each of these escaped main as an OverflowError or ZeroDivisionError,
+    # or exited 1 without naming the input that was too large
     _assert_rejected(tmp_path, capsys, "certify", [({"model": {"N": 8, "d": 1, "U": U, "W": W}}, message)])
 
 
