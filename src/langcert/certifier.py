@@ -377,7 +377,8 @@ def certify(
     leaves a note naming its variant.  The certificate is marked certified
     only when every input constant has certifying provenance and a set is
     accepted.  ``refine`` adds the REFINED_SET at max(1, M) beside it, when
-    it passes the same check.
+    it is in the float range (else a note names the error) and passes the
+    same check.
     """
     if mode not in ("auto", "thm3", "thm4"):
         raise InvalidSpecError(f"unknown mode {mode!r}")
@@ -421,7 +422,11 @@ def certify(
         inputs=bundle, certified=psd_exact and not weak and rate_ok, notes=notes)
     if refine:
         M = max(1.0, bc.M)
-        ref = _coefficients(lambda: scaled_coefficients(M, REFINED_SET, "refined"), f"M = {bc.M!r}")
+        try:
+            ref = _coefficients(lambda: scaled_coefficients(M, REFINED_SET, "refined"), f"M = {bc.M!r}")
+        except InvalidSpecError as exc:  # out of range beside an accepted split set
+            notes.append(f"refined set omitted: {exc}")
+            return cert
         _, accepted, values = _evaluate(ref, M, M, kappa)
         if accepted:
             cert.refined = values

@@ -212,24 +212,26 @@ _ORACLE = ({"n_lyapunov": _count, "n_moment": _count, "n_boundedness": _count}, 
 # ---------------------------------------------------------------------------
 
 def cmd_certify(config: dict, out_dir: Path, seed: int, mode: str | None, paper_literal: bool) -> int:
-    """``mode`` is the --mode flag; it overrides the config's ``mode``."""
+    """``mode`` is the --mode flag; it overrides the config's ``mode``,
+    except that ``split`` keeps the config's theorem."""
     user = _object(config, "certify", *_CERTIFY)
     model = user.pop("model")
-    config_mode = user.pop("mode", None)
-    mode = mode or config_mode
-    use_split = mode == "split"
+    config_mode = user.pop("mode", "auto")
+    use_split = (mode or config_mode) == "split"
+    if mode in (None, "split"):
+        mode = "auto" if config_mode == "split" else config_mode
     bundle = certifier.assemble_constants(model.U, model.W, **user)
-    cert = certifier.certify(
-        bundle,
-        **({} if mode in (None, "split") else {"mode": mode}),
-        use_split=use_split,
-        refine=not paper_literal,
-    )
-    report = {**_header("certificate", config, seed), "model": model.to_json(), "certificate": cert.to_json()}
+    cert = certifier.certify(bundle, mode=mode, use_split=use_split, refine=not paper_literal)
+    single = None
     if use_split:
         # the split route is requested for comparison: report the
-        # single-constant certificate alongside
-        single = certifier.certify(bundle, mode=cert.mode, use_split=False)
+        # single-constant certificate alongside, unless its set is out of range
+        try:
+            single = certifier.certify(bundle, mode=cert.mode, use_split=False)
+        except InvalidSpecError as exc:
+            cert.notes.append(f"single certificate omitted: {exc}")
+    report = {**_header("certificate", config, seed), "model": model.to_json(), "certificate": cert.to_json()}
+    if single is not None:
         report["certificate_single"] = single.to_json()
     _write_json(out_dir / "certificate.json", report)
     if not cert.certified:

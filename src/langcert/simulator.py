@@ -18,31 +18,31 @@ pure function of the key regardless of chunking.  A block of noise is
 stored step-major, so the normals of one step are one contiguous run for
 the integrator to read.
 
-Work that reaches ``_SPLIT_WORK`` on a platform with fork is cut into
-contiguous parts, one per usable core, each run in a forked worker process
-(numpy's per-step dispatch and the Philox draws hold the interpreter lock,
-so threads barely overlap them); lighter work runs in the calling process.
+Work that reaches ``_SPLIT_WORK`` on a platform with fork is dealt in turn
+to parts, one per usable core, each run in a forked worker process (numpy's
+per-step dispatch and the Philox draws hold the interpreter lock, so
+threads barely overlap them); lighter work runs in the calling process.
+``_gather`` makes that choice and yields the parts' items round by round.
 ``run``'s parts are replica slabs of a chunk: each worker builds its slab's
 streams, draws its initial state and sends the parent each block's
-observable rows.  A replica's force does not depend on the batch it comes
-in, so a slab computes exactly what the whole chunk would, and the parent
-reduces the rows in replica order.  ``fit_decay``'s parts are groups of
-bootstrap resamples: each worker replays the one resample generator up to
-its first resample, draws its own index vectors one at a time and builds
-their moments; the refits then run in the parent in resample order.  Every
-output is therefore byte-identical at any worker count.
+observable rows with the slab's state after it.  A replica's force does
+not depend on the batch it comes in, so a slab computes exactly what the
+whole chunk would, and the parent puts the rows and states back at the
+slab's stride and reduces them in replica order.  ``fit_decay``'s parts are
+bootstrap resamples: each worker replays the one resample generator, keeps
+its own index vectors and sends their moments, which the parent refits as
+they arrive, in resample order.  Every output is therefore byte-identical
+at any worker count.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import pickle
 from contextlib import closing
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -84,32 +84,41 @@ _THREADS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else
 _SPLIT_WORK = 2**21
 
 
-def _split(items: range, work: int) -> list[tuple[int, int]]:
-    """``items`` cut into contiguous ``(lo, hi)`` parts of near-equal length:
-    one per usable core, and at most one per item, once the job's ``work``
-    reaches ``_SPLIT_WORK`` on a platform that can fork.  Otherwise one part,
-    which runs in the calling process."""
+def _split(items: range, work: int) -> list[range]:
+    """``items`` dealt to parts in turn, part k taking items k, k + P, ...:
+    one part per usable core, and at most one per item, once the job's
+    ``work`` reaches ``_SPLIT_WORK`` on a platform that can fork.  Otherwise
+    one part, ``items`` itself."""
     parts = min(_THREADS, len(items)) if work >= _SPLIT_WORK else 1
     if parts > 1:
         import multiprocessing  # here, so that no other command pays for its import
 
         parts = parts if "fork" in multiprocessing.get_all_start_methods() else 1
-    edges = [items.start + len(items) * p // parts for p in range(parts + 1)]
-    return list(zip(edges, edges[1:]))
+    return [items[p::parts] for p in range(parts)]
 
 
-def _forked(job: Callable[[int, int], Iterable], parts: Sequence[tuple[int, int]], what: str) -> Iterator[list]:
-    """Run ``job(lo, hi)`` for every part, each in its own forked worker, and
-    yield the list of the workers' next items, in part order, until they are
-    exhausted.  A worker's exception is raised again here (as a LangcertError
-    naming its type when its pickle cannot be rebuilt); a worker that exits
-    early raises LangcertError naming its ``what`` and exit code.  Every worker
-    is terminated and joined when the generator finishes or is closed."""
+def _gather(job: Callable[[range], Iterator], items: range, work: int, what: str) -> Iterator:
+    """The items of ``job`` over the parts of ``_split(items, work)``: run
+    inline when there is one part, else forked.  Close it when done."""
+    parts = _split(items, work)
+    return _forked(job, parts, what) if len(parts) > 1 else job(items)
+
+
+def _forked(job: Callable[[range], Iterator], parts: Sequence[range], what: str) -> Iterator:
+    """Run ``job(part)`` for every part, each in its own forked worker, and
+    yield the workers' items round by round: the next item of every part
+    not yet done, in part order, until every part is done.  Over parts dealt
+    by ``_split``, a job that yields one item per element of its part thus
+    yields the elements' items in element order.  A worker's exception is
+    raised again here (as a LangcertError naming its type when its pickle
+    cannot be rebuilt); a worker that exits early raises LangcertError
+    naming its ``what``, its part and exit code.  Every worker is terminated
+    and joined when the generator finishes or is closed."""
     import multiprocessing
 
-    def work(conn, lo, hi):
+    def work(conn, part):
         try:
-            for item in job(lo, hi):
+            for item in job(part):
                 conn.send(("item", item))
             conn.send(("done", None))
         except BaseException as exc:
@@ -124,31 +133,32 @@ def _forked(job: Callable[[int, int], Iterable], parts: Sequence[tuple[int, int]
     fork = multiprocessing.get_context("fork")
     workers = []
     try:
-        for lo, hi in parts:
+        for part in parts:
             conn, child_end = fork.Pipe(duplex=False)
-            proc = fork.Process(target=work, args=(child_end, lo, hi), daemon=True)
+            proc = fork.Process(target=work, args=(child_end, part), daemon=True)
             proc.start()
             # later workers must not inherit this end, so that the parent
             # reads EOF as soon as this worker exits
             child_end.close()
-            workers.append((lo, hi, conn, proc))
-        while True:
-            got = []
-            for lo, hi, conn, proc in workers:
+            workers.append((part, conn, proc))
+        live = workers
+        while live:
+            going = []
+            for part, conn, proc in live:
                 try:
                     kind, item = conn.recv()
                 except EOFError:
                     proc.join()
-                    raise LangcertError(f"the worker for {what} {lo}-{hi - 1} exited with code "
-                                        f"{proc.exitcode} before sending its results") from None
+                    raise LangcertError(f"the worker for {what} {part[0]}-{part[-1]} step {part.step} exited "
+                                        f"with code {proc.exitcode} before sending its results") from None
                 if kind == "error":
                     raise item
-                got.append(item)
-            if kind == "done":
-                return
-            yield got
+                if kind == "item":
+                    going.append((part, conn, proc))
+                    yield item
+            live = going
     finally:
-        for *_, conn, proc in workers:
+        for _, conn, proc in workers:
             proc.terminate()  # a no-op once the worker has exited
             proc.join()
             conn.close()
@@ -388,44 +398,6 @@ def _observe(model: ModelConfig, x: np.ndarray, v: np.ndarray, bufs: dict, row: 
         buf[row] = OBSERVABLES[name](model, x, v)
 
 
-def _slab_rows(
-    model: ModelConfig,
-    integrator: IntegratorConfig,
-    init: InitSpec,
-    master_seed: int,
-    labels: Sequence[int],
-    n_steps: int,
-    stride: int,
-    names: Sequence[str],
-    replicas: range,
-    x: np.ndarray,
-    v: np.ndarray,
-) -> Iterator[tuple[int, int, dict, bool]]:
-    """Draw the initial state of ``replicas`` into (x, v) and advance it in
-    place, a block of steps at a time.  Yields ``(first, last, rows,
-    finite)``: the steps covered (0-0 for the initial state), the values of
-    the observables ``names`` at their record steps, one row per record
-    step, and whether the state is finite after them."""
-    streams = NoiseStreams(master_seed, replicas, labels, model.d)
-    x[...], v[...] = _draw_init(streams, init)
-    bufs = {name: np.empty((1, len(replicas))) for name in names}
-    _observe(model, x, v, bufs, 0)
-    yield 0, 0, bufs, True
-    for done in range(0, n_steps, _TIME_BLOCK):
-        nb = min(_TIME_BLOCK, n_steps - done)
-        bufs = {name: np.empty(((done + nb) // stride - done // stride, len(replicas))) for name in names}
-
-        def record(k, x_now, v_now):
-            if (done + k + 1) % stride == 0:
-                _observe(model, x_now, v_now, bufs, (done + k + 1) // stride - done // stride - 1)
-
-        x[...], v[...] = _advance_block(model, integrator, x, v, streams.normals(nb), callback=record)
-        finite = bool(np.all(np.isfinite(x)) and np.all(np.isfinite(v)))
-        yield done + 1, done + nb, bufs, finite
-        if not finite:
-            return
-
-
 def run(
     model: ModelConfig,
     integrator: IntegratorConfig,
@@ -484,36 +456,60 @@ def run(
     final_x = np.empty((replicas, model.N, model.d))
     final_v = np.empty_like(final_x)
 
-    lab = list(range(model.N)) if labels is None else list(labels)
-    slab_rows = partial(_slab_rows, model, integrator, init or InitSpec(), master_seed, lab, n_steps, stride, names)
+    init = init or InitSpec()
+    labels = list(range(model.N)) if labels is None else list(labels)
     per_step = model.N**2 if model.W is not None else model.N
 
     # loaded here once, not again in every slab worker
     from scipy.special import ndtri  # noqa: F401
 
-    def slab(lo, hi):
-        # a slab's blocks, then its final state (a worker's copy must be sent)
-        yield from slab_rows(range(lo, hi), final_x[lo:hi], final_v[lo:hi])
-        yield final_x[lo:hi], final_v[lo:hi]
+    def slab(part):
+        # the initial state of the replicas ``part``, then a block of steps at
+        # a time: (part, first, last, rows, finite, x, v) with the steps
+        # covered (0-0 for the initial state), one row of every observable
+        # per record step, whether the state (x, v) after them is finite
+        streams = NoiseStreams(master_seed, part, labels, model.d)
+        x = np.empty((len(part), model.N, model.d))
+        v = np.empty_like(x)
+        x[...], v[...] = _draw_init(streams, init)
+        bufs = {name: np.empty((1, len(part))) for name in names}
+        _observe(model, x, v, bufs, 0)
+        yield part, 0, 0, bufs, True, x, v
+        for done in range(0, n_steps, _TIME_BLOCK):
+            nb = min(_TIME_BLOCK, n_steps - done)
+            bufs = {name: np.empty(((done + nb) // stride - done // stride, len(part))) for name in names}
+
+            def record(k, x_now, v_now):
+                if (done + k + 1) % stride == 0:
+                    _observe(model, x_now, v_now, bufs, (done + k + 1) // stride - done // stride - 1)
+
+            x[...], v[...] = _advance_block(model, integrator, x, v, streams.normals(nb), callback=record)
+            finite = bool(np.all(np.isfinite(x)) and np.all(np.isfinite(v)))
+            yield part, done + 1, done + nb, bufs, finite, x, v
+            if not finite:
+                return
 
     for lo in range(0, replicas, _REPLICA_CHUNK):
         hi = min(lo + _REPLICA_CHUNK, replicas)
-        parts = _split(range(lo, hi), (hi - lo) * n_steps * per_step)
-        slabs = _forked(slab, parts, "replicas") if len(parts) > 1 else ([item] for item in slab(lo, hi))
-        with closing(slabs):
-            for got in slabs:
-                if len(got[0]) == 2:  # the final states
-                    for (a, b), (xs, vs) in zip(parts, got):
-                        final_x[a:b], final_v[a:b] = xs, vs
-                    continue
-                first, last = got[0][:2]
-                if not all(finite for *_, finite in got):
+        filled = 0  # replicas of the current block received so far
+        with closing(_gather(slab, range(lo, hi), (hi - lo) * n_steps * per_step, "replicas")) as items:
+            for part, first, last, bufs, finite, x, v in items:
+                if not finite:
                     raise ResourceCapError(
                         f"non-finite state in steps {first}-{last} of replicas {lo}-{hi - 1} (reduce dt)")
+                at = slice(part.start, part.stop, part.step)
+                final_x[at], final_v[at] = x, v
+                if not filled:
+                    block = {name: np.empty((len(buf), hi - lo)) for name, buf in bufs.items()}
+                for name, buf in bufs.items():
+                    block[name][:, part.start - lo::part.step] = buf
+                filled += len(part)
+                if filled < hi - lo:
+                    continue
+                filled = 0
                 # records from the first at or after step ``first``, each row in replica order
                 row0 = -(-first // stride)
-                for name in names:
-                    rows = np.concatenate([bufs[name] for _, _, bufs, _ in got], axis=1)
+                for name, rows in block.items():
                     if name in sums:
                         for r, row in enumerate(rows, row0):
                             sums[name][r] += row.sum()
@@ -697,13 +693,14 @@ def fit_decay(
     but use the same arithmetic, in the same order, as ``ndarray.mean``/``var``
     on the whole resample, so they match those calls bit for bit; the point
     estimate's moments are built the same way from the series' own rows.
-    The moments build in worker processes when the work (resamples x
-    replicas x records) reaches ``_SPLIT_WORK``.  Each worker, or the caller
-    when the work is lighter, replays the resample generator past the
-    resamples before its own and draws each index vector just before that
-    resample's moments, so the draws are those of one generator in resample
-    order; the refits run in the caller in resample order, so the result
-    does not depend on the worker count.  Malformed input raises
+    The moments build in worker processes, the resamples dealt to them in
+    turn, when the work (resamples x replicas x records) reaches
+    ``_SPLIT_WORK``.  Each worker, or the caller when the work is lighter,
+    replays the one resample generator, draws every index vector in
+    resample order and builds the moments of its own resamples only; the
+    caller refits each resample as its moments arrive, in resample order,
+    so the result does not depend on the worker count and no list of all
+    resamples' moments is held.  Malformed input raises
     InvalidSpecError: a ``per_replica`` that is not 2-D with at least one
     row and one column, ``times`` that are not 1-D, finite, strictly
     increasing and one per column, or a column with a non-finite mean.
@@ -730,24 +727,22 @@ def fit_decay(
         return None
     lam, r2, n_pts, window = fit
 
-    # the moments of contiguous groups of resamples may build in worker
-    # processes; the refits then run here in resample order
-    def moments(lo, hi):
+    # the moments of resamples dealt to worker processes, refitted here as
+    # they arrive, in resample order
+    def moments(part):
         rng = np.random.default_rng(_BOOT_SEED)
-        for _ in range(lo):
-            rng.integers(0, R, size=R)  # the vectors of the resamples before this part
-        return [_resample_moments(per_replica, rng.integers(0, R, size=R)) for _ in range(lo, hi)]
+        for b in range(part.stop):
+            idx = rng.integers(0, R, size=R)  # every vector is drawn, a part's own are used
+            if b in part:
+                yield _resample_moments(per_replica, idx)
 
-    parts = _split(range(_BOOT_RESAMPLES), _BOOT_RESAMPLES * per_replica.size)
-    if len(parts) > 1:
-        (groups,) = _forked(lambda lo, hi: [moments(lo, hi)], parts, "resamples")
-    else:
-        groups = [moments(0, _BOOT_RESAMPLES)]
     boots = []
-    for bmean, bvar in itertools.chain.from_iterable(groups):
-        bfit = _fit_lambda(times, bmean - equilibrium_value, np.sqrt(bvar / R) + 1e-300, window=window)
-        if bfit is not None:
-            boots.append(bfit[0])
+    with closing(_gather(moments, range(_BOOT_RESAMPLES), _BOOT_RESAMPLES * per_replica.size,
+                         "resamples")) as resamples:
+        for bmean, bvar in resamples:
+            bfit = _fit_lambda(times, bmean - equilibrium_value, np.sqrt(bvar / R) + 1e-300, window=window)
+            if bfit is not None:
+                boots.append(bfit[0])
     if len(boots) >= 20:
         lo, hi = np.percentile(boots, [2.5, 97.5])
         lo, hi = min(lo, lam), max(hi, lam)

@@ -128,6 +128,44 @@ def test_certify_split_takes_case1_for_a_linear_confinement(tmp_path, W, mode, l
     assert cert["lambda"] > 50 * single["lambda"]
 
 
+def test_certify_split_keeps_the_configs_theorem(tmp_path):
+    # --mode split discarded the config's "mode": "thm4" and reported thm3
+    bump = {**SMALL_BUMP, "params": {**SMALL_BUMP["params"], "amplitude": 0.02}}
+    config = {"model": {"N": 8, "d": 1, "U": DW_U, "W": bump}, "mode": "thm4", "rho_marginal": 1.0}
+    cfg = write_config(tmp_path, "c.json", config)
+    assert main(["certify", "--config", str(cfg), "--out", str(tmp_path / "o"), "--mode", "split"]) == 0
+    report = json.loads((tmp_path / "o" / "certificate.json").read_text())
+    cert, single = report["certificate"], report["certificate_single"]
+    assert (cert["mode"], cert["variant"], cert["certified"]) == ("thm4", "split_case2", True)
+    assert cert["lambda"] == pytest.approx(7.2254e-11, rel=1e-4)
+    assert (single["mode"], single["variant"]) == ("thm4", "single")
+    assert single["lambda"] == pytest.approx(3.935e-8, rel=1e-3)
+    # --mode thm3 still overrides the config
+    assert main(["certify", "--config", str(cfg), "--out", str(tmp_path / "t"), "--mode", "thm3"]) == 0
+    assert json.loads((tmp_path / "t" / "certificate.json").read_text())["certificate"]["mode"] == "thm3"
+
+
+@pytest.mark.parametrize("flags", [[], ["--paper-literal"]], ids=["refined", "paper-literal"])
+def test_certify_split_omits_the_single_scale_sets_out_of_range(tmp_path, flags):
+    # M = 1.86e111 overflows the single and the refined set, which a split run
+    # only reports beside its certificate: they are omitted with a note, where
+    # the run exited 1 naming M
+    U = {"family": "quartic_double_well", "params": {"quartic": 1e60, "well": 0.5}, "dim": 1}
+    cfg = write_config(tmp_path, "c.json", {"model": {"N": 8, "d": 1, "U": U, "W": None}})
+    out = tmp_path / "o"
+    assert main(["certify", "--config", str(cfg), "--out", str(out), "--mode", "split", *flags]) == 0
+    report = json.loads((out / "certificate.json").read_text())
+    cert = report["certificate"]
+    assert (cert["variant"], cert["certified"]) == ("split_case2", True)
+    assert cert["lambda"] == pytest.approx(1.0494e-95, rel=1e-4)
+    assert "certificate_single" not in report and "refined" not in cert
+    too_large = "coefficients leave the float range (overflow, or b^2 >= ac): M = 1.8626451529562473e+111 too large"
+    assert cert["notes"] == [f"refined set omitted: {too_large}"] * (not flags) + [
+        f"single certificate omitted: {too_large}"]
+    # the single route reports that set itself, so it still exits 1
+    assert main(["certify", "--config", str(cfg), "--out", str(tmp_path / "s"), *flags]) == 1
+
+
 @pytest.mark.parametrize("flags, decisions", [(["--mode", "split"], 3), ([], 2), (["--paper-literal"], 1)],
                          ids=["split", "default", "paper-literal"])
 def test_certify_decides_each_coefficient_set_once(tmp_path, monkeypatch, flags, decisions):
