@@ -165,12 +165,11 @@ def build_Tprime(a: float, b: float, c: float, M1: float, M2: float) -> np.ndarr
     Quadratic-form order: (|grad_v h|, |grad_v^2 h|, |grad_x h|, |grad_xv^2 h|).
     The sqrt(M2) terms come from bounding the |grad_v h| factor and sit in
     the first row/column; the mixed-Hessian factors carry sqrt(M1), so the
-    (1,4) and (3,4) couplings are -b sqrt(M1)/2 and -c sqrt(M1)/2.  The
-    matrix is symmetrized before eigen-analysis (a no-op for these entries;
-    only the quadratic form matters).
+    (1,4) and (3,4) couplings are -b sqrt(M1)/2 and -c sqrt(M1)/2.  Mirrored
+    entries are the same float expression, so T equals T^T exactly.
     """
     s1, s2 = math.sqrt(M1), math.sqrt(M2)
-    T = np.array(
+    return np.array(
         [
             [1.0 + a - b * s2, 0.0, -(a + b + c * s2) / 2.0, -b * s1 / 2.0],
             [0.0, a, 0.0, -b],
@@ -178,13 +177,12 @@ def build_Tprime(a: float, b: float, c: float, M1: float, M2: float) -> np.ndarr
             [-b * s1 / 2.0, -b, -c * s1 / 2.0, c],
         ]
     )
-    return (T + T.T) / 2.0
 
 
 def _checked(T: np.ndarray) -> np.ndarray:
     T = np.asarray(T, dtype=float)
-    if T.shape != (4, 4) or not np.allclose(T, T.T, atol=0.0):
-        raise InvalidSpecError("the coercivity check needs a symmetric 4x4 matrix")
+    if T.shape != (4, 4) or not np.array_equal(T, T.T):
+        raise InvalidSpecError("the coercivity check needs an exactly symmetric 4x4 matrix")
     return T
 
 
@@ -453,15 +451,15 @@ def _first_certified(routes) -> tuple:
 
 def _kappa_routes(bundle: ConstantsBundle, be, fit, W, kappa_user):
     """Poincare routes: user value, Bakry-Emery curvature, the
-    convexity-at-infinity slack, dissipativity at h = 0 without interaction."""
+    convexity-at-infinity slack, 1/c_lip by dissipativity without interaction."""
     yield kappa_user, pot.USER
     yield (be and be.kappa), pot.ANALYTIC
     if fit is not None:
         yield funcineq.upi_criterion(fit.c_u, fit.c, fit.radius, bundle.K), pot.CRITERION
     if W is None and math.isfinite(bundle.c_lip):
         # no interaction: the off-diagonal block matrix is identically zero,
-        # so h = 0 exactly and the route is as strong as c_lip
-        yield funcineq.kappa_dissipativity(0.0, bundle.c_lip), bundle.provenance["c_lip"]
+        # so the route is as strong as c_lip
+        yield funcineq.kappa_dissipativity(bundle.c_lip), bundle.provenance["c_lip"]
 
 
 def _cls_routes(bundle: ConstantsBundle, be, fit, cls_user, rho_marginal):

@@ -5,11 +5,12 @@ machine-readable reports into the output directory.  Each config section is
 a JSON object read through one table of typed readers (``_object``):
 unknown keys are rejected, and a key left out takes the library's default.
 null means absent only for ``W``, ``init``, ``fit``, ``kappa``, ``cls`` and
-``rho_marginal``.  NaN, +-Infinity and numbers that overflow a float, such
-as 1e400, are rejected on load.  The reports are a JSON summary carrying
-the config echo plus its SHA-256 hash, and CSV time series for the
-simulation commands.  Outputs are bit-identical across runs with the same
-config and seed.
+``rho_marginal``.  A file that is not UTF-8 JSON, NaN, +-Infinity, numbers
+that overflow a float, such as 1e400, integers too long for int() and
+nesting too deep to parse are rejected on load.  The reports are a JSON
+summary carrying the config echo plus its SHA-256 hash, and CSV time series
+for the simulation commands.  Outputs are bit-identical across runs with the
+same config and seed.
 
 Exit codes: 0 success / certified, 1 internal error or usage error, 2
 missing constant or failed certification, 3 resource cap exceeded.
@@ -300,6 +301,19 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _load_config(path: Path) -> dict:
+    """The config at ``path``, UTF-8 JSON.  Besides a JSONDecodeError, the
+    parse fails on a byte that is not UTF-8, an integer literal beyond int()'s
+    digit limit (both ValueErrors) and nesting past the recursion limit."""
+    try:
+        return json.loads(path.read_bytes().decode("utf-8"), parse_constant=_reject_constant,
+                          parse_float=_finite_float)
+    except (InvalidSpecError, json.JSONDecodeError):
+        raise
+    except (ValueError, RecursionError) as exc:
+        raise InvalidSpecError(f"config {path} cannot be read: {exc}") from None
+
+
 def _seed(text: str) -> int:
     """--seed: an integer in [0, 2**64), the key word every Philox stream
     shares (numpy's generators take no negative seed, and a wider one would
@@ -332,8 +346,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
         return EXIT_OK if exc.code == 0 else EXIT_INTERNAL
     try:
-        config = json.loads(args.config.read_text(), parse_constant=_reject_constant,
-                            parse_float=_finite_float) if args.config else {}
+        config = _load_config(args.config) if args.config else {}
         out_dir = args.out
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "certify":

@@ -38,6 +38,8 @@ __all__ = [
     "spectral_gap",
 ]
 
+TAIL_REL = 1e-13  # largest boundary density, relative to the peak, a grid may leave
+
 
 @dataclass(frozen=True)
 class GridMeasure:
@@ -118,20 +120,13 @@ def _grid_axis(halfwidth: float, n: int) -> np.ndarray:
     return np.linspace(-halfwidth, halfwidth, n)
 
 
-def _check_tails(log_density: np.ndarray, halfwidth: float, rel: float = 1e-13) -> None:
+def _check_tails(log_density: np.ndarray, halfwidth: float) -> None:
     peak = float(log_density.max())
-    if log_density.ndim == 1:
-        edge = max(float(log_density[0]), float(log_density[-1]))
-    else:
-        edge = max(
-            float(log_density[0].max()),
-            float(log_density[-1].max()),
-            float(log_density[:, 0].max()),
-            float(log_density[:, -1].max()),
-        )
-    if math.exp(edge - peak) > rel:
+    edge = max(float(np.take(log_density, end, axis).max())
+               for axis in range(log_density.ndim) for end in (0, -1))
+    if math.exp(edge - peak) > TAIL_REL:
         raise TailCoverageError(
-            f"boundary density {math.exp(edge - peak):.2e} of peak exceeds {rel:.0e}; "
+            f"boundary density {math.exp(edge - peak):.2e} of peak exceeds {TAIL_REL:.0e}; "
             f"enlarge the box (halfwidth {halfwidth:g} is too small)",
             required_halfwidth=2 * halfwidth,
         )
@@ -165,18 +160,13 @@ def kappa_bakry_emery(U: PotentialSpec, W: Optional[PotentialSpec]) -> Optional[
     return BakryEmery(kappa=kappa, c_ls=1.0 / kappa)
 
 
-def kappa_dissipativity(h: float, c_lip: float) -> Optional[float]:
-    """Poincare constant h + 1/c_lip from the dissipativity route.
-
-    Needs a finite Lipschitz constant and h > -1/c_lip; the provenance of
-    the result is only as strong as that of h.
-    """
+def kappa_dissipativity(c_lip: float) -> Optional[float]:
+    """Poincare constant 1/c_lip by dissipativity, or None unless c_lip is
+    finite and positive.  It holds without interaction, where the off-diagonal
+    block matrix is zero, and is as strong as c_lip."""
     if not math.isfinite(c_lip) or c_lip <= 0:
         return None
-    kappa = h + 1.0 / c_lip
-    if kappa <= 0:
-        return None
-    return kappa
+    return 1.0 / c_lip
 
 
 def upi_criterion(c_u: float, c: float, R: float, K: float) -> Optional[float]:

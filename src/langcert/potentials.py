@@ -45,7 +45,6 @@ __all__ = [
     "LipschitzResult",
     "ConvexityFit",
     "extract_constants",
-    "select_lyapunov_pair",
     "lyapunov_offsets",
     "lipschitz_constant",
     "lipschitz_from_model",
@@ -306,8 +305,8 @@ class PotentialSpec:
         ``gaussian_bump`` or ``cosine``.
     params : dict
         Family parameters, named and range-checked by the family's
-        ``_FAMILIES`` schema, and rejected when the closed-form bounds or the
-        length scale leave the float range.
+        ``_FAMILIES`` schema (a number must also be finite), and rejected when
+        the closed-form bounds or the length scale leave the float range.
     dim : int
         Dimension d >= 1 of the space the potential acts on.
     role : str
@@ -326,6 +325,8 @@ class PotentialSpec:
             raise InvalidSpecError(f"unknown role {self.role!r}")
         if isinstance(self.dim, bool) or not isinstance(self.dim, numbers.Integral) or self.dim < 1:
             raise InvalidSpecError(f"dim must be an integer >= 1, got {self.dim!r}")
+        if not isinstance(self.params, dict):
+            raise InvalidSpecError(f"{self.family} params must be a dict, got {self.params!r}")
         schema = _FAMILIES[self.family].schema
         unknown = set(self.params) - set(schema)
         if unknown:
@@ -338,8 +339,8 @@ class PotentialSpec:
                 ok = isinstance(v, str) and v in rule
             elif isinstance(v, bool) or not isinstance(v, numbers.Real):
                 raise InvalidSpecError(f"param {name} must be a number, got {v!r}")
-            else:
-                ok = rule(v)
+            else:  # finite; compared, since math.isfinite raises on a huge int
+                ok = -math.inf < v < math.inf and rule(v)
             if not ok:
                 raise InvalidSpecError(f"param {name}={v!r} out of range")
         try:
@@ -546,26 +547,6 @@ def lyapunov_offsets(spec: PotentialSpec, k1s) -> list[float]:
     return np.where((k1[:, 0] == 0) & (a4 > 0), math.inf, np.maximum(sup, 0.0)).tolist()
 
 
-def select_lyapunov_pair(
-    spec: PotentialSpec,
-    objective: Callable[[float, float], float],
-) -> tuple[float, float]:
-    """Pick (K1, K2) over a log grid of K1 minimizing ``objective(K1, K2)``."""
-    candidates = [2.0**e for e in range(-20, 11)]
-    if math.isfinite(spec.hess_op_sup()):
-        candidates = [0.0] + candidates
-    best = None
-    for k1, k2 in zip(candidates, lyapunov_offsets(spec, candidates)):
-        score = objective(k1, k2)
-        if not math.isfinite(score):
-            continue
-        if best is None or score < best[0]:
-            best = (score, k1, k2)
-    if best is None:
-        raise InvalidSpecError("no feasible Lyapunov pair found")
-    return best[1], best[2]
-
-
 def extract_constants(U: PotentialSpec, W: Optional[PotentialSpec]) -> ConstantsBundle:
     """Interaction bounds K, K' and a Lyapunov pair (K1, K2) for U.
 
@@ -573,6 +554,11 @@ def extract_constants(U: PotentialSpec, W: Optional[PotentialSpec]) -> Constants
     W.  A quadratic interaction has a constant Hessian but a linear gradient,
     so K' comes back as the +inf flag and certification must go through the
     log-Sobolev route.
+
+    K1 runs over 2^-20, ..., 2^10, after 0 where U's Hessian is bounded, and
+    K2 comes from ``lyapunov_offsets``.  The pair kept is the first strict
+    minimum of the thm3 M, floored at 1, at (K, K' or 0 if infinite, K1, K2);
+    a pair whose C1 or C2 leaves the float range is skipped.
     """
     if U.role != "confinement":
         raise InvalidSpecError("U must have the confinement role")
@@ -587,15 +573,20 @@ def extract_constants(U: PotentialSpec, W: Optional[PotentialSpec]) -> Constants
     d = U.dim
     kp_eff = K_prime if math.isfinite(K_prime) else 0.0
 
-    def objective(k1, k2):
-        # the thm3 M of the pair, floored at 1; a pair whose C1 or C2
-        # overflows is infeasible
+    k1s = [2.0**e for e in range(-20, 11)]
+    if math.isfinite(U.hess_op_sup()):
+        k1s = [0.0] + k1s
+    best = None
+    for k1, k2 in zip(k1s, lyapunov_offsets(U, k1s)):
         try:
-            return max(constants_bounded_grad(K, kp_eff, k1, k2, d).M, 1.0)
+            M = max(constants_bounded_grad(K, kp_eff, k1, k2, d).M, 1.0)
         except InvalidSpecError:
-            return math.inf
-
-    k1, k2 = select_lyapunov_pair(U, objective)
+            continue
+        if best is None or M < best[0]:
+            best = (M, k1, k2)
+    if best is None:
+        raise InvalidSpecError("no feasible Lyapunov pair found")
+    _, k1, k2 = best
     if not U.linear:
         # outward margin for the rounding of the candidate evaluations (an
         # over-estimate of K2 only weakens the certified rate, never its validity)

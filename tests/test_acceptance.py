@@ -113,10 +113,10 @@ def test_criterion_06_spectral_gap_oracle_vs_certified_route():
         m = GridMeasure.from_potential(u, halfwidth=9.0 / math.sqrt(k1), n=2001)
         gap = spectral_gap(m).gap
         assert abs(gap - k1) <= 0.02 * k1
-        # certified route: b0 exact, c_lip by quadrature, kappa = h + 1/c_lip
+        # certified route: b0 exact, c_lip by quadrature, kappa = 1/c_lip
         clip = lipschitz_constant(model_b0(u, None))
         assert abs(clip.value - 1.0 / k1) <= 1e-8
-        kappa = kappa_dissipativity(0.0, clip.value)
+        kappa = kappa_dissipativity(clip.value)
         assert abs(kappa - k1) <= 1e-7
         assert abs(kappa - gap) <= 0.02 * k1
         details.append(f"k1={k1}: gap={gap:.5f}, c_lip={clip.value:.10f}")

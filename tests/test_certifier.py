@@ -176,6 +176,19 @@ def test_coercivity_rejects_nonsymmetric():
         coercivity_holds(bad, 0.0)
 
 
+def test_coercivity_rejects_a_nearly_symmetric_matrix():
+    # within np.allclose's 1e-5 relative tolerance of its transpose, so it
+    # used to pass the check, and the LDL^T read T[2, 0] = 1 - 4e-6 + 1.5e-11
+    # and certified it; its symmetric part has the (0, 2) minor -1.5e-11
+    T = np.eye(4)
+    T[0, 2], T[2, 0] = 1 + 4e-6, 1 - 4e-6 + 1.5e-11
+    S = (T + T.T) / 2
+    assert S[0, 0] * S[2, 2] - S[0, 2] ** 2 < -1e-11
+    for check in (coercivity_holds, verify_coercivity):
+        with pytest.raises(InvalidSpecError, match="exactly symmetric 4x4"):
+            check(T, 0.0)
+
+
 def test_zero_matrix_witness():
     assert verify_coercivity(np.zeros((4, 4)), 0.0) == 0.0
     assert coercivity_holds(np.zeros((4, 4)), 0.0)

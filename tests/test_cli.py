@@ -473,6 +473,23 @@ def test_nan_and_infinity_in_config_exit_one(tmp_path, capsys):
             assert not out.exists()
 
 
+@pytest.mark.parametrize("data, message", [
+    (b"\xff\xfe\x00{", "'utf-8' codec can't decode byte 0xff"),
+    (b'{"model": {"N": 1' + b"0" * 5000 + b"}}", "Exceeds the limit (4300 digits)"),
+    (b"[" * 100_000, "maximum recursion depth exceeded"),
+], ids=["not-utf8", "5001-digit-int", "deep-nesting"])
+def test_unreadable_config_exit_one(tmp_path, capsys, data, message):
+    # each escaped main as a UnicodeDecodeError, ValueError or RecursionError
+    cfg = tmp_path / "c.json"
+    cfg.write_bytes(data)
+    out = tmp_path / "out"
+    assert main(["certify", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {cfg} cannot be read: ") and message in err
+    assert err.count("error:") == 1 and err.count("\n") == 1
+    assert not out.exists()
+
+
 SIM = {"model": {"N": 2, "d": 1, "U": QUAD_U}, "integrator": {"scheme": "baoab", "dt": 0.01},
        "replicas": 4, "horizon": 0.1}
 SWEEP = {"model_template": {"d": 1, "U": QUAD_U}, "Ns": [2, 4],
@@ -821,3 +838,41 @@ def test_simulate_starts_no_thread(tmp_path):
                           capture_output=True, text=True, check=True)
     forks = simulator._THREADS > 1 and "fork" in multiprocessing.get_all_start_methods()
     assert proc.stdout.splitlines()[-1] == f"[] 1 {forks}"
+
+
+# the certify-d1 models of perfbench/run.py (CERTIFY_MODELS): name -> (U, W, extra flags)
+_BENCH_DW = {"family": "quartic_double_well", "params": {"quartic": 0.25, "well": 0.5}, "dim": 1}
+_BENCH_BUMP = {"family": "gaussian_bump", "params": {"amplitude": 0.02, "width": 1.0, "sign": "attractive"}, "dim": 1}
+_BENCH_QUAD = {"family": "quadratic", "params": {"coef": 1.0}, "dim": 1}
+_BENCH_MODELS = {
+    "readme": (_BENCH_DW, _BENCH_BUMP, []),
+    "readme-split": (_BENCH_DW, _BENCH_BUMP, ["--mode", "split"]),
+    "readme-paper-literal": (_BENCH_DW, _BENCH_BUMP, ["--paper-literal"]),
+    "quadratic-repulsive-bump": (_BENCH_QUAD, {"family": "gaussian_bump", "params": {
+        "amplitude": 0.1, "width": 1.0, "sign": "repulsive"}, "dim": 1}, []),
+    "double-well": (_BENCH_DW, None, []),
+    "double-well-cosine": (_BENCH_DW, {"family": "cosine", "params": {"amplitude": 0.05, "frequency": 1.0},
+                                       "dim": 1}, []),
+    "quadratic-quadratic-thm4": (_BENCH_QUAD, {"family": "quadratic", "params": {"coef": 0.5}, "dim": 1},
+                                 ["--mode", "thm4"]),
+}
+_BENCH_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+
+def test_certify_matches_the_benchmark_reference(tmp_path):
+    # the benchmark's certificate gate, at its tolerances, on every certify-d1 model
+    reference = json.loads(_BENCH_REFERENCE.read_text())
+    assert sorted(_BENCH_MODELS) == sorted(reference)
+    for name, (U, W, flags) in _BENCH_MODELS.items():
+        cfg = write_config(tmp_path, f"{name}.json", {"model": {"N": 8, "d": 1, "U": U, "W": W}})
+        out = tmp_path / name
+        assert main(["certify", "--config", str(cfg), "--out", str(out), *flags]) == 0, name
+        cert = json.loads((out / "certificate.json").read_text())["certificate"]
+        got = {"lambda": cert["lambda"], "C0": cert["C0"], "psd_witness": cert["psd_witness"],
+               "c_lip": cert["inputs"]["c_lip"], "certified": cert["certified"]}
+        assert got.keys() == reference[name].keys(), name
+        for key, want in reference[name].items():
+            if isinstance(want, bool):
+                assert got[key] is want, (name, key)
+            else:
+                assert abs(got[key] - want) <= 1e-9 * abs(want) + 1e-14, (name, key, got[key], want)

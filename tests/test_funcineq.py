@@ -54,13 +54,11 @@ def test_bakry_emery_double_well_absent():
 def test_kappa_dissipativity_quadratic_matches_gaussian_gap():
     clip = lipschitz_from_model(quad(1.0), None)
     assert clip.value == pytest.approx(1.0, abs=1e-8)
-    assert kappa_dissipativity(0.0, clip.value) == pytest.approx(1.0, abs=1e-8)
+    assert kappa_dissipativity(clip.value) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_kappa_dissipativity_boundary_and_infinite():
-    assert kappa_dissipativity(-1.0 + 1e-12, 1.0) == pytest.approx(1e-12, rel=1e-3)
-    assert kappa_dissipativity(-2.0, 1.0) is None
-    assert kappa_dissipativity(0.5, math.inf) is None
+    assert kappa_dissipativity(math.inf) is None
 
 
 def test_upi_criterion_formula():
@@ -238,7 +236,7 @@ def test_consistency_curvature_dissipativity_grid():
     k1 = 1.7
     be = kappa_bakry_emery(quad(k1), None)
     clip = lipschitz_from_model(quad(k1), None)
-    k_dis = kappa_dissipativity(0.0, clip.value)
+    k_dis = kappa_dissipativity(clip.value)
     m = GridMeasure.from_potential(quad(k1), halfwidth=8.0, n=2001)
     gap = spectral_gap(m).gap
     assert be.kappa == pytest.approx(k1)
@@ -247,7 +245,5 @@ def test_consistency_curvature_dissipativity_grid():
 
 
 def test_kappa_dissipativity_monotonicity():
-    vals_h = [kappa_dissipativity(h, 2.0) for h in (0.0, 0.1, 0.2)]
-    assert vals_h[0] < vals_h[1] < vals_h[2]
-    vals_c = [kappa_dissipativity(0.1, c) for c in (1.0, 2.0, 4.0)]
+    vals_c = [kappa_dissipativity(c) for c in (1.0, 2.0, 4.0)]
     assert vals_c[0] > vals_c[1] > vals_c[2]

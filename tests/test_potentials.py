@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -212,6 +213,34 @@ def test_invalid_specs_rejected():
     assert PotentialSpec("quadratic", {"coef": 1.0}, dim=np.int64(2)).dim == 2
 
 
+@pytest.mark.parametrize("family, params, name, value", [
+    ("quadratic", {"coef": math.inf}, "coef", math.inf),
+    ("quartic_double_well", {"quartic": math.inf, "well": 0.5}, "quartic", math.inf),
+    ("gaussian_bump", {"amplitude": math.inf, "width": 1.0, "sign": "attractive"}, "amplitude", math.inf),
+    ("cosine", {"amplitude": 1.0, "frequency": math.inf}, "frequency", math.inf),
+    ("cosine", {"amplitude": math.inf, "frequency": 1.0}, "amplitude", math.inf),
+    ("cosine", {"amplitude": math.nan, "frequency": 1.0}, "amplitude", math.nan),
+    ("cosine", {"amplitude": -math.inf, "frequency": 1.0}, "amplitude", -math.inf),
+])
+def test_non_finite_params_rejected(family, params, name, value):
+    # each was accepted, and an infinite W then failed with "no feasible
+    # Lyapunov pair found", which blames U
+    with pytest.raises(InvalidSpecError, match=f"^param {name}={value!r} out of range$"):
+        PotentialSpec(family, params, role="interaction")
+
+
+def test_huge_int_param_is_out_of_float_range():
+    with pytest.raises(InvalidSpecError, match="are out of float range"):
+        PotentialSpec("quadratic", {"coef": 10**400})
+
+
+@pytest.mark.parametrize("params", [5, None, [("coef", 1.0)]], ids=repr)
+def test_non_dict_params_rejected(params):
+    # 5 and None raised a bare TypeError
+    with pytest.raises(InvalidSpecError, match=f"^quadratic params must be a dict, got {re.escape(repr(params))}$"):
+        PotentialSpec("quadratic", params)
+
+
 def test_json_round_trip():
     w = PotentialSpec(**BUMP.to_json(), role="interaction")
     assert w == BUMP
@@ -341,7 +370,7 @@ def _lyapunov_offset_scan(spec, k1):
 ], ids=lambda s: f"{s.family}-d{s.dim}")
 def test_lyapunov_offsets_batch_matches_scalar_search(spec):
     # the closed-form candidate list against a dense scan, for every K1 that
-    # select_lyapunov_pair tries (K1 = 0 only where the Hessian is bounded)
+    # extract_constants tries (K1 = 0 only where the Hessian is bounded)
     k1s = [0.0] + [2.0**e for e in range(-20, 11)]
     for k1, k2 in zip(k1s, lyapunov_offsets(spec, k1s)):
         if k1 == 0.0 and not spec.linear:
