@@ -250,8 +250,7 @@ def cmd_simulate(config: dict, out_dir: Path, seed: int) -> int:
     _write_timeseries_csv(out_dir / "timeseries.csv", res.times, res.means, res.variances, res.n_replicas)
     fit = simulator.fit_decay(res.times, res.per_replica[fit_obs], observable_id=fit_obs, **fit_cfg)
     fits = {fit_obs: asdict(fit) if fit is not None else None}
-    report = {**_header("simulation", config, seed), "decay_fits": fits,
-              "n_steps": int(round(sim["horizon"] / sim["integrator"].dt))}
+    report = {**_header("simulation", config, seed), "decay_fits": fits, "n_steps": res.n_steps}
     _write_json(out_dir / "summary.json", report)
     print(f"simulated {sim['replicas']} replicas to T={config['horizon']}; fits: {list(fits)}")
     return EXIT_OK

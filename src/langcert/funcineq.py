@@ -6,10 +6,12 @@ for all to  Ent_m(g^2) <= 2 C_LS Int |grad g|^2 dm;  the inverse constant
 rho_LS = 1 / C_LS is converted at the boundaries of this module only.
 
 The grid oracle discretizes the overdamped generator  H = Lap - grad V . grad
-on a uniform grid with the detailed-balance-preserving three-point stencil
-(midpoint densities by geometric means), which after symmetrization is the
-discrete Schroedinger matrix with constant off-diagonal -1/dx^2.  Restricted
-to total dimension <= 2: it exists to validate formulas, not to scale.
+on a uniform grid with one detailed-balance-preserving stencil, three points
+along each axis (midpoint densities by geometric means).  Symmetrized, it is
+the discrete Schroedinger matrix: the diagonal sums exp(+-1/2 the log-density
+step) to each neighbour, axis by axis; the off-diagonal, -1/dx^2 per
+neighbour, is the Kronecker sum of the axes' 1-D second differences.  Total
+dimension <= 2: it exists to validate formulas, not to scale.
 """
 
 from __future__ import annotations
@@ -223,47 +225,30 @@ class GapResult:
     halfwidth: float
 
 
-# the gap solvers import scipy when first called: only the oracle and the
-# tests reach them, and ``certify`` runs without scipy
+# the gap solver imports scipy when first called: only the oracle and the
+# tests reach it, and ``certify`` runs without scipy
 
-def _gap_1d(logd: np.ndarray, dx: float) -> float:
-    from scipy.linalg import eigh_tridiagonal
+def _gap(logd: np.ndarray, dx: float) -> float:
+    """Smallest nonzero eigenvalue of the stencil on the grid of ``logd``: by
+    a tridiagonal solve on one axis, by sparse shift-invert on two."""
+    diag = np.zeros(logd.shape)
+    for ax in range(logd.ndim):
+        half = 0.5 * np.diff(logd, axis=ax)
+        view = np.moveaxis(diag, ax, 0)
+        view[:-1] += np.moveaxis(np.exp(half), ax, 0)
+        view[1:] += np.moveaxis(np.exp(-half), ax, 0)
+    if logd.ndim == 1:
+        from scipy.linalg import eigh_tridiagonal
 
-    half = 0.5 * np.diff(logd)
-    diag = np.zeros(logd.size)
-    diag[:-1] += np.exp(half)
-    diag[1:] += np.exp(-half)
-    off = -np.ones(logd.size - 1)
-    vals = eigh_tridiagonal(diag / dx**2, off / dx**2, select="i", select_range=(0, 1))[0]
-    return float(vals[1])
-
-
-def _gap_2d(logd: np.ndarray, dx: float) -> float:
+        off = -np.ones(logd.size - 1)
+        return float(eigh_tridiagonal(diag / dx**2, off / dx**2, select="i", select_range=(0, 1))[0][1])
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
     n1, n2 = logd.shape
-    size = n1 * n2
-    l = logd.ravel()
-    rows, cols, vals = [], [], []
-    diag = np.zeros(size)
-    idx = np.arange(size).reshape(n1, n2)
-    for p, q in (
-        (idx[:-1, :].ravel(), idx[1:, :].ravel()),
-        (idx[:, :-1].ravel(), idx[:, 1:].ravel()),
-    ):
-        rows.extend([p, q])
-        cols.extend([q, p])
-        ones = -np.ones(p.size)
-        vals.extend([ones, ones])
-        half = 0.5 * (l[q] - l[p])
-        np.add.at(diag, p, np.exp(half))
-        np.add.at(diag, q, np.exp(-half))
-    B = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(size, size)
-    )
-    B = (B + sp.diags(diag)) / dx**2
-    w = spla.eigsh(B, k=2, sigma=-1e-3, which="LM", return_eigenvectors=False)
+    s1, s2 = (sp.diags([-1.0, -1.0], [-1, 1], shape=(n, n)) for n in (n1, n2))
+    B = sp.kron(s1, sp.identity(n2)) + sp.kron(sp.identity(n1), s2) + sp.diags(diag.ravel())
+    w = spla.eigsh(B / dx**2, k=2, sigma=-1e-3, which="LM", return_eigenvectors=False)
     return float(np.sort(w)[1])
 
 
@@ -278,12 +263,8 @@ def spectral_gap(measure: GridMeasure) -> GapResult:
         raise InvalidSpecError("spectral gap oracle is restricted to total dimension <= 2")
     logd = measure.log_density
     dx = measure.spacing
-    if measure.ndim == 1:
-        fine = _gap_1d(logd, dx)
-        coarse = _gap_1d(logd[::2], 2 * dx)
-    else:
-        fine = _gap_2d(logd, dx)
-        coarse = _gap_2d(logd[::2, ::2], 2 * dx)
+    fine = _gap(logd, dx)
+    coarse = _gap(logd[(slice(None, None, 2),) * logd.ndim], 2 * dx)
     rich = (4.0 * fine - coarse) / 3.0
     half = float(measure.axes[0][-1])
     return GapResult(gap=fine, gap_coarse=coarse, richardson=rich, spacing=dx, halfwidth=half)

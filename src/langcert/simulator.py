@@ -68,6 +68,7 @@ __all__ = [
 SCHEMES = ("euler_maruyama", "baoab")
 DEFAULT_OBSERVABLES = ("mean_position",)  # what run records unless told otherwise
 MAX_STEPS = 10**8
+_KEY_BITS = "replica and particle label must fit in 31 bits"  # of a stream key
 _SLAB_WORDS = 2**14  # raw Philox words converted to normals per pass
 _REPLICA_CHUNK = 4096  # replicas integrated together by run
 _TIME_BLOCK = 256  # steps of noise drawn per block
@@ -222,7 +223,7 @@ def _stream_keys(master_seed: int, replicas: Sequence[int], labels: Sequence[int
     """Philox keys (seed, replica << 31 | label) of every (replica, label)
     stream, shape (R, N, 2) uint64."""
     if not all(0 <= v < 2**31 for v in (*replicas, *labels)):
-        raise InvalidSpecError("replica and particle label must fit in 31 bits")
+        raise InvalidSpecError(_KEY_BITS)
     keys = np.empty((len(replicas), len(labels), 2), dtype=np.uint64)
     keys[..., 0] = np.uint64(master_seed & (2**64 - 1))
     rep = np.array(replicas, dtype=np.uint64)[:, None] << np.uint64(31)
@@ -281,6 +282,19 @@ class NoiseStreams:
         return out.transpose(1, 0, 2, 3)
 
 
+def _run_labels(model: ModelConfig, replicas: int, labels: Optional[Sequence[int]]) -> Sequence[int]:
+    """``labels``, N distinct ones, or range(N), after an O(1) check that the
+    counts fit the 31-bit stream keys, made before anything is allocated."""
+    if replicas > 2**31 or model.N > 2**31:
+        raise InvalidSpecError(_KEY_BITS)
+    if labels is None:
+        return range(model.N)
+    labels = list(labels)
+    if len(labels) != model.N or len(set(labels)) != model.N:
+        raise InvalidSpecError(f"labels must be {model.N} distinct particle labels, got {labels}")
+    return labels
+
+
 def _draw_init(streams: NoiseStreams, init: InitSpec) -> tuple[np.ndarray, np.ndarray]:
     """The first two steps of every stream: step 0 scaled by the spread and
     offset in coordinate 0 gives the positions, step 1 the velocities."""
@@ -300,7 +314,7 @@ def initial_state(
     """The initial ensemble ``run`` starts from: the first two steps of every
     (replica, label) stream, positions from step 0 and velocities from step
     1.  The dynamics continue at step 2 whatever the ``init``."""
-    labels = range(model.N) if labels is None else labels
+    labels = _run_labels(model, replicas, labels)
     pos, vel = _draw_init(NoiseStreams(master_seed, range(replicas), labels, model.d), init or InitSpec())
     return EnsembleState(positions=pos, velocities=vel)
 
@@ -389,6 +403,7 @@ class RunResult:
     means: dict
     variances: dict
     n_replicas: int
+    n_steps: int
     final_state: EnsembleState
     per_replica: dict = field(default_factory=dict)
 
@@ -429,6 +444,7 @@ def run(
     """
     if replicas < 1:
         raise InvalidSpecError("replicas must be >= 1")
+    labels = _run_labels(model, replicas, labels)
     if not observables:
         raise InvalidSpecError("at least one observable is required")
     if len(set(observables)) < len(observables):
@@ -457,7 +473,6 @@ def run(
     final_v = np.empty_like(final_x)
 
     init = init or InitSpec()
-    labels = list(range(model.N)) if labels is None else list(labels)
     per_step = model.N**2 if model.W is not None else model.N
 
     # loaded here once, not again in every slab worker
@@ -526,6 +541,7 @@ def run(
         means=means,
         variances=variances,
         n_replicas=replicas,
+        n_steps=n_steps,
         final_state=EnsembleState(positions=final_x, velocities=final_v),
         per_replica=per_rep,
     )

@@ -515,6 +515,23 @@ def test_overflowing_number_in_config_exit_one(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command, config", [
+    ("simulate", {**SIM, "replicas": 1e300}),
+    ("simulate", {**SIM, "replicas": 2**62}),
+    ("simulate", {**SIM, "model": {**SIM["model"], "N": 2**62}}),
+    ("sweep", {**SWEEP, "Ns": [2, 2**62]}),
+], ids=["replicas-1e300", "replicas-2**62", "N-2**62", "sweep-N-2**62"])
+def test_counts_past_the_stream_keys_exit_one(tmp_path, capsys, command, config):
+    # each died in np.empty with a ValueError traceback; the 31-bit rule of
+    # the stream keys now applies before anything is allocated
+    cfg = write_config(tmp_path, "c.json", config)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: replica and particle label must fit in 31 bits\n"
+    assert not any(out.iterdir())
+
+
 def _assert_rejected(tmp_path, capsys, command, cases):
     # each (config, message) exits 1 naming the key and writes no output file
     for k, (config, message) in enumerate(cases):

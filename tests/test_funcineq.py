@@ -231,6 +231,79 @@ def test_gap_2d_product_gaussian():
     assert res.gap == pytest.approx(1.0, rel=0.02)
 
 
+def _gap_1d_assembly(logd, dx):
+    """The 1-D gap as the two-routine oracle assembled it."""
+    from scipy.linalg import eigh_tridiagonal
+
+    half = 0.5 * np.diff(logd)
+    diag = np.zeros(logd.size)
+    diag[:-1] += np.exp(half)
+    diag[1:] += np.exp(-half)
+    off = -np.ones(logd.size - 1)
+    vals = eigh_tridiagonal(diag / dx**2, off / dx**2, select="i", select_range=(0, 1))[0]
+    return float(vals[1])
+
+
+def _gap_2d_assembly(logd, dx):
+    """The 2-D gap as the two-routine oracle assembled it, from index lists."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
+    n1, n2 = logd.shape
+    size = n1 * n2
+    l = logd.ravel()
+    rows, cols, vals = [], [], []
+    diag = np.zeros(size)
+    idx = np.arange(size).reshape(n1, n2)
+    for p, q in (
+        (idx[:-1, :].ravel(), idx[1:, :].ravel()),
+        (idx[:, :-1].ravel(), idx[:, 1:].ravel()),
+    ):
+        rows.extend([p, q])
+        cols.extend([q, p])
+        ones = -np.ones(p.size)
+        vals.extend([ones, ones])
+        half = 0.5 * (l[q] - l[p])
+        np.add.at(diag, p, np.exp(half))
+        np.add.at(diag, q, np.exp(-half))
+    B = sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(size, size)
+    )
+    B = (B + sp.diags(diag)) / dx**2
+    w = spla.eigsh(B, k=2, sigma=-1e-3, which="LM", return_eigenvectors=False)
+    return float(np.sort(w)[1])
+
+
+@pytest.mark.parametrize("U, halfwidth", [
+    (quad(0.5), 9.0 / math.sqrt(0.5)),
+    (quad(1.0), 9.0),
+    (quad(2.0), 9.0 / math.sqrt(2.0)),
+    (PotentialSpec("quartic_double_well", {"quartic": 0.25, "well": 0.5}), 8.0),
+], ids=["oracle-0.5", "oracle-1.0", "oracle-2.0", "double_well"])
+def test_gap_1d_matches_the_chain_it_replaced(U, halfwidth):
+    # one stencil routine builds every grid's generator; on one axis its fine
+    # and coarse gaps are bit for bit those of the 1-D assembly it replaced
+    m = GridMeasure.from_potential(U, halfwidth=halfwidth, n=2001)
+    res = spectral_gap(m)
+    assert repr(res.gap) == repr(_gap_1d_assembly(m.log_density, m.spacing))
+    assert repr(res.gap_coarse) == repr(_gap_1d_assembly(m.log_density[::2], 2 * m.spacing))
+
+
+@pytest.mark.parametrize("model, halfwidth, n", [
+    (ModelConfig(N=2, d=1, U=PotentialSpec("quartic_double_well", {"quartic": 0.25, "well": 0.5}),
+                 W=bump(0.02)), 9.0, 121),
+    (ModelConfig(N=2, d=1, U=quad(1.0)), 8.0, 201),
+], ids=["readme_pair", "product_gaussian"])
+def test_gap_2d_matches_the_chain_it_replaced(model, halfwidth, n):
+    # on two axes the Kronecker-sum matrix holds the entries of the
+    # index-list assembly it replaced; the sparse solve may round otherwise
+    m = GridMeasure.from_pair_model(model, halfwidth=halfwidth, n=n)
+    res = spectral_gap(m)
+    coarse = _gap_2d_assembly(m.log_density[::2, ::2], 2 * m.spacing)
+    assert res.gap == pytest.approx(_gap_2d_assembly(m.log_density, m.spacing), rel=1e-12)
+    assert res.gap_coarse == pytest.approx(coarse, rel=1e-12)
+
+
 def test_consistency_curvature_dissipativity_grid():
     # U quadratic(k1), W = 0: all three kappa routes agree
     k1 = 1.7

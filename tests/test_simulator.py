@@ -1,6 +1,7 @@
 import math
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -289,6 +290,24 @@ def test_initial_state_of_a_particle_does_not_depend_on_N_or_labels():
         assert a.tobytes() == b[:, :2].tobytes()
     for a, b in ((stp.positions, st8.positions), (stp.velocities, st8.velocities)):
         assert a.tobytes() == b[:, perm].tobytes()
+
+
+@pytest.mark.parametrize("labels", [[0, 1], [0, 1, 2, 3], [0, 0, 1]], ids=["short", "long", "repeated"])
+def test_run_and_initial_state_need_N_distinct_labels(labels):
+    # a short list died in run on a numpy broadcast and gave initial_state a
+    # (4, 2, 1) ensemble; a repeated label gave two particles one stream
+    model = ModelConfig(N=3, d=1, U=QUAD)
+    message = re.escape(f"labels must be 3 distinct particle labels, got {labels}")
+    for call in (lambda: run(model, IntegratorConfig("baoab", 0.01), 4, 0.1, 5, labels=labels),
+                 lambda: initial_state(model, 4, 5, labels=labels)):
+        with pytest.raises(InvalidSpecError, match=message):
+            call()
+
+
+def test_run_reports_its_step_count():
+    # 0.3 / 0.1 is 2.9999999999999996: run rounds it to 3 steps, once
+    res = run(MODEL, IntegratorConfig("baoab", 0.1), 2, 0.3, 1)
+    assert res.n_steps == 3 and res.times.tolist() == [0.0, 0.1, 0.2, 0.30000000000000004]
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
