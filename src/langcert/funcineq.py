@@ -62,14 +62,16 @@ class GridMeasure:
 
     @property
     def weights(self) -> np.ndarray:
-        """Normalized quadrature weights of the probability measure."""
-        w = np.exp(self.log_density - self.log_density.max())
+        """Normalized quadrature weights of the probability measure, built
+        in one array."""
+        w = np.subtract(self.log_density, self.log_density.max())
+        np.exp(w, out=w)
         for ax in range(self.ndim):
             edge = [slice(None)] * self.ndim
             for k in (0, -1):
                 edge[ax] = k
                 w[tuple(edge)] *= 0.5
-        return w / w.sum()
+        return np.divide(w, w.sum(), out=w)
 
     def expectation(self, values: np.ndarray, weights: Optional[np.ndarray] = None,
                     out: Optional[np.ndarray] = None) -> float:

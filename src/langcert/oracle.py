@@ -8,17 +8,23 @@ spacing (the refinement ratio test pins that), and the pass tolerances stay
 far above the quadrature error at the shipped resolutions.
 
 Each quadrature verifier checks a whole battery of test-function cases in
-one call and returns one check per case: it builds the case-independent
-fields (the quadrature weights, and on the pair grid |x1 - x2|^2 or the
-Hessian entries) once, and each case adds only its test-function factors.
-It also allocates its grid-sized work arrays once per call, and each case
-writes only into them, through ``out=``: ``_d1`` and ``_d2_1d`` write their
-difference quotients into a given buffer, and ``GridMeasure.expectation``
-writes its weighted product into one.  Every ufunc keeps the operands and the
-order of the freshly allocated formula, so each check stays the same bit for
-bit.  A fresh temporary per operation would cost more than its arithmetic:
-on the 361 x 361 pair grid each is 1 MB, which glibc maps afresh, so every
-case would page-fault.
+one call and returns one check per case: it builds the quadrature weights
+once, and each case adds only its test-function factors.  It also allocates
+its grid-sized work arrays once per call, and each case writes only into
+them, through ``out=``: ``_d1`` and ``_d2_1d`` write their difference
+quotients into a given buffer, and ``GridMeasure.expectation`` writes its
+weighted product into one.  Every ufunc keeps the operands and the order of
+the freshly allocated formula, so each check stays the same bit for bit.  A
+fresh temporary per operation would cost more than its arithmetic: on the
+361 x 361 pair grid each is 1 MB, which glibc maps afresh, so every case
+would page-fault.
+
+A pair battery holds no grid it can rebuild in a case's work arrays: the
+moment bound writes |x1 - x2|^2 into its product buffer for each case, and
+the boundedness condition keeps U'' on the axis and only w/2 = W''(x1 - x2)/2
+on the grid, no grid at all without an interaction.  So at its peak a pair
+battery holds the weights and three work arrays, plus w/2 with an
+interaction, beside its measure.
 
 These are transcription checks of the certified formulas, not scalability
 claims: a failure here means either the formula or the oracle was copied
@@ -279,16 +285,17 @@ def verify_moment_bound(
     x = measure.axes[0]
     dx = measure.spacing
     weights = measure.weights
-    dist_sq = (x[:, None] - x[None, :]) ** 2
     grad_coef = 2.0 * C_LS / tau
     log_coef = model.d * math.log(1.0 / (1.0 - 4.0 * tau * C_LS)) / (2.0 * tau)
-    # G, then G^2 and a product; both are free again once their
-    # expectations are taken, and then hold the two partial derivatives
+    # G, then G^2 and a product (first of |x1 - x2|^2 and G^2); both are free
+    # again once their expectations are taken, and then hold the two partial
+    # derivatives
     G, G_sq, prod = (np.empty(weights.shape) for _ in range(3))
     checks = []
     for g1, g2 in g_pairs:
         np.multiply(g1(x)[:, None], g2(x)[None, :], out=G)
         np.square(G, out=G_sq)
+        dist_sq = np.square(np.subtract(x[:, None], x[None, :], out=prod), out=prod)
         lhs = measure.expectation(np.multiply(dist_sq, G_sq, out=prod), weights, out=prod)
         e_g_sq = measure.expectation(G_sq, weights, out=prod)
         d_x1, d_x2 = _d1(G, dx, 0, G_sq), _d1(G, dx, 1, prod)
@@ -305,15 +312,18 @@ def verify_moment_bound(
 
 
 def _pair_hessian(model: ModelConfig, x: np.ndarray) -> tuple:
-    """Entries (h11, h22, h12) of hess V on the pair grid x by x:
+    """U''(|x|) on the axis x, and w/2 on the pair grid x by x, where
 
         hess V(x1, x2) = [[U''(x1) + w/2, -w/2], [-w/2, U''(x2) + w/2]]
 
-    with w = W''(x1 - x2), the closed form of the block assembly at N = 2."""
-    r = np.abs(x[:, None] - x[None, :])
-    w = model.W.d2profile(r) if model.W is not None else np.zeros_like(r)
+    with w = W''(x1 - x2), the closed form of the block assembly at N = 2.
+    Without an interaction w/2 is the scalar 0.0, and no grid is built."""
     hu = model.U.d2profile(np.abs(x))
-    return hu[:, None] + w / 2.0, hu[None, :] + w / 2.0, -w / 2.0
+    if model.W is None:
+        return hu, 0.0
+    r = np.subtract(x[:, None], x[None, :])
+    half_w = model.W.d2profile(np.abs(r, out=r))
+    return hu, np.divide(half_w, 2.0, out=half_w)
 
 
 def verify_boundedness_condition(
@@ -343,8 +353,8 @@ def verify_boundedness_condition(
             raise InvalidSpecError(f"{name} must be finite and non-negative, got {v!r}")
     x = measure.axes[0]
     dx = measure.spacing
+    hu, half_w = _pair_hessian(model, x)
     weights = measure.weights
-    h11, h22, h12 = _pair_hessian(model, x)
     hv_psi_sq, row2, work = (np.empty(weights.shape) for _ in range(3))
     d_phi = np.empty(x.shape)
     checks = []
@@ -352,9 +362,12 @@ def verify_boundedness_condition(
         psi = np.asarray(psi_vec, dtype=float)
         if psi.shape != (2,) or not np.isfinite(psi).all():
             raise InvalidSpecError(f"psi must be a finite vector in R^(N d) = R^2, got {psi_vec!r}")
-        # (h11 psi0 + h12 psi1)^2 + (h12 psi0 + h22 psi1)^2
-        np.add(np.multiply(h11, psi[0], out=hv_psi_sq), np.multiply(h12, psi[1], out=work), out=hv_psi_sq)
-        np.add(np.multiply(h12, psi[0], out=row2), np.multiply(h22, psi[1], out=work), out=row2)
+        # (h11 psi0 + h12 psi1)^2 + (h12 psi0 + h22 psi1)^2, with h11 = U''(x1)
+        # + w/2, h22 = U''(x2) + w/2 and h12 psi = (w/2) (-psi)
+        np.multiply(np.add(hu[:, None], half_w, out=hv_psi_sq), psi[0], out=hv_psi_sq)
+        np.add(hv_psi_sq, np.multiply(half_w, -psi[1], out=work), out=hv_psi_sq)
+        np.multiply(half_w, -psi[0], out=row2)
+        np.add(row2, np.multiply(np.add(hu[None, :], half_w, out=work), psi[1], out=work), out=row2)
         np.add(np.square(hv_psi_sq, out=hv_psi_sq), np.square(row2, out=row2), out=hv_psi_sq)
         # phi depends on x1 alone: its factors stay 1D columns, broadcast over x2
         phi_x = phi(x)
@@ -444,6 +457,7 @@ def oracle_suite(
     g_pairs = [(random_test_function(rng, "g_generic"), random_test_function(rng, "g_generic"))
                for _ in range(n_moment)]
     checks.extend(verify_moment_bound(pair_quad, C_LS, 1.0 / (8.0 * C_LS), g_pairs, measure=measure_2d))
+    del measure_2d  # one pair grid alive at a time
 
     u_dw = PotentialSpec("quartic_double_well", {"quartic": 0.25, "well": 0.5}, dim=1)
     pair_dw = ModelConfig(N=2, d=1, U=u_dw, W=None)

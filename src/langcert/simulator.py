@@ -799,10 +799,12 @@ def n_sweep(
     """
     if list(Ns) != sorted(Ns) or any(n < 2 for n in Ns):
         raise InvalidSpecError("Ns must be sorted and >= 2")
+    models = [ModelConfig(N=N, d=d, U=U_spec, W=W_spec) for N in Ns]
+    for model in models:  # every N fits the stream keys before any run
+        _run_labels(model, replicas, None)
     out = []
     window = None
-    for N in Ns:
-        model = ModelConfig(N=N, d=d, U=U_spec, W=W_spec)
+    for model in models:
         res = run(
             model,
             integrator,
@@ -823,5 +825,5 @@ def n_sweep(
         )
         if window is None and fit is not None:
             window = fit.window
-        out.append((N, fit))
+        out.append((model.N, fit))
     return out

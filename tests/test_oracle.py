@@ -436,6 +436,36 @@ def test_pair_verifier_peak_memory_does_not_grow_with_the_battery(verifier, meas
     assert ten <= one + 0.25 * grid_floats * 8, (one / (8 * grid_floats), ten / (8 * grid_floats))
 
 
+BUMP = PotentialSpec("gaussian_bump", {"amplitude": 1.1, "width": 0.9, "sign": "attractive"},
+                     dim=1, role="interaction")
+COSINE = PotentialSpec("cosine", {"amplitude": 0.7, "frequency": 1.8}, dim=1, role="interaction")
+
+
+@pytest.mark.parametrize("verifier, W, floor", [
+    ("moment", None, 4.25),
+    ("boundedness", None, 4.25),
+    ("boundedness", BUMP, 6.25),
+], ids=["moment", "boundedness", "boundedness-bump"])
+def test_pair_verifier_peak_memory_floor(verifier, W, floor, measure_2d):
+    # in grid-sized arrays: the weights and three work buffers, and with an
+    # interaction one grid of W''(x1 - x2)/2; no case-free grid beside them
+    model = ModelConfig(N=2, d=1, U=QUAD, W=W)
+    rng = np.random.default_rng(4)
+    if verifier == "moment":
+        run = lambda: verify_moment_bound(
+            model, 1.0, 1.0 / 8.0, [(random_test_function(rng), random_test_function(rng))], measure=measure_2d)
+    else:
+        run = lambda: verify_boundedness_condition(
+            model, 1.0, 1.0, [(random_test_function(rng), rng.uniform(-1.5, 1.5, size=2))], measure=measure_2d)
+    grids = _peak_bytes(run) / (8 * measure_2d.log_density.size)
+    assert grids <= floor, grids
+
+
+def test_weights_build_one_grid(measure_2d):
+    grids = _peak_bytes(lambda: measure_2d.weights) / (8 * measure_2d.log_density.size)
+    assert grids <= 1.25, grids
+
+
 # ---------------------------------------------------------------------------
 # batteries against the per-check formulas
 # ---------------------------------------------------------------------------
@@ -509,6 +539,34 @@ def test_batteries_match_per_check_formulas(sizes, seed):
     rep = oracle_suite(*sizes, seed=seed)
     assert repr(rep["oracle_suite"][:sum(sizes)]) == repr(_batteries_per_check(*sizes, seed))
     assert rep["n_checks"] == sum(sizes) + 4 + 3
+
+
+@pytest.mark.parametrize("W", [BUMP, COSINE], ids=["bump", "cosine"])
+def test_boundedness_with_an_interaction_matches_the_per_check_formula(W):
+    # the Hessian from fresh full grids, entry by entry, against the battery
+    # that holds U'' on the axis and one grid of w/2
+    dw = PotentialSpec("quartic_double_well", {"quartic": 0.25, "well": 0.5}, dim=1)
+    model = ModelConfig(N=2, d=1, U=dw, W=W)
+    m = GridMeasure.from_pair_model(model, halfwidth=9.0, n=361)
+    x, dx = m.axes[0], m.spacing
+    rng = np.random.default_rng(8)
+    cases = [(random_test_function(rng), rng.uniform(-1.5, 1.5, size=2)) for _ in range(4)]
+    M1, M2 = 0.7, 1.3
+    ref = []
+    for phi, psi in cases:
+        X1, X2 = np.meshgrid(x, x, indexing="ij")
+        w = W.d2profile(np.abs(X1 - X2))
+        h11, h22, h12 = dw.d2profile(np.abs(X1)) + w / 2.0, dw.d2profile(np.abs(X2)) + w / 2.0, -w / 2.0
+        hv_psi_sq = (h11 * psi[0] + h12 * psi[1]) ** 2 + (h12 * psi[0] + h22 * psi[1]) ** 2
+        phi1 = np.outer(phi(x), np.ones(x.size))
+        lhs = float((m.weights * (hv_psi_sq * phi1**2)).sum())
+        e_grad = float((m.weights * _grad(phi1, dx, axis=0) ** 2).sum())
+        e_phi2 = float((m.weights * phi1**2).sum())
+        rhs = float((psi**2).sum()) * (M1 * e_grad + M2 * e_phi2)
+        ref.append({"name": "boundedness_condition", "lhs": lhs, "rhs": rhs,
+                    "passed": lhs <= rhs * (1 + 1e-8), "detail": {"M1": M1, "M2": M2, "spacing": dx}})
+    got = verify_boundedness_condition(model, M1, M2, cases, measure=m)
+    assert repr([asdict(c) for c in got]) == repr(ref)
 
 
 def test_oracle_suite_builds_weights_once_per_battery(monkeypatch):

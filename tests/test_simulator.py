@@ -1132,3 +1132,14 @@ def test_n_sweep_no_interaction_rates_agree():
 def test_n_sweep_validation():
     with pytest.raises(InvalidSpecError):
         n_sweep(QUAD, None, 1, [4, 2], IntegratorConfig("baoab", 0.01), 4, 1.0, 0)
+
+
+@pytest.mark.parametrize("Ns, replicas", [([2, 8, 2**62], 4), ([2, 8], 2**62)])
+def test_n_sweep_checks_every_count_before_any_run(monkeypatch, Ns, replicas):
+    # a count past the 31-bit stream keys is rejected before the first N
+    # runs and fits, not after; nothing of that size is allocated
+    runs = []
+    monkeypatch.setattr(simulator, "run", lambda *args, **kwargs: runs.append(args))
+    with pytest.raises(InvalidSpecError, match="fit in 31 bits"):
+        n_sweep(QUAD, None, 1, Ns, IntegratorConfig("baoab", 0.01), replicas, 1.0, 0)
+    assert runs == []
