@@ -15,7 +15,7 @@ from .potentials import (
     lipschitz_from_model,
     convexity_at_infinity_fit,
 )
-from .meanfield import ModelConfig, total_potential, force, hessian_blocks, hw_opnorm
+from .meanfield import ModelConfig, total_potential, hessian_blocks
 from .funcineq import (
     GridMeasure,
     kappa_bakry_emery,
@@ -44,7 +44,6 @@ from .simulator import (
     InitSpec,
     EnsembleState,
     DecayFit,
-    initial_state,
     run,
     fit_decay,
     n_sweep,

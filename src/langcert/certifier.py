@@ -64,7 +64,6 @@ class BoundednessConstants:
     C1: float
     C2: float
     K: float
-    mode: str  # "thm3" or "thm4"
 
     @property
     def M1(self) -> float:
@@ -92,11 +91,10 @@ def _in_range(build, ok, message: str):
     raise InvalidSpecError(message)
 
 
-def _finite(mode: str, K: float, C1_C2, inputs: str) -> BoundednessConstants:
-    """The constants of ``mode`` with (C1, C2) = ``C1_C2()``, or an
-    InvalidSpecError naming ``inputs`` when C1, C2, M1 or M2 is not a finite
-    float."""
-    return _in_range(lambda: BoundednessConstants(*C1_C2(), K=K, mode=mode),
+def _finite(K: float, C1_C2, inputs: str) -> BoundednessConstants:
+    """The constants with (C1, C2) = ``C1_C2()``, or an InvalidSpecError
+    naming ``inputs`` when C1, C2, M1 or M2 is not a finite float."""
+    return _in_range(lambda: BoundednessConstants(*C1_C2(), K=K),
                      lambda bc: math.isfinite(bc.M1) and math.isfinite(bc.M2),
                      f"C1 or C2 is not finite: {inputs} too large")
 
@@ -105,7 +103,7 @@ def constants_bounded_grad(K: float, K_prime: float, K1: float, K2: float, d: in
     """C1, C2 for the bounded-interaction-gradient route (needs K' finite)."""
     if not math.isfinite(K_prime):
         raise MissingConstantError("K_prime", "grad W unbounded: provide C_LS and use mode thm4")
-    return _finite("thm3", K, lambda: (
+    return _finite(K, lambda: (
         50.0 * K1**2,
         4.0 * K2**2 + 25.0 * K1**4 * d**2 / 4.0 + 25.0 * K_prime**2 * K1**2 / 2.0,
     ), f"K = {K!r}, K1 = {K1!r}, K2 = {K2!r} or K' = {K_prime!r}")
@@ -117,7 +115,7 @@ def constants_lsi(K: float, K1: float, K2: float, C_LS: float, d: int) -> Bounde
         raise MissingConstantError(
             "C_LS", "no log-Sobolev constant: supply one, or derive via Bakry-Emery / "
             "Zegarlinski transfer (lsi_transfer)")
-    return _finite("thm4", K, lambda: (
+    return _finite(K, lambda: (
         50.0 * K1**2 * (1.0 + 4.0 * K**2 * C_LS**2),
         4.0 * K2**2 + 25.0 * K1**4 * d**2 / 4.0 + 50.0 * math.log(2.0) * d * K**2 * K1**2 * C_LS,
     ), f"K = {K!r}, K1 = {K1!r}, K2 = {K2!r} or C_LS = {C_LS!r}")
@@ -449,10 +447,10 @@ def _first_certified(routes) -> tuple:
     return first
 
 
-def _kappa_routes(bundle: ConstantsBundle, be, fit, W, kappa_user):
+def _kappa_routes(bundle: ConstantsBundle, be, fit, W, kappa):
     """Poincare routes: user value, Bakry-Emery curvature, the
     convexity-at-infinity slack, 1/c_lip by dissipativity without interaction."""
-    yield kappa_user, pot.USER
+    yield kappa, pot.USER
     yield (be and be.kappa), pot.ANALYTIC
     if fit is not None:
         yield funcineq.upi_criterion(fit.c_u, fit.c, fit.radius, bundle.K), pot.CRITERION
@@ -462,11 +460,11 @@ def _kappa_routes(bundle: ConstantsBundle, be, fit, W, kappa_user):
         yield funcineq.kappa_dissipativity(bundle.c_lip), bundle.provenance["c_lip"]
 
 
-def _cls_routes(bundle: ConstantsBundle, be, fit, cls_user, rho_marginal):
+def _cls_routes(bundle: ConstantsBundle, be, fit, cls, rho_marginal):
     """Log-Sobolev routes: user value, Bakry-Emery, then the Zegarlinski
     transfer on c_lip and on the super-convexity bound e^{cR/4}/(c_u - K).
     The exact c_lip never exceeds that bound, so it goes first."""
-    yield cls_user, pot.USER
+    yield cls, pot.USER
     yield (be and be.c_ls), pot.ANALYTIC
     if rho_marginal is None:
         return
@@ -483,8 +481,8 @@ def _cls_routes(bundle: ConstantsBundle, be, fit, cls_user, rho_marginal):
 def assemble_constants(
     U: PotentialSpec,
     W: Optional[PotentialSpec],
-    kappa_user: Optional[float] = None,
-    cls_user: Optional[float] = None,
+    kappa: Optional[float] = None,
+    cls: Optional[float] = None,
     rho_marginal: Optional[float] = None,
 ) -> ConstantsBundle:
     """Derive a full constants bundle for (U, W), chasing every certified route.
@@ -492,10 +490,10 @@ def assemble_constants(
     ``kappa`` and ``C_LS`` each walk their route list (``_kappa_routes``,
     ``_cls_routes``) and keep the first route whose grade certifies, or the
     first that applies when none does; a force-free W counts as absent.  The
-    transfer routes need ``rho_marginal``.  A supplied ``kappa_user``,
-    ``cls_user`` or ``rho_marginal`` must be a finite number > 0.
+    transfer routes need ``rho_marginal``.  A supplied ``kappa``, ``cls``
+    (C_LS) or ``rho_marginal`` must be a finite number > 0.
     """
-    for key, value in (("kappa_user", kappa_user), ("cls_user", cls_user), ("rho_marginal", rho_marginal)):
+    for key, value in (("kappa", kappa), ("cls", cls), ("rho_marginal", rho_marginal)):
         if value is not None and not 0 < value < math.inf:
             raise InvalidSpecError(f"{key} must be finite and > 0, got {value!r}")
     bundle = pot.extract_constants(U, W)
@@ -516,8 +514,8 @@ def assemble_constants(
     prov["c_lip"] = pot.ANALYTIC if linear_drift else pot.NUMERIC
 
     be = funcineq.kappa_bakry_emery(U, W)
-    for key, routes in (("kappa", _kappa_routes(bundle, be, fit, W, kappa_user)),
-                        ("C_LS", _cls_routes(bundle, be, fit, cls_user, rho_marginal))):
+    for key, routes in (("kappa", _kappa_routes(bundle, be, fit, W, kappa)),
+                        ("C_LS", _cls_routes(bundle, be, fit, cls, rho_marginal))):
         value, grade = _first_certified(routes)
         if value is not None:
             setattr(bundle, key, value)

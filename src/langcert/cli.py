@@ -142,18 +142,16 @@ def _as_is(value, name: str):
     return value
 
 
-# config keys that are named differently in the library, and the keys for
-# which null means absent
-_RENAME = {"equilibrium": "equilibrium_value", "kappa": "kappa_user", "cls": "cls_user"}
+# the keys for which null means absent
 _NULLABLE = {"W", "init", "fit", "kappa", "cls", "rho_marginal"}
 
 
 def _object(obj, where: str, readers: dict, required=()) -> dict:
     """A config section: a JSON object whose keys are all in ``readers`` and
     include ``required``.  Each key present is read by its reader as
-    ``<where>.<key>`` and returned under its library name; an absent key, or
-    a null one in ``_NULLABLE``, stays absent so that the library's default
-    applies."""
+    ``<where>.<key>`` and returned under that key, the library's parameter
+    name; an absent key, or a null one in ``_NULLABLE``, stays absent so
+    that the library's default applies."""
     if not isinstance(obj, dict):
         raise InvalidSpecError(f"{where} must be a JSON object, got {obj!r}")
     unknown = set(obj) - set(readers)
@@ -162,7 +160,7 @@ def _object(obj, where: str, readers: dict, required=()) -> dict:
     missing = set(required) - set(obj)
     if missing:
         raise InvalidSpecError(f"missing keys in {where}: {sorted(missing)}")
-    return {_RENAME.get(key, key): readers[key](value, f"{where}.{key}")
+    return {key: readers[key](value, f"{where}.{key}")
             for key, value in obj.items() if not (value is None and key in _NULLABLE)}
 
 

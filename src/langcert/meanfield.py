@@ -30,10 +30,8 @@ __all__ = [
     "ModelConfig",
     "HessianBlocks",
     "total_potential",
-    "force",
     "force_batch",
     "hessian_blocks",
-    "hw_opnorm",
     "DENSE_CAP",
 ]
 
@@ -129,11 +127,6 @@ def force_batch(model: ModelConfig, x: np.ndarray) -> np.ndarray:
     return f
 
 
-def force(model: ModelConfig, x) -> np.ndarray:
-    """-grad V at one configuration, shape (N, d)."""
-    return force_batch(model, _check_config(model, x))
-
-
 @dataclass(frozen=True)
 class HessianBlocks:
     """Dense H_U and H_W with hess V = H_U + H_W (both (Nd, Nd), symmetric).
@@ -145,10 +138,6 @@ class HessianBlocks:
 
     H_U: np.ndarray
     H_W: np.ndarray
-
-    @property
-    def total(self) -> np.ndarray:
-        return self.H_U + self.H_W
 
 
 def hessian_blocks(model: ModelConfig, x) -> HessianBlocks:
@@ -173,12 +162,3 @@ def hessian_blocks(model: ModelConfig, x) -> HessianBlocks:
         blocks[idx, idx] = acc / N
         H_W = blocks.transpose(0, 2, 1, 3)
     return HessianBlocks(H_U=H_U.reshape(N * d, N * d), H_W=H_W.reshape(N * d, N * d))
-
-
-def hw_opnorm(model: ModelConfig, x) -> float:
-    """Operator norm of H_W(x) from the dense symmetric eigensolver
-    (``hessian_blocks`` raises ResourceCapError beyond DENSE_CAP)."""
-    x = _check_config(model, x)
-    if model.W is None:
-        return 0.0
-    return float(np.abs(np.linalg.eigvalsh(hessian_blocks(model, x).H_W)).max())

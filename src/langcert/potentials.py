@@ -605,10 +605,6 @@ class LipschitzResult:
     converged: bool
     s_max: float
 
-    @property
-    def finite(self) -> bool:
-        return math.isfinite(self.value)
-
 
 # the c_lip domain [0, 16] doubles at most 12 times, until the tail bound
 # falls below 1e-10 of the running value

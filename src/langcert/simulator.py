@@ -25,7 +25,8 @@ threads barely overlap them); lighter work runs in the calling process.
 ``_gather`` makes that choice and yields the parts' items round by round.
 ``run``'s parts are replica slabs of a chunk: each worker builds its slab's
 streams, draws its initial state and sends the parent each block's
-observable rows with the slab's state after it.  A replica's force does
+observable rows with the slab's state after it, or raises the run's error
+when that state turns non-finite.  A replica's force does
 not depend on the batch it comes in, so a slab computes exactly what the
 whole chunk would, and the parent puts the rows and states back at the
 slab's stride and reduces them in replica order.  ``fit_decay``'s parts are
@@ -37,6 +38,7 @@ at any worker count.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import pickle
@@ -59,7 +61,6 @@ __all__ = [
     "RunResult",
     "NoiseStreams",
     "OBSERVABLES",
-    "initial_state",
     "run",
     "fit_decay",
     "n_sweep",
@@ -304,21 +305,6 @@ def _draw_init(streams: NoiseStreams, init: InitSpec) -> tuple[np.ndarray, np.nd
     return pos, z[:, 1]
 
 
-def initial_state(
-    model: ModelConfig,
-    replicas: int,
-    master_seed: int,
-    init: InitSpec | None = None,
-    labels: Optional[Sequence[int]] = None,
-) -> EnsembleState:
-    """The initial ensemble ``run`` starts from: the first two steps of every
-    (replica, label) stream, positions from step 0 and velocities from step
-    1.  The dynamics continue at step 2 whatever the ``init``."""
-    labels = _run_labels(model, replicas, labels)
-    pos, vel = _draw_init(NoiseStreams(master_seed, range(replicas), labels, model.d), init or InitSpec())
-    return EnsembleState(positions=pos, velocities=vel)
-
-
 # ---------------------------------------------------------------------------
 # integrators
 # ---------------------------------------------------------------------------
@@ -408,9 +394,10 @@ class RunResult:
     per_replica: dict = field(default_factory=dict)
 
 
-def _observe(model: ModelConfig, x: np.ndarray, v: np.ndarray, bufs: dict, row: int) -> None:
-    for name, buf in bufs.items():
-        buf[row] = OBSERVABLES[name](model, x, v)
+def _observe(model: ModelConfig, x: np.ndarray, v: np.ndarray, names: Sequence[str], rows: np.ndarray,
+             row: int) -> None:
+    for k, name in enumerate(names):
+        rows[k, row] = OBSERVABLES[name](model, x, v)
 
 
 def run(
@@ -434,13 +421,13 @@ def run(
     processes.  Ensemble reductions run in the calling process in a fixed
     order determined by the run parameters and involve no BLAS reduction,
     so repeated runs are bit-identical at any worker count (chunk sizes only
-    regroup floating-point sums).  The state is checked after every block
-    of steps, and the first non-finite block raises ResourceCapError naming
-    its steps and replicas.  An exception in a worker is raised again here;
-    a worker that exits without its results raises LangcertError.  No
-    worker outlives the call.  Per-replica series are retained for the
-    observables named in ``keep_replica_series``, recorded or not in
-    ``observables`` (needed for bootstrap decay fits).
+    regroup floating-point sums).  Each slab checks its state after every
+    block of steps, and the first non-finite block raises ResourceCapError
+    naming its steps and its chunk's replicas.  An exception in a worker is
+    raised again here; a worker that exits without its results raises
+    LangcertError.  No worker outlives the call.  Per-replica series are
+    retained for the observables named in ``keep_replica_series``, recorded
+    or not in ``observables`` (needed for bootstrap decay fits).
     """
     if replicas < 1:
         raise InvalidSpecError("replicas must be >= 1")
@@ -478,59 +465,55 @@ def run(
     # loaded here once, not again in every slab worker
     from scipy.special import ndtri  # noqa: F401
 
-    def slab(part):
-        # the initial state of the replicas ``part``, then a block of steps at
-        # a time: (part, first, last, rows, finite, x, v) with the steps
-        # covered (0-0 for the initial state), one row of every observable
-        # per record step, whether the state (x, v) after them is finite
+    def slab(chunk, part):
+        # the initial state of the replicas ``part`` of ``chunk``, then a
+        # block of steps at a time: (part, rows, x, v) with one row of every
+        # observable per record step, shape (observables, records, replicas),
+        # and the state (x, v) after them, which must be finite
         streams = NoiseStreams(master_seed, part, labels, model.d)
         x = np.empty((len(part), model.N, model.d))
         v = np.empty_like(x)
         x[...], v[...] = _draw_init(streams, init)
-        bufs = {name: np.empty((1, len(part))) for name in names}
-        _observe(model, x, v, bufs, 0)
-        yield part, 0, 0, bufs, True, x, v
+        rows = np.empty((len(names), 1, len(part)))
+        _observe(model, x, v, names, rows, 0)
+        yield part, rows, x, v
         for done in range(0, n_steps, _TIME_BLOCK):
             nb = min(_TIME_BLOCK, n_steps - done)
-            bufs = {name: np.empty(((done + nb) // stride - done // stride, len(part))) for name in names}
+            rows = np.empty((len(names), (done + nb) // stride - done // stride, len(part)))
 
             def record(k, x_now, v_now):
                 if (done + k + 1) % stride == 0:
-                    _observe(model, x_now, v_now, bufs, (done + k + 1) // stride - done // stride - 1)
+                    _observe(model, x_now, v_now, names, rows, (done + k + 1) // stride - done // stride - 1)
 
             x[...], v[...] = _advance_block(model, integrator, x, v, streams.normals(nb), callback=record)
-            finite = bool(np.all(np.isfinite(x)) and np.all(np.isfinite(v)))
-            yield part, done + 1, done + nb, bufs, finite, x, v
-            if not finite:
-                return
+            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
+                raise ResourceCapError(f"non-finite state in steps {done + 1}-{done + nb} "
+                                       f"of replicas {chunk[0]}-{chunk[-1]} (reduce dt)")
+            yield part, rows, x, v
 
     for lo in range(0, replicas, _REPLICA_CHUNK):
-        hi = min(lo + _REPLICA_CHUNK, replicas)
-        filled = 0  # replicas of the current block received so far
-        with closing(_gather(slab, range(lo, hi), (hi - lo) * n_steps * per_step, "replicas")) as items:
-            for part, first, last, bufs, finite, x, v in items:
-                if not finite:
-                    raise ResourceCapError(
-                        f"non-finite state in steps {first}-{last} of replicas {lo}-{hi - 1} (reduce dt)")
+        chunk = range(lo, min(lo + _REPLICA_CHUNK, replicas))
+        filled = row0 = 0  # replicas of the current block received so far, its first record
+        with closing(_gather(functools.partial(slab, chunk), chunk, len(chunk) * n_steps * per_step,
+                             "replicas")) as items:
+            for part, rows, x, v in items:
                 at = slice(part.start, part.stop, part.step)
                 final_x[at], final_v[at] = x, v
                 if not filled:
-                    block = {name: np.empty((len(buf), hi - lo)) for name, buf in bufs.items()}
-                for name, buf in bufs.items():
-                    block[name][:, part.start - lo::part.step] = buf
+                    block = np.empty((*rows.shape[:2], len(chunk)))
+                block[..., part.start - lo::part.step] = rows
                 filled += len(part)
-                if filled < hi - lo:
+                if filled < len(chunk):
                     continue
                 filled = 0
-                # records from the first at or after step ``first``, each row in replica order
-                row0 = -(-first // stride)
-                for name, rows in block.items():
+                for name, series in zip(names, block):  # each row in replica order
                     if name in sums:
-                        for r, row in enumerate(rows, row0):
+                        for r, row in enumerate(series, row0):
                             sums[name][r] += row.sum()
                             sqsums[name][r] += (row**2).sum()
                     if name in per_rep:
-                        per_rep[name][lo:hi, row0:row0 + len(rows)] = rows.T
+                        per_rep[name][chunk.start:chunk.stop, row0:row0 + len(series)] = series.T
+                row0 += block.shape[1]
 
     means = {name: sums[name] / replicas for name in observables}
     variances = {
@@ -636,20 +619,17 @@ def _fit_lambda(
     return float(-coef[0]), r2, int(mask.sum()), (float(tt[0]), float(tt[-1]))
 
 
-def _column_sum(
-    rows: Callable[[int, int], np.ndarray], R: int, centre: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """The column sums of rows ``0..R-1``, or of their squared deviations
-    from ``centre``, built from blocks ``rows(lo, hi)`` of _BOOT_ROWS rows
-    that the sum may overwrite.
+def _column_sum(series: np.ndarray, idx: np.ndarray, centre: Optional[np.ndarray] = None) -> np.ndarray:
+    """The column sums of the rows ``series[idx]``, or of their squared
+    deviations from ``centre``, gathered _BOOT_ROWS rows at a time.
 
     A column sum over axis 0 adds the rows one by one, in order (for two or
     more columns), so a block that takes the running sum into its first row
-    continues exactly the sum of all R rows at once.
+    continues exactly the sum of all the rows at once.
     """
     acc = None
-    for lo in range(0, R, _BOOT_ROWS):
-        blk = rows(lo, min(lo + _BOOT_ROWS, R))
+    for lo in range(0, idx.size, _BOOT_ROWS):
+        blk = series[idx[lo:lo + _BOOT_ROWS]]
         if centre is not None:
             blk -= centre
             np.square(blk, out=blk)
@@ -662,39 +642,31 @@ def _column_sum(
 def _resample_moments(per_replica: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``b.mean(axis=0)`` and ``b.var(axis=0)`` of the resample
     ``b = per_replica[idx]``, bit for bit, gathered _BOOT_ROWS rows at a time."""
-    R = idx.size
-
-    def rows(lo, hi):
-        return per_replica[idx[lo:hi]]
-
-    bmean = _column_sum(rows, R) / R
-    return bmean, _column_sum(rows, R, bmean) / R
+    bmean = _column_sum(per_replica, idx) / idx.size
+    return bmean, _column_sum(per_replica, idx, bmean) / idx.size
 
 
 def _point_moments(per_replica: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``per_replica.mean(axis=0)`` and ``var(axis=0)``, bit for bit for a
-    C-ordered series of two or more columns, from copies of _BOOT_ROWS rows
-    at a time, so that no temporary of the series' size is made.  A column
-    whose mean is not finite (any NaN or inf entry makes one, and so does a
-    sum past the float range) raises InvalidSpecError before the variance is
-    taken; the flags such a sum raises are not reported, the error is."""
-    R = per_replica.shape[0]
-
-    def rows(lo, hi):
-        return per_replica[lo:hi].copy()
-
+    series of two or more columns: the moments of the resample that holds
+    every row once, so that no temporary of the series' size is made.  A
+    column whose mean is not finite (any NaN or inf entry makes one, and so
+    does a sum past the float range) raises InvalidSpecError before the
+    variance is taken; the flags such a sum raises are not reported, the
+    error is."""
+    every = np.arange(per_replica.shape[0])
     with np.errstate(invalid="ignore", over="ignore"):
-        mean = _column_sum(rows, R) / R
+        mean = _column_sum(per_replica, every) / every.size
     bad = np.flatnonzero(~np.isfinite(mean))
     if bad.size:
         raise InvalidSpecError(f"per_replica column {bad[0]} has a non-finite mean")
-    return mean, _column_sum(rows, R, mean) / R
+    return mean, _column_sum(per_replica, every, mean) / every.size
 
 
 def fit_decay(
     times: np.ndarray,
     per_replica: np.ndarray,
-    equilibrium_value: float = 0.0,
+    equilibrium: float = 0.0,
     observable_id: str = "",
     window: Optional[tuple[float, float]] = None,
 ) -> Optional[DecayFit]:
@@ -737,7 +709,7 @@ def fit_decay(
         raise InvalidSpecError("times must be finite and strictly increasing")
     mean, var = _point_moments(per_replica)
     sigma = np.sqrt(var / R) + 1e-300
-    s = mean - equilibrium_value
+    s = mean - equilibrium
     fit = _fit_lambda(times, s, sigma, window=window)
     if fit is None:
         return None
@@ -756,7 +728,7 @@ def fit_decay(
     with closing(_gather(moments, range(_BOOT_RESAMPLES), _BOOT_RESAMPLES * per_replica.size,
                          "resamples")) as resamples:
         for bmean, bvar in resamples:
-            bfit = _fit_lambda(times, bmean - equilibrium_value, np.sqrt(bvar / R) + 1e-300, window=window)
+            bfit = _fit_lambda(times, bmean - equilibrium, np.sqrt(bvar / R) + 1e-300, window=window)
             if bfit is not None:
                 boots.append(bfit[0])
     if len(boots) >= 20:
@@ -785,7 +757,7 @@ def n_sweep(
     horizon: float,
     master_seed: int,
     observable: str = "mean_position",
-    equilibrium_value: float = 0.0,
+    equilibrium: float = 0.0,
     stride: int = 5,
     init: InitSpec | None = None,
 ) -> list[tuple[int, Optional[DecayFit]]]:
@@ -819,7 +791,7 @@ def n_sweep(
         fit = fit_decay(
             res.times,
             res.per_replica[observable],
-            equilibrium_value,
+            equilibrium,
             observable_id=observable,
             window=window,
         )

@@ -21,7 +21,7 @@ from langcert.certifier import (
 )
 from langcert.cli import main as cli_main
 from langcert.funcineq import GridMeasure, kappa_dissipativity, spectral_gap
-from langcert.meanfield import ModelConfig, force, hessian_blocks, total_potential
+from langcert.meanfield import ModelConfig, force_batch, hessian_blocks, total_potential
 from langcert.oracle import fd_derivative_suite, oracle_suite
 from langcert.potentials import PotentialSpec, lipschitz_constant, model_b0
 from langcert.simulator import IntegratorConfig, InitSpec, fit_decay, n_sweep, run
@@ -174,7 +174,7 @@ def test_criterion_08_n_uniformity(tmp_path):
         horizon=20.0,
         master_seed=77,
         observable="mean_position",
-        equilibrium_value=0.0,  # exact by the x -> -x symmetry of V
+        equilibrium=0.0,  # exact by the x -> -x symmetry of V
         stride=5,
         init=InitSpec(position_offset=1.0, position_spread=math.sqrt(0.5)),
     )
@@ -219,7 +219,7 @@ def test_criterion_10_derivative_hygiene():
     worst_force = 0.0
     for _ in range(20):
         x = rng.standard_normal((3, 2)) * 1.5
-        f = force(model, x)
+        f = force_batch(model, x)
         fd = np.empty_like(x)
         for i in range(3):
             for a in range(2):

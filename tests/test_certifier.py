@@ -528,12 +528,12 @@ def quad_w(coef):
 # the numeric c_lip, which comes first, gives 1.0733398147657787 and
 # 3.3333333333333335 graded numeric-estimate.
 ROUTE_PICKS = {
-    "kappa-user": ("kappa", DW, small_bump(), {"kappa_user": 0.7}, "(0.7, 'user-supplied')"),
+    "kappa-user": ("kappa", DW, small_bump(), {"kappa": 0.7}, "(0.7, 'user-supplied')"),
     "kappa-bakry-emery": ("kappa", QUAD, small_bump(0.1), {}, "(0.955373967970314, 'analytic')"),
     "kappa-criterion": ("kappa", DW, small_bump(), {}, "(0.18454220545890987, 'criterion-derived')"),
     "kappa-dissipativity": ("kappa", FLAT_DW, None, {}, "(5.59962477965414e-215, 'numeric-estimate')"),
     "kappa-none": ("kappa", DW, quad_w(0.5), {}, "(None, None)"),
-    "cls-user": ("C_LS", DW, small_bump(), {"cls_user": 2.5}, "(2.5, 'user-supplied')"),
+    "cls-user": ("C_LS", DW, small_bump(), {"cls": 2.5}, "(2.5, 'user-supplied')"),
     "cls-bakry-emery": ("C_LS", QUAD, small_bump(0.1), {}, "(1.0467105379943455, 'analytic')"),
     "cls-transfer-c_lip": ("C_LS", DW, quad_w(0.5), {"rho_marginal": 1.0}, "(6.314010180635608, 'numeric-estimate')"),
     "cls-transfer-criterion": ("C_LS", DW, small_bump(), {"rho_marginal": 1.0},
@@ -558,11 +558,11 @@ def test_user_kappa_stops_the_walk_before_the_criterion(monkeypatch):
     assemble_constants(DW, small_bump())
     assert calls == ["kappa_bakry_emery", "upi_criterion"]
     calls.clear()
-    assert assemble_constants(DW, small_bump(), kappa_user=0.7).kappa == 0.7
+    assert assemble_constants(DW, small_bump(), kappa=0.7).kappa == 0.7
     assert calls == ["kappa_bakry_emery"]
     # the transfer on c_lip does not certify, so the walk goes on to the criterion
     calls.clear()
-    assemble_constants(DW, small_bump(), kappa_user=0.7, rho_marginal=1.0)
+    assemble_constants(DW, small_bump(), kappa=0.7, rho_marginal=1.0)
     assert calls == ["kappa_bakry_emery", "lsi_transfer", "ulsi_criterion", "lsi_transfer"]
 
 

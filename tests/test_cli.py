@@ -555,9 +555,9 @@ def test_certify_bad_numeric_values_exit_one(tmp_path, capsys):
         ({"model": model, "kappa": "0.5"}, "certify.kappa must be a number, got '0.5'"),
         # kappa = -1 used to certify a negative lambda, kappa = 0 lambda = 0,
         # and cls = -1 exited 2 as a missing constant
-        ({"model": model, "mode": "thm3", "kappa": -1.0}, "kappa_user must be finite and > 0, got -1.0"),
-        ({"model": model, "kappa": 0}, "kappa_user must be finite and > 0, got 0.0"),
-        ({"model": model, "mode": "thm4", "cls": -1.0}, "cls_user must be finite and > 0, got -1.0"),
+        ({"model": model, "mode": "thm3", "kappa": -1.0}, "kappa must be finite and > 0, got -1.0"),
+        ({"model": model, "kappa": 0}, "kappa must be finite and > 0, got 0.0"),
+        ({"model": model, "mode": "thm4", "cls": -1.0}, "cls must be finite and > 0, got -1.0"),
         ({"model": model, "rho_marginal": 0.0}, "rho_marginal must be finite and > 0, got 0.0"),
         ({"model": model, "rho_marginal": -2}, "rho_marginal must be finite and > 0, got -2.0"),
     ])
@@ -803,6 +803,16 @@ def test_readme_configs_read_by_section_tables():
     defaults = inspect.signature(oracle.oracle_suite).parameters
     assert tuple(map(int, sizes.groups())) == tuple(
         defaults[key].default for key in ("n_lyapunov", "n_moment", "n_boundedness")) == (20, 10, 10)
+
+
+def test_readme_library_quick_start_runs(capsys):
+    # the "Quick start (library)" block runs as written, through the public names
+    block = _readme().split("## Quick start (library)\n\n```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(block, scope)
+    cert, fit = scope["cert"], scope["fit"]
+    assert cert.certified
+    assert math.isfinite(fit.lambda_hat) and fit.ci_low <= fit.lambda_hat <= fit.ci_high
 
 
 _SCIPY_MODULES = """

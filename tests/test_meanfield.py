@@ -5,10 +5,8 @@ from langcert.errors import InvalidSpecError, ResourceCapError
 from langcert.meanfield import (
     _PAIR_SLAB,
     ModelConfig,
-    force,
     force_batch,
     hessian_blocks,
-    hw_opnorm,
     total_potential,
 )
 from langcert.potentials import PotentialSpec
@@ -87,7 +85,7 @@ def test_force_matches_fd_of_potential(model):
     rng = np.random.default_rng(1)
     for _ in range(5):
         x = rng.standard_normal((model.N, model.d)) * 1.5
-        f = force(model, x)
+        f = force_batch(model, x)
         fd = np.empty_like(x)
         for i in range(model.N):
             for a in range(model.d):
@@ -104,14 +102,14 @@ def test_interaction_force_newton_third_law():
     model = ModelConfig(N=2, d=1, U=quad(0.0), W=bump(1.0))
     rng = np.random.default_rng(2)
     x = rng.standard_normal((2, 1)) * 2
-    f = force(model, x)
+    f = force_batch(model, x)
     assert abs(f[0, 0] + f[1, 0]) < 1e-12
 
 
 def test_force_zero_at_minimizer():
     model = ModelConfig(N=3, d=1, U=quad(1.0), W=quad(0.5, role="interaction"))
     x = np.zeros((3, 1))
-    assert np.abs(force(model, x)).max() == 0.0
+    assert np.abs(force_batch(model, x)).max() == 0.0
 
 
 def test_force_batch_matches_single():
@@ -121,7 +119,7 @@ def test_force_batch_matches_single():
         xs = rng.standard_normal((R, N, 2))
         fb = force_batch(model, xs)
         for k in range(R):
-            assert fb[k].tobytes() == force(model, xs[k]).tobytes()
+            assert fb[k].tobytes() == force_batch(model, xs[k]).tobytes()
 
 
 def pre_slab_force(model, x):
@@ -220,8 +218,8 @@ def test_force_permutation_equivariance():
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((N, 2))
         perm = rng.permutation(N)
-        f = force(model, x)
-        f_perm = force(model, x[perm])
+        f = force_batch(model, x)
+        f_perm = force_batch(model, x[perm])
         diff = x[:, None, :] - x[None, :, :]
         terms = np.abs(model.W.psi(np.sqrt((diff**2).sum(axis=-1)))[..., None] * diff).sum(axis=1)
         bound = (N - 1) * eps * terms / N + eps * np.abs(f)
@@ -268,7 +266,8 @@ def test_hessian_matches_fd_of_potential():
     model = ModelConfig(N=3, d=1, U=PotentialSpec("quartic_double_well", {"quartic": 0.3, "well": 0.4}, dim=1), W=bump(0.7))
     rng = np.random.default_rng(7)
     x = rng.standard_normal((3, 1))
-    H = hessian_blocks(model, x).total
+    blocks = hessian_blocks(model, x)
+    H = blocks.H_U + blocks.H_W
     n = 3
     fd = np.empty((n, n))
     h = 1e-5
@@ -323,38 +322,6 @@ def test_hessian_blocks_match_block_loops():
                 H_U, H_W = block_loops(model, x)
                 assert blocks.H_U.tobytes() == H_U.tobytes()
                 assert blocks.H_W.tobytes() == H_W.tobytes()
-
-
-# ---------------------------------------------------------------------------
-# hw_opnorm
-# ---------------------------------------------------------------------------
-
-def test_hw_opnorm_quadratic_exact_one():
-    for N in (2, 5, 16):
-        model = ModelConfig(N=N, d=1, U=quad(1.0), W=quad(1.0, role="interaction"))
-        x = np.random.default_rng(8).standard_normal((N, 1))
-        assert hw_opnorm(model, x) == pytest.approx(1.0, abs=1e-7)
-
-
-def test_hw_opnorm_bounded_by_K_dense_oracle():
-    w = bump(2.0)
-    rng = np.random.default_rng(9)
-    checked = 0
-    for N in range(2, 17):
-        model = ModelConfig(N=N, d=1, U=quad(1.0), W=w)
-        for _ in range(64):
-            x = rng.standard_normal((N, 1)) * rng.uniform(0.5, 3)
-            op = hw_opnorm(model, x)
-            dense = np.abs(np.linalg.eigvalsh(hessian_blocks(model, x).H_W)).max()
-            assert op == pytest.approx(dense, rel=1e-6, abs=1e-8)
-            assert op <= 2.0 + 1e-8
-            checked += 1
-    assert checked >= 64 * 15
-
-
-def test_hw_opnorm_zero_interaction():
-    model = ModelConfig(N=4, d=1, U=quad(1.0))
-    assert hw_opnorm(model, np.zeros((4, 1))) == 0.0
 
 
 def test_hw_eigenvalue_bounds_sharpened():

@@ -25,7 +25,6 @@ from langcert.simulator import (
     InitSpec,
     OBSERVABLES,
     fit_decay,
-    initial_state,
     n_sweep,
     run,
     _SLAB_WORDS,
@@ -46,6 +45,20 @@ def no_worker_outlives_the_test():
     # run joins every slab worker it forks, on every exit path
     yield
     assert multiprocessing.active_children() == []
+
+
+def initial_state(model, replicas, seed, init=None, labels=None):
+    # the state run starts from: what a zero horizon leaves
+    return run(model, IntegratorConfig(), replicas, 0.0, seed, init, labels=labels).final_state
+
+
+def stream_initial_state(replicas, labels, d, seed, init):
+    # the first two steps of every (replica, label) stream, scaled and
+    # offset as ``init`` says: positions from step 0, velocities from step 1
+    z = NoiseStreams(seed, range(replicas), labels, d).normals(2)
+    pos = z[:, 0] * init.position_spread
+    pos[..., 0] += init.position_offset
+    return pos, z[:, 1]
 
 
 def exact_mean(t, x0, v0):
@@ -272,11 +285,9 @@ def test_initial_state_is_the_first_two_steps_of_each_stream(R, N, d):
     labels = list(range(N))[::-1]
     st = initial_state(ModelConfig(N=N, d=d, U=PotentialSpec("quadratic", {"coef": 1.0}, dim=d)),
                        R, 21, init, labels=labels)
-    z = NoiseStreams(21, range(R), labels, d).normals(2)
-    pos = z[:, 0] * init.position_spread
-    pos[..., 0] += init.position_offset
+    pos, vel = stream_initial_state(R, labels, d, 21, init)
     assert st.positions.tobytes() == pos.tobytes()
-    assert st.velocities.tobytes() == z[:, 1].tobytes()
+    assert st.velocities.tobytes() == vel.tobytes()
 
 
 def test_initial_state_of_a_particle_does_not_depend_on_N_or_labels():
@@ -294,14 +305,13 @@ def test_initial_state_of_a_particle_does_not_depend_on_N_or_labels():
 
 @pytest.mark.parametrize("labels", [[0, 1], [0, 1, 2, 3], [0, 0, 1]], ids=["short", "long", "repeated"])
 def test_run_and_initial_state_need_N_distinct_labels(labels):
-    # a short list died in run on a numpy broadcast and gave initial_state a
-    # (4, 2, 1) ensemble; a repeated label gave two particles one stream
+    # a short list died in run on a numpy broadcast; a repeated label gave
+    # two particles one stream
     model = ModelConfig(N=3, d=1, U=QUAD)
     message = re.escape(f"labels must be 3 distinct particle labels, got {labels}")
-    for call in (lambda: run(model, IntegratorConfig("baoab", 0.01), 4, 0.1, 5, labels=labels),
-                 lambda: initial_state(model, 4, 5, labels=labels)):
+    for horizon in (0.1, 0.0):
         with pytest.raises(InvalidSpecError, match=message):
-            call()
+            run(model, IntegratorConfig("baoab", 0.01), 4, horizon, 5, labels=labels)
 
 
 def test_run_reports_its_step_count():
@@ -313,16 +323,18 @@ def test_run_reports_its_step_count():
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_run_starts_from_initial_state(threads, monkeypatch):
     # every replica slab draws its own initial state: a zero horizon leaves
-    # it as initial_state draws it, whatever the chunks and slabs
+    # the first two steps of each stream, whatever the chunks and slabs
+    sizes = _record_splits(monkeypatch)
     monkeypatch.setattr(simulator, "_SPLIT_WORK", 0)
     monkeypatch.setattr(simulator, "_REPLICA_CHUNK", 4)
     monkeypatch.setattr(simulator, "_THREADS", threads)
     model = ModelConfig(N=3, d=2, U=_double_well(2), W=_bump(2))
     init = InitSpec(position_offset=-1.0, position_spread=2.0)
-    st = initial_state(model, 11, 4, init)
-    res = run(model, IntegratorConfig("baoab", 0.01), 11, 0.0, 4, init=init)
-    assert res.final_state.positions.tobytes() == st.positions.tobytes()
-    assert res.final_state.velocities.tobytes() == st.velocities.tobytes()
+    pos, vel = stream_initial_state(11, [2, 0, 1], 2, 4, init)
+    res = run(model, IntegratorConfig("baoab", 0.01), 11, 0.0, 4, init=init, labels=[2, 0, 1])
+    assert res.final_state.positions.tobytes() == pos.tobytes()
+    assert res.final_state.velocities.tobytes() == vel.tobytes()
+    assert sizes == ([] if threads == 1 else [threads] * 3)
 
 
 def test_dynamics_streams_do_not_depend_on_init():
@@ -1120,7 +1132,7 @@ def test_fit_decay_window_override():
 def test_n_sweep_no_interaction_rates_agree():
     fits = n_sweep(QUAD, None, d=1, Ns=[2, 4], integrator=IntegratorConfig("baoab", 0.01),
                    replicas=600, horizon=8.0, master_seed=21, observable="mean_position",
-                   equilibrium_value=0.0, stride=5)
+                   equilibrium=0.0, stride=5)
     rates = [f.lambda_hat for _, f in fits]
     assert all(f is not None for _, f in fits)
     # identical law across N; fitted windows are harmonized, CIs overlap
