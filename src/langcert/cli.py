@@ -57,17 +57,13 @@ def _json_safe(obj):
         return {k: _json_safe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_json_safe(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
+    if isinstance(obj, float):
         f = float(obj)
         if math.isnan(f):
             return "nan"
         if math.isinf(f):
             return "inf" if f > 0 else "-inf"
         return f
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return _json_safe(obj.tolist())
     return obj
 
 

@@ -220,13 +220,19 @@ class DecayFit:
 # counter-based noise streams
 # ---------------------------------------------------------------------------
 
+def _check_seed(seed: int) -> None:
+    if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64):
+        raise InvalidSpecError(f"master_seed must be an integer in [0, 2**64), got {seed!r}")
+
+
 def _stream_keys(master_seed: int, replicas: Sequence[int], labels: Sequence[int]) -> np.ndarray:
     """Philox keys (seed, replica << 31 | label) of every (replica, label)
     stream, shape (R, N, 2) uint64."""
+    _check_seed(master_seed)
     if not all(0 <= v < 2**31 for v in (*replicas, *labels)):
         raise InvalidSpecError(_KEY_BITS)
     keys = np.empty((len(replicas), len(labels), 2), dtype=np.uint64)
-    keys[..., 0] = np.uint64(master_seed & (2**64 - 1))
+    keys[..., 0] = np.uint64(master_seed)
     rep = np.array(replicas, dtype=np.uint64)[:, None] << np.uint64(31)
     keys[..., 1] = rep | np.array(labels, dtype=np.uint64)
     return keys
@@ -283,9 +289,10 @@ class NoiseStreams:
         return out.transpose(1, 0, 2, 3)
 
 
-def _run_labels(model: ModelConfig, replicas: int, labels: Optional[Sequence[int]]) -> Sequence[int]:
+def _run_labels(model: ModelConfig, replicas: int, labels: Optional[Sequence[int]], seed: int) -> Sequence[int]:
     """``labels``, N distinct ones, or range(N), after an O(1) check that the
-    counts fit the 31-bit stream keys, made before anything is allocated."""
+    seed and the counts fit the stream keys, made before anything is allocated."""
+    _check_seed(seed)
     if replicas > 2**31 or model.N > 2**31:
         raise InvalidSpecError(_KEY_BITS)
     if labels is None:
@@ -431,7 +438,7 @@ def run(
     """
     if replicas < 1:
         raise InvalidSpecError("replicas must be >= 1")
-    labels = _run_labels(model, replicas, labels)
+    labels = _run_labels(model, replicas, labels, master_seed)
     if not observables:
         raise InvalidSpecError("at least one observable is required")
     if len(set(observables)) < len(observables):
@@ -773,7 +780,7 @@ def n_sweep(
         raise InvalidSpecError("Ns must be sorted and >= 2")
     models = [ModelConfig(N=N, d=d, U=U_spec, W=W_spec) for N in Ns]
     for model in models:  # every N fits the stream keys before any run
-        _run_labels(model, replicas, None)
+        _run_labels(model, replicas, None, master_seed)
     out = []
     window = None
     for model in models:

@@ -903,3 +903,27 @@ def test_certify_matches_the_benchmark_reference(tmp_path):
                 assert got[key] is want, (name, key)
             else:
                 assert abs(got[key] - want) <= 1e-9 * abs(want) + 1e-14, (name, key, got[key], want)
+
+
+def test_certified_kappa_sits_below_the_pair_gap(tmp_path):
+    # kappa is a Poincare constant for every N, so it cannot exceed the
+    # spectral gap of the N = 2 measure.  The bound is the Richardson value
+    # widened by its distance to the fine gap: quadratic-quadratic-thm4
+    # certifies the exact Bakry-Emery kappa = 1, and its fine gap reads 0.9965
+    from langcert.funcineq import GridMeasure, spectral_gap
+    from langcert.meanfield import ModelConfig
+    from langcert.potentials import PotentialSpec
+
+    bounds = {}
+    for name, (U, W, flags) in _BENCH_MODELS.items():
+        cfg = write_config(tmp_path, f"{name}.json", {"model": {"N": 8, "d": 1, "U": U, "W": W}})
+        out = tmp_path / name
+        assert main(["certify", "--config", str(cfg), "--out", str(out), *flags]) == 0, name
+        kappa = json.loads((out / "certificate.json").read_text())["certificate"]["kappa"]
+        key = json.dumps([U, W])
+        if key not in bounds:
+            model = ModelConfig(N=2, d=1, U=PotentialSpec(**U), W=W and PotentialSpec(**W, role="interaction"))
+            # 4.5 holds the double well's mass; the quadratic U's tails need 9.0
+            g = spectral_gap(GridMeasure.from_pair_model(model, 4.5 if U is _BENCH_DW else 9.0, 121))
+            bounds[key] = g.richardson + abs(g.gap - g.richardson)
+        assert kappa <= bounds[key], (name, kappa, bounds[key])

@@ -257,8 +257,9 @@ def test_oracle_suite_all_pass():
     assert rep["n_checks"] == 5 + 3 + 3 + 4 + 3  # batteries + fd families + gap checks
     names = {c["name"] for c in rep["oracle_suite"]}
     assert {"lyapunov_lemma", "moment_bound", "boundedness_condition", "spectral_gap"} <= names
-    assert len(rep["spectral_gap_oracle"]) == 3
-    assert all("richardson" in g and "spacing" in g for g in rep["spectral_gap_oracle"])
+    gaps = [c["detail"] for c in rep["oracle_suite"] if c["name"] == "spectral_gap"]
+    assert [g["curvature"] for g in gaps] == [0.5, 1.0, 2.0]
+    assert all("richardson" in g and "spacing" in g for g in gaps)
 
 
 def test_moment_bound_grid_refinement_second_order():

@@ -733,12 +733,9 @@ def test_bump_section_roots_converge_in_valid_brackets(sign, monkeypatch):
 def test_cumulative_simpson_matches_scipy_bit_for_bit(n, s_max):
     from scipy.integrate import cumulative_simpson
 
-    s = np.linspace(0.0, s_max, n)
+    s, h = np.linspace(0.0, s_max, n, retstep=True)
     for y in (np.exp(-s), s * np.cos(3 * s), 1 / (1 + s * s), model_b0(DW, SMALL_BUMP)(s), model_b0(QUAD, None)(s)):
-        assert potentials._cumulative_simpson(y, s).tobytes() == cumulative_simpson(y, x=s, initial=0.0).tobytes()
-    x = s_max * np.linspace(0.0, 1.0, n) ** 2  # unequal spacing
-    y = np.sin(x)
-    assert potentials._cumulative_simpson(y, x).tobytes() == cumulative_simpson(y, x=x, initial=0.0).tobytes()
+        assert potentials._cumulative_simpson(y, h).tobytes() == cumulative_simpson(y, x=s, initial=0.0).tobytes()
 
 
 @pytest.mark.parametrize("sign", ["attractive", "repulsive"])

@@ -265,12 +265,27 @@ def test_normals_of_one_step_are_contiguous(drawn):
 
 
 def test_stream_keys_match_scalar_layout():
-    seed, replicas, labels = 2**64 + 17, [0, 9, 2**31 - 1], [4, 2**31 - 1]
+    seed, replicas, labels = 2**64 - 1, [0, 9, 2**31 - 1], [4, 2**31 - 1]
     keys = _stream_keys(seed, replicas, labels)
     assert keys.shape == (3, 2, 2) and keys.dtype == np.uint64
     for i, r in enumerate(replicas):
         for j, lab in enumerate(labels):
-            assert keys[i, j].tolist() == [17, (r << 31) | lab]
+            assert keys[i, j].tolist() == [seed, (r << 31) | lab]
+
+
+BAD_SEEDS = [2**64, -1, True, 1.5]
+SEED_MESSAGE = r"^master_seed must be an integer in \[0, 2\*\*64\), got "
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS)
+def test_seeds_outside_the_key_word_are_rejected(seed):
+    # no seed outside the 64-bit key word may alias one inside it (2**64 as 0, -1 as 2**64 - 1)
+    with pytest.raises(InvalidSpecError, match=SEED_MESSAGE):
+        _stream_keys(seed, [0], [0])
+    with pytest.raises(InvalidSpecError, match=SEED_MESSAGE):
+        NoiseStreams(seed, [0], [0], 1)
+    with pytest.raises(InvalidSpecError, match=SEED_MESSAGE):
+        run(MODEL, IntegratorConfig("baoab", 1e-2), 1, 0.1, seed)
 
 
 @pytest.mark.parametrize("replicas, labels", [([2**31], [0]), ([0], [-1]), ([0, 1], [0, 2**31])])
@@ -1154,4 +1169,13 @@ def test_n_sweep_checks_every_count_before_any_run(monkeypatch, Ns, replicas):
     monkeypatch.setattr(simulator, "run", lambda *args, **kwargs: runs.append(args))
     with pytest.raises(InvalidSpecError, match="fit in 31 bits"):
         n_sweep(QUAD, None, 1, Ns, IntegratorConfig("baoab", 0.01), replicas, 1.0, 0)
+    assert runs == []
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS)
+def test_n_sweep_checks_the_seed_before_any_run(monkeypatch, seed):
+    runs = []
+    monkeypatch.setattr(simulator, "run", lambda *args, **kwargs: runs.append(args))
+    with pytest.raises(InvalidSpecError, match=SEED_MESSAGE):
+        n_sweep(QUAD, None, 1, [2, 8], IntegratorConfig("baoab", 0.01), 4, 1.0, seed)
     assert runs == []
