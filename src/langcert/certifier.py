@@ -494,6 +494,8 @@ def assemble_constants(
     (C_LS) or ``rho_marginal`` must be a finite number > 0.
     """
     for key, value in (("kappa", kappa), ("cls", cls), ("rho_marginal", rho_marginal)):
+        if isinstance(value, bool):
+            raise InvalidSpecError(f"{key} must be a number, got {value!r}")
         if value is not None and not 0 < value < math.inf:
             raise InvalidSpecError(f"{key} must be finite and > 0, got {value!r}")
     bundle = pot.extract_constants(U, W)

@@ -27,13 +27,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
-from . import certifier, oracle, simulator
 from .errors import InvalidSpecError, LangcertError, MissingConstantError, ResourceCapError
-from .meanfield import ModelConfig
-from .potentials import PotentialSpec, param_types
-from .simulator import IntegratorConfig, InitSpec
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -160,17 +154,23 @@ def _object(obj, where: str, readers: dict, required=()) -> dict:
             for key, value in obj.items() if not (value is None and key in _NULLABLE)}
 
 
-def _section(where: str, readers: dict, required=(), make=dict):
+def _section(where: str, readers: dict, required=(), make=None):
     """The reader of the section ``where``, which is named by its own key
-    (``model.N``, not ``certify.model.N``) and built by ``make``."""
-    return lambda obj, _: make(**_object(obj, where, readers, required))
+    (``model.N``, not ``certify.model.N``) and built by the package's public
+    class named ``make``, imported when a config is read, or as a dict."""
+    def read(obj, _):
+        fields = _object(obj, where, readers, required)
+        return getattr(sys.modules[__package__], make)(**fields) if make else fields
+    return read
 
 
 def _potential(role: str):
     """The reader of a potential spec in ``role``.  Each param takes its
     family's type: a real, except a bump's ``sign``, a string.  An unknown
     family is named by ``PotentialSpec``."""
-    def read(obj, where: str) -> PotentialSpec:
+    def read(obj, where: str):
+        from .potentials import PotentialSpec, param_types
+
         spec = _object(obj, where, {"family": _as_is, "params": _as_is, "dim": _int}, {"family", "params"})
         types = param_types(spec["family"])
         if types:
@@ -181,9 +181,9 @@ def _potential(role: str):
 
 
 _U, _W = _potential("confinement"), _potential("interaction")
-_MODEL = _section("model", {"N": _int, "d": _int, "U": _U, "W": _W}, {"N", "d", "U"}, ModelConfig)
-_INTEGRATOR = _section("integrator", {"scheme": _name, "dt": _real}, (), IntegratorConfig)
-_INIT = _section("init", {"position_offset": _real, "position_spread": _real}, (), InitSpec)
+_MODEL = _section("model", {"N": _int, "d": _int, "U": _U, "W": _W}, {"N", "d", "U"}, "ModelConfig")
+_INTEGRATOR = _section("integrator", {"scheme": _name, "dt": _real}, (), "IntegratorConfig")
+_INIT = _section("init", {"position_offset": _real, "position_spread": _real}, (), "InitSpec")
 
 # each command's config: (readers, required keys)
 _CERTIFY = ({"model": _MODEL, "mode": _name, "kappa": _real, "cls": _real, "rho_marginal": _real}, {"model"})
@@ -209,6 +209,8 @@ _ORACLE = ({"n_lyapunov": _count, "n_moment": _count, "n_boundedness": _count}, 
 def cmd_certify(config: dict, out_dir: Path, seed: int, mode: str | None, paper_literal: bool) -> int:
     """``mode`` is the --mode flag; it overrides the config's ``mode``,
     except that ``split`` keeps the config's theorem."""
+    from . import certifier
+
     user = _object(config, "certify", *_CERTIFY)
     model = user.pop("model")
     config_mode = user.pop("mode", "auto")
@@ -237,6 +239,8 @@ def cmd_certify(config: dict, out_dir: Path, seed: int, mode: str | None, paper_
 
 
 def cmd_simulate(config: dict, out_dir: Path, seed: int) -> int:
+    from . import simulator
+
     sim = _object(config, "simulate", *_SIMULATE)
     fit_cfg = sim.pop("fit", {})
     fit_obs = fit_cfg.pop("observable", sim.get("observables", simulator.DEFAULT_OBSERVABLES)[0])
@@ -251,6 +255,10 @@ def cmd_simulate(config: dict, out_dir: Path, seed: int) -> int:
 
 
 def cmd_sweep(config: dict, out_dir: Path, seed: int) -> int:
+    import numpy as np  # np.mean: numpy's pairwise sum, not sum()'s
+
+    from . import simulator
+
     sweep = _object(config, "sweep", *_SWEEP)
     tpl = sweep.pop("model_template")
     table = simulator.n_sweep(tpl["U"], tpl.get("W"), tpl["d"], master_seed=seed, **sweep)
@@ -271,6 +279,8 @@ def cmd_sweep(config: dict, out_dir: Path, seed: int) -> int:
 
 
 def cmd_oracle(config: dict, out_dir: Path, seed: int) -> int:
+    from . import oracle
+
     report = oracle.oracle_suite(**_object(config, "oracle", *_ORACLE), seed=seed)
     report.update(_header("oracle", config, seed))
     _write_json(out_dir / "oracle.json", report)

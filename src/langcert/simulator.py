@@ -195,8 +195,11 @@ class InitSpec:
 
     def __post_init__(self):
         for name in ("position_offset", "position_spread"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidSpecError(f"{name} must be finite, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if isinstance(value, bool):
+                raise InvalidSpecError(f"{name} must be a number, got {value!r}")
+            if not math.isfinite(value):
+                raise InvalidSpecError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass
@@ -289,9 +292,14 @@ class NoiseStreams:
         return out.transpose(1, 0, 2, 3)
 
 
-def _run_labels(model: ModelConfig, replicas: int, labels: Optional[Sequence[int]], seed: int) -> Sequence[int]:
+def _run_labels(model: ModelConfig, replicas: int, stride: int, labels: Optional[Sequence[int]],
+                seed: int) -> Sequence[int]:
     """``labels``, N distinct ones, or range(N), after an O(1) check that the
-    seed and the counts fit the stream keys, made before anything is allocated."""
+    counts are integers >= 1 and that they and the seed fit the stream keys,
+    made before anything is allocated."""
+    for name, count in (("replicas", replicas), ("stride", stride)):
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+            raise InvalidSpecError(f"{name} must be an integer >= 1, got {count!r}")
     _check_seed(seed)
     if replicas > 2**31 or model.N > 2**31:
         raise InvalidSpecError(_KEY_BITS)
@@ -436,9 +444,7 @@ def run(
     retained for the observables named in ``keep_replica_series``, recorded
     or not in ``observables`` (needed for bootstrap decay fits).
     """
-    if replicas < 1:
-        raise InvalidSpecError("replicas must be >= 1")
-    labels = _run_labels(model, replicas, labels, master_seed)
+    labels = _run_labels(model, replicas, stride, labels, master_seed)
     if not observables:
         raise InvalidSpecError("at least one observable is required")
     if len(set(observables)) < len(observables):
@@ -451,8 +457,6 @@ def run(
     n_steps = int(round(horizon / integrator.dt))
     if n_steps > MAX_STEPS:
         raise ResourceCapError(f"horizon/dt = {n_steps} exceeds the {MAX_STEPS} step cap")
-    if stride < 1:
-        raise InvalidSpecError("stride must be >= 1")
 
     rec_steps = np.arange(0, n_steps + 1, stride)
     times = rec_steps * integrator.dt
@@ -780,7 +784,7 @@ def n_sweep(
         raise InvalidSpecError("Ns must be sorted and >= 2")
     models = [ModelConfig(N=N, d=d, U=U_spec, W=W_spec) for N in Ns]
     for model in models:  # every N fits the stream keys before any run
-        _run_labels(model, replicas, None, master_seed)
+        _run_labels(model, replicas, stride, None, master_seed)
     out = []
     window = None
     for model in models:

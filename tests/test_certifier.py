@@ -381,6 +381,13 @@ def test_force_free_interaction_assembles_as_none(U, W):
         assert repr(getattr(got, key)) == repr(value), key
 
 
+@pytest.mark.parametrize("key", ["kappa", "cls", "rho_marginal"])
+def test_assemble_constants_rejects_bools(key):
+    # True used to be stored as the constant, graded user-supplied
+    with pytest.raises(InvalidSpecError, match=f"^{key} must be a number, got True$"):
+        assemble_constants(QUAD, None, **{key: True})
+
+
 def test_certify_quadratic_interaction_needs_thm4():
     w = PotentialSpec("quadratic", {"coef": 0.1}, dim=1, role="interaction")
     bundle = assemble_constants(QUAD, w)

@@ -815,6 +815,12 @@ def test_readme_library_quick_start_runs(capsys):
     assert math.isfinite(fit.lambda_hat) and fit.ci_low <= fit.lambda_hat <= fit.ci_high
 
 
+def _src_env() -> dict:
+    """This environment, with this checkout's src/ first on the path."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(cli.__file__).parents[1]),
+                                                         os.environ.get("PYTHONPATH", "")])}
+
+
 _SCIPY_MODULES = """
 import sys
 from langcert import cli
@@ -832,9 +838,7 @@ def test_certify_loads_no_scipy(tmp_path):
     # certify runs on numpy alone: scipy loads only for simulate, sweep and
     # oracle, and neither multiprocessing nor concurrent.futures loads with the CLI
     cfg = write_config(tmp_path, "certify.json", _readme_configs()["certify"])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(cli.__file__).parents[1]),
-                                                         os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_MODULES, str(cfg), str(tmp_path / "out")], env=env,
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_MODULES, str(cfg), str(tmp_path / "out")], env=_src_env(),
                           capture_output=True, text=True, check=True)
     before, verdict, after = proc.stdout.splitlines()
     assert verdict.startswith("certified: ")
@@ -859,12 +863,71 @@ def test_simulate_starts_no_thread(tmp_path):
     # through numpy.testing, so whether that module is loaded shows nothing.)
     config = {**_readme_configs()["simulate"], "replicas": 2000}
     cfg = write_config(tmp_path, "simulate.json", config)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(cli.__file__).parents[1]),
-                                                         os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", _SIMULATE_THREADS, str(cfg), str(tmp_path / "out")], env=env,
+    proc = subprocess.run([sys.executable, "-c", _SIMULATE_THREADS, str(cfg), str(tmp_path / "out")], env=_src_env(),
                           capture_output=True, text=True, check=True)
     forks = simulator._THREADS > 1 and "fork" in multiprocessing.get_all_start_methods()
     assert proc.stdout.splitlines()[-1] == f"[] 1 {forks}"
+
+
+_LOADED = """
+import json, sys
+exec(sys.argv[1])
+print(json.dumps(sorted(sys.modules)))
+"""
+_CLI = ("from langcert import cli; cli.build_parser(); "
+        "assert cli.main([sys.argv[2], '--config', sys.argv[3], '--out', sys.argv[4]]) == 0")
+_SIMULATING = {"cli", "errors", "potentials", "meanfield", "simulator"}
+# entry point -> (the code run in a fresh process, the langcert layers it
+# loads, modules that load, modules that do not)
+_IMPORT_CONTRACT = {
+    "import langcert": ("import langcert", set(), set(), {"numpy"}),
+    "cli": ("from langcert import cli; cli.build_parser()", {"cli", "errors"}, set(), {"numpy"}),
+    "certify": (_CLI, {"cli", "errors", "potentials", "meanfield", "funcineq", "certifier"},
+                {"numpy", "fractions"}, {"scipy"}),
+    "simulate": (_CLI, _SIMULATING, {"numpy", "scipy.special"}, {"fractions"}),
+    "sweep": (_CLI, _SIMULATING, {"numpy", "scipy.special"}, {"fractions"}),
+    "oracle": ("from langcert import cli; assert cli.main(['oracle', '--out', sys.argv[4]]) == 0",
+               {"cli", "errors", "potentials", "meanfield", "funcineq", "certifier", "oracle"},
+               {"scipy.linalg"}, set()),
+}
+
+
+@pytest.mark.parametrize("entry", list(_IMPORT_CONTRACT))
+def test_each_entry_point_loads_only_the_layers_it_runs(tmp_path, entry):
+    # the README configs, run in a fresh process; the simulations are
+    # shortened, since which modules load does not depend on their size
+    code, layers, present, absent = _IMPORT_CONTRACT[entry]
+    config = {**_readme_configs().get(entry, {}), **({"replicas": 50, "horizon": 2.0} if layers == _SIMULATING else {})}
+    cfg = write_config(tmp_path, "config.json", config)
+    proc = subprocess.run([sys.executable, "-c", _LOADED, code, entry, str(cfg), str(tmp_path / "out")],
+                          env=_src_env(), capture_output=True, text=True, check=True)
+    loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+    assert {name.split(".", 1)[1] for name in loaded if name.startswith("langcert.")} == layers
+    assert present <= loaded and not absent & loaded, (present - loaded, absent & loaded)
+
+
+def test_public_names_are_their_modules_objects():
+    import importlib
+    import types
+
+    import langcert
+
+    for name in langcert.__all__:
+        value = getattr(langcert, name)
+        if isinstance(value, types.ModuleType):
+            assert value is importlib.import_module(f"langcert.{name}")
+        else:
+            assert getattr(importlib.import_module(value.__module__), name) is value, name
+    assert set(langcert.__all__) <= set(dir(langcert))
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        getattr(langcert, "no_such_name")
+    # after a bare import every layer resolves, and dir() lists what __all__ does
+    code = ("import langcert, sys; assert sys.modules.keys().isdisjoint({'langcert.simulator', 'numpy'}); "
+            "assert langcert.simulator.run is sys.modules['langcert.simulator'].run; "
+            "from langcert import certify, oracle; assert oracle is langcert.oracle; "
+            "print(sorted(n for n in dir(langcert) if not n.startswith('_')) == sorted(langcert.__all__))")
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, check=True)
+    assert proc.stdout == "True\n"
 
 
 # the certify-d1 models of perfbench/run.py (CERTIFY_MODELS): name -> (U, W, extra flags)
@@ -905,17 +968,19 @@ def test_certify_matches_the_benchmark_reference(tmp_path):
                 assert abs(got[key] - want) <= 1e-9 * abs(want) + 1e-14, (name, key, got[key], want)
 
 
-def test_certified_kappa_sits_below_the_pair_gap(tmp_path):
-    # kappa is a Poincare constant for every N, so it cannot exceed the
-    # spectral gap of the N = 2 measure.  The bound is the Richardson value
-    # widened by its distance to the fine gap: quadratic-quadratic-thm4
-    # certifies the exact Bakry-Emery kappa = 1, and its fine gap reads 0.9965
+def check_kappa_below_the_pair_gap(tmp_path, names):
+    """Certify each named certify-d1 model and compare its kappa, a Poincare
+    constant for every N, with the spectral gap of the N = 2 measure.  The
+    bound is the Richardson value widened by its distance to the fine gap:
+    quadratic-quadratic-thm4 certifies the exact Bakry-Emery kappa = 1, and
+    its fine gap reads 0.9965."""
     from langcert.funcineq import GridMeasure, spectral_gap
     from langcert.meanfield import ModelConfig
     from langcert.potentials import PotentialSpec
 
     bounds = {}
-    for name, (U, W, flags) in _BENCH_MODELS.items():
+    for name in names:
+        U, W, flags = _BENCH_MODELS[name]
         cfg = write_config(tmp_path, f"{name}.json", {"model": {"N": 8, "d": 1, "U": U, "W": W}})
         out = tmp_path / name
         assert main(["certify", "--config", str(cfg), "--out", str(out), *flags]) == 0, name
@@ -926,4 +991,8 @@ def test_certified_kappa_sits_below_the_pair_gap(tmp_path):
             # 4.5 holds the double well's mass; the quadratic U's tails need 9.0
             g = spectral_gap(GridMeasure.from_pair_model(model, 4.5 if U is _BENCH_DW else 9.0, 121))
             bounds[key] = g.richardson + abs(g.gap - g.richardson)
-        assert kappa <= bounds[key], (name, kappa, bounds[key])
+        assert kappa <= bounds[key], f"{name}: kappa {kappa!r} is above the pair gap bound {bounds[key]!r}"
+
+
+def test_certified_kappa_sits_below_the_pair_gap(tmp_path):
+    check_kappa_below_the_pair_gap(tmp_path, _BENCH_MODELS)

@@ -328,17 +328,26 @@ def test_bounds_pinned_for_each_family(family, params, hess, grad, zero):
     assert spec.hess_op_sup() == max(abs(b) for b in spec.hess_eig_bounds())
 
 
+LYAPUNOV_SPECS = (QUAD, DW, PotentialSpec("quartic_double_well", {"quartic": 0.1, "well": 1.0}, dim=2))
+
+
+def check_lyapunov_condition(spec, bundle):
+    """The Lyapunov condition |hess U|_op <= K1 |grad U| + K2 of ``bundle``'s
+    pair, sampled on 1000 random points of [-30, 30]^d."""
+    rng = np.random.default_rng(17)
+    x = rng.uniform(-30, 30, size=(1000, spec.dim))
+    op = np.abs(np.linalg.eigvalsh(spec.hessian(x))).max(axis=-1)
+    gn = np.sqrt((spec.gradient(x) ** 2).sum(axis=-1))
+    assert np.all(op <= bundle.K1 * gn + bundle.K2 + 1e-9), f"Lyapunov condition fails for {spec.family}"
+
+
 def test_lyapunov_condition_holds_on_random_points():
-    for spec in (QUAD, DW, PotentialSpec("quartic_double_well", {"quartic": 0.1, "well": 1.0}, dim=2)):
+    for spec in LYAPUNOV_SPECS:
         bundle = extract_constants(spec, None)
         k2 = lyapunov_offsets(spec, [bundle.K1])[0]  # exact, then an outward margin
         assert bundle.K2 == (k2 if spec.linear else k2 * (1 + 1e-9) + 1e-12)
         assert bundle.provenance["K2"] == "analytic"
-        rng = np.random.default_rng(17)
-        x = rng.uniform(-30, 30, size=(1000, spec.dim))
-        op = np.abs(np.linalg.eigvalsh(spec.hessian(x))).max(axis=-1)
-        gn = np.sqrt((spec.gradient(x) ** 2).sum(axis=-1))
-        assert np.all(op <= bundle.K1 * gn + bundle.K2 + 1e-9)
+        check_lyapunov_condition(spec, bundle)
 
 
 def test_lyapunov_offset_covers_far_stationary_point():
@@ -525,12 +534,17 @@ def test_b0_2d_section_matches_random_pair_scan():
 # lipschitz constant
 # ---------------------------------------------------------------------------
 
+def check_clip_closed_form(a):
+    """c_lip of the linear drift -a s against its closed form
+    (1/4) Int exp(-a s^2/8) s ds = 1/a."""
+    res = potentials.lipschitz_constant(lambda s: -a * np.asarray(s))
+    assert res.converged and math.isfinite(res.value)
+    assert res.value == pytest.approx(1.0 / a, abs=1e-8), f"c_lip {res.value!r} is not the closed form 1/{a}"
+
+
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
 def test_clip_linear_drift_closed_form(a):
-    # (1/4) Int exp(-a s^2/8) s ds = 1/a
-    res = lipschitz_constant(lambda s: -a * np.asarray(s))
-    assert res.converged and math.isfinite(res.value)
-    assert res.value == pytest.approx(1.0 / a, abs=1e-8)
+    check_clip_closed_form(a)
 
 
 def test_clip_positive_drift_diverges():

@@ -90,6 +90,21 @@ def test_init_spec_rejects_non_finite_fields(kwargs, name):
         InitSpec(**kwargs)
 
 
+@pytest.mark.parametrize("name", ["position_offset", "position_spread"])
+def test_init_spec_rejects_bools(name):
+    # True used to be read as 1.0
+    with pytest.raises(InvalidSpecError, match=f"^{name} must be a number, got True$"):
+        InitSpec(**{name: True})
+
+
+@pytest.mark.parametrize("name, value", [("replicas", 2.5), ("replicas", True), ("stride", True), ("stride", 2.0),
+                                         ("replicas", 0), ("stride", 0)])
+def test_run_rejects_counts_that_are_not_integers(name, value):
+    # a float used to end in a bare TypeError, and stride=True ran as stride 1
+    with pytest.raises(InvalidSpecError, match=re.escape(f"{name} must be an integer >= 1, got {value!r}")):
+        run(MODEL, IntegratorConfig("baoab", 1e-2), horizon=0.1, master_seed=0, **{"replicas": 1, name: value})
+
+
 def test_run_caps_and_validation():
     with pytest.raises(ResourceCapError):
         run(MODEL, IntegratorConfig("baoab", 1e-3), 1, 2e6, 0)
@@ -1169,6 +1184,16 @@ def test_n_sweep_checks_every_count_before_any_run(monkeypatch, Ns, replicas):
     monkeypatch.setattr(simulator, "run", lambda *args, **kwargs: runs.append(args))
     with pytest.raises(InvalidSpecError, match="fit in 31 bits"):
         n_sweep(QUAD, None, 1, Ns, IntegratorConfig("baoab", 0.01), replicas, 1.0, 0)
+    assert runs == []
+
+
+@pytest.mark.parametrize("name, value", [("replicas", 2.5), ("stride", 1.5)])
+def test_n_sweep_checks_the_counts_before_any_run(monkeypatch, name, value):
+    runs = []
+    monkeypatch.setattr(simulator, "run", lambda *args, **kwargs: runs.append(args))
+    with pytest.raises(InvalidSpecError, match=re.escape(f"{name} must be an integer >= 1, got {value!r}")):
+        n_sweep(QUAD, None, 1, [2, 8], IntegratorConfig("baoab", 0.01), horizon=1.0, master_seed=0,
+                **{"replicas": 4, name: value})
     assert runs == []
 
 
